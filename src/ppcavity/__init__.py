@@ -15,10 +15,10 @@ from .basis import ADDITIVE_NOISE, COHERENT_SPIN, BasisFamily
 from .initialization import AtomicDensity, InitDistribution, init_points
 from .jc import ModelParams, PhaseState, jc_sde_system
 from .maxwell_bloch import MbState, evolve_mb, mb_rhs
-from .observables import ObservableSet, project
+from .observables import observable_bundle, physical_columns
 from .physical import PhysState, drift_bar, from_physical, to_physical
 from .reference import TruncatedSpace, build_hamiltonian, evolve, master_rhs
-from .sde import EnsembleResult, SdeSystem, TimeGrid, run_ensemble, simulate_path
+from .sde import EnsembleResult, SdeSystem, TimeGrid, run_ensemble
 
 __all__ = [
     "ADDITIVE_NOISE",
@@ -29,7 +29,6 @@ __all__ = [
     "InitDistribution",
     "MbState",
     "ModelParams",
-    "ObservableSet",
     "PhaseState",
     "PhysState",
     "SdeSystem",
@@ -44,8 +43,8 @@ __all__ = [
     "jc_sde_system",
     "master_rhs",
     "mb_rhs",
-    "project",
+    "observable_bundle",
+    "physical_columns",
     "run_ensemble",
-    "simulate_path",
     "to_physical",
 ]

@@ -25,8 +25,26 @@ from .errors import PoleProximityError, UnreachableTargetError
 COHERENT_SPIN = "coherent-spin"
 ADDITIVE_NOISE = "additive-noise"
 
-#: evaluation refuses points where |1 + exp(2z/delta + kappa)| falls below this
+#: evaluation refuses points where |1 + exp(2z/delta + kappa)|, or a quantity
+#: checked by :func:`checked_denominator`, falls below this
 POLE_FLOOR = 1e-10
+
+
+def checked_denominator(h, ht, *slopes):
+    """Return 1 + h*htilde, refusing states where it or any given slope vanishes.
+
+    The change of variables divides by 1 + h*htilde; the SDE coefficients
+    also divide by the slopes h' and htilde'.  Raises PoleProximityError when
+    any of these is non-finite or smaller than POLE_FLOOR in modulus.
+    """
+    denom = 1.0 + h * ht
+    for value in (denom,) + slopes:
+        mag = np.abs(value)
+        if np.any(~np.isfinite(mag) | (mag < POLE_FLOOR)):
+            raise PoleProximityError(
+                "state too close to a singularity (1 + h*htilde, h' or htilde' vanishing)"
+            )
+    return denom
 
 
 class PhaseFunctions(NamedTuple):

@@ -33,18 +33,18 @@ from .initialization import init_points
 from .invariants import run_all
 from .jc import jc_sde_system, phase_init_sampler
 from .maxwell_bloch import MbState, evolve_mb
-from .observables import observable_bundle
-from .physical import (
-    physical_init_sampler,
-    physical_observable_bundle,
-    physical_sde_system,
-    reconstruct_fields,
-)
+from .observables import observable_bundle, physical_columns, physical_observable_bundle
+from .physical import physical_init_sampler, physical_sde_system
 from .reference import TruncatedSpace, evolve, initial_density
 from .sde import run_ensemble
 
 ENV_PREFIX = "PPCAVITY_"
 DIVERGENCE_WARNING_FRACTION = 0.01
+#: numerical diagnostics of the deterministic engines recorded in the sidecar
+DIAGNOSTICS = {
+    "reference": ("max_trace_error", "max_herm_error", "max_purity", "min_eigenvalue"),
+    "mb": ("max_bloch_violation",),
+}
 
 
 def _env_override(name, cast):
@@ -166,24 +166,6 @@ def run_mb(cfg: RunConfig):
     return params, evolve_mb(params, state0, cfg.grid())
 
 
-def _deterministic_columns(cfg, params, traj):
-    columns = []
-    for name in cfg.observables:
-        if name.startswith(("E_at_", "H_at_")):
-            x = cfg.probes[int(name[5:]) - 1]
-            n = params.mode_count
-            n_pts = len(traj.times)
-            phys = np.zeros((n_pts, 2 * n + 3), dtype=complex)
-            for m in range(n):
-                phys[:, 2 * m] = traj.column(f"e_{m + 1}")
-                phys[:, 2 * m + 1] = traj.column(f"h_{m + 1}")
-            e_val, h_val = reconstruct_fields(params, phys, x)
-            columns.append(e_val if name.startswith("E_") else h_val)
-        else:
-            columns.append(np.asarray(traj.column(name)))
-    return columns
-
-
 def cmd_run(args) -> int:
     with open(args.config) as handle:
         cfg = parse_config(handle.read())
@@ -208,9 +190,9 @@ def cmd_run(args) -> int:
 
     if cfg.engine in ("sde-jc", "sde-mb-experimental"):
         result = run_sde_jc(cfg) if cfg.engine == "sde-jc" else run_sde_physical(cfg)
-        columns = [result.mean[:, j] for j in range(len(result.names))]
-        errs = [result.stderr[:, j] for j in range(len(result.names))]
-        write_csv(cfg.out, result.grid.times, result.names, columns, errs)
+        write_csv(
+            cfg.out, result.grid.times, result.names, list(result.mean.T), list(result.stderr.T)
+        )
         fraction = result.runs_diverged / result.runs_requested
         _write_sidecar(
             cfg.out,
@@ -233,9 +215,10 @@ def cmd_run(args) -> int:
             )
     else:
         params, traj = run_reference(cfg) if cfg.engine == "reference" else run_mb(cfg)
-        columns = _deterministic_columns(cfg, params, traj)
-        write_csv(cfg.out, traj.times, cfg.observables, columns)
-        _write_sidecar(cfg.out, cfg, {})
+        columns = physical_columns(params, cfg.observables, cfg.probes)(traj.phys)
+        write_csv(cfg.out, traj.times, cfg.observables, list(columns.T))
+        extra = {key: float(getattr(traj, key)) for key in DIAGNOSTICS[cfg.engine]}
+        _write_sidecar(cfg.out, cfg, extra)
         print(f"{cfg.engine}: wrote {cfg.out}")
     return 0
 

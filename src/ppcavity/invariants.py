@@ -169,12 +169,8 @@ def check_init_reconstruction(rng, points):
 
 
 def _factorization_error(params, family, state, dissipative):
-    if dissipative:
-        b = jc.noise_jc_plus(params, family, state)
-        d = jc.diffusion_jc_plus(params, family, state)
-    else:
-        b = jc.noise_jc(params, family, state)
-        d = jc.diffusion_jc(params, family, state)
+    b = jc.noise_jc(params, family, state, dissipative)
+    d = jc.diffusion_jc(params, family, state, dissipative)
     lhs = b @ b.T
     return np.abs(lhs - d).max() / (1.0 + np.abs(d).max())
 
@@ -263,9 +259,9 @@ def check_dissipative_structure(rng, points):
     for _ in range(points):
         state = random_phase_state(rng, fam, params_free.mode_count)
         plain = jc.drift_jc(params_free, fam, state)
-        plus_free = jc.drift_jc_plus(params_free, fam, state)
+        plus_free = jc.drift_jc(params_free, fam, state, dissipative=True)
         worst = max(worst, np.abs(plus_free - plain).max())
-        plus = jc.drift_jc_plus(params_rates, fam, state)
+        plus = jc.drift_jc(params_rates, fam, state)
         worst = max(worst, np.abs(plus[: 2 * params_free.mode_count] - plain[: 2 * params_free.mode_count]).max())
     return worst, 1e-14
 
@@ -283,8 +279,8 @@ def check_ito_transform(rng, points):
 
         for _ in range(points):
             state = random_phase_state(rng, fam, params.mode_count, scale=0.4)
-            a = jc.drift_jc_plus(params, fam, state)
-            b = jc.noise_jc_plus(params, fam, state)
+            a = jc.drift_jc(params, fam, state)
+            b = jc.noise_jc(params, fam, state)
             grad, hess = holomorphic_derivatives(change, state)
             corr = b @ b.T
             oracle = grad @ a + 0.5 * np.einsum("kpq,pq->k", hess, corr)
@@ -302,7 +298,7 @@ def check_jacobian_diffusion(rng, points):
         state = random_phase_state(rng, fam, params.mode_count, scale=0.4)
         phys = physical.to_physical(fam, state)
         jac = physical.jacobian_change(fam, state)
-        d_plus = jc.diffusion_jc_plus(params, fam, state)
+        d_plus = jc.diffusion_jc(params, fam, state)
         rhs = jac @ d_plus @ jac.T
         bbar = physical.noise_bar(params, phys)
         lhs = bbar @ bbar.T

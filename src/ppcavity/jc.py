@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ADDITIVE_NOISE, POLE_FLOOR, BasisFamily, PhaseFunctions
-from .errors import PoleProximityError
+from .basis import ADDITIVE_NOISE, BasisFamily, PhaseFunctions, checked_denominator
 from .sde import SdeSystem
 
 _ROOT_I = np.sqrt(1j)  # fixed diffusion-gauge choice exp(i pi/4)
@@ -231,23 +230,37 @@ def split_state(state, n_modes):
     return alpha, beta, z, w
 
 
-def _checked_jet(family: BasisFamily, z, w) -> PhaseFunctions:
+def _prepare(params, family, state, check, dissipative):
+    state = as_state_vector(state)
+    alpha, beta, z, w = split_state(state, params.mode_count)
     pf = family.jet(z, w)
-    denom = np.abs(1.0 + pf.h * pf.ht)
-    bad = (
-        ~np.isfinite(denom)
-        | (denom < POLE_FLOOR)
-        | (np.abs(pf.hp) < POLE_FLOOR)
-        | (np.abs(pf.htp) < POLE_FLOOR)
-    )
-    if np.any(bad):
-        raise PoleProximityError(
-            "state too close to a singularity (h', htilde', or 1 + h*htilde vanishing)"
-        )
-    return pf
+    if check:
+        checked_denominator(pf.h, pf.ht, pf.hp, pf.htp)
+    if dissipative is None:
+        dissipative = params.dissipative
+    return alpha, beta, pf, state.shape[:-1], dissipative
 
 
-def _drift_core(params: ModelParams, pf: PhaseFunctions, alpha, beta, dissipative):
+def _mode_diffusion(params: ModelParams, pf: PhaseFunctions):
+    """Per-mode diffusion entries d_n = g_n s_n (h^2 - 1)/h' and the mirror."""
+    gs = params.gs
+    return gs * pf.quad[..., None], gs * pf.quad_t[..., None]
+
+
+def _dissipative_entry(params: ModelParams, pf: PhaseFunctions):
+    hht = pf.h * pf.ht
+    return (
+        2.0 * params.r_p * hht + params.r21 * hht**2 + params.r12
+    ) * pf.inv_hp * pf.inv_htp
+
+
+def drift_jc(params: ModelParams, family: BasisFamily, state, dissipative=None, check=True):
+    """Drift vector, with scattering and pure-dephasing terms if ``dissipative``.
+
+    ``dissipative`` defaults to ``params.dissipative``.  With ``check`` the
+    three coefficient functions raise PoleProximityError near a singularity.
+    """
+    alpha, beta, pf, _, dissipative = _prepare(params, family, state, check, dissipative)
     n = params.mode_count
     om = params.omega_array
     gs = params.gs
@@ -273,20 +286,9 @@ def _drift_core(params: ModelParams, pf: PhaseFunctions, alpha, beta, dissipativ
     return out
 
 
-def _mode_diffusion(params: ModelParams, pf: PhaseFunctions):
-    """Per-mode diffusion entries d_n = g_n s_n (h^2 - 1)/h' and the mirror."""
-    gs = params.gs
-    return gs * pf.quad[..., None], gs * pf.quad_t[..., None]
-
-
-def _dissipative_entry(params: ModelParams, pf: PhaseFunctions):
-    hht = pf.h * pf.ht
-    return (
-        2.0 * params.r_p * hht + params.r21 * hht**2 + params.r12
-    ) * pf.inv_hp * pf.inv_htp
-
-
-def _diffusion_core(params: ModelParams, pf: PhaseFunctions, batch_shape, dissipative):
+def diffusion_jc(params: ModelParams, family: BasisFamily, state, dissipative=None, check=True):
+    """Symmetric diffusion matrix; the dissipative layout adds the fermionic block."""
+    _, _, pf, batch_shape, dissipative = _prepare(params, family, state, check, dissipative)
     n = params.mode_count
     d, dt_ = _mode_diffusion(params, pf)
     out = np.zeros(batch_shape + (2 * (n + 1), 2 * (n + 1)), dtype=complex)
@@ -299,7 +301,9 @@ def _diffusion_core(params: ModelParams, pf: PhaseFunctions, batch_shape, dissip
     return out
 
 
-def _noise_core(params: ModelParams, pf: PhaseFunctions, batch_shape, dissipative):
+def noise_jc(params: ModelParams, family: BasisFamily, state, dissipative=None, check=True):
+    """Noise matrix with 4N (dissipative: 4N+2) columns satisfying B @ B.T = D."""
+    _, _, pf, batch_shape, dissipative = _prepare(params, family, state, check, dissipative)
     n = params.mode_count
     d, dt_ = _mode_diffusion(params, pf)
     cols = 4 * n + (2 if dissipative else 0)
@@ -326,71 +330,26 @@ def _noise_core(params: ModelParams, pf: PhaseFunctions, batch_shape, dissipativ
     return out
 
 
-def _prepare(params, family, state, check):
-    state = as_state_vector(state)
-    alpha, beta, z, w = split_state(state, params.mode_count)
-    pf = _checked_jet(family, z, w) if check else family.jet(z, w)
-    return alpha, beta, pf, state.shape[:-1]
-
-
-def drift_jc(params: ModelParams, family: BasisFamily, state, check=True):
-    """Drift vector of the dissipation-free positive-P SDE."""
-    alpha, beta, pf, _ = _prepare(params, family, state, check)
-    return _drift_core(params, pf, alpha, beta, dissipative=False)
-
-
-def drift_jc_plus(params: ModelParams, family: BasisFamily, state, check=True):
-    """Drift vector including scattering and pure-dephasing terms."""
-    alpha, beta, pf, _ = _prepare(params, family, state, check)
-    return _drift_core(params, pf, alpha, beta, dissipative=True)
-
-
-def diffusion_jc(params: ModelParams, family: BasisFamily, state, check=True):
-    """Symmetric diffusion matrix of the dissipation-free SDE."""
-    _, _, pf, batch = _prepare(params, family, state, check)
-    return _diffusion_core(params, pf, batch, dissipative=False)
-
-
-def diffusion_jc_plus(params: ModelParams, family: BasisFamily, state, check=True):
-    """Diffusion matrix including the dissipative fermionic block."""
-    _, _, pf, batch = _prepare(params, family, state, check)
-    return _diffusion_core(params, pf, batch, dissipative=True)
-
-
-def noise_jc(params: ModelParams, family: BasisFamily, state, check=True):
-    """Noise matrix with 4N columns satisfying B @ B.T = D."""
-    _, _, pf, batch = _prepare(params, family, state, check)
-    return _noise_core(params, pf, batch, dissipative=False)
-
-
-def noise_jc_plus(params: ModelParams, family: BasisFamily, state, check=True):
-    """Noise matrix with 4N+2 columns satisfying B @ B.T = D (dissipative)."""
-    _, _, pf, batch = _prepare(params, family, state, check)
-    return _noise_core(params, pf, batch, dissipative=True)
-
-
 def jc_sde_system(
     params: ModelParams, family: BasisFamily, dissipative=None
 ) -> SdeSystem:
     """SDE system for the integrator; coefficients never raise on poles.
 
-    With ``dissipative=None`` the dissipative layout is used exactly when any
-    rate is positive.  The additive-noise family without dissipation yields a
-    state-independent noise matrix, which the system advertises so ensembles
-    evaluate it only once.
+    The drift and noise are :func:`drift_jc` and :func:`noise_jc` without the
+    pole check.  With ``dissipative=None`` the dissipative layout is used
+    exactly when any rate is positive.  The additive-noise family without
+    dissipation yields a state-independent noise matrix, which the system
+    advertises so ensembles evaluate it only once.
     """
     if dissipative is None:
         dissipative = params.dissipative
     n = params.mode_count
 
     def drift(state):
-        alpha, beta, z, w = split_state(state, n)
-        return _drift_core(params, family.jet(z, w), alpha, beta, dissipative)
+        return drift_jc(params, family, state, dissipative, check=False)
 
     def noise(state):
-        state = as_state_vector(state)
-        _, _, z, w = split_state(state, n)
-        return _noise_core(params, family.jet(z, w), state.shape[:-1], dissipative)
+        return noise_jc(params, family, state, dissipative, check=False)
 
     constant = family.kind == ADDITIVE_NOISE and not dissipative
     return SdeSystem(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jc import ModelParams
+from .physical import join_phys
 from .sde import TimeGrid
 
 BLOCH_BOUND_SLACK = 1e-9
@@ -61,14 +62,7 @@ class MbState:
 
     def to_phys_vector(self) -> np.ndarray:
         """Embed into the complex physical-coordinate layout."""
-        n = len(self.epsilon)
-        out = np.empty(2 * n + 3, dtype=complex)
-        out[0 : 2 * n : 2] = self.epsilon
-        out[1 : 2 * n : 2] = self.eta
-        out[2 * n] = self.rho21
-        out[2 * n + 1] = np.conj(self.rho21)
-        out[2 * n + 2] = self.nu
-        return out
+        return join_phys(self.epsilon, self.eta, self.rho21, np.conj(self.rho21), self.nu)
 
     def bloch_violation(self) -> float:
         """Positive when |rho21|^2 exceeds the Bloch-sphere bound."""
@@ -114,21 +108,10 @@ class MbTrajectory:
     nu: np.ndarray
     max_bloch_violation: float
 
-    def column(self, name: str) -> np.ndarray:
-        plain = {
-            "rho_21": self.rho21,
-            "rho_12": np.conj(self.rho21),
-            "nu": self.nu.astype(complex),
-            "rho_11": ((1.0 - self.nu) / 2.0).astype(complex),
-            "rho_22": ((1.0 + self.nu) / 2.0).astype(complex),
-        }
-        if name in plain:
-            return plain[name]
-        if name.startswith("e_"):
-            return self.epsilon[:, int(name[2:]) - 1].astype(complex)
-        if name.startswith("h_"):
-            return self.eta[:, int(name[2:]) - 1].astype(complex)
-        raise KeyError(name)
+    @property
+    def phys(self) -> np.ndarray:
+        """Recorded series in physical coordinates, one row per grid point."""
+        return join_phys(self.epsilon, self.eta, self.rho21, np.conj(self.rho21), self.nu)
 
 
 def evolve_mb(params: ModelParams, state0: MbState, grid: TimeGrid) -> MbTrajectory:

@@ -1,10 +1,15 @@
-"""Projection of phase-space states onto physical expectation contributions.
+"""The one observable layer: named columns of the physical coordinates.
 
-Per-realization values of the atomic coherences, the inversion, and the field
-quadratures are algebraic functions of the phase-space point; ensemble means
-of these projections converge to the quantum expectation values.  For higher
-accuracy an observable can instead be carried along as an extra SDE
-coordinate via the stochastic chain rule.
+Every engine reduces its state to the physical coordinates
+(epsilon_n, eta_n, rho21, rho12, nu) of :mod:`ppcavity.physical`, and
+:func:`physical_columns` resolves observable names and field probes once into
+a function of those coordinates.  The phase-space SDE gets there through
+``to_physical`` and adds its raw fermionic coordinates z, w; the
+changed-variable SDE reads its own state; the deterministic engines hand over
+their recorded series.  Per-realization values are algebraic functions of the
+phase-space point whose ensemble means converge to the quantum expectation
+values.  For higher accuracy an observable can instead be carried along as an
+extra SDE coordinate via the stochastic chain rule.
 """
 
 from __future__ import annotations
@@ -14,112 +19,96 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import POLE_FLOOR, BasisFamily
-from .errors import PoleProximityError
-from .jc import ModelParams, as_state_vector, split_state
+from .basis import BasisFamily
+from .jc import ModelParams, as_state_vector
+from .physical import as_phys_vector, jacobian_change, reconstruct_fields, to_physical
 from .sde import ObservableMap, SdeSystem
 
 DEFAULT_OBSERVABLES = ("rho_11", "rho_22", "rho_21", "rho_12", "nu")
 
 
-@dataclass(frozen=True)
-class ObservableSet:
-    """Projected per-realization contributions at one or many states.
-
-    ``rho21`` and ``rho12`` are not complex conjugates realization by
-    realization; only their ensemble means are.
-    """
-
-    rho21: np.ndarray
-    rho12: np.ndarray
-    nu: np.ndarray
-    e: np.ndarray
-    h: np.ndarray
+def _atomic_row(name: str, n_modes: int):
+    """Position of rho_21, rho_12 or nu in the physical layout, else None."""
+    return {"rho_21": 2 * n_modes, "rho_12": 2 * n_modes + 1, "nu": 2 * n_modes + 2}.get(name)
 
 
-def project(family: BasisFamily, state, check=True) -> ObservableSet:
-    """Map a phase-space vector (batched ok) to its observable contributions."""
-    state = as_state_vector(state)
-    n = (state.shape[-1] - 2) // 2
-    alpha, beta, z, w = split_state(state, n)
-    h, ht = family.pair(z, w)
-    denom = 1.0 + h * ht
-    if check and np.any(~np.isfinite(np.abs(denom)) | (np.abs(denom) < POLE_FLOOR)):
-        raise PoleProximityError("1 + h*htilde vanishes; projection undefined")
-    return ObservableSet(
-        rho21=h / denom,
-        rho12=ht / denom,
-        nu=(h * ht - 1.0) / denom,
-        e=beta + alpha,
-        h=1j * (beta - alpha),
-    )
-
-
-def parse_mode_index(name: str, prefix: str, n_modes: int):
-    tail = name[len(prefix):]
-    idx = int(tail)
-    if not 1 <= idx <= n_modes:
-        raise ValueError(f"mode index out of range in observable {name!r}")
+def _index(name: str, prefix: str, count: int) -> int:
+    try:
+        idx = int(name[len(prefix):])
+    except ValueError:
+        idx = 0
+    if not 1 <= idx <= count:
+        raise ValueError(f"observable {name!r} needs an index in 1..{count}")
     return idx - 1
+
+
+def _column_reader(params: ModelParams, name: str, probes, raw):
+    n = params.mode_count
+    i = _atomic_row(name, n)
+    if i is not None:
+        return lambda phys, _: phys[..., i]
+    if name == "rho_11":
+        return lambda phys, _: (1.0 - phys[..., 2 * n + 2]) / 2.0
+    if name == "rho_22":
+        return lambda phys, _: (1.0 + phys[..., 2 * n + 2]) / 2.0
+    if name in raw:
+        i = raw.index(name)
+        return lambda _, raw_values: raw_values[i]
+    for prefix, offset in (("e_", 0), ("h_", 1)):
+        if name.startswith(prefix):
+            i = 2 * _index(name, prefix, n) + offset
+            return lambda phys, _: phys[..., i]
+    for prefix, part in (("E_at_", 0), ("H_at_", 1)):
+        if name.startswith(prefix):
+            x = probes[_index(name, prefix, len(probes))]
+            return lambda phys, _: reconstruct_fields(params, phys, x)[part]
+    raise ValueError(f"unknown observable {name!r}")
+
+
+def physical_columns(params: ModelParams, names, probes=(), raw=()):
+    """Resolve observable names once into a function of physical coordinates.
+
+    Names: rho_11 and rho_22 ((1 -/+ nu)/2), rho_21, rho_12, nu, the mode
+    quadratures e_<n>/h_<n>, the fields E_at_<j>/H_at_<j> at ``probes[j-1]``
+    (see :func:`ppcavity.physical.reconstruct_fields`), and the engine's own
+    coordinates listed in ``raw``.  Unknown names and out-of-range indices
+    raise ValueError here, not at evaluation.  The returned function maps
+    ``phys`` (..., 2N+3) and the ``raw`` values to a (..., len(names)) array.
+    """
+    probes = tuple(float(x) for x in probes)
+    readers = [_column_reader(params, name, probes, raw) for name in names]
+
+    def columns(phys, raw_values=()):
+        phys = as_phys_vector(phys)
+        out = np.empty(phys.shape[:-1] + (len(readers),), dtype=complex)
+        for j, read in enumerate(readers):
+            out[..., j] = read(phys, raw_values)
+        return out
+
+    return columns
 
 
 def observable_bundle(
     params: ModelParams, family: BasisFamily, names, probes=()
 ) -> ObservableMap:
-    """Batched evaluator for named observables of the phase-space SDE.
-
-    Supported names: rho_11, rho_22, rho_21, rho_12, nu, z, w, e_<n>, h_<n>,
-    E_at_<j>/H_at_<j> for probe positions (1-based index into ``probes``).
-    """
-    n = params.mode_count
+    """Batched named observables of the phase-space SDE, raw z and w included."""
     names = tuple(names)
-    probes = tuple(float(x) for x in probes)
-    k = params.wave_numbers
-    e_p = params.e_photon
-    inv_z = 1.0 / params.impedance
+    n = params.mode_count
+    columns = physical_columns(params, names, probes, raw=("z", "w"))
 
     def batch(state):
         state = as_state_vector(state)
-        alpha, beta, z, w = split_state(state, n)
-        h, ht = family.pair(z, w)
         with np.errstate(all="ignore"):
-            denom = 1.0 + h * ht
-            rho21 = h / denom
-            rho12 = ht / denom
-            nu = (h * ht - 1.0) / denom
-            e_field = beta + alpha
-            h_field = 1j * (beta - alpha)
-            cols = []
-            for name in names:
-                if name == "rho_21":
-                    cols.append(rho21)
-                elif name == "rho_12":
-                    cols.append(rho12)
-                elif name == "nu":
-                    cols.append(nu)
-                elif name == "rho_11":
-                    cols.append((1.0 - nu) / 2.0)
-                elif name == "rho_22":
-                    cols.append((1.0 + nu) / 2.0)
-                elif name == "z":
-                    cols.append(z)
-                elif name == "w":
-                    cols.append(w)
-                elif name.startswith("e_"):
-                    cols.append(e_field[..., parse_mode_index(name, "e_", n)])
-                elif name.startswith("h_"):
-                    cols.append(h_field[..., parse_mode_index(name, "h_", n)])
-                elif name.startswith("E_at_"):
-                    x = probes[int(name[5:]) - 1]
-                    cols.append((e_p * np.sin(k * x) * e_field).sum(axis=-1))
-                elif name.startswith("H_at_"):
-                    x = probes[int(name[5:]) - 1]
-                    cols.append(-inv_z * (e_p * np.cos(k * x) * h_field).sum(axis=-1))
-                else:
-                    raise ValueError(f"unknown observable {name!r}")
-            return np.stack([np.asarray(c, dtype=complex) for c in cols], axis=-1)
+            phys = to_physical(family, state, check=False)
+            return columns(phys, (state[..., 2 * n], state[..., 2 * n + 1]))
 
     return ObservableMap(names, batch)
+
+
+def physical_observable_bundle(params: ModelParams, names, probes=()) -> ObservableMap:
+    """Batched named observables of the changed-variable SDE, read off its state."""
+    names = tuple(names)
+    return ObservableMap(names, physical_columns(params, names, probes))
 
 
 @dataclass(frozen=True)
@@ -171,45 +160,26 @@ def extend_with_observable(system: SdeSystem, v: SmoothObservable) -> SdeSystem:
 def projection_observable(which: str, family: BasisFamily, n_modes: int) -> SmoothObservable:
     """Closed-form value/gradient/Hessian of rho_21, rho_12, or nu.
 
-    Derivatives act on the full phase vector; bosonic entries are zero since
-    the atomic projections depend only on (z, w).
+    Value and gradient are the matching entry of ``to_physical`` and row of
+    ``jacobian_change``.  Derivatives act on the full phase vector; bosonic
+    entries are zero since the atomic projections depend only on (z, w).
     """
-    if which not in ("rho_21", "rho_12", "nu"):
+    row = _atomic_row(which, n_modes)
+    if row is None:
         raise ValueError("which must be one of rho_21, rho_12, nu")
     dim = 2 * (n_modes + 1)
     iz, iw = 2 * n_modes, 2 * n_modes + 1
 
-    def parts(state):
-        state = as_state_vector(state)
-        _, _, z, w = split_state(state, n_modes)
-        return family.jet(z, w), state.shape[:-1]
-
     def value(state):
-        pf, _ = parts(state)
-        denom = 1.0 + pf.h * pf.ht
-        if which == "rho_21":
-            return pf.h / denom
-        if which == "rho_12":
-            return pf.ht / denom
-        return (pf.h * pf.ht - 1.0) / denom
+        return to_physical(family, state, check=False)[..., row]
 
     def gradient(state):
-        pf, batch = parts(state)
-        den2 = (1.0 + pf.h * pf.ht) ** 2
-        out = np.zeros(batch + (dim,), dtype=complex)
-        if which == "rho_21":
-            out[..., iz] = pf.hp / den2
-            out[..., iw] = -pf.h**2 * pf.htp / den2
-        elif which == "rho_12":
-            out[..., iz] = -pf.ht**2 * pf.hp / den2
-            out[..., iw] = pf.htp / den2
-        else:
-            out[..., iz] = 2.0 * pf.hp * pf.ht / den2
-            out[..., iw] = 2.0 * pf.h * pf.htp / den2
-        return out
+        return jacobian_change(family, state)[..., row, :]
 
     def hessian(state):
-        pf, batch = parts(state)
+        state = as_state_vector(state)
+        pf = family.jet(state[..., iz], state[..., iw])
+        batch = state.shape[:-1]
         denom = 1.0 + pf.h * pf.ht
         den2, den3 = denom**2, denom**3
         out = np.zeros(batch + (dim, dim), dtype=complex)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import COHERENT_SPIN, POLE_FLOOR, BasisFamily
+from .basis import COHERENT_SPIN, POLE_FLOOR, BasisFamily, checked_denominator
 from .errors import InconsistentStateError, PoleProximityError
 from .jc import ModelParams, _ROOT_I, as_state_vector, principal_sqrt, split_state
-from .sde import ObservableMap, SdeSystem
+from .sde import SdeSystem
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,7 @@ class PhysState:
             raise ValueError("epsilon and eta must have one entry per mode")
 
     def to_vector(self) -> np.ndarray:
-        n = len(self.epsilon)
-        out = np.empty(2 * n + 3, dtype=complex)
-        out[0 : 2 * n : 2] = self.epsilon
-        out[1 : 2 * n : 2] = self.eta
-        out[2 * n] = self.rho21
-        out[2 * n + 1] = self.rho12
-        out[2 * n + 2] = self.nu
-        return out
+        return join_phys(self.epsilon, self.eta, self.rho21, self.rho12, self.nu)
 
     @classmethod
     def from_vector(cls, vec) -> "PhysState":
@@ -78,22 +71,33 @@ def split_phys(phys, n_modes):
     return eps, eta, rho21, rho12, nu
 
 
+def join_phys(eps, eta, rho21, rho12, nu) -> np.ndarray:
+    """Inverse of :func:`split_phys`: lay out (batched) physical coordinates."""
+    eps = np.asarray(eps)
+    n = eps.shape[-1]
+    out = np.empty(eps.shape[:-1] + (2 * n + 3,), dtype=complex)
+    out[..., 0 : 2 * n : 2] = eps
+    out[..., 1 : 2 * n : 2] = eta
+    out[..., 2 * n] = rho21
+    out[..., 2 * n + 1] = rho12
+    out[..., 2 * n + 2] = nu
+    return out
+
+
 def to_physical(family: BasisFamily, state, check=True) -> np.ndarray:
-    """Map a phase-space vector (batched ok) to physical coordinates."""
+    """Map a phase-space vector (batched ok) to physical coordinates.
+
+    With ``check`` a vanishing 1 + h*htilde raises PoleProximityError;
+    without it the result carries inf/nan there.
+    """
     state = as_state_vector(state)
     n = (state.shape[-1] - 2) // 2
     alpha, beta, z, w = split_state(state, n)
     h, ht = family.pair(z, w)
-    denom = 1.0 + h * ht
-    if check and np.any(~np.isfinite(np.abs(denom)) | (np.abs(denom) < POLE_FLOOR)):
-        raise PoleProximityError("1 + h*htilde vanishes; change of variables undefined")
-    out = np.empty(state.shape[:-1] + (2 * n + 3,), dtype=complex)
-    out[..., 0 : 2 * n : 2] = beta + alpha
-    out[..., 1 : 2 * n : 2] = 1j * (beta - alpha)
-    out[..., 2 * n] = h / denom
-    out[..., 2 * n + 1] = ht / denom
-    out[..., 2 * n + 2] = (h * ht - 1.0) / denom
-    return out
+    denom = checked_denominator(h, ht) if check else 1.0 + h * ht
+    return join_phys(
+        beta + alpha, 1j * (beta - alpha), h / denom, ht / denom, (h * ht - 1.0) / denom
+    )
 
 
 def from_physical(family: BasisFamily, phys, consistency_tol=1e-9) -> np.ndarray:
@@ -297,45 +301,3 @@ def physical_init_sampler(family: BasisFamily, phase_sampler):
         return to_physical(family, phase_sampler(rng))
 
     return sampler
-
-
-def physical_observable_bundle(params: ModelParams, names, probes=()):
-    """Named observables read directly off physical coordinates."""
-    n = params.mode_count
-    names = tuple(names)
-    probes = tuple(float(x) for x in probes)
-    k = params.wave_numbers
-    e_p = params.e_photon
-    inv_z = 1.0 / params.impedance
-
-    def batch(state):
-        eps, eta, rho21, rho12, nu = split_phys(state, n)
-        cols = []
-        for name in names:
-            if name == "rho_21":
-                cols.append(rho21)
-            elif name == "rho_12":
-                cols.append(rho12)
-            elif name == "nu":
-                cols.append(nu)
-            elif name == "rho_11":
-                cols.append((1.0 - nu) / 2.0)
-            elif name == "rho_22":
-                cols.append((1.0 + nu) / 2.0)
-            elif name.startswith("e_"):
-                cols.append(eps[..., int(name[2:]) - 1])
-            elif name.startswith("h_"):
-                cols.append(eta[..., int(name[2:]) - 1])
-            elif name.startswith("E_at_"):
-                x = probes[int(name[5:]) - 1]
-                cols.append((e_p * np.sin(k * x) * eps).sum(axis=-1))
-            elif name.startswith("H_at_"):
-                x = probes[int(name[5:]) - 1]
-                cols.append(-inv_z * (e_p * np.cos(k * x) * eta).sum(axis=-1))
-            else:
-                raise ValueError(
-                    f"observable {name!r} is not available in physical coordinates"
-                )
-        return np.stack([np.asarray(c, dtype=complex) for c in cols], axis=-1)
-
-    return ObservableMap(names, batch)

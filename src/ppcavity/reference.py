@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DimensionCapError, TraceDriftError
 from .initialization import AtomicDensity
 from .jc import ModelParams
+from .physical import join_phys
 from .sde import TimeGrid
 
 DEFAULT_DIMENSION_CAP = 4096
@@ -160,7 +161,11 @@ def initial_density(
 
 @dataclass
 class ReferenceTrajectory:
-    """Observable series plus conservation diagnostics of one evolution."""
+    """Observable series plus conservation diagnostics of one evolution.
+
+    ``rho11``/``rho22`` are the diagonal of the reduced atomic state; output
+    columns come from :attr:`phys`, where rho_11/rho_22 are (1 -/+ nu)/2.
+    """
 
     times: np.ndarray
     rho11: np.ndarray
@@ -176,21 +181,10 @@ class ReferenceTrajectory:
     max_purity: float
     min_eigenvalue: float
 
-    def column(self, name: str) -> np.ndarray:
-        plain = {
-            "rho_11": self.rho11,
-            "rho_22": self.rho22,
-            "rho_21": self.rho21,
-            "rho_12": self.rho12,
-            "nu": self.nu,
-        }
-        if name in plain:
-            return plain[name]
-        if name.startswith("e_"):
-            return self.e[:, int(name[2:]) - 1]
-        if name.startswith("h_"):
-            return self.h[:, int(name[2:]) - 1]
-        raise KeyError(name)
+    @property
+    def phys(self) -> np.ndarray:
+        """Recorded series in physical coordinates, one row per grid point."""
+        return join_phys(self.e, self.h, self.rho21, self.rho12, self.nu)
 
 
 def _atomic_reduced(rho: np.ndarray) -> np.ndarray:

@@ -2,17 +2,19 @@
 
 The integrator works on flat complex state vectors.  Drift and noise callables
 must broadcast over a leading batch axis: drift maps (..., n) -> (..., n) and
-noise maps (..., n) -> (..., n, m).  Ensembles are executed in path chunks so
-that realizations vectorize, while every path still owns an independent
-counter-based random stream keyed by (master_seed, path_index).  Statistics
-are therefore independent of chunking and of the worker count.
+noise maps (..., n) -> (..., n, m).  ``run_ensemble`` is the only entry point
+and ``_integrate_chunk`` the only stepping loop: ensembles are executed in
+path chunks so that realizations vectorize, while every path still owns an
+independent counter-based random stream keyed by (master_seed, path_index).
+Statistics are therefore independent of chunking and of the worker count,
+and a single realization is ``run_ensemble(..., runs=1)``.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -81,15 +83,6 @@ class ObservableMap:
         return cls(names, batch)
 
 
-def em_step(state, dt, dw, system: SdeSystem) -> np.ndarray:
-    """One explicit Euler-Maruyama step; dw entries are N(0, dt) samples."""
-    state = np.asarray(state, dtype=complex)
-    dw = np.asarray(dw)
-    b = np.asarray(system.noise(state), dtype=complex)
-    kick = (b @ dw[..., None].astype(complex))[..., 0]
-    return state + np.asarray(system.drift(state), dtype=complex) * dt + kick
-
-
 def path_generator(master_seed: int, index: int) -> np.random.Generator:
     """Counter-based stream for path ``index``; independent of scheduling."""
     master_seed = int(master_seed)
@@ -97,49 +90,6 @@ def path_generator(master_seed: int, index: int) -> np.random.Generator:
         raise ValueError("master_seed must fit in an unsigned 64-bit integer")
     key = np.array([master_seed, int(index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-class SdePath(NamedTuple):
-    times: np.ndarray
-    states: np.ndarray
-    diverged: bool
-    diverged_step: Optional[int]
-
-
-def _state_ok(state, threshold):
-    mag = np.abs(state)
-    return bool(np.isfinite(mag).all() and mag.max() <= threshold)
-
-
-def simulate_path(
-    system: SdeSystem,
-    init,
-    grid: TimeGrid,
-    seed: int,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
-) -> SdePath:
-    """Integrate a single realization; deterministic in (system, init, grid, seed).
-
-    The returned state array has one row per grid point; rows after a
-    divergence are filled with NaN and the path is flagged.
-    """
-    init = np.asarray(init, dtype=complex)
-    if init.shape != (system.dim,):
-        raise ValueError(f"init must have shape ({system.dim},)")
-    rng = path_generator(seed, 0)
-    dws = rng.standard_normal((grid.steps, system.noise_dim)) * np.sqrt(grid.dt)
-    out = np.full((grid.steps + 1, system.dim), np.nan + 0j, dtype=complex)
-    out[0] = init
-    state = init
-    diverged_step = None
-    for k in range(grid.steps):
-        with np.errstate(all="ignore"):
-            state = em_step(state, grid.dt, dws[k], system)
-        if not _state_ok(state, divergence_threshold):
-            diverged_step = k + 1
-            break
-        out[k + 1] = state
-    return SdePath(grid.times, out, diverged_step is not None, diverged_step)
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,9 @@ class TestRunCommand:
         meta = json.loads((tmp_path / "ref.csv.meta.json").read_text())
         assert meta["engine"] == "reference"
         assert "config_sha256" in meta and len(meta["config_sha256"]) == 64
+        for key in ("max_trace_error", "max_herm_error", "max_purity", "min_eigenvalue"):
+            assert isinstance(meta[key], float)
+        assert meta["max_trace_error"] <= 1e-6
 
     def test_sde_run_is_reproducible_bytes(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
@@ -199,6 +202,8 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 0
         header, data = read_csv(out_path)
         assert data.shape[0] == 65
+        meta = json.loads((tmp_path / "mb.csv.meta.json").read_text())
+        assert isinstance(meta["max_bloch_violation"], float)
 
     def test_experimental_engine_runs(self, tmp_path):
         text = small_sde_config(tmp_path, "x.csv").replace(
@@ -256,8 +261,8 @@ class TestInvariantsCommand:
     def test_injected_sign_error_fails_factorization(self, monkeypatch):
         true_noise = jc_module.noise_jc
 
-        def corrupted(params, family, state, check=True):
-            out = true_noise(params, family, state, check)
+        def corrupted(*args, **kwargs):
+            out = true_noise(*args, **kwargs)
             out[..., 0, 0] = -out[..., 0, 0]
             return out
 

@@ -8,12 +8,9 @@ from ppcavity.jc import (
     ModelParams,
     PhaseState,
     diffusion_jc,
-    diffusion_jc_plus,
     drift_jc,
-    drift_jc_plus,
     jc_sde_system,
     noise_jc,
-    noise_jc_plus,
     phase_init_sampler,
 )
 from ppcavity.initialization import AtomicDensity, init_points
@@ -112,7 +109,7 @@ class TestDrift:
         params = fig_params()
         state = random_phase_state(rng, CS, 1)
         assert np.array_equal(
-            drift_jc_plus(params, CS, state), drift_jc(params, CS, state)
+            drift_jc(params, CS, state, dissipative=True), drift_jc(params, CS, state)
         )
 
     def test_dissipation_touches_only_fermionic_rows(self, rng):
@@ -120,7 +117,7 @@ class TestDrift:
         free = sample_model()
         for fam in (CS, ADD):
             state = random_phase_state(rng, fam, params.mode_count)
-            with_rates = drift_jc_plus(params, fam, state)
+            with_rates = drift_jc(params, fam, state)
             without = drift_jc(free, fam, state)
             n2 = 2 * params.mode_count
             assert np.array_equal(with_rates[:n2], without[:n2])
@@ -140,8 +137,8 @@ class TestDiffusionAndNoise:
         params = sample_model(**random_rates(rng))
         for fam in (CS, ADD):
             state = random_phase_state(rng, fam, params.mode_count)
-            for fn in (diffusion_jc, diffusion_jc_plus):
-                d = fn(params, fam, state)
+            for dissipative in (False, True):
+                d = diffusion_jc(params, fam, state, dissipative)
                 assert np.abs(d - d.T).max() == 0.0
 
     def test_additive_family_entries_are_constant(self, rng):
@@ -164,11 +161,11 @@ class TestDiffusionAndNoise:
             params = sample_model(**random_rates(rng))
             for fam in (CS, ADD, BasisFamily.additive_noise(3.0 + 1.0j, 0.1j)):
                 state = random_phase_state(rng, fam, params.mode_count)
-                b = noise_jc(params, fam, state)
-                d = diffusion_jc(params, fam, state)
+                b = noise_jc(params, fam, state, dissipative=False)
+                d = diffusion_jc(params, fam, state, dissipative=False)
                 assert np.abs(b @ b.T - d).max() <= 1e-12 * (1.0 + np.abs(d).max())
-                bp = noise_jc_plus(params, fam, state)
-                dp = diffusion_jc_plus(params, fam, state)
+                bp = noise_jc(params, fam, state)
+                dp = diffusion_jc(params, fam, state)
                 assert np.abs(bp @ bp.T - dp).max() <= 1e-12 * (1.0 + np.abs(dp).max())
 
     def test_noise_single_mode_closed_form(self, rng):
@@ -190,15 +187,15 @@ class TestDiffusionAndNoise:
         params = sample_model(**random_rates(rng))
         state = random_phase_state(rng, CS, params.mode_count)
         n = params.mode_count
-        extra = noise_jc_plus(params, CS, state)[:, 4 * n :]
-        d_entry = diffusion_jc_plus(params, CS, state)[2 * n, 2 * n + 1]
+        extra = noise_jc(params, CS, state)[:, 4 * n :]
+        d_entry = diffusion_jc(params, CS, state)[2 * n, 2 * n + 1]
         tt = extra @ extra.T
         want = np.zeros_like(tt)
         want[2 * n, 2 * n + 1] = want[2 * n + 1, 2 * n] = d_entry
         assert np.abs(tt - want).max() <= 1e-15 * (1.0 + abs(d_entry))
         # zero rates: the extra columns vanish identically
         free = sample_model()
-        extra0 = noise_jc_plus(free, CS, state)[:, 4 * n :]
+        extra0 = noise_jc(free, CS, state, dissipative=True)[:, 4 * n :]
         assert np.abs(extra0).max() == 0.0
 
 

@@ -9,10 +9,13 @@ from ppcavity.jc import ModelParams, jc_sde_system, phase_init_sampler
 from ppcavity.observables import (
     extend_with_observable,
     observable_bundle,
-    project,
+    physical_columns,
+    physical_observable_bundle,
     projection_observable,
 )
-from ppcavity.sde import SdeSystem, TimeGrid, run_ensemble, simulate_path
+from ppcavity.physical import split_phys, to_physical
+from ppcavity.reference import ReferenceTrajectory
+from ppcavity.sde import SdeSystem, TimeGrid, run_ensemble
 
 from helpers import ou_second_moment
 
@@ -23,29 +26,30 @@ THERMAL_P = 1.0 / (1.0 + np.exp(-1.0))
 
 
 def test_project_ground_state():
-    out = project(CS, np.array([0, 0, 0, 0], dtype=complex))
-    assert out.rho21 == 0.0
-    assert out.rho12 == 0.0
-    assert out.nu == -1.0
+    # single mode: (epsilon, eta, rho21, rho12, nu)
+    out = to_physical(CS, np.array([0, 0, 0, 0], dtype=complex))
+    assert out[2] == 0.0
+    assert out[3] == 0.0
+    assert out[4] == -1.0
 
 
 def test_project_equatorial_point():
-    out = project(CS, np.array([0, 0, 1.0, 1.0], dtype=complex))
-    assert out.rho21 == 0.5
-    assert out.rho12 == 0.5
-    assert out.nu == 0.0
+    out = to_physical(CS, np.array([0, 0, 1.0, 1.0], dtype=complex))
+    assert out[2] == 0.5
+    assert out[3] == 0.5
+    assert out[4] == 0.0
 
 
 def test_project_field_quadratures():
     a = 0.7
-    out = project(CS, np.array([a, a, 0.1, 0.2], dtype=complex))
-    assert out.e[0] == 2.0 * a
-    assert out.h[0] == 0.0
+    out = to_physical(CS, np.array([a, a, 0.1, 0.2], dtype=complex))
+    assert out[0] == 2.0 * a
+    assert out[1] == 0.0
 
 
 def test_project_pole_error():
     with pytest.raises(PoleProximityError):
-        project(CS, np.array([0, 0, 1.0, -1.0], dtype=complex))
+        to_physical(CS, np.array([0, 0, 1.0, -1.0], dtype=complex))
 
 
 def test_thermal_initial_inversion(rng):
@@ -56,7 +60,7 @@ def test_thermal_initial_inversion(rng):
     state = np.zeros((10_000, 4), dtype=complex)
     state[:, 2] = zs
     state[:, 3] = ws
-    nu = project(ADD, state).nu
+    nu = to_physical(ADD, state)[:, 4]
     stderr = nu.std() / np.sqrt(len(nu))
     target = 2.0 / (1.0 + np.e) - 1.0
     assert abs(nu.mean() - target) <= 4.0 * stderr + 1e-12
@@ -70,20 +74,59 @@ def test_observable_bundle_names(rng):
     )
     state = random_phase_state(rng, CS, 2)
     row = bundle.batch(state)
-    obs = project(CS, state)
-    assert abs(row[0] - (1.0 - obs.nu) / 2.0) <= 1e-15
-    assert abs(row[1] - (1.0 + obs.nu) / 2.0) <= 1e-15
-    assert abs(row[2] - obs.nu) <= 1e-15
-    assert abs(row[3] - obs.e[1]) <= 1e-15
-    assert abs(row[4] - obs.h[0]) <= 1e-15
+    # two modes: (epsilon_1, eta_1, epsilon_2, eta_2, rho21, rho12, nu)
+    phys = to_physical(CS, state)
+    nu = phys[6]
+    assert abs(row[0] - (1.0 - nu) / 2.0) <= 1e-15
+    assert abs(row[1] - (1.0 + nu) / 2.0) <= 1e-15
+    assert abs(row[2] - nu) <= 1e-15
+    assert abs(row[3] - phys[2]) <= 1e-15
+    assert abs(row[4] - phys[1]) <= 1e-15
     assert row[5] == state[4]
     assert row[6] == state[5]
     expected_field = (
-        params.e_photon * np.sin(params.wave_numbers * params.x0) * obs.e
+        params.e_photon * np.sin(params.wave_numbers * params.x0) * phys[0:4:2]
     ).sum()
     assert abs(row[7] - expected_field) <= 1e-14
-    with pytest.raises(ValueError):
-        observable_bundle(params, CS, ("nope",)).batch(state)
+    # unknown names and out-of-range mode or probe indices fail when the
+    # bundle is built, naming the observable
+    one_mode = ModelParams.from_frequencies(omega=1.0, g=0.1, Omega=3.0)
+    for model, bad in (
+        (params, "nope"),
+        (params, "e_0"),
+        (params, "e_3"),
+        (params, "E_at_0"),
+        (params, "H_at_2"),
+        (one_mode, "h_5"),
+    ):
+        with pytest.raises(ValueError, match=bad):
+            observable_bundle(model, CS, (bad,), probes=(params.x0,))
+        with pytest.raises(ValueError, match=bad):
+            physical_observable_bundle(model, (bad,), probes=(params.x0,))
+
+
+def test_columns_agree_across_engines(rng):
+    # one column layer: the phase-space bundle on a state, the changed-variable
+    # bundle on its physical coordinates and the deterministic-engine route on
+    # the same coordinates give identical columns
+    params = ModelParams.from_frequencies(omega=(1.0, 2.0), g=(0.1, 0.2), Omega=3.0)
+    probes = (0.3 * params.length, 0.7 * params.length)
+    names = ("rho_11", "rho_22", "rho_21", "rho_12", "nu", "e_1", "e_2", "h_1", "h_2",
+             "E_at_1", "E_at_2", "H_at_1", "H_at_2")
+    for fam in (CS, ADD):
+        states = np.stack([random_phase_state(rng, fam, 2) for _ in range(16)])
+        phys = to_physical(fam, states)
+        phase = observable_bundle(params, fam, names, probes).batch(states)
+        changed = physical_observable_bundle(params, names, probes).batch(phys)
+        assert np.array_equal(phase, changed)
+        eps, eta, rho21, rho12, nu = split_phys(phys, 2)
+        traj = ReferenceTrajectory(
+            times=np.arange(16.0), rho11=(1.0 - nu) / 2.0, rho22=(1.0 + nu) / 2.0,
+            rho21=rho21, rho12=rho12, nu=nu, e=eps, h=eta, energy=np.zeros(16),
+            max_trace_error=0.0, max_herm_error=0.0, max_purity=1.0, min_eigenvalue=0.0,
+        )
+        deterministic = physical_columns(params, names, probes)(traj.phys)
+        assert np.array_equal(deterministic, phase)
 
 
 class TestAugmentation:
@@ -105,8 +148,9 @@ class TestAugmentation:
         )
         system = extend_with_observable(self.make_ou(), v)
         grid = TimeGrid(0.0, 1.0, 64)
-        path = simulate_path(system, np.array([1.0, 3.25], dtype=complex), grid, 8)
-        assert np.array_equal(path.states[:, 1], np.full(65, 3.25 + 0j))
+        init = np.array([1.0, 3.25], dtype=complex)
+        res = run_ensemble(system, lambda rng: init, grid, 1, 8, {"v": lambda s: s[..., 1]})
+        assert np.array_equal(res.mean[:, 0], np.full(65, 3.25 + 0j))
 
     def test_identity_observable_reproduces_coordinate(self):
         from ppcavity.observables import SmoothObservable
@@ -123,8 +167,11 @@ class TestAugmentation:
         )
         system = extend_with_observable(self.make_ou(), v)
         grid = TimeGrid(0.0, 1.0, 256)
-        path = simulate_path(system, np.array([0.8, 0.8], dtype=complex), grid, 21)
-        assert np.array_equal(path.states[:, 0], path.states[:, 1])
+        init = np.array([0.8, 0.8], dtype=complex)
+        res = run_ensemble(
+            system, lambda rng: init, grid, 1, 21, {"x": lambda s: s[..., 0], "v": lambda s: s[..., 1]}
+        )
+        assert np.array_equal(res.mean[:, 0], res.mean[:, 1])
 
     def test_ou_square_has_ito_correction(self):
         from ppcavity.observables import SmoothObservable

@@ -14,12 +14,12 @@ from ppcavity.invariants import (
 )
 from ppcavity.jc import (
     ModelParams,
-    diffusion_jc_plus,
-    drift_jc_plus,
+    diffusion_jc,
+    drift_jc,
     jc_sde_system,
     phase_init_sampler,
 )
-from ppcavity.observables import observable_bundle
+from ppcavity.observables import observable_bundle, physical_observable_bundle
 from ppcavity.physical import (
     PhysState,
     coupling_rate,
@@ -28,7 +28,6 @@ from ppcavity.physical import (
     jacobian_change,
     noise_bar,
     physical_init_sampler,
-    physical_observable_bundle,
     physical_sde_system,
     reconstruct_fields,
     to_physical,
@@ -192,7 +191,7 @@ def test_deterministic_equivalence_over_horizon():
     dist = init_points(atom, ADD)
     phi0 = np.array([5.0, 5.0, dist.points[1].z, dist.points[1].w], dtype=complex)
     grid = TimeGrid(0.0, np.pi / 1100.0, 8192)
-    phase = rk4(lambda x: drift_jc_plus(params, ADD, x, check=False), phi0, grid)
+    phase = rk4(lambda x: drift_jc(params, ADD, x, dissipative=True, check=False), phi0, grid)
     bar = rk4(lambda x: drift_bar(params, x), to_physical(ADD, phi0), grid)
     assert np.abs(to_physical(ADD, phase) - bar).max() <= 1e-8
 
@@ -245,5 +244,5 @@ def test_jacobian_diffusion_on_dense_grid(rng):
     phys = to_physical(CS, state)
     jac = jacobian_change(CS, state)
     lhs = noise_bar(params, phys) @ noise_bar(params, phys).T
-    rhs = jac @ diffusion_jc_plus(params, CS, state) @ jac.T
+    rhs = jac @ diffusion_jc(params, CS, state) @ jac.T
     assert np.abs(lhs - rhs).max() <= 1e-8 * (1.0 + np.abs(rhs).max())

@@ -4,6 +4,7 @@ import pytest
 from ppcavity.errors import DimensionCapError, TraceDriftError
 from ppcavity.initialization import AtomicDensity
 from ppcavity.jc import ModelParams
+from ppcavity.observables import physical_columns
 from ppcavity.reference import (
     TruncatedSpace,
     build_hamiltonian,
@@ -130,9 +131,9 @@ def test_cutoff_insensitivity_small_system():
         space = TruncatedSpace((n_max,))
         rho0 = initial_density(params, space, 1.2, AtomicDensity.from_upper(0.7, 0.0))
         results[n_max] = evolve(params, rho0, grid, space)
-    for name in ("rho_11", "rho_21", "e_1", "h_1"):
-        diff = np.abs(results[14].column(name) - results[20].column(name)).max()
-        assert diff <= 1e-6
+    columns = physical_columns(params, ("rho_11", "rho_21", "e_1", "h_1"))
+    diff = np.abs(columns(results[14].phys) - columns(results[20].phys)).max()
+    assert diff <= 1e-6
 
 
 def test_trace_drift_error_on_unstable_step():

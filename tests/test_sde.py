@@ -6,10 +6,8 @@ from ppcavity.sde import (
     ObservableMap,
     SdeSystem,
     TimeGrid,
-    em_step,
     path_generator,
     run_ensemble,
-    simulate_path,
 )
 
 from helpers import ou_variance
@@ -34,6 +32,12 @@ def make_ou(lam=2.0, sigma=0.7):
     )
 
 
+def single_path(system, init, grid, seed, names=("x",)):
+    """States of one realization: run_ensemble with runs=1 records them exactly."""
+    observables = {name: (lambda s, i=i: s[..., i]) for i, name in enumerate(names)}
+    return run_ensemble(system, lambda rng: init, grid, 1, seed, observables).mean
+
+
 def test_time_grid():
     grid = TimeGrid(0.0, 1.0, 4)
     assert grid.dt == 0.25
@@ -52,8 +56,8 @@ def test_em_step_identity():
         noise=constant_noise_system(2, [[0.0], [0.0]]),
     )
     state = np.array([1.0 + 2.0j, -0.5j])
-    out = em_step(state, 0.1, np.array([0.3]), system)
-    assert np.array_equal(out, state)
+    out = single_path(system, state, TimeGrid(0.0, 0.1, 1), 3, names=("a", "b"))
+    assert np.array_equal(out[1], state)
 
 
 def test_em_step_scalar_decay():
@@ -63,8 +67,8 @@ def test_em_step_scalar_decay():
         drift=lambda x: -2.0 * x,
         noise=constant_noise_system(1, [[0.0]]),
     )
-    out = em_step(np.array([1.0 + 0j]), 0.1, np.array([0.0]), system)
-    assert abs(out[0] - 0.8) <= 1e-15
+    out = single_path(system, np.array([1.0 + 0j]), TimeGrid(0.0, 0.1, 1), 3)
+    assert abs(out[1, 0] - 0.8) <= 1e-15
 
 
 def test_ou_variance_matches_closed_form():
@@ -114,19 +118,18 @@ def test_noise_free_path_equals_explicit_euler():
         noise=constant_noise_system(1, [[0.0]]),
     )
     grid = TimeGrid(0.0, 1.0, 64)
-    path = simulate_path(system, np.array([1.0 + 0j]), grid, 5)
+    states = single_path(system, np.array([1.0 + 0j]), grid, 5)
     euler = (1.0 - lam * grid.dt) ** np.arange(grid.steps + 1)
-    assert np.abs(path.states[:, 0] - euler).max() <= 1e-14
-    assert not path.diverged
+    assert np.abs(states[:, 0] - euler).max() <= 1e-14
 
 
 def test_path_determinism():
     grid = TimeGrid(0.0, 1.0, 128)
-    p1 = simulate_path(make_ou(), np.array([1.0 + 0j]), grid, 99)
-    p2 = simulate_path(make_ou(), np.array([1.0 + 0j]), grid, 99)
-    assert np.array_equal(p1.states, p2.states)
-    p3 = simulate_path(make_ou(), np.array([1.0 + 0j]), grid, 100)
-    assert not np.array_equal(p3.states, p1.states)
+    p1 = single_path(make_ou(), np.array([1.0 + 0j]), grid, 99)
+    p2 = single_path(make_ou(), np.array([1.0 + 0j]), grid, 99)
+    assert np.array_equal(p1, p2)
+    p3 = single_path(make_ou(), np.array([1.0 + 0j]), grid, 100)
+    assert not np.array_equal(p3, p1)
 
 
 def test_divergence_flagging():
@@ -137,9 +140,9 @@ def test_divergence_flagging():
         noise=constant_noise_system(1, [[0.0]]),
     )
     grid = TimeGrid(0.0, 1.0, 8)
-    path = simulate_path(system, np.zeros(1, complex), grid, 1)
-    assert path.diverged and path.diverged_step == 1
-    assert np.isnan(path.states[1:].real).all()
+    # a one-step grid shows the path is flagged at its first step
+    with pytest.raises(AllPathsDivergedError):
+        single_path(system, np.zeros(1, complex), TimeGrid(0.0, grid.dt, 1), 1)
     with pytest.raises(AllPathsDivergedError):
         run_ensemble(
             system,
@@ -163,9 +166,12 @@ def test_single_run_has_zero_stderr():
     )
     assert res.runs_completed == 1
     assert np.array_equal(res.stderr, np.zeros_like(res.stderr))
-    # matches the standalone path driven by the same stream (no init draw used)
-    path = simulate_path(make_ou(), np.ones(1, complex), grid, 11)
-    assert np.array_equal(res.mean[:, 0], path.states[:, 0])
+    # matches explicit Euler steps driven by the same stream (no init draw used)
+    dws = path_generator(11, 0).standard_normal((grid.steps, 1)) * np.sqrt(grid.dt)
+    state = 1.0 + 0j
+    for k in range(grid.steps):
+        state = state - 2.0 * state * grid.dt + 0.7 * dws[k, 0]
+        assert res.mean[k + 1, 0] == state
 
 
 def test_reduction_is_worker_and_chunk_deterministic():
@@ -197,7 +203,7 @@ def test_streaming_moments_match_direct_recomputation():
         chunk_size=7,
     )
     # rebuild every path from its stream: init draw is absent (deterministic
-    # sampler), so simulate_path with the per-path key reproduces it
+    # sampler), so explicit Euler steps with the per-path key reproduce it
     values = np.empty((runs, grid.steps + 1, 2), dtype=complex)
     for r in range(runs):
         gen = path_generator(314, r)
@@ -206,7 +212,7 @@ def test_streaming_moments_match_direct_recomputation():
         state = init
         values[r, 0] = [state[0], state[0] ** 2]
         for k in range(grid.steps):
-            state = em_step(state, grid.dt, dws[k], make_ou())
+            state = state - 2.0 * state * grid.dt + 0.7 * dws[k]
             values[r, k + 1] = [state[0], state[0] ** 2]
     mean = values.mean(axis=0)
     std = np.sqrt((np.abs(values - mean) ** 2).sum(axis=0) / (runs - 1) / runs)

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    ppcavity run --config run.cfg [--seed N] [--runs N] [--workers N] [--out PATH]
+    ppcavity run --config run.cfg [--seed N] [--runs N] [--out PATH]
     ppcavity compare A.csv B.csv
     ppcavity check-invariants [--config run.cfg] [--seed N] [--points N] [--out PATH]
 
@@ -54,28 +54,21 @@ def _env_override(name, cast):
     return cast(raw)
 
 
-def _format_value(x: float) -> str:
-    return repr(float(x))
-
-
 def write_csv(path, times, names, columns, stderr=None):
     """Full round-trip precision CSV with the documented column order."""
+    header = ["t"]
+    fields = [times]
+    for j, name in enumerate(names):
+        header += [f"real_{name}", f"imag_{name}"]
+        fields += [np.real(columns[j]), np.imag(columns[j])]
+        if stderr is not None:
+            header.append(f"stderr_{name}")
+            fields.append(stderr[j])
+    rows = np.column_stack(fields).astype(float, copy=False)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        header = ["t"]
-        for name in names:
-            header += [f"real_{name}", f"imag_{name}"]
-            if stderr is not None:
-                header.append(f"stderr_{name}")
         writer.writerow(header)
-        for idx, t in enumerate(times):
-            row = [_format_value(t)]
-            for j, name in enumerate(names):
-                value = columns[j][idx]
-                row += [_format_value(value.real), _format_value(value.imag)]
-                if stderr is not None:
-                    row.append(_format_value(stderr[j][idx]))
-            writer.writerow(row)
+        writer.writerows(rows.tolist())
 
 
 def read_csv(path):
@@ -118,7 +111,6 @@ def run_sde_jc(cfg: RunConfig):
         cfg.runs,
         cfg.master_seed,
         bundle,
-        workers=cfg.effective_workers(),
         divergence_threshold=cfg.divergence_threshold,
     )
 
@@ -139,7 +131,6 @@ def run_sde_physical(cfg: RunConfig):
         cfg.runs,
         cfg.master_seed,
         bundle,
-        workers=cfg.effective_workers(),
         divergence_threshold=cfg.divergence_threshold,
     )
 
@@ -172,14 +163,11 @@ def cmd_run(args) -> int:
     overrides = {}
     seed = args.seed if args.seed is not None else _env_override("SEED", int)
     runs = args.runs if args.runs is not None else _env_override("RUNS", int)
-    workers = args.workers if args.workers is not None else _env_override("WORKERS", int)
     out = args.out if args.out is not None else _env_override("OUT", str)
     if seed is not None:
         overrides["master_seed"] = seed
     if runs is not None:
         overrides["runs"] = runs
-    if workers is not None:
-        overrides["workers"] = workers
     if out is not None:
         overrides["out"] = out
     if overrides:
@@ -286,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--runs", type=int, default=None)
-    p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=cmd_run)
 

@@ -3,7 +3,7 @@
 Sections and keys::
 
     [run]      engine (sde-jc | sde-mb-experimental | reference | mb),
-               runs, master_seed, workers, observables, probes, out,
+               runs, master_seed, observables, probes, out,
                divergence_threshold, n_max
     [model]    Omega, omega | (length, mode_count), g, x0, length, area,
                hbar, c, epsilon0, r12, r21, r_p
@@ -19,14 +19,13 @@ with the offending line number.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .basis import ADDITIVE_NOISE, COHERENT_SPIN, BasisFamily
 from .errors import ConfigError
 from .initialization import AtomicDensity
 from .jc import ModelParams
-from .observables import DEFAULT_OBSERVABLES
+from .observables import DEFAULT_OBSERVABLES, PHASE_COORDINATES, physical_columns
 from .sde import DEFAULT_DIVERGENCE_THRESHOLD, TimeGrid
 
 ENGINES = ("sde-jc", "sde-mb-experimental", "reference", "mb")
@@ -73,7 +72,6 @@ class RunConfig:
     # run control
     runs: int = 1000
     master_seed: int = 0
-    workers: int | None = None
     observables: tuple = DEFAULT_OBSERVABLES
     probes: tuple = ()
     out: str | None = None
@@ -129,9 +127,8 @@ class RunConfig:
         return AtomicDensity.from_upper(self.rho11, self.rho12)
 
     def effective_workers(self) -> int:
-        if self.workers is not None:
-            return self.workers
-        return os.cpu_count() or 1
+        """Ensembles run their chunks serially: always 1."""
+        return 1
 
 
 def _parse_scalar(text, line, kind):
@@ -178,7 +175,6 @@ _SCHEMA = {
     ("run", "engine"): ("engine", "str"),
     ("run", "runs"): ("runs", "int"),
     ("run", "master_seed"): ("master_seed", "int"),
-    ("run", "workers"): ("workers", "int"),
     ("run", "observables"): ("observables", "strlist"),
     ("run", "probes"): ("probes", "floatlist"),
     ("run", "out"): ("out", "str"),
@@ -293,11 +289,10 @@ def validate_config(cfg: RunConfig):
         cfg.grid()
     except (ValueError, ConfigError) as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.engine in ("sde-jc", "sde-mb-experimental", "reference", "mb"):
-        try:
-            cfg.atomic_density()
-        except ValueError as exc:
-            raise ConfigError(f"initial atomic density: {exc}") from None
+    try:
+        cfg.atomic_density()
+    except ValueError as exc:
+        raise ConfigError(f"initial atomic density: {exc}") from None
     if cfg.engine in ("sde-jc", "sde-mb-experimental"):
         if not 0.0 < cfg.rho11 < 1.0:
             raise ConfigError("stochastic engines need 0 < rho11 < 1")
@@ -313,41 +308,11 @@ def validate_config(cfg: RunConfig):
     n_alpha = len(cfg.alpha)
     if n_alpha not in (1, params.mode_count):
         raise ConfigError("alpha must list one amplitude or one per mode")
-    for name in cfg.observables:
-        _validate_observable_name(name, params.mode_count, len(cfg.probes), cfg.engine)
-
-
-def _validate_observable_name(name, n_modes, n_probes, engine):
-    base = ("rho_11", "rho_22", "rho_21", "rho_12", "nu")
-    if name in base:
-        return
-    if name in ("z", "w"):
-        if engine != "sde-jc":
-            raise ConfigError(
-                f"observable {name!r} exists only for the sde-jc engine"
-            )
-        return
-    for prefix, bound in (("e_", n_modes), ("h_", n_modes)):
-        if name.startswith(prefix):
-            try:
-                idx = int(name[len(prefix):])
-            except ValueError:
-                raise ConfigError(f"bad observable name {name!r}") from None
-            if not 1 <= idx <= bound:
-                raise ConfigError(f"mode index out of range in {name!r}")
-            return
-    for prefix in ("E_at_", "H_at_"):
-        if name.startswith(prefix):
-            try:
-                idx = int(name[len(prefix):])
-            except ValueError:
-                raise ConfigError(f"bad observable name {name!r}") from None
-            if not 1 <= idx <= n_probes:
-                raise ConfigError(
-                    f"{name!r} refers to probe {idx} but only {n_probes} probes are set"
-                )
-            return
-    raise ConfigError(f"unknown observable {name!r}")
+    raw = PHASE_COORDINATES if cfg.engine == "sde-jc" else ()
+    try:
+        physical_columns(params, cfg.observables, cfg.probes, raw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _format_complex(value: complex) -> str:
@@ -359,8 +324,6 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = ["[run]", f"engine = {cfg.engine}"]
     lines.append(f"runs = {cfg.runs}")
     lines.append(f"master_seed = {cfg.master_seed}")
-    if cfg.workers is not None:
-        lines.append(f"workers = {cfg.workers}")
     lines.append("observables = " + ", ".join(cfg.observables))
     if cfg.probes:
         lines.append("probes = " + ", ".join(repr(x) for x in cfg.probes))

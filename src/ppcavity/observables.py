@@ -25,6 +25,8 @@ from .physical import as_phys_vector, jacobian_change, reconstruct_fields, to_ph
 from .sde import ObservableMap, SdeSystem
 
 DEFAULT_OBSERVABLES = ("rho_11", "rho_22", "rho_21", "rho_12", "nu")
+#: raw fermionic coordinates, observable on the phase-space engine only
+PHASE_COORDINATES = ("z", "w")
 
 
 def _atomic_row(name: str, n_modes: int):
@@ -32,13 +34,13 @@ def _atomic_row(name: str, n_modes: int):
     return {"rho_21": 2 * n_modes, "rho_12": 2 * n_modes + 1, "nu": 2 * n_modes + 2}.get(name)
 
 
-def _index(name: str, prefix: str, count: int) -> int:
+def _index(name: str, prefix: str, count: int, what: str) -> int:
     try:
         idx = int(name[len(prefix):])
     except ValueError:
         idx = 0
     if not 1 <= idx <= count:
-        raise ValueError(f"observable {name!r} needs an index in 1..{count}")
+        raise ValueError(f"observable {name!r} needs a {what} index in 1..{count}")
     return idx - 1
 
 
@@ -56,12 +58,14 @@ def _column_reader(params: ModelParams, name: str, probes, raw):
         return lambda _, raw_values: raw_values[i]
     for prefix, offset in (("e_", 0), ("h_", 1)):
         if name.startswith(prefix):
-            i = 2 * _index(name, prefix, n) + offset
+            i = 2 * _index(name, prefix, n, "mode") + offset
             return lambda phys, _: phys[..., i]
     for prefix, part in (("E_at_", 0), ("H_at_", 1)):
         if name.startswith(prefix):
-            x = probes[_index(name, prefix, len(probes))]
+            x = probes[_index(name, prefix, len(probes), "probe")]
             return lambda phys, _: reconstruct_fields(params, phys, x)[part]
+    if name in PHASE_COORDINATES:
+        raise ValueError(f"observable {name!r} exists only for the sde-jc engine")
     raise ValueError(f"unknown observable {name!r}")
 
 
@@ -94,7 +98,7 @@ def observable_bundle(
     """Batched named observables of the phase-space SDE, raw z and w included."""
     names = tuple(names)
     n = params.mode_count
-    columns = physical_columns(params, names, probes, raw=("z", "w"))
+    columns = physical_columns(params, names, probes, raw=PHASE_COORDINATES)
 
     def batch(state):
         state = as_state_vector(state)

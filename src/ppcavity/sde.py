@@ -6,13 +6,13 @@ noise maps (..., n) -> (..., n, m).  ``run_ensemble`` is the only entry point
 and ``_integrate_chunk`` the only stepping loop: ensembles are executed in
 path chunks so that realizations vectorize, while every path still owns an
 independent counter-based random stream keyed by (master_seed, path_index).
-Statistics are therefore independent of chunking and of the worker count,
-and a single realization is ``run_ensemble(..., runs=1)``.
+Chunks run one after another and their moments are merged in ascending path
+order, so statistics do not depend on scheduling, and a single realization is
+``run_ensemble(..., runs=1)``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -152,8 +152,6 @@ def _integrate_chunk(system, inits, grid, dws, observable_map, threshold):
 def _merge_moments(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
     if n_a == 0:
         return n_b, mean_b, m2_b
-    if n_b == 0:
-        return n_a, mean_a, m2_a
     n = n_a + n_b
     delta = mean_b - mean_a
     mean = mean_a + delta * (n_b / n)
@@ -169,16 +167,15 @@ def run_ensemble(
     master_seed: int,
     observables,
     *,
-    workers: int = 1,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     chunk_size: int = _DEFAULT_CHUNK,
 ) -> EnsembleResult:
     """Monte-Carlo ensemble of independent realizations.
 
     Path r draws its initial state and then its Wiener increments from the
-    stream keyed by (master_seed, r), so results are reproducible and do not
-    depend on ``workers``.  Accumulation merges chunk moments in ascending
-    path order with the pairwise variance-combination rule.
+    stream keyed by (master_seed, r), so results are reproducible.  Chunks of
+    ``chunk_size`` paths run in turn; each chunk's moments are merged at once,
+    in ascending path order, with the pairwise variance-combination rule.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -186,18 +183,18 @@ def run_ensemble(
         observables = ObservableMap.from_mapping(observables)
     names = observables.names
     shape = (grid.steps + 1, len(names))
+    sqrt_dt = np.sqrt(grid.dt)
 
-    bounds = [
-        (start, min(start + chunk_size, runs)) for start in range(0, runs, chunk_size)
-    ]
-
-    def work(bound):
-        start, stop = bound
+    total = 0
+    mean = np.zeros(shape, dtype=complex)
+    m2 = np.zeros(shape)
+    diverged: list[int] = []
+    for start in range(0, runs, chunk_size):
+        stop = min(start + chunk_size, runs)
         gens = [path_generator(master_seed, r) for r in range(start, stop)]
         inits = np.stack([np.asarray(init_sampler(g), dtype=complex) for g in gens])
         if inits.shape[1] != system.dim:
             raise ValueError("init_sampler returned a vector of the wrong length")
-        sqrt_dt = np.sqrt(grid.dt)
         dws = np.stack(
             [g.standard_normal((grid.steps, system.noise_dim)) for g in gens]
         ) * sqrt_dt
@@ -205,29 +202,13 @@ def run_ensemble(
             system, inits, grid, dws, observables, divergence_threshold
         )
         kept = values[alive]
-        count = kept.shape[0]
-        if count:
-            mean = kept.mean(axis=0)
-            m2 = (np.abs(kept - mean) ** 2).sum(axis=0)
-        else:
-            mean = np.zeros(shape, dtype=complex)
-            m2 = np.zeros(shape)
-        diverged = tuple(int(start + i) for i in np.nonzero(~alive)[0])
-        return count, mean, m2, diverged
-
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, bounds))
-    else:
-        results = [work(b) for b in bounds]
-
-    total = 0
-    mean = np.zeros(shape, dtype=complex)
-    m2 = np.zeros(shape)
-    diverged: list[int] = []
-    for count, c_mean, c_m2, c_div in results:
-        total, mean, m2 = _merge_moments(total, mean, m2, count, c_mean, c_m2)
-        diverged.extend(c_div)
+        if kept.shape[0]:
+            c_mean = kept.mean(axis=0)
+            c_m2 = (np.abs(kept - c_mean) ** 2).sum(axis=0)
+            total, mean, m2 = _merge_moments(total, mean, m2, kept.shape[0], c_mean, c_m2)
+        diverged.extend(int(start + i) for i in np.nonzero(~alive)[0])
+        # free this chunk's records before the next chunk allocates its own
+        del dws, values, kept
 
     if total == 0:
         raise AllPathsDivergedError(f"all {runs} requested paths diverged")

@@ -35,7 +35,6 @@ def small_sde_config(tmp_path, out_name="out.csv", **extra):
         "engine": "sde-jc",
         "runs": "12",
         "master_seed": "7",
-        "workers": "1",
     }
     lines.update(extra)
     run_section = "\n".join(f"{k} = {v}" for k, v in lines.items())
@@ -87,6 +86,15 @@ class TestParsing:
     def test_key_outside_section(self):
         with pytest.raises(ConfigError, match="outside"):
             parse_config("engine = reference\n")
+
+    def test_workers_key_rejected(self):
+        # ensembles run their chunks serially; the worker count is no setting
+        text = FIG3_REFERENCE.replace("n_max = 8", "n_max = 8\nworkers = 2")
+        with pytest.raises(ConfigError, match="line 6: unknown key 'workers'"):
+            parse_config(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", "run.cfg", "--workers", "2"])
+        assert exit_info.value.code == 2
 
     def test_duplicate_key(self):
         text = "[run]\nengine = reference\nengine = mb\n"
@@ -221,6 +229,21 @@ class TestRunCommand:
         cfg_path.write_text(FIG3_REFERENCE)
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "output path" in capsys.readouterr().err
+
+
+class TestCsv:
+    def test_special_values_round_trip(self, tmp_path):
+        times = np.array([0.0, 1.0])
+        column = np.array([complex(-0.0, 5e-324), complex(np.nan, np.inf)])
+        stderr = np.array([-np.inf, 0.1])
+        write_csv(tmp_path / "s.csv", times, ("x",), [column], [stderr])
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert lines == ["t,real_x,imag_x,stderr_x", "0.0,-0.0,5e-324,-inf", "1.0,nan,inf,0.1"]
+        header, data = read_csv(tmp_path / "s.csv")
+        assert header == ["t", "real_x", "imag_x", "stderr_x"]
+        expected = np.array([[0.0, -0.0, 5e-324, -np.inf], [1.0, np.nan, np.inf, 0.1]])
+        assert np.array_equal(data, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(data), np.signbit(expected))
 
 
 class TestCompareCommand:

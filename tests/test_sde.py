@@ -177,15 +177,13 @@ def test_single_run_has_zero_stderr():
 def test_reduction_is_worker_and_chunk_deterministic():
     grid = TimeGrid(0.0, 0.5, 64)
     kwargs = dict(grid=grid, runs=157, master_seed=4242, observables={"x": lambda s: s[..., 0]})
-    base = run_ensemble(make_ou(), lambda rng: np.zeros(1, complex), workers=1, chunk_size=157, **kwargs)
-    for workers, chunk in ((1, 13), (4, 13), (3, 41)):
-        other = run_ensemble(
-            make_ou(), lambda rng: np.zeros(1, complex), workers=workers, chunk_size=chunk, **kwargs
-        )
+    base = run_ensemble(make_ou(), lambda rng: np.zeros(1, complex), chunk_size=157, **kwargs)
+    for chunk in (13, 41):
+        other = run_ensemble(make_ou(), lambda rng: np.zeros(1, complex), chunk_size=chunk, **kwargs)
         assert np.allclose(other.mean, base.mean, rtol=0, atol=1e-13)
         assert np.allclose(other.stderr, base.stderr, rtol=0, atol=1e-13)
     # identical arguments give bit-identical results
-    again = run_ensemble(make_ou(), lambda rng: np.zeros(1, complex), workers=1, chunk_size=157, **kwargs)
+    again = run_ensemble(make_ou(), lambda rng: np.zeros(1, complex), chunk_size=157, **kwargs)
     assert np.array_equal(again.mean, base.mean)
     assert np.array_equal(again.stderr, base.stderr)
 

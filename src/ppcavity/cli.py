@@ -7,7 +7,8 @@ Subcommands::
     ppcavity check-invariants [--config run.cfg] [--seed N] [--points N] [--out PATH]
 
 Flags override environment variables (prefix ``PPCAVITY_``, e.g.
-``PPCAVITY_SEED``), which in turn override the configuration file.  Every run
+``PPCAVITY_SEED``), which in turn override the configuration file; overrides
+are parsed and validated like the file before any engine starts.  Every run
 writes a CSV (column order: t, then real_/imag_/stderr_ triples per
 observable, stderr only for stochastic engines) and a JSON sidecar
 ``<out>.meta.json`` holding the resolved configuration, seed, and divergence
@@ -27,10 +28,16 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, parse_config, serialize_config
+from .config import (
+    RunConfig,
+    parse_config,
+    parse_value,
+    serialize_config,
+    validate_config,
+)
 from .errors import CavityError
 from .initialization import init_points
-from .invariants import run_all
+from .invariants import DEFAULT_POINTS, DEFAULT_SEED, run_all
 from .jc import jc_sde_system, phase_init_sampler
 from .maxwell_bloch import MbState, evolve_mb
 from .observables import observable_bundle, physical_columns, physical_observable_bundle
@@ -47,11 +54,11 @@ DIAGNOSTICS = {
 }
 
 
-def _env_override(name, cast):
+def _env_override(name, kind):
     raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
         return None
-    return cast(raw)
+    return parse_value(raw, kind, f"environment variable {ENV_PREFIX}{name}")
 
 
 def write_csv(path, times, names, columns, stderr=None):
@@ -161,9 +168,9 @@ def cmd_run(args) -> int:
     with open(args.config) as handle:
         cfg = parse_config(handle.read())
     overrides = {}
-    seed = args.seed if args.seed is not None else _env_override("SEED", int)
-    runs = args.runs if args.runs is not None else _env_override("RUNS", int)
-    out = args.out if args.out is not None else _env_override("OUT", str)
+    seed = args.seed if args.seed is not None else _env_override("SEED", "int")
+    runs = args.runs if args.runs is not None else _env_override("RUNS", "int")
+    out = args.out if args.out is not None else _env_override("OUT", "str")
     if seed is not None:
         overrides["master_seed"] = seed
     if runs is not None:
@@ -172,6 +179,7 @@ def cmd_run(args) -> int:
         overrides["out"] = out
     if overrides:
         cfg = replace(cfg, **overrides)
+        validate_config(cfg)
     if cfg.out is None:
         print("error: no output path (set out in [run] or pass --out)", file=sys.stderr)
         return 2
@@ -236,7 +244,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check_invariants(args) -> int:
-    seed, points = 20240, 100
+    seed, points = DEFAULT_SEED, DEFAULT_POINTS
     if args.config:
         with open(args.config) as handle:
             cfg = parse_config(handle.read())

@@ -13,17 +13,26 @@ Sections and keys::
     [invariants]  seed, points   (used by the check-invariants subcommand)
 
 Complex values are written as "re im" pairs (a single number means a real
-value).  Lists are comma separated.  Unknown sections or keys are rejected
-with the offending line number.
+value).  Lists are comma separated.  Unknown sections or keys, malformed
+values and non-finite numbers (nan, inf) are rejected with the offending line
+number.  Validation then requires 0 <= seed < 2**64 for ``master_seed`` and
+the invariant seed, at least one invariant point, a positive
+``divergence_threshold``, and every domain object (model, family, grid,
+initial density, observables) to construct.
+
+``_SCHEMA`` is the one statement of the format: ``parse_config`` reads and
+``serialize_config`` writes it, one value kind at a time, through ``_KINDS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .basis import ADDITIVE_NOISE, COHERENT_SPIN, BasisFamily
 from .errors import ConfigError
 from .initialization import AtomicDensity
+from .invariants import DEFAULT_POINTS, DEFAULT_SEED
 from .jc import ModelParams
 from .observables import DEFAULT_OBSERVABLES, PHASE_COORDINATES, physical_columns
 from .sde import DEFAULT_DIVERGENCE_THRESHOLD, TimeGrid
@@ -78,42 +87,21 @@ class RunConfig:
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
     n_max: int = 60
     # invariant-suite control
-    invariants_seed: int = 20240
-    invariants_points: int = 100
+    invariants_seed: int = DEFAULT_SEED
+    invariants_points: int = DEFAULT_POINTS
 
     def model_params(self) -> ModelParams:
-        if self.omega:
-            return ModelParams.from_frequencies(
-                omega=self.omega,
-                g=self.g,
-                Omega=self.Omega,
-                x0=self.x0,
-                length=self.length,
-                area=self.area,
-                hbar=self.hbar,
-                c=self.c,
-                epsilon0=self.epsilon0,
-                r12=self.r12,
-                r21=self.r21,
-                r_p=self.r_p,
+        omega = self.omega
+        if not omega:
+            if self.length is None:
+                raise ConfigError("either omega or length must be given in [model]")
+            # the cavity resonances pi*c*n/length, as in ModelParams.from_cavity
+            omega = tuple(
+                math.pi * self.c * n / self.length for n in range(1, self.mode_count + 1)
             )
-        if self.length is None:
-            raise ConfigError("either omega or length must be given in [model]")
-        params = ModelParams.from_cavity(
-            length=self.length,
-            mode_count=self.mode_count,
-            Omega=self.Omega,
-            coupling=self.g,
-            x0=self.x0,
-            area=self.area,
-            hbar=self.hbar,
-            c=self.c,
-            epsilon0=self.epsilon0,
-            r12=self.r12,
-            r21=self.r21,
-            r_p=self.r_p,
-        )
-        return params
+        # every ModelParams field is a RunConfig field of the same name
+        model = {f.name: getattr(self, f.name) for f in fields(ModelParams)}
+        return ModelParams.from_frequencies(**{**model, "omega": omega})
 
     def family(self) -> BasisFamily:
         if self.family_kind == COHERENT_SPIN:
@@ -131,46 +119,67 @@ class RunConfig:
         return 1
 
 
-def _parse_scalar(text, line, kind):
+def _parse_str(text, line):
+    return text
+
+
+def _parse_int(text, line):
     try:
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
+        return int(text)
     except ValueError:
-        raise ConfigError(f"expected {kind.__name__}, got {text!r}", line) from None
-    raise AssertionError(kind)
+        raise ConfigError(f"expected int, got {text!r}", line) from None
+
+
+def _parse_float(text, line):
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"expected float, got {text!r}", line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}", line)
+    return value
 
 
 def _parse_complex(text, line):
-    parts = text.split()
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        re_im = [float(part) for part in text.split()]
     except ValueError:
-        pass
-    raise ConfigError(f"expected a complex 're im' pair, got {text!r}", line)
+        re_im = []
+    if len(re_im) not in (1, 2):
+        raise ConfigError(f"expected a complex 're im' pair, got {text!r}", line)
+    if not all(map(math.isfinite, re_im)):
+        raise ConfigError(f"expected a finite number, got {text!r}", line)
+    return complex(*re_im)
 
 
-def _parse_list(text, line, item):
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if item is complex:
-            out.append(_parse_complex(chunk, line))
-        elif item is str:
-            out.append(chunk)
-        else:
-            out.append(_parse_scalar(chunk, line, item))
-    if not out:
-        raise ConfigError("empty list value", line)
-    return tuple(out)
+def _format_complex(value: complex) -> str:
+    return f"{value.real!r} {value.imag!r}"
 
 
+def _list_of(parse_item, format_item):
+    def parse(text, line):
+        out = tuple(
+            parse_item(chunk.strip(), line) for chunk in text.split(",") if chunk.strip()
+        )
+        if not out:
+            raise ConfigError("empty list value", line)
+        return out
+
+    return parse, lambda values: ", ".join(format_item(v) for v in values)
+
+
+#: value kind -> (parse(text, line), format(value)); format inverts parse
+_KINDS = {
+    "str": (_parse_str, str),
+    "int": (_parse_int, str),
+    "float": (_parse_float, repr),
+    "complex": (_parse_complex, _format_complex),
+    "strlist": _list_of(_parse_str, str),
+    "floatlist": _list_of(_parse_float, repr),
+    "complexlist": _list_of(_parse_complex, _format_complex),
+}
+
+#: (section, key) -> (RunConfig field, value kind); also the serialized order
 _SCHEMA = {
     ("run", "engine"): ("engine", "str"),
     ("run", "runs"): ("runs", "int"),
@@ -206,23 +215,22 @@ _SCHEMA = {
     ("invariants", "points"): ("invariants_points", "int"),
 }
 
+#: required keys, in the order their absence is reported
+_REQUIRED = (
+    ("run", "engine"),
+    ("model", "Omega"),
+    ("model", "g"),
+    ("grid", "t_end"),
+    ("grid", "steps"),
+)
 
-def _convert(text, line, kind):
-    if kind == "str":
-        return text
-    if kind == "int":
-        return _parse_scalar(text, line, int)
-    if kind == "float":
-        return _parse_scalar(text, line, float)
-    if kind == "complex":
-        return _parse_complex(text, line)
-    if kind == "strlist":
-        return _parse_list(text, line, str)
-    if kind == "floatlist":
-        return _parse_list(text, line, float)
-    if kind == "complexlist":
-        return _parse_list(text, line, complex)
-    raise AssertionError(kind)
+
+def parse_value(text: str, kind: str, source: str):
+    """One value of ``kind`` read as the config file reads it; errors name ``source``."""
+    try:
+        return _KINDS[kind][0](text, None)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def normalize_observable(name: str) -> str:
@@ -254,22 +262,11 @@ def parse_config(text: str) -> RunConfig:
         attr, kind = _SCHEMA[(section, key)]
         if attr in values:
             raise ConfigError(f"duplicate key {key!r}", lineno)
-        values[attr] = _convert(value, lineno, kind)
+        values[attr] = _KINDS[kind][0](value, lineno)
 
-    if "engine" not in values:
-        raise ConfigError("engine is required in [run]")
-    if values["engine"] not in ENGINES:
-        raise ConfigError(
-            f"engine must be one of {', '.join(ENGINES)}; got {values['engine']!r}"
-        )
-    if "Omega" not in values:
-        raise ConfigError("Omega is required in [model]")
-    if "g" not in values:
-        raise ConfigError("g is required in [model]")
-    if "t_end" not in values:
-        raise ConfigError("t_end is required in [grid]")
-    if "steps" not in values:
-        raise ConfigError("steps is required in [grid]")
+    for section, key in _REQUIRED:
+        if _SCHEMA[section, key][0] not in values:
+            raise ConfigError(f"{key} is required in [{section}]")
     if "observables" in values:
         values["observables"] = tuple(
             normalize_observable(v) for v in values["observables"]
@@ -280,7 +277,19 @@ def parse_config(text: str) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig):
-    """Cross-field validation by constructing every domain object."""
+    """Range and cross-field validation, constructing every domain object."""
+    if cfg.engine not in ENGINES:
+        raise ConfigError(
+            f"engine must be one of {', '.join(ENGINES)}; got {cfg.engine!r}"
+        )
+    seeds = (("master_seed", cfg.master_seed), ("[invariants] seed", cfg.invariants_seed))
+    for key, seed in seeds:
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"{key} must satisfy 0 <= seed < 2**64; got {seed}")
+    if cfg.invariants_points < 1:
+        raise ConfigError("[invariants] points must be >= 1")
+    if not cfg.divergence_threshold > 0:
+        raise ConfigError("divergence_threshold must be > 0")
     if cfg.family_kind not in (COHERENT_SPIN, ADDITIVE_NOISE):
         raise ConfigError(f"unknown family kind {cfg.family_kind!r}")
     try:
@@ -315,53 +324,15 @@ def validate_config(cfg: RunConfig):
         raise ConfigError(str(exc)) from None
 
 
-def _format_complex(value: complex) -> str:
-    return f"{value.real!r} {value.imag!r}"
-
-
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(serialize_config(c)) == c."""
-    lines = ["[run]", f"engine = {cfg.engine}"]
-    lines.append(f"runs = {cfg.runs}")
-    lines.append(f"master_seed = {cfg.master_seed}")
-    lines.append("observables = " + ", ".join(cfg.observables))
-    if cfg.probes:
-        lines.append("probes = " + ", ".join(repr(x) for x in cfg.probes))
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
-    lines.append(f"divergence_threshold = {cfg.divergence_threshold!r}")
-    lines.append(f"n_max = {cfg.n_max}")
-    lines.append("")
-    lines.append("[model]")
-    lines.append(f"Omega = {cfg.Omega!r}")
-    if cfg.omega:
-        lines.append("omega = " + ", ".join(repr(x) for x in cfg.omega))
-    else:
-        lines.append(f"mode_count = {cfg.mode_count}")
-    lines.append("g = " + ", ".join(repr(x) for x in cfg.g))
-    if cfg.x0 is not None:
-        lines.append(f"x0 = {cfg.x0!r}")
-    if cfg.length is not None:
-        lines.append(f"length = {cfg.length!r}")
-    for name in ("area", "hbar", "c", "epsilon0", "r12", "r21", "r_p"):
-        lines.append(f"{name} = {getattr(cfg, name)!r}")
-    lines.append("")
-    lines.append("[grid]")
-    lines.append(f"t_start = {cfg.t_start!r}")
-    lines.append(f"t_end = {cfg.t_end!r}")
-    lines.append(f"steps = {cfg.steps}")
-    lines.append("")
-    lines.append("[family]")
-    lines.append(f"kind = {cfg.family_kind}")
-    lines.append(f"delta = {_format_complex(cfg.delta)}")
-    lines.append(f"kappa = {_format_complex(cfg.kappa)}")
-    lines.append("")
-    lines.append("[initial]")
-    lines.append("alpha = " + ", ".join(_format_complex(a) for a in cfg.alpha))
-    lines.append(f"rho11 = {cfg.rho11!r}")
-    lines.append(f"rho12 = {_format_complex(cfg.rho12)}")
-    lines.append("")
-    lines.append("[invariants]")
-    lines.append(f"seed = {cfg.invariants_seed}")
-    lines.append(f"points = {cfg.invariants_points}")
-    return "\n".join(lines) + "\n"
+    sections: dict = {}
+    for (section, key), (attr, kind) in _SCHEMA.items():
+        value = getattr(cfg, attr)
+        if value is None or (kind.endswith("list") and not value):
+            continue
+        if attr == "mode_count" and cfg.omega:
+            continue
+        line = f"{key} = {_KINDS[kind][1](value)}"
+        sections.setdefault(section, [f"[{section}]"]).append(line)
+    return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"

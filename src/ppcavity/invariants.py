@@ -14,6 +14,9 @@ import numpy as np
 from . import jc, maxwell_bloch, observables, physical
 from .basis import BasisFamily
 
+#: defaults of the check-invariants subcommand and the [invariants] section
+DEFAULT_SEED = 20240
+DEFAULT_POINTS = 100
 _CIRCLE_POINTS = 16
 _CIRCLE_RADIUS = 1e-3
 
@@ -379,8 +382,12 @@ CHECKS = (
 )
 
 
-def run_all(seed: int = 20240, points: int = 100) -> dict:
+def run_all(seed: int = DEFAULT_SEED, points: int = DEFAULT_POINTS) -> dict:
     """Execute every suite with per-check seeded generators; returns a report."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    if points < 1:
+        raise ValueError("points must be >= 1")
     checks = []
     all_passed = True
     for index, (name, fn) in enumerate(CHECKS):

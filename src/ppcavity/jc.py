@@ -330,19 +330,16 @@ def noise_jc(params: ModelParams, family: BasisFamily, state, dissipative=None, 
     return out
 
 
-def jc_sde_system(
-    params: ModelParams, family: BasisFamily, dissipative=None
-) -> SdeSystem:
+def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
     """SDE system for the integrator; coefficients never raise on poles.
 
     The drift and noise are :func:`drift_jc` and :func:`noise_jc` without the
-    pole check.  With ``dissipative=None`` the dissipative layout is used
-    exactly when any rate is positive.  The additive-noise family without
+    pole check.  The dissipative layout is used exactly when any rate is
+    positive (``params.dissipative``).  The additive-noise family without
     dissipation yields a state-independent noise matrix, which the system
     advertises so ensembles evaluate it only once.
     """
-    if dissipative is None:
-        dissipative = params.dissipative
+    dissipative = params.dissipative
     n = params.mode_count
 
     def drift(state):

@@ -21,25 +21,26 @@ from .jc import ModelParams
 from .physical import join_phys
 from .sde import TimeGrid
 
-DEFAULT_DIMENSION_CAP = 4096
+DIMENSION_CAP = 4096
 TRACE_TOLERANCE = 1e-6
+#: grid points, roughly equidistant, at which the minimum eigenvalue is checked
+EIG_CHECKS = 17
 
 
 @dataclass(frozen=True)
 class TruncatedSpace:
-    """Photon cutoffs per mode; total dimension 2 * prod(n_max + 1)."""
+    """Photon cutoffs per mode; total dimension 2 * prod(n_max + 1) <= DIMENSION_CAP."""
 
     n_max: tuple
-    cap: int = DEFAULT_DIMENSION_CAP
 
     def __post_init__(self):
         n_max = tuple(int(v) for v in np.atleast_1d(self.n_max))
         object.__setattr__(self, "n_max", n_max)
         if any(v < 1 for v in n_max):
             raise ValueError("each photon cutoff must be at least 1")
-        if self.dim > self.cap:
+        if self.dim > DIMENSION_CAP:
             raise DimensionCapError(
-                f"truncated dimension {self.dim} exceeds the cap {self.cap}"
+                f"truncated dimension {self.dim} exceeds the cap {DIMENSION_CAP}"
             )
 
     @property
@@ -197,15 +198,13 @@ def evolve(
     rho0,
     grid: TimeGrid,
     space: TruncatedSpace,
-    substeps: int = 1,
-    eig_checks: int = 17,
 ) -> ReferenceTrajectory:
     """Fixed-step RK4 integration of the master equation over the grid.
 
-    ``substeps`` RK4 steps are taken per grid interval.  Raises
-    TraceDriftError when |tr rho - 1| exceeds 1e-6 (step too large or cutoff
-    too small).  The minimum eigenvalue is monitored at ``eig_checks``
-    roughly equidistant grid points, not enforced.
+    One RK4 step is taken per grid interval.  Raises TraceDriftError when
+    |tr rho - 1| exceeds 1e-6 (step too large or cutoff too small).  The
+    minimum eigenvalue is monitored at ``EIG_CHECKS`` roughly equidistant
+    grid points, not enforced.
     """
     rho = np.array(rho0, dtype=complex)
     if rho.shape != (space.dim, space.dim):
@@ -234,7 +233,7 @@ def evolve(
         max_purity=0.0,
         min_eigenvalue=np.inf,
     )
-    eig_every = max(1, grid.steps // max(1, eig_checks - 1))
+    eig_every = max(1, grid.steps // (EIG_CHECKS - 1))
 
     def record(idx, rho):
         atom = _atomic_reduced(rho)
@@ -263,14 +262,13 @@ def evolve(
         return master_rhs(params, rho, space, hamiltonian=ham)
 
     record(0, rho)
-    dt = grid.dt / substeps
+    dt = grid.dt
     for idx in range(grid.steps):
-        for _ in range(substeps):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * dt * k1)
-            k3 = rhs(rho + 0.5 * dt * k2)
-            k4 = rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * dt * k1)
+        k3 = rhs(rho + 0.5 * dt * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         record(idx + 1, rho)
         if (idx + 1) % eig_every == 0 or idx + 1 == grid.steps:
             low = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]

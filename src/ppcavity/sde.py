@@ -201,14 +201,22 @@ def run_ensemble(
         values, alive = _integrate_chunk(
             system, inits, grid, dws, observables, divergence_threshold
         )
-        kept = values[alive]
-        if kept.shape[0]:
-            c_mean = kept.mean(axis=0)
-            c_m2 = (np.abs(kept - c_mean) ** 2).sum(axis=0)
-            total, mean, m2 = _merge_moments(total, mean, m2, kept.shape[0], c_mean, c_m2)
+        # reduce with no record-sized copy, whether or not a path died, then
+        # free the record before the next chunk: the survivors move to the
+        # front in place, giving the same contiguous rows as values[alive]
+        del dws
+        kept = np.flatnonzero(alive)
+        if kept.size < alive.size:
+            for row, path in enumerate(kept):
+                values[row] = values[path]
+            values = values[: kept.size]
+        if values.shape[0]:
+            c_mean = values.mean(axis=0)
+            values -= c_mean
+            c_m2 = (np.abs(values) ** 2).sum(axis=0)
+            total, mean, m2 = _merge_moments(total, mean, m2, values.shape[0], c_mean, c_m2)
         diverged.extend(int(start + i) for i in np.nonzero(~alive)[0])
-        # free this chunk's records before the next chunk allocates its own
-        del dws, values, kept
+        del values
 
     if total == 0:
         raise AllPathsDivergedError(f"all {runs} requested paths diverged")

@@ -5,7 +5,7 @@ import pytest
 
 import ppcavity.jc as jc_module
 from ppcavity.cli import main, read_csv, write_csv
-from ppcavity.config import parse_config, serialize_config
+from ppcavity.config import ENGINES, RunConfig, parse_config, serialize_config
 from ppcavity.errors import ConfigError
 from ppcavity.invariants import run_all
 
@@ -56,6 +56,68 @@ steps = 100
 alpha = 1 0
 rho11 = 0.7
 """
+
+
+def random_config(rng) -> RunConfig:
+    """A valid configuration drawn from ``rng`` that sets every key of the format.
+
+    Both model routes occur (explicit ``omega``, or ``length``/``mode_count``),
+    and the optional values (``x0``, ``length``, ``out``, probes) are sometimes
+    left out.  Floats use all their digits, so a lossy format would show.
+    """
+
+    def real(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    def cplx(scale):
+        return complex(real(-scale, scale), real(-scale, scale))
+
+    modes = int(rng.integers(1, 4))
+    engine = ENGINES[int(rng.integers(len(ENGINES)))]
+    coherent = engine == "sde-mb-experimental" or rng.random() < 0.5
+    c = real(0.5, 2.0)
+    fields = {"engine": engine, "c": c, "Omega": real(0.0, 2000.0)}
+    if rng.random() < 0.5:
+        fields["omega"] = tuple(np.cumsum(rng.uniform(1.0, 100.0, modes)).tolist())
+        length = real(0.5, 2.0) if rng.random() < 0.5 else None
+        fields["length"] = length
+        length = length or float(np.pi * c / fields["omega"][0])
+    else:
+        length = fields["length"] = real(0.5, 2.0)
+        fields["mode_count"] = modes
+    fields["g"] = tuple(rng.uniform(0.0, 300.0, modes if rng.random() < 0.7 else 1).tolist())
+    if rng.random() < 0.5:
+        fields["x0"] = length * real(0.05, 0.95)
+    for name in ("area", "hbar", "epsilon0"):
+        fields[name] = real(0.1, 3.0)
+    for name in ("r12", "r21", "r_p"):
+        fields[name] = real(0.0, 100.0) if rng.random() < 0.5 else 0.0
+    fields["t_start"] = real(-1.0, 1.0)
+    fields["t_end"] = fields["t_start"] + real(1e-4, 1.0)
+    fields["steps"] = int(rng.integers(1, 10_000))
+    fields["family_kind"] = "coherent-spin" if coherent else "additive-noise"
+    fields["delta"] = complex(real(1.0, 8.0), real(-1.0, 1.0))
+    fields["kappa"] = cplx(1.0)
+    fields["alpha"] = tuple(cplx(6.0) for _ in range(modes if rng.random() < 0.5 else 1))
+    rho11 = fields["rho11"] = real(0.05, 0.95)
+    phase = complex(np.exp(2j * np.pi * rng.random()))
+    fields["rho12"] = 0.9 * (rho11 * (1.0 - rho11)) ** 0.5 * phase
+    probes = tuple(length * real(0.0, 1.0) for _ in range(int(rng.integers(0, 3))))
+    names = ["rho_11", "rho_22", "rho_21", "rho_12", "nu"]
+    names += [f"{q}_{n}" for q in "eh" for n in range(1, modes + 1)]
+    names += [f"{q}_at_{j}" for q in "EH" for j in range(1, len(probes) + 1)]
+    names += ["z", "w"] if engine == "sde-jc" else []
+    picked = rng.choice(len(names), size=int(rng.integers(1, len(names) + 1)), replace=False)
+    fields["observables"] = tuple(names[i] for i in sorted(picked))
+    fields["probes"] = probes
+    fields["out"] = f"out-{int(rng.integers(1000))}.csv" if rng.random() < 0.5 else None
+    fields["runs"] = int(rng.integers(1, 5000))
+    fields["master_seed"] = int(rng.integers(0, 2**64, dtype=np.uint64))
+    fields["divergence_threshold"] = real(1.0, 1e9)
+    fields["n_max"] = int(rng.integers(1, 80))
+    fields["invariants_seed"] = int(rng.integers(0, 2**64, dtype=np.uint64))
+    fields["invariants_points"] = int(rng.integers(1, 500))
+    return RunConfig(**fields)
 
 
 class TestParsing:
@@ -110,6 +172,62 @@ class TestParsing:
         cfg = parse_config(FIG3_REFERENCE)
         again = parse_config(serialize_config(cfg))
         assert again == cfg
+
+    def test_seeded_random_round_trip(self):
+        rng = np.random.Generator(np.random.Philox(key=20241))
+        routes = set()
+        for _ in range(300):
+            cfg = random_config(rng)
+            text = serialize_config(cfg)
+            assert parse_config(text) == cfg, text
+            assert serialize_config(parse_config(text)) == text
+            routes.add(bool(cfg.omega))
+        assert routes == {True, False}
+
+    @pytest.mark.parametrize("engine", ["reference", "mb", "sde-jc"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "Omega = nan",
+            "g = inf",
+            "t_end = inf",
+            "rho11 = nan",
+            "alpha = 5 -inf",
+            "delta = 4 nan",
+            "divergence_threshold = inf",
+        ],
+    )
+    def test_non_finite_value_names_its_line(self, engine, line):
+        key = line.split()[0]
+        text = FIG3_REFERENCE.replace("engine = reference", f"engine = {engine}")
+        text += "\n[family]\ndelta = 4 0\n[run]\ndivergence_threshold = 1e6\n"
+        lines = [line if row.startswith(f"{key} =") else row for row in text.splitlines()]
+        lineno = 1 + next(i for i, row in enumerate(lines) if row == line)
+        with pytest.raises(ConfigError, match=f"line {lineno}: expected a finite number"):
+            parse_config("\n".join(lines))
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_divergence_threshold_must_be_positive(self, value):
+        text = FIG3_REFERENCE.replace("n_max = 8", f"n_max = 8\ndivergence_threshold = {value}")
+        with pytest.raises(ConfigError, match="divergence_threshold must be > 0"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "section, line, message",
+        [
+            ("run", "master_seed = -1", "master_seed must satisfy 0 <= seed < 2\\*\\*64"),
+            ("run", f"master_seed = {2**64}", "master_seed must satisfy"),
+            ("invariants", "seed = -1", "\\[invariants\\] seed must satisfy"),
+            ("invariants", f"seed = {2**64}", "\\[invariants\\] seed must satisfy"),
+            ("invariants", "points = 0", "\\[invariants\\] points must be >= 1"),
+        ],
+    )
+    def test_seeds_and_points_are_range_checked(self, section, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(FIG3_REFERENCE + f"\n[{section}]\n{line}\n")
+        edge = f"master_seed = {2**64 - 1}\n[invariants]\nseed = {2**64 - 1}\npoints = 1\n"
+        cfg = parse_config(FIG3_REFERENCE + "\n[run]\n" + edge)
+        assert cfg.master_seed == cfg.invariants_seed == 2**64 - 1
 
     def test_alias_normalization(self):
         text = FIG3_REFERENCE.replace(
@@ -201,6 +319,35 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--seed", "77"]) == 0
         meta = json.loads((tmp_path / "b.csv.meta.json").read_text())
         assert meta["master_seed"] == 77
+
+    def test_rerun_from_sidecar_config_is_byte_identical(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(small_sde_config(tmp_path, "first.csv"))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        meta = json.loads((tmp_path / "first.csv.meta.json").read_text())
+        again = tmp_path / "again.cfg"
+        again.write_text(meta["config"])
+        second = tmp_path / "second.csv"
+        assert main(["run", "--config", str(again), "--out", str(second)]) == 0
+        assert second.read_bytes() == (tmp_path / "first.csv").read_bytes()
+
+    def test_overrides_are_parsed_and_validated(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(small_sde_config(tmp_path, "c.csv"))
+        monkeypatch.setenv("PPCAVITY_SEED", "abc")
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "environment variable PPCAVITY_SEED: expected int, got 'abc'" in err
+        monkeypatch.delenv("PPCAVITY_SEED")
+        assert main(["run", "--config", str(cfg_path), "--runs", "0"]) == 1
+        assert "runs must be >= 1" in capsys.readouterr().err
+        mb_path = tmp_path / "mb.cfg"
+        mb_path.write_text(FIG3_REFERENCE.replace("engine = reference", "engine = mb"))
+        out_path = tmp_path / "mb.csv"
+        assert main(["run", "--config", str(mb_path), "--out", str(out_path), "--seed", "-5"]) == 1
+        assert "master_seed must satisfy" in capsys.readouterr().err
+        assert not out_path.exists()
+        assert not (tmp_path / "mb.csv.meta.json").exists()
 
     def test_mb_engine_runs(self, tmp_path):
         text = FIG3_REFERENCE.replace("engine = reference", "engine = mb")
@@ -294,6 +441,25 @@ class TestInvariantsCommand:
         by_name = {c["name"]: c for c in report["checks"]}
         assert not by_name["factorization"]["passed"]
         assert not report["passed"]
+
+    def test_run_all_checks_seed_and_points(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must fit"):
+                run_all(seed=seed, points=1)
+        with pytest.raises(ValueError, match="points must be >= 1"):
+            run_all(seed=0, points=0)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "error: seed must fit in an unsigned 64-bit integer"),
+            (["--seed", str(2**64)], "error: seed must fit in an unsigned 64-bit integer"),
+            (["--points", "0"], "error: points must be >= 1"),
+        ],
+    )
+    def test_bad_seed_or_points_is_a_clean_error(self, flags, message, capsys):
+        assert main(["check-invariants", *flags]) == 1
+        assert message in capsys.readouterr().err
 
     def test_report_file_output(self, tmp_path):
         out = tmp_path / "report.json"

@@ -101,22 +101,40 @@ class BasisFamily:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _u(self, z):
-        return np.asarray(z, dtype=complex) / self.delta + self.kappa / 2.0
+    def _sides(self):
+        """(delta, kappa) of h and the conjugated pair of htilde."""
+        return (self.delta, self.kappa), (self.delta.conjugate(), self.kappa.conjugate())
 
-    def _ut(self, w):
-        return (
-            np.asarray(w, dtype=complex) / np.conj(self.delta)
-            + np.conj(self.kappa) / 2.0
-        )
+    @staticmethod
+    def _exp_form(x, d, kappa):
+        """h = -tanh(u) at u = x/d + kappa/2 from one exponential.
+
+        Returns (h, q, s) with s = -1 where Re u > 0, else +1, and
+        q = exp(2*s*u).  So |q| <= 1, e = exp(2u) is q**s, and
+        h = s*(1 - q)/(1 + q) stays finite wherever tanh is; exp only
+        underflows, which numpy ignores by default.
+        """
+        two_u = np.asarray(x, dtype=complex) * (2.0 / d) + kappa
+        s = 1.0 - 2.0 * (two_u.real > 0)
+        q = np.exp(s * two_u)
+        return s * (1.0 - q) / (1.0 + q), q, s
+
+    @classmethod
+    def _jet_side(cls, x, d, kappa):
+        """h, h', h'', 1/h' and h/h' of one side, all from ``_exp_form``."""
+        h, q, s = cls._exp_form(x, d, kappa)
+        q_inv = 1.0 / q
+        hp = (h * h - 1.0) / d
+        quarter = d / 4.0
+        # h/h' = (d/4)(e - 1/e) and 1/h' = -(d/4)(e + 2 + 1/e), with e = q**s
+        return h, hp, 2.0 * h * hp / d, -quarter * (q + 2.0 + q_inv), quarter * s * (q - q_inv)
 
     def pair(self, z, w):
         """h(z) and htilde(w) without derivative bookkeeping."""
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
         if self.kind == COHERENT_SPIN:
-            return z, w
-        return -np.tanh(self._u(z)), -np.tanh(self._ut(w))
+            return np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+        (d, k), (dc, kc) = self._sides()
+        return self._exp_form(z, d, k)[0], self._exp_form(w, dc, kc)[0]
 
     def eval(self, z, w):
         """Return (h, h', htilde, htilde') at (z, w).
@@ -124,37 +142,32 @@ class BasisFamily:
         Raises PoleProximityError when |1 + exp(2z/delta + kappa)| (or the
         mirrored expression at w) drops below POLE_FLOOR.
         """
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
         if self.kind == COHERENT_SPIN:
-            one = np.ones_like(z)
-            return z, one, w, np.ones_like(w)
-        u, ut = self._u(z), self._ut(w)
-        self._check_poles(u, ut)
-        h = -np.tanh(u)
-        ht = -np.tanh(ut)
-        hp = (h * h - 1.0) / self.delta
-        htp = (ht * ht - 1.0) / np.conj(self.delta)
-        return h, hp, ht, htp
-
-    def _check_poles(self, u, ut):
-        with np.errstate(over="ignore", invalid="ignore"):
-            dz = np.abs(1.0 + np.exp(2.0 * u))
-            dw = np.abs(1.0 + np.exp(2.0 * ut))
-        if np.any(dz < POLE_FLOOR) or np.any(dw < POLE_FLOOR):
-            raise PoleProximityError(
-                "phase-space point within %.1e of a basis-function pole" % POLE_FLOOR
-            )
+            z = np.asarray(z, dtype=complex)
+            w = np.asarray(w, dtype=complex)
+            return z, np.ones_like(z), w, np.ones_like(w)
+        out = []
+        with np.errstate(all="ignore"):
+            for x, (d, k) in zip((z, w), self._sides()):
+                h, q, s = self._exp_form(x, d, k)
+                # e = q**s, so |1 + e| is |1 + q| / |q| where s = -1
+                if np.any(np.abs(1.0 + q) < POLE_FLOOR * np.where(s < 0, np.abs(q), 1.0)):
+                    raise PoleProximityError(
+                        "phase-space point within %.1e of a basis-function pole" % POLE_FLOOR
+                    )
+                out += [h, (h * h - 1.0) / d]
+        return tuple(out)
 
     def jet(self, z, w) -> PhaseFunctions:
         """All SDE coefficient ingredients, without pole checks.
 
         Near-pole inputs yield inf/nan entries; callers integrating paths rely
-        on divergence detection instead of exceptions.
+        on divergence detection instead of exceptions.  The additive-noise
+        family takes two complex exponentials, one per side.
         """
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
         if self.kind == COHERENT_SPIN:
+            z = np.asarray(z, dtype=complex)
+            w = np.asarray(w, dtype=complex)
             one_z, one_w = np.ones_like(z), np.ones_like(w)
             zero_z, zero_w = np.zeros_like(z), np.zeros_like(w)
             return PhaseFunctions(
@@ -165,23 +178,18 @@ class BasisFamily:
                 lin=z, lin_t=w,
                 quad=z * z - 1.0, quad_t=w * w - 1.0,
             )
-        d, dc = self.delta, np.conj(self.delta)
-        u, ut = self._u(z), self._ut(w)
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = -np.tanh(u)
-            ht = -np.tanh(ut)
-            hp = (h * h - 1.0) / d
-            htp = (ht * ht - 1.0) / dc
-            cz, cw = np.cosh(u), np.cosh(ut)
-            return PhaseFunctions(
-                h=h, ht=ht,
-                hp=hp, htp=htp,
-                hpp=2.0 * h * hp / d, htpp=2.0 * ht * htp / dc,
-                inv_hp=-d * cz * cz, inv_htp=-dc * cw * cw,
-                lin=(d / 2.0) * np.sinh(2.0 * u),
-                lin_t=(dc / 2.0) * np.sinh(2.0 * ut),
-                quad=np.full_like(h, d), quad_t=np.full_like(ht, dc),
-            )
+        (d, k), (dc, kc) = self._sides()
+        with np.errstate(all="ignore"):
+            h, hp, hpp, inv_hp, lin = self._jet_side(z, d, k)
+            ht, htp, htpp, inv_htp, lin_t = self._jet_side(w, dc, kc)
+        return PhaseFunctions(
+            h=h, ht=ht,
+            hp=hp, htp=htp,
+            hpp=hpp, htpp=htpp,
+            inv_hp=inv_hp, inv_htp=inv_htp,
+            lin=lin, lin_t=lin_t,
+            quad=np.full_like(h, d), quad_t=np.full_like(ht, dc),
+        )
 
     # -- inversion ----------------------------------------------------------
 

@@ -47,9 +47,17 @@ from .sde import run_ensemble
 
 ENV_PREFIX = "PPCAVITY_"
 DIVERGENCE_WARNING_FRACTION = 0.01
+#: the reference warns when the density matrix has an eigenvalue below this
+EIGENVALUE_WARNING_FLOOR = -1e-8
 #: numerical diagnostics of the deterministic engines recorded in the sidecar
 DIAGNOSTICS = {
-    "reference": ("max_trace_error", "max_herm_error", "max_purity", "min_eigenvalue"),
+    "reference": (
+        "max_trace_error",
+        "max_herm_error",
+        "max_purity",
+        "min_eigenvalue",
+        "max_energy_drift",
+    ),
     "mb": ("max_bloch_violation",),
 }
 
@@ -216,6 +224,12 @@ def cmd_run(args) -> int:
         extra = {key: float(getattr(traj, key)) for key in DIAGNOSTICS[cfg.engine]}
         _write_sidecar(cfg.out, cfg, extra)
         print(f"{cfg.engine}: wrote {cfg.out}")
+        if extra.get("min_eigenvalue", 0.0) < EIGENVALUE_WARNING_FLOOR:
+            print(
+                f"warning: minimum density-matrix eigenvalue {extra['min_eigenvalue']:.3e} "
+                f"is below {EIGENVALUE_WARNING_FLOOR:.0e}; the reference lost positivity",
+                file=sys.stderr,
+            )
     return 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -230,10 +231,28 @@ def split_state(state, n_modes):
     return alpha, beta, z, w
 
 
-def _prepare(params, family, state, check, dissipative):
+class JetState(NamedTuple):
+    """A (batched) phase-space vector together with the basis jet at its (z, w)."""
+
+    state: np.ndarray
+    pf: PhaseFunctions
+
+
+def jet_state(family: BasisFamily, state) -> JetState:
+    """Evaluate ``family.jet`` once at the fermionic coordinates of ``state``.
+
+    A JetState is returned as it is, so the coefficient functions, the
+    observable batch and ``to_physical`` accept either form and share one jet.
+    """
+    if isinstance(state, JetState):
+        return state
     state = as_state_vector(state)
-    alpha, beta, z, w = split_state(state, params.mode_count)
-    pf = family.jet(z, w)
+    return JetState(state, family.jet(state[..., -2], state[..., -1]))
+
+
+def _prepare(params, family, state, check, dissipative):
+    state, pf = jet_state(family, state)
+    alpha, beta, _, _ = split_state(state, params.mode_count)
     if check:
         checked_denominator(pf.h, pf.ht, pf.hp, pf.htp)
     if dissipative is None:
@@ -257,8 +276,10 @@ def _dissipative_entry(params: ModelParams, pf: PhaseFunctions):
 def drift_jc(params: ModelParams, family: BasisFamily, state, dissipative=None, check=True):
     """Drift vector, with scattering and pure-dephasing terms if ``dissipative``.
 
-    ``dissipative`` defaults to ``params.dissipative``.  With ``check`` the
-    three coefficient functions raise PoleProximityError near a singularity.
+    ``state`` is a phase-space vector or its :class:`JetState`, in which case
+    the three coefficient functions reuse its jet.  ``dissipative`` defaults
+    to ``params.dissipative``.  With ``check`` they raise PoleProximityError
+    near a singularity.
     """
     alpha, beta, pf, _, dissipative = _prepare(params, family, state, check, dissipative)
     n = params.mode_count
@@ -333,14 +354,20 @@ def noise_jc(params: ModelParams, family: BasisFamily, state, dissipative=None, 
 def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
     """SDE system for the integrator; coefficients never raise on poles.
 
-    The drift and noise are :func:`drift_jc` and :func:`noise_jc` without the
-    pole check.  The dissipative layout is used exactly when any rate is
-    positive (``params.dissipative``).  The additive-noise family without
-    dissipation yields a state-independent noise matrix, which the system
-    advertises so ensembles evaluate it only once.
+    ``prepare`` is :func:`jet_state`: the integrator evaluates the basis jet
+    once per step, and the drift (:func:`drift_jc`), the noise
+    (:func:`noise_jc`), both without the pole check, and
+    :func:`ppcavity.observables.observable_bundle` read it.  The dissipative
+    layout is used exactly when any rate is positive (``params.dissipative``).
+    The additive-noise family without dissipation yields a state-independent
+    noise matrix, which the system advertises so ensembles evaluate it once
+    per chunk.
     """
     dissipative = params.dissipative
     n = params.mode_count
+
+    def prepare(state):
+        return jet_state(family, state)
 
     def drift(state):
         return drift_jc(params, family, state, dissipative, check=False)
@@ -355,6 +382,7 @@ def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
         drift=drift,
         noise=noise,
         constant_noise=constant,
+        prepare=prepare,
     )
 
 

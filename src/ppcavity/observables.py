@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import BasisFamily
-from .jc import ModelParams, as_state_vector
+from .jc import ModelParams, as_state_vector, jet_state
 from .physical import as_phys_vector, jacobian_change, reconstruct_fields, to_physical
 from .sde import ObservableMap, SdeSystem
 
@@ -95,15 +95,20 @@ def physical_columns(params: ModelParams, names, probes=(), raw=()):
 def observable_bundle(
     params: ModelParams, family: BasisFamily, names, probes=()
 ) -> ObservableMap:
-    """Batched named observables of the phase-space SDE, raw z and w included."""
+    """Batched named observables of the phase-space SDE, raw z and w included.
+
+    The batch takes a state or the :class:`ppcavity.jc.JetState` that
+    ``jc_sde_system`` prepares, and reads h and htilde from its jet.
+    """
     names = tuple(names)
     n = params.mode_count
     columns = physical_columns(params, names, probes, raw=PHASE_COORDINATES)
 
     def batch(state):
-        state = as_state_vector(state)
+        prepared = jet_state(family, state)
+        state = prepared.state
         with np.errstate(all="ignore"):
-            phys = to_physical(family, state, check=False)
+            phys = to_physical(family, prepared, check=False)
             return columns(phys, (state[..., 2 * n], state[..., 2 * n + 1]))
 
     return ObservableMap(names, batch)

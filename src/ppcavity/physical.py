@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import COHERENT_SPIN, POLE_FLOOR, BasisFamily, checked_denominator
 from .errors import InconsistentStateError, PoleProximityError
-from .jc import ModelParams, _ROOT_I, as_state_vector, principal_sqrt, split_state
+from .jc import JetState, ModelParams, _ROOT_I, as_state_vector, principal_sqrt, split_state
 from .sde import SdeSystem
 
 
@@ -87,13 +87,16 @@ def join_phys(eps, eta, rho21, rho12, nu) -> np.ndarray:
 def to_physical(family: BasisFamily, state, check=True) -> np.ndarray:
     """Map a phase-space vector (batched ok) to physical coordinates.
 
-    With ``check`` a vanishing 1 + h*htilde raises PoleProximityError;
-    without it the result carries inf/nan there.
+    ``state`` may be a :class:`ppcavity.jc.JetState`, whose h and htilde are
+    used as they are.  With ``check`` a vanishing 1 + h*htilde raises
+    PoleProximityError; without it the result carries inf/nan there.
     """
-    state = as_state_vector(state)
-    n = (state.shape[-1] - 2) // 2
-    alpha, beta, z, w = split_state(state, n)
-    h, ht = family.pair(z, w)
+    if isinstance(state, JetState):
+        state, h, ht = state.state, state.pf.h, state.pf.ht
+    else:
+        state = as_state_vector(state)
+        h, ht = family.pair(state[..., -2], state[..., -1])
+    alpha, beta, _, _ = split_state(state, (state.shape[-1] - 2) // 2)
     denom = checked_denominator(h, ht) if check else 1.0 + h * ht
     return join_phys(
         beta + alpha, 1j * (beta - alpha), h / denom, ht / denom, (h * ht - 1.0) / denom

@@ -187,6 +187,12 @@ class ReferenceTrajectory:
         """Recorded series in physical coordinates, one row per grid point."""
         return join_phys(self.e, self.h, self.rho21, self.rho12, self.nu)
 
+    @property
+    def max_energy_drift(self) -> float:
+        """max |E(t) - E(0)| / |E(0)| over the grid; the absolute drift if E(0) = 0."""
+        drift = float(np.abs(self.energy - self.energy[0]).max())
+        return drift / abs(self.energy[0]) if self.energy[0] != 0 else drift
+
 
 def _atomic_reduced(rho: np.ndarray) -> np.ndarray:
     f = rho.shape[0] // 2

@@ -2,7 +2,11 @@
 
 The integrator works on flat complex state vectors.  Drift and noise callables
 must broadcast over a leading batch axis: drift maps (..., n) -> (..., n) and
-noise maps (..., n) -> (..., n, m).  ``run_ensemble`` is the only entry point
+noise maps (..., n) -> (..., n, m).  A system may also set ``prepare``: the
+integrator calls it once per step on the new state, and drift, noise and the
+observable batch all receive its result in place of the raw state, so work
+they share is done once per step (``jc_sde_system`` prepares the state with
+its basis jet).  ``run_ensemble`` is the only entry point
 and ``_integrate_chunk`` the only stepping loop: ensembles are executed in
 path chunks so that realizations vectorize, while every path still owns an
 independent counter-based random stream keyed by (master_seed, path_index).
@@ -14,7 +18,7 @@ order, so statistics do not depend on scheduling, and a single realization is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,19 +52,27 @@ class TimeGrid:
         return self.t_start + self.dt * np.arange(self.steps + 1)
 
 
+def _identity(state):
+    return state
+
+
 @dataclass(frozen=True)
 class SdeSystem:
     """Ito SDE dX = drift(X) dt + noise(X) dW with m real Wiener components.
 
     ``constant_noise`` marks systems whose noise matrix does not depend on the
-    state, letting the integrator evaluate it once per run.
+    state, letting the integrator evaluate it once per chunk.  ``prepare``
+    maps a (batched) state to the value that drift, noise and the observable
+    batch receive; it runs once per step, so work they share (such as basis
+    functions of the state) is done once.  It defaults to the identity.
     """
 
     dim: int
     noise_dim: int
-    drift: Callable[[np.ndarray], np.ndarray]
-    noise: Callable[[np.ndarray], np.ndarray]
+    drift: Callable[[Any], np.ndarray]
+    noise: Callable[[Any], np.ndarray]
     constant_noise: bool = False
+    prepare: Callable[[np.ndarray], Any] = _identity
 
 
 class ObservableMap:
@@ -123,6 +135,9 @@ def _integrate_chunk(system, inits, grid, dws, observable_map, threshold):
 
     Returns the (paths, points, observables) value array and the alive mask.
     Paths are latched dead on the first non-finite or over-threshold state.
+    Each step prepares the new state once; the observables at that point and
+    the next drift and noise read the prepared value.  Constant noise is one
+    (dim, m) matrix applied to all paths by one real-by-complex product.
     """
     steps, dt = grid.steps, grid.dt
     state = np.array(inits, dtype=complex)
@@ -131,21 +146,24 @@ def _integrate_chunk(system, inits, grid, dws, observable_map, threshold):
 
     with np.errstate(all="ignore"):
         values = np.empty((n_paths, steps + 1, len(observable_map.names)), dtype=complex)
-        values[:, 0, :] = observable_map.batch(state)
-        const_noise = (
-            np.asarray(system.noise(state), dtype=complex)
-            if system.constant_noise
-            else None
-        )
+        prepared = system.prepare(state)
+        values[:, 0, :] = observable_map.batch(prepared)
+        if system.constant_noise:
+            # the same matrix for every path: keep the first one
+            noise = np.asarray(system.noise(prepared), dtype=complex)
+            noise_t = noise.reshape(-1, system.dim, system.noise_dim)[0].T
         for k in range(steps):
-            a = np.asarray(system.drift(state), dtype=complex)
-            b = const_noise if const_noise is not None else np.asarray(
-                system.noise(state), dtype=complex
-            )
-            state = state + a * dt + (b @ dws[:, k, :, None].astype(complex))[..., 0]
+            a = np.asarray(system.drift(prepared), dtype=complex)
+            if system.constant_noise:
+                kick = dws[:, k] @ noise_t
+            else:
+                b = np.asarray(system.noise(prepared), dtype=complex)
+                kick = (b @ dws[:, k, :, None].astype(complex))[..., 0]
+            state = state + a * dt + kick
             mag_max = np.abs(state).max(axis=-1)
             alive &= np.isfinite(mag_max) & (mag_max <= threshold)
-            values[:, k + 1, :] = observable_map.batch(state)
+            prepared = system.prepare(state)
+            values[:, k + 1, :] = observable_map.batch(prepared)
     return values, alive
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,49 @@ def test_jet_matches_eval_and_ratios(rng):
         if fam.kind == ADDITIVE_NOISE:
             # second derivative obeys the differentiated family identity
             assert np.abs(pf.hpp - 2.0 * h * hp / fam.delta).max() <= 1e-14
+
+
+def test_jet_matches_hyperbolic_definitions(rng):
+    # the exp-form jet against tanh/cosh/sinh of u = z/delta + kappa/2 and of
+    # its mirror at w, relative to max(1, |value|), on a disc around the poles
+    # of h at u = +-i*pi/2
+    for fam in (ADD, ADD_C):
+        z, w = random_disc(rng, 2000, 8.0), random_disc(rng, 2000, 8.0)
+        pf = fam.jet(z, w)
+        dc = np.conj(fam.delta)
+        sides = (
+            (z / fam.delta + fam.kappa / 2.0, fam.delta,
+             (pf.h, pf.hp, pf.hpp, pf.inv_hp, pf.lin, pf.quad)),
+            (w / dc + np.conj(fam.kappa) / 2.0, dc,
+             (pf.ht, pf.htp, pf.htpp, pf.inv_htp, pf.lin_t, pf.quad_t)),
+        )
+        for u, d, got in sides:
+            t, c = np.tanh(u), np.cosh(u)
+            want = (
+                -t,
+                -1.0 / (d * c * c),
+                2.0 * t / (d * c) ** 2,
+                -d * c * c,
+                (d / 2.0) * np.sinh(2.0 * u),
+                np.full_like(u, d),
+            )
+            for value, ref in zip(got, want):
+                assert (np.abs(value - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))).all()
+
+
+def test_far_from_origin_h_is_finite(rng):
+    # at |Re u| >= 400, exp(2u) over- or underflows: h = -tanh(u) is -+1 and
+    # finite, and no evaluation raises or warns under numpy's default settings
+    for fam in (ADD, ADD_C):
+        u = np.array([400.0, -400.0, 1e4, -1e4]) + 1j * rng.uniform(-3.0, 3.0, 4)
+        z = fam.delta * (u - fam.kappa / 2.0)
+        w = np.conj(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = fam.pair(z, w)
+            h, hp, ht, htp = fam.eval(z, w)
+            pf = fam.jet(z, w)
+        for value in pair + (h, ht, pf.h, pf.ht):
+            assert np.array_equal(value, -np.sign(u.real))
+        for value in (hp, htp, pf.hp, pf.htp):
+            assert np.isfinite(value).all()

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import ppcavity.cli as cli_module
 import ppcavity.jc as jc_module
 from ppcavity.cli import main, read_csv, write_csv
 from ppcavity.config import ENGINES, RunConfig, parse_config, serialize_config
@@ -288,9 +289,35 @@ class TestRunCommand:
         meta = json.loads((tmp_path / "ref.csv.meta.json").read_text())
         assert meta["engine"] == "reference"
         assert "config_sha256" in meta and len(meta["config_sha256"]) == 64
-        for key in ("max_trace_error", "max_herm_error", "max_purity", "min_eigenvalue"):
+        for key in (
+            "max_trace_error", "max_herm_error", "max_purity", "min_eigenvalue",
+            "max_energy_drift",
+        ):
             assert isinstance(meta[key], float)
         assert meta["max_trace_error"] <= 1e-6
+        # g = 0: the populations, and with them the energy, stay where they are
+        assert 0.0 <= meta["max_energy_drift"] <= 1e-12
+
+    def test_positivity_loss_is_warned(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        out = str(tmp_path / "ref.csv")
+        # 64 RK4 steps lose positivity by ~1e-5 (Fock cutoff 8 at alpha = 5); at
+        # 1024 steps the lowest eigenvalue stays above -1e-9
+        cfg_path.write_text(FIG3_REFERENCE.replace("steps = 64", "steps = 1024"))
+        assert main(["run", "--config", str(cfg_path), "--out", out]) == 0
+        assert "warning" not in capsys.readouterr().err
+        evolve = cli_module.evolve
+
+        def lossy_evolve(*args, **kwargs):
+            traj = evolve(*args, **kwargs)
+            traj.min_eigenvalue = -1.24e-8
+            return traj
+
+        monkeypatch.setattr(cli_module, "evolve", lossy_evolve)
+        assert main(["run", "--config", str(cfg_path), "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert "warning: minimum density-matrix eigenvalue -1.240e-08" in err
+        assert json.loads((tmp_path / "ref.csv.meta.json").read_text())["min_eigenvalue"] == -1.24e-8
 
     def test_sde_run_is_reproducible_bytes(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -227,6 +227,28 @@ class TestEnsembleIntegration:
         assert (np.abs(mean - exact) <= 4.0 * err + 4.0 * (amp + phase) + 1e-12).all()
         assert res.runs_diverged == 0
 
+    @pytest.mark.parametrize("rates", [{}, {"r21": 100.0, "r_p": 50.0}])
+    def test_one_jet_per_step_and_no_pair(self, monkeypatch, rates):
+        # the stepping loop prepares each state once: drift, noise and the
+        # observable batch share its jet, and nothing evaluates h again
+        params = fig_params(**rates)
+        sampler = phase_init_sampler(
+            params, ADD, 1.0, init_points(AtomicDensity.from_upper(0.7), ADD)
+        )
+        calls = {"jet": 0, "pair": 0}
+        for name in calls:
+
+            def counted(self, *args, _name=name, _method=getattr(BasisFamily, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(BasisFamily, name, counted)
+        grid = TimeGrid(0.0, 1e-4, 16)
+        bundle = observable_bundle(params, ADD, ("rho_21", "nu", "e_1", "z"))
+        # two chunks, of 6 and 4 paths
+        run_ensemble(jc_sde_system(params, ADD), sampler, grid, 10, 5, bundle, chunk_size=6)
+        assert calls == {"jet": 2 * (grid.steps + 1), "pair": 0}
+
     def test_sampler_respects_weights(self, rng):
         params = fig_params()
         atom = AtomicDensity.from_upper(0.62, 0.21 * np.exp(0.4j))

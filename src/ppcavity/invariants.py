@@ -1,10 +1,13 @@
 """Executable property suites over all primary modules.
 
-Each check draws seeded random points, evaluates an identity with an
-independent numerical route (direct matrix products, spectral derivatives of
-the holomorphic change map, closed-form single-mode expressions), and reports
-the worst error against a fixed tolerance.  The CLI exposes the suite as the
-``check-invariants`` subcommand; the report is deterministic for a given seed.
+Each check draws seeded random points in a fixed order and then evaluates
+them: an identity is compared with an independent numerical route (direct
+matrix products, spectral derivatives of the holomorphic change map,
+closed-form single-mode expressions), and the worst error is reported against
+a fixed tolerance.  Checks on a fixed model stack their points and evaluate
+the coefficient functions once; the spectral derivatives call the map once per
+point.  The CLI exposes the suite as the ``check-invariants`` subcommand; the
+report is deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -21,41 +24,39 @@ _CIRCLE_POINTS = 16
 _CIRCLE_RADIUS = 1e-3
 
 
-def holomorphic_derivatives(fn, x, radius=_CIRCLE_RADIUS, points=_CIRCLE_POINTS):
+def holomorphic_derivatives(fn, x):
     """Gradient and Hessian of a holomorphic map by circle sampling.
 
-    ``fn`` maps a complex vector of length n to a complex vector of length m.
-    Derivatives along each coordinate come from the discrete Cauchy integral
-    over ``points`` samples on a circle of ``radius``; mixed partials use the
-    diagonal direction e_i + e_j and the polarization identity.
+    ``fn`` maps complex states of shape (..., n) to values of shape (..., m)
+    and is called exactly once, on every shifted state at once.  Derivatives
+    along each coordinate come from the discrete Cauchy integral over
+    ``_CIRCLE_POINTS`` samples on a circle of radius ``_CIRCLE_RADIUS``; mixed
+    partials use the diagonal direction e_i + e_j and the polarization
+    identity.  Returns the (m, n) gradient and the (m, n, n) Hessian.
     """
     x = np.asarray(x, dtype=complex)
     n = x.shape[0]
-    m = np.asarray(fn(x)).shape[0]
-    roots = np.exp(2j * np.pi * np.arange(points) / points)
-    first = np.zeros((m, n), dtype=complex)
-    second = np.zeros((m, n, n), dtype=complex)
+    eye = np.eye(n, dtype=complex)
+    i, j = np.triu_indices(n, k=1)
+    # the n unit directions, then e_i + e_j for i < j; samples are indexed
+    # (circle point, direction, output)
+    directions = np.concatenate([eye, eye[i] + eye[j]])
+    roots = np.exp(2j * np.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS)[:, None, None]
+    samples = np.asarray(fn(x + _CIRCLE_RADIUS * roots * directions))
+    d1 = (samples * roots**-1).sum(axis=0) / (_CIRCLE_POINTS * _CIRCLE_RADIUS)
+    d2 = 2.0 * (samples * roots**-2).sum(axis=0) / (_CIRCLE_POINTS * _CIRCLE_RADIUS**2)
+    diag = d2[:n]
+    second = np.zeros((samples.shape[-1], n, n), dtype=complex)
+    second[:, range(n), range(n)] = diag.T
+    mixed = ((d2[n:] - diag[i] - diag[j]) / 2.0).T
+    second[:, i, j] = mixed
+    second[:, j, i] = mixed
+    return d1[:n].T, second
 
-    def circle_d1_d2(direction):
-        samples = np.stack([np.asarray(fn(x + radius * r * direction)) for r in roots])
-        d1 = (samples * roots[:, None] ** -1).sum(axis=0) / (points * radius)
-        d2 = 2.0 * (samples * roots[:, None] ** -2).sum(axis=0) / (points * radius**2)
-        return d1, d2
 
-    basis_vecs = np.eye(n, dtype=complex)
-    diag2 = np.zeros((m, n), dtype=complex)
-    for i in range(n):
-        d1, d2 = circle_d1_d2(basis_vecs[i])
-        first[:, i] = d1
-        diag2[:, i] = d2
-        second[:, i, i] = d2
-    for i in range(n):
-        for j in range(i + 1, n):
-            _, d2 = circle_d1_d2(basis_vecs[i] + basis_vecs[j])
-            mixed = (d2 - diag2[:, i] - diag2[:, j]) / 2.0
-            second[:, i, j] = mixed
-            second[:, j, i] = mixed
-    return first, second
+def _worst_relative(got, want, axes):
+    """Worst over points of max|got - want| / (1 + max|want|) along ``axes``."""
+    return (np.abs(got - want).max(axis=axes) / (1.0 + np.abs(want).max(axis=axes))).max()
 
 
 # -- random draws -------------------------------------------------------------
@@ -171,11 +172,15 @@ def check_init_reconstruction(rng, points):
     return worst, 1e-12
 
 
-def _factorization_error(params, family, state, dissipative):
-    b = jc.noise_jc(params, family, state, dissipative)
-    d = jc.diffusion_jc(params, family, state, dissipative)
-    lhs = b @ b.T
-    return np.abs(lhs - d).max() / (1.0 + np.abs(d).max())
+def _random_states(rng, family, n_modes, count, scale=0.5):
+    """``count`` phase points from :func:`random_phase_state`, stacked in draw order."""
+    return np.stack([random_phase_state(rng, family, n_modes, scale) for _ in range(count)])
+
+
+def _factorization_error(params, family, states, dissipative):
+    b = jc.noise_jc(params, family, states, dissipative)
+    d = jc.diffusion_jc(params, family, states, dissipative)
+    return _worst_relative(b @ np.swapaxes(b, -1, -2), d, (-2, -1))
 
 
 def check_factorization(rng, points):
@@ -183,9 +188,8 @@ def check_factorization(rng, points):
     worst = 0.0
     params = sample_model()
     for fam in _FAMILIES.values():
-        for _ in range(points):
-            state = random_phase_state(rng, fam, params.mode_count)
-            worst = max(worst, _factorization_error(params, fam, state, False))
+        states = _random_states(rng, fam, params.mode_count, points)
+        worst = max(worst, _factorization_error(params, fam, states, False))
     return worst, 1e-12
 
 
@@ -204,13 +208,9 @@ def check_additive_noise_constant(rng, points):
     """Additive-noise family: noise matrix equals its zero-state value exactly."""
     params = sample_model()
     fam = _FAMILIES["additive-noise"]
-    zero = np.zeros(params.dim, dtype=complex)
-    base = jc.noise_jc(params, fam, zero)
-    for _ in range(points):
-        state = random_phase_state(rng, fam, params.mode_count)
-        if not np.array_equal(jc.noise_jc(params, fam, state), base):
-            return np.inf, 0.0
-    return 0.0, 0.0
+    base = jc.noise_jc(params, fam, np.zeros(params.dim, dtype=complex))
+    noise = jc.noise_jc(params, fam, _random_states(rng, fam, params.mode_count, points))
+    return (0.0 if (noise == base).all() else np.inf), 0.0
 
 
 def check_single_mode_forms(rng, points):
@@ -222,22 +222,22 @@ def check_single_mode_forms(rng, points):
         om = params.omega[0]
         gs = params.gs[0]
         dc = np.conj(delta)
-        for _ in range(points):
-            state = random_phase_state(rng, fam, 1)
-            alpha, beta, z, w = state
-            th = np.tanh(z / delta + w / dc)
-            oracle = 1j * np.array(
-                [
-                    -om * alpha + gs * th,
-                    om * beta - gs * th,
-                    -params.Omega * delta / 2 * np.sinh(2 * z / delta)
-                    + gs * delta * (alpha + beta),
-                    params.Omega * dc / 2 * np.sinh(2 * w / dc)
-                    - gs * dc * (alpha + beta),
-                ]
-            )
-            got = jc.drift_jc(params, fam, state)
-            worst = max(worst, np.abs(got - oracle).max() / (1.0 + np.abs(oracle).max()))
+        states = _random_states(rng, fam, 1, points)
+        alpha, beta, z, w = states.T
+        th = np.tanh(z / delta + w / dc)
+        oracle = 1j * np.stack(
+            [
+                -om * alpha + gs * th,
+                om * beta - gs * th,
+                -params.Omega * delta / 2 * np.sinh(2 * z / delta)
+                + gs * delta * (alpha + beta),
+                params.Omega * dc / 2 * np.sinh(2 * w / dc)
+                - gs * dc * (alpha + beta),
+            ],
+            axis=-1,
+        )
+        got = jc.drift_jc(params, fam, states)
+        worst = max(worst, _worst_relative(got, oracle, -1))
         rd, rdc = np.sqrt(delta), np.sqrt(dc)
         pref = np.sqrt(1j * gs / 2)
         noise_oracle = pref * np.array(
@@ -258,15 +258,14 @@ def check_dissipative_structure(rng, points):
     fam = _FAMILIES["coherent-spin"]
     params_free = sample_model()
     params_rates = sample_model(**random_rates(rng))
-    worst = 0.0
-    for _ in range(points):
-        state = random_phase_state(rng, fam, params_free.mode_count)
-        plain = jc.drift_jc(params_free, fam, state)
-        plus_free = jc.drift_jc(params_free, fam, state, dissipative=True)
-        worst = max(worst, np.abs(plus_free - plain).max())
-        plus = jc.drift_jc(params_rates, fam, state)
-        worst = max(worst, np.abs(plus[: 2 * params_free.mode_count] - plain[: 2 * params_free.mode_count]).max())
-    return worst, 1e-14
+    states = _random_states(rng, fam, params_free.mode_count, points)
+    plain = jc.drift_jc(params_free, fam, states)
+    plus_free = jc.drift_jc(params_free, fam, states, dissipative=True)
+    plus = jc.drift_jc(params_rates, fam, states)
+    bosonic = slice(0, 2 * params_free.mode_count)
+    return max(
+        np.abs(plus_free - plain).max(), np.abs(plus[..., bosonic] - plain[..., bosonic]).max()
+    ), 1e-14
 
 
 def check_ito_transform(rng, points):
@@ -288,7 +287,7 @@ def check_ito_transform(rng, points):
             corr = b @ b.T
             oracle = grad @ a + 0.5 * np.einsum("kpq,pq->k", hess, corr)
             got = physical.drift_bar(params, change(state))
-            worst = max(worst, np.abs(got - oracle).max() / (1.0 + np.abs(oracle).max()))
+            worst = max(worst, _worst_relative(got, oracle, -1))
     return worst, 1e-6
 
 
@@ -296,17 +295,11 @@ def check_jacobian_diffusion(rng, points):
     """noise_bar factorizes the Jacobian-transported diffusion matrix."""
     fam = _FAMILIES["coherent-spin"]
     params = sample_model(**random_rates(rng))
-    worst = 0.0
-    for _ in range(points):
-        state = random_phase_state(rng, fam, params.mode_count, scale=0.4)
-        phys = physical.to_physical(fam, state)
-        jac = physical.jacobian_change(fam, state)
-        d_plus = jc.diffusion_jc(params, fam, state)
-        rhs = jac @ d_plus @ jac.T
-        bbar = physical.noise_bar(params, phys)
-        lhs = bbar @ bbar.T
-        worst = max(worst, np.abs(lhs - rhs).max() / (1.0 + np.abs(rhs).max()))
-    return worst, 1e-8
+    states = _random_states(rng, fam, params.mode_count, points, scale=0.4)
+    jac = physical.jacobian_change(fam, states)
+    rhs = jac @ jc.diffusion_jc(params, fam, states) @ np.swapaxes(jac, -1, -2)
+    bbar = physical.noise_bar(params, physical.to_physical(fam, states))
+    return _worst_relative(bbar @ np.swapaxes(bbar, -1, -2), rhs, (-2, -1)), 1e-8
 
 
 def check_jacobian_fd(rng, points):
@@ -353,7 +346,7 @@ def check_projection_derivatives(rng, points):
             obs = observables.projection_observable(which, fam, n_modes)
 
             def scalar(x):
-                return np.atleast_1d(obs.value(x))
+                return obs.value(x)[..., None]
 
             for _ in range(max(4, points // 20)):
                 state = random_phase_state(rng, fam, n_modes, scale=0.4)

@@ -197,6 +197,8 @@ def run_ensemble(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     if not isinstance(observables, ObservableMap):
         observables = ObservableMap.from_mapping(observables)
     names = observables.names

@@ -8,7 +8,7 @@ import ppcavity.jc as jc_module
 from ppcavity.cli import main, read_csv, write_csv
 from ppcavity.config import ENGINES, RunConfig, parse_config, serialize_config
 from ppcavity.errors import ConfigError
-from ppcavity.invariants import run_all
+from ppcavity.invariants import DEFAULT_POINTS, DEFAULT_SEED, run_all
 
 FIG3_REFERENCE = """
 [run]
@@ -445,14 +445,17 @@ class TestCompareCommand:
 
 
 class TestInvariantsCommand:
-    def test_suite_passes_and_report_is_stable(self, tmp_path, capsys):
-        assert main(["check-invariants", "--points", "5", "--seed", "11"]) == 0
+    @pytest.mark.parametrize("points, seed", [(5, 11), (DEFAULT_POINTS, DEFAULT_SEED)])
+    def test_suite_passes_and_report_is_stable(self, points, seed, capsys):
+        flags = ["--points", str(points), "--seed", str(seed)]
+        assert main(["check-invariants", *flags]) == 0
         first = capsys.readouterr().out
-        assert main(["check-invariants", "--points", "5", "--seed", "11"]) == 0
+        assert main(["check-invariants", *flags]) == 0
         second = capsys.readouterr().out
         assert first == second
         report = json.loads(first)
         assert report["passed"] is True
+        assert (report["seed"], report["points"]) == (seed, points)
         assert len(report["checks"]) >= 10
 
     def test_injected_sign_error_fails_factorization(self, monkeypatch):

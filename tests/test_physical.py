@@ -138,6 +138,31 @@ def test_jacobian_matches_spectral_derivatives(rng):
             assert np.abs(grad - jacobian_change(fam, state)).max() <= 1e-9
 
 
+def test_holomorphic_derivatives_one_call_and_closed_forms():
+    calls = []
+
+    def fn(x):
+        calls.append(x.shape)
+        x0, x1, x2 = np.moveaxis(x, -1, 0)
+        return np.stack([x0**2 * x1 + np.exp(x1 * x2), x0 * x1 * x2 + x2**3], axis=-1)
+
+    x0, x1, x2 = x = np.array([0.3 - 0.2j, -0.7 + 0.1j, 0.5 + 0.4j])
+    e = np.exp(x1 * x2)
+    grad_want = np.array(
+        [[2 * x0 * x1, x0**2 + x2 * e, x1 * e], [x1 * x2, x0 * x2, x0 * x1 + 3 * x2**2]]
+    )
+    hess_want = np.array(
+        [
+            [[2 * x1, 2 * x0, 0], [2 * x0, x2**2 * e, (1 + x1 * x2) * e], [0, (1 + x1 * x2) * e, x1**2 * e]],
+            [[0, x2, x1], [x2, 0, x0], [x1, x0, 6 * x2]],
+        ]
+    )
+    grad, hess = holomorphic_derivatives(fn, x)
+    assert len(calls) == 1
+    assert np.all(np.abs(grad - grad_want) <= 1e-8 * (1 + np.abs(grad_want)))
+    assert np.all(np.abs(hess - hess_want) <= 1e-8 * (1 + np.abs(hess_want)))
+
+
 def test_noise_bar_structure(rng):
     params = sample_model(**random_rates(rng))
     n = params.mode_count

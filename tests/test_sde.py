@@ -154,6 +154,20 @@ def test_divergence_flagging():
         )
 
 
+@pytest.mark.parametrize("chunk_size", [0, -1])
+def test_run_ensemble_rejects_bad_chunk_size(chunk_size):
+    with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+        run_ensemble(
+            make_ou(),
+            lambda rng: np.zeros(1, complex),
+            TimeGrid(0.0, 1.0, 4),
+            10,
+            0,
+            {"x": lambda s: s[..., 0]},
+            chunk_size=chunk_size,
+        )
+
+
 def test_single_run_has_zero_stderr():
     grid = TimeGrid(0.0, 1.0, 32)
     res = run_ensemble(

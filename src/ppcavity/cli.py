@@ -49,7 +49,8 @@ ENV_PREFIX = "PPCAVITY_"
 DIVERGENCE_WARNING_FRACTION = 0.01
 #: the reference warns when the density matrix has an eigenvalue below this
 EIGENVALUE_WARNING_FLOOR = -1e-8
-#: numerical diagnostics of the deterministic engines recorded in the sidecar
+#: what the deterministic engines record in the sidecar: their numerical
+#: diagnostics and, for the reference, the integrator that ran
 DIAGNOSTICS = {
     "reference": (
         "max_trace_error",
@@ -57,6 +58,7 @@ DIAGNOSTICS = {
         "max_purity",
         "min_eigenvalue",
         "max_energy_drift",
+        "integrator",
     ),
     "mb": ("max_bloch_violation",),
 }
@@ -221,7 +223,10 @@ def cmd_run(args) -> int:
         params, traj = run_reference(cfg) if cfg.engine == "reference" else run_mb(cfg)
         columns = physical_columns(params, cfg.observables, cfg.probes)(traj.phys)
         write_csv(cfg.out, traj.times, cfg.observables, list(columns.T))
-        extra = {key: float(getattr(traj, key)) for key in DIAGNOSTICS[cfg.engine]}
+        extra = {}
+        for key in DIAGNOSTICS[cfg.engine]:
+            value = getattr(traj, key)
+            extra[key] = value if isinstance(value, str) else float(value)
         _write_sidecar(cfg.out, cfg, extra)
         print(f"{cfg.engine}: wrote {cfg.out}")
         if extra.get("min_eigenvalue", 0.0) < EIGENVALUE_WARNING_FLOOR:

@@ -2,8 +2,11 @@
 
 The Hilbert space is the tensor product of per-mode number bases (cutoff
 n_max) with the two-level atom as the last, fastest-varying factor.  The
-evolution is the Lindblad master equation for the full-wave coupling,
-integrated with classical fixed-step RK4.  The commutator is evaluated as
+evolution is the Lindblad master equation for the full-wave coupling.
+Without dissipation it is unitary with a time-independent H, and
+:func:`evolve` propagates it exactly in the eigenbasis of H
+(:func:`evolve_spectral`).  With dissipation it is integrated with classical
+fixed-step RK4 (:func:`evolve_rk4`): the commutator is evaluated as
 M - M^dagger with M = H rho, which preserves hermiticity exactly, and the
 atomic dissipator terms reduce to elementwise operations because the
 pseudospin operators act on a single 2x2 factor.
@@ -25,6 +28,8 @@ DIMENSION_CAP = 4096
 TRACE_TOLERANCE = 1e-6
 #: grid points, roughly equidistant, at which the minimum eigenvalue is checked
 EIG_CHECKS = 17
+#: grid points per phase block of the spectral route, which bounds its memory
+TIME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -181,6 +186,8 @@ class ReferenceTrajectory:
     max_herm_error: float
     max_purity: float
     min_eigenvalue: float
+    #: "spectral" (exact propagation) or "rk4"
+    integrator: str = "rk4"
 
     @property
     def phys(self) -> np.ndarray:
@@ -189,7 +196,13 @@ class ReferenceTrajectory:
 
     @property
     def max_energy_drift(self) -> float:
-        """max |E(t) - E(0)| / |E(0)| over the grid; the absolute drift if E(0) = 0."""
+        """max |E(t) - E(0)| / |E(0)| over the grid; the absolute drift if E(0) = 0.
+
+        E(t) = tr(H rho(t)).  On the spectral route this is the roundoff of the
+        propagated eigenbasis populations; on a dissipative RK4 run it is the
+        physical energy change caused by the dissipator.  It is not an estimate
+        of the integration error on either route.
+        """
         drift = float(np.abs(self.energy - self.energy[0]).max())
         return drift / abs(self.energy[0]) if self.energy[0] != 0 else drift
 
@@ -199,7 +212,44 @@ def _atomic_reduced(rho: np.ndarray) -> np.ndarray:
     return np.einsum("fsft->st", rho.reshape(f, 2, f, 2))
 
 
+def _initial(params: ModelParams, rho0, space: TruncatedSpace):
+    rho = np.array(rho0, dtype=complex)
+    if rho.shape != (space.dim, space.dim):
+        raise ValueError(f"rho0 must be {space.dim} x {space.dim}")
+    return rho, build_hamiltonian(params, space)
+
+
+def _trace_drift(trace_err: float, time: float) -> TraceDriftError:
+    return TraceDriftError(
+        f"trace drift {trace_err:.3e} at t = {time:.6g}; "
+        "reduce the step or raise the cutoff"
+    )
+
+
+def _eig_check_points(steps: int) -> list:
+    """The ``EIG_CHECKS`` grid indices, roughly equidistant, after the first point."""
+    every = max(1, steps // (EIG_CHECKS - 1))
+    return sorted({*range(every, steps + 1, every), steps})
+
+
 def evolve(
+    params: ModelParams,
+    rho0,
+    grid: TimeGrid,
+    space: TruncatedSpace,
+) -> ReferenceTrajectory:
+    """Evolve ``rho0`` over the grid under the master equation of ``params``.
+
+    A dissipation-free model is propagated exactly (:func:`evolve_spectral`),
+    a dissipative one with fixed-step RK4 (:func:`evolve_rk4`); the
+    trajectory's ``integrator`` names the route.  Raises TraceDriftError when
+    |tr rho - 1| exceeds 1e-6 at a grid point.
+    """
+    route = evolve_rk4 if params.dissipative else evolve_spectral
+    return route(params, rho0, grid, space)
+
+
+def evolve_rk4(
     params: ModelParams,
     rho0,
     grid: TimeGrid,
@@ -208,22 +258,19 @@ def evolve(
     """Fixed-step RK4 integration of the master equation over the grid.
 
     One RK4 step is taken per grid interval.  Raises TraceDriftError when
-    |tr rho - 1| exceeds 1e-6 (step too large or cutoff too small).  The
-    minimum eigenvalue is monitored at ``EIG_CHECKS`` roughly equidistant
-    grid points, not enforced.
+    |tr rho - 1| exceeds 1e-6 (step too large or cutoff too small).  Trace,
+    hermiticity and purity are monitored at every grid point, the minimum
+    eigenvalue at ``EIG_CHECKS`` roughly equidistant grid points; none of
+    them is enforced except the trace.
     """
-    rho = np.array(rho0, dtype=complex)
-    if rho.shape != (space.dim, space.dim):
-        raise ValueError(f"rho0 must be {space.dim} x {space.dim}")
-    ham = build_hamiltonian(params, space)
-    n_pts = grid.steps + 1
+    rho, ham = _initial(params, rho0, space)
     n_modes = space.mode_count
     quads = [
         _embed_mode(destroy(space.n_max[m] + 1), space, m) for m in range(n_modes)
     ]
     x_ops = [a.conj().T + a for a in quads]
     y_ops = [1j * (a.conj().T - a) for a in quads]
-
+    n_pts = grid.steps + 1
     out = ReferenceTrajectory(
         times=grid.times,
         rho11=np.empty(n_pts, complex),
@@ -239,7 +286,7 @@ def evolve(
         max_purity=0.0,
         min_eigenvalue=np.inf,
     )
-    eig_every = max(1, grid.steps // (EIG_CHECKS - 1))
+    eig_points = set(_eig_check_points(grid.steps))
 
     def record(idx, rho):
         atom = _atomic_reduced(rho)
@@ -259,10 +306,7 @@ def evolve(
         out.max_herm_error = max(out.max_herm_error, herm_err)
         out.max_purity = max(out.max_purity, purity)
         if trace_err > TRACE_TOLERANCE:
-            raise TraceDriftError(
-                f"trace drift {trace_err:.3e} at t = {grid.times[idx]:.6g}; "
-                "reduce the step or raise the cutoff"
-            )
+            raise _trace_drift(trace_err, grid.times[idx])
 
     def rhs(rho):
         return master_rhs(params, rho, space, hamiltonian=ham)
@@ -276,7 +320,87 @@ def evolve(
         k4 = rhs(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         record(idx + 1, rho)
-        if (idx + 1) % eig_every == 0 or idx + 1 == grid.steps:
+        if idx + 1 in eig_points:
             low = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]
             out.min_eigenvalue = min(out.min_eigenvalue, float(low))
     return out
+
+
+def evolve_spectral(
+    params: ModelParams,
+    rho0,
+    grid: TimeGrid,
+    space: TruncatedSpace,
+) -> ReferenceTrajectory:
+    """Exact propagation rho(t) = U(t) rho0 U(t)^dagger of a dissipation-free model.
+
+    H = V diag(E) V^dagger is diagonalized once and rho0 is rotated into its
+    eigenbasis, rho~ = V^dagger rho0 V.  Each recorded quantity tr(A rho(t))
+    is then the quadratic form phi^T (A~^T o rho~) phi^* in the phases
+    phi_k(t) = exp(-i E_k t / hbar), with A~ = V^dagger A V and o the
+    elementwise product.  The forms of the reduced atom and of every mode
+    quadrature are stacked into one matrix, so a block of ``TIME_BLOCK``
+    grid points costs one GEMM.  The trace is rho_11 + rho_22 at every grid
+    point (TraceDriftError above 1e-6).  The energy form is diagonal,
+    sum_k E_k rho~_kk |phi_k|^2, so its drift is the roundoff of the
+    propagated eigenbasis populations.  ``max_herm_error``, ``max_purity``
+    and ``min_eigenvalue`` are sampled: rho(t) is formed only at the
+    ``EIG_CHECKS`` points that RK4 checks for positivity.
+    """
+    if params.dissipative:
+        raise ValueError("spectral propagation needs a dissipation-free model")
+    rho0, ham = _initial(params, rho0, space)
+    energies, vecs = np.linalg.eigh(ham)
+    rho_t = vecs.conj().T @ rho0 @ vecs
+    dim, n_modes = space.dim, space.mode_count
+    n_forms = 4 + 2 * n_modes
+    forms = np.empty((dim, n_forms, dim), complex)
+    # reduced atom[s, t] = tr(A rho) with A = 1 (x) |t><s|: A~^T = V_s^T V_t^*
+    rows = vecs.reshape(space.field_dim, 2, dim)
+    for j, (s, t) in enumerate(((0, 0), (1, 1), (1, 0), (0, 1))):
+        forms[:, j, :] = (rows[:, s, :].T @ rows[:, t, :].conj()) * rho_t
+    for m in range(n_modes):
+        a = vecs.conj().T @ _embed_mode(destroy(space.n_max[m] + 1), space, m) @ vecs
+        forms[:, 4 + 2 * m, :] = (a + a.conj().T).T * rho_t
+        forms[:, 5 + 2 * m, :] = (1j * (a.conj().T - a)).T * rho_t
+    forms = forms.reshape(dim, n_forms * dim)
+    weighted_energy = energies * rho_t.diagonal().real
+    rates = -1j * energies / params.hbar
+    offsets = grid.dt * np.arange(grid.steps + 1)
+
+    values = np.empty((grid.steps + 1, n_forms), complex)
+    energy = np.empty(grid.steps + 1)
+    for start in range(0, grid.steps + 1, TIME_BLOCK):
+        phi = np.exp(np.multiply.outer(offsets[start : start + TIME_BLOCK], rates))
+        quad = (phi @ forms).reshape(len(phi), n_forms, dim)
+        values[start : start + len(phi)] = np.einsum("bjl,bl->bj", quad, phi.conj())
+        energy[start : start + len(phi)] = (phi.real**2 + phi.imag**2) @ weighted_energy
+
+    trace = values[:, 0] + values[:, 1]
+    trace_err = np.abs(trace.real - 1.0) + np.abs(trace.imag)
+    if (trace_err > TRACE_TOLERANCE).any():
+        idx = int(np.argmax(trace_err > TRACE_TOLERANCE))
+        raise _trace_drift(trace_err[idx], grid.times[idx])
+    herm_err, purity, low = 0.0, 0.0, np.inf
+    for idx in _eig_check_points(grid.steps):
+        phi = np.exp(offsets[idx] * rates)
+        rho = vecs @ (rho_t * np.outer(phi, phi.conj())) @ vecs.conj().T
+        herm_err = max(herm_err, float(np.abs(rho - rho.conj().T).max()))
+        purity = max(purity, float(np.einsum("ij,ij->", rho, rho.conj()).real))
+        low = min(low, float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]))
+    return ReferenceTrajectory(
+        times=grid.times,
+        rho11=values[:, 0],
+        rho22=values[:, 1],
+        rho21=values[:, 2],
+        rho12=values[:, 3],
+        nu=values[:, 1] - values[:, 0],
+        e=values[:, 4::2],
+        h=values[:, 5::2],
+        energy=energy,
+        max_trace_error=float(trace_err.max()),
+        max_herm_error=herm_err,
+        max_purity=purity,
+        min_eigenvalue=low,
+        integrator="spectral",
+    )

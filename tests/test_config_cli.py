@@ -295,14 +295,15 @@ class TestRunCommand:
         ):
             assert isinstance(meta[key], float)
         assert meta["max_trace_error"] <= 1e-6
+        assert meta["integrator"] == "spectral"  # no dissipation: exact propagation
         # g = 0: the populations, and with them the energy, stay where they are
         assert 0.0 <= meta["max_energy_drift"] <= 1e-12
 
     def test_positivity_loss_is_warned(self, tmp_path, monkeypatch, capsys):
         cfg_path = tmp_path / "run.cfg"
         out = str(tmp_path / "ref.csv")
-        # 64 RK4 steps lose positivity by ~1e-5 (Fock cutoff 8 at alpha = 5); at
-        # 1024 steps the lowest eigenvalue stays above -1e-9
+        # without dissipation the reference propagates exactly, so its lowest
+        # eigenvalue is roundoff; the loss is injected below
         cfg_path.write_text(FIG3_REFERENCE.replace("steps = 64", "steps = 1024"))
         assert main(["run", "--config", str(cfg_path), "--out", out]) == 0
         assert "warning" not in capsys.readouterr().err
@@ -486,6 +487,7 @@ class TestInvariantsCommand:
             (["--seed", str(2**64)], "error: seed must fit in an unsigned 64-bit integer"),
             (["--points", "0"], "error: points must be >= 1"),
         ],
+        ids=["negative-seed", "seed-too-large", "zero-points"],
     )
     def test_bad_seed_or_points_is_a_clean_error(self, flags, message, capsys):
         assert main(["check-invariants", *flags]) == 1

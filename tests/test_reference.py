@@ -11,6 +11,8 @@ from ppcavity.reference import (
     coherent_state,
     destroy,
     evolve,
+    evolve_rk4,
+    evolve_spectral,
     initial_density,
     master_rhs,
 )
@@ -142,7 +144,48 @@ def test_trace_drift_error_on_unstable_step():
     rho0 = initial_density(params, space, 1.0, AtomicDensity.from_upper(0.7, 0.0))
     grid = TimeGrid(0.0, 40.0, 40)  # RK4 far beyond its stability limit
     with pytest.raises(TraceDriftError):
-        evolve(params, rho0, grid, space)
+        evolve_rk4(params, rho0, grid, space)
+
+
+def test_spectral_route_is_exact_on_a_step_that_breaks_rk4():
+    params = coupled_params()
+    space = TruncatedSpace((6,))
+    rho0 = initial_density(params, space, 1.0, AtomicDensity.from_upper(0.7, 0.0))
+    traj = evolve(params, rho0, TimeGrid(0.0, 40.0, 40), space)
+    assert traj.integrator == "spectral"
+    assert np.isfinite(traj.phys).all() and np.isfinite(traj.energy).all()
+    assert traj.max_trace_error <= 1e-12
+
+
+def test_spectral_route_matches_rk4():
+    params = coupled_params()
+    space = TruncatedSpace((8,))
+    rho0 = initial_density(params, space, 1.2, AtomicDensity.from_upper(0.7, 0.1 + 0.2j))
+    grid = TimeGrid(0.0, 1.0, 1000)
+    exact = evolve(params, rho0, grid, space)
+    rk4 = evolve_rk4(params, rho0, grid, space)
+    assert exact.integrator == "spectral" and rk4.integrator == "rk4"
+    # RK4's global error here is 4e-12 at dt = 1e-3 (4e-8 at dt = 1e-2: it
+    # scales as dt^4); the spectral route is exact up to roundoff
+    columns = physical_columns(
+        params, ("rho_11", "rho_22", "rho_21", "rho_12", "nu", "e_1", "h_1")
+    )
+    assert np.abs(columns(exact.phys) - columns(rk4.phys)).max() <= 1e-10
+    assert np.abs(exact.energy - rk4.energy).max() <= 1e-12 * abs(rk4.energy[0])
+    assert exact.max_trace_error <= 1e-12
+    assert exact.max_herm_error <= 1e-12
+    assert abs(exact.max_purity - rk4.max_purity) <= 1e-12
+    assert exact.min_eigenvalue >= -1e-12
+
+
+def test_dissipative_model_runs_rk4():
+    params = coupled_params(r21=0.2)
+    space = TruncatedSpace((3,))
+    rho0 = initial_density(params, space, 0.5, AtomicDensity.from_upper(0.7, 0.0))
+    grid = TimeGrid(0.0, 0.5, 50)
+    assert evolve(params, rho0, grid, space).integrator == "rk4"
+    with pytest.raises(ValueError, match="dissipation-free"):
+        evolve_spectral(params, rho0, grid, space)
 
 
 def test_coherent_state_statistics():

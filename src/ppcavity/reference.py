@@ -27,6 +27,7 @@ from .sde import TimeGrid
 DIMENSION_CAP = 4096
 TRACE_TOLERANCE = 1e-6
 #: grid points, roughly equidistant, at which the minimum eigenvalue is checked
+#: (the spectral route also samples hermiticity and purity there)
 EIG_CHECKS = 17
 #: grid points per phase block of the spectral route, which bounds its memory
 TIME_BLOCK = 64
@@ -213,7 +214,7 @@ def _atomic_reduced(rho: np.ndarray) -> np.ndarray:
 
 
 def _initial(params: ModelParams, rho0, space: TruncatedSpace):
-    rho = np.array(rho0, dtype=complex)
+    rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (space.dim, space.dim):
         raise ValueError(f"rho0 must be {space.dim} x {space.dim}")
     return rho, build_hamiltonian(params, space)
@@ -227,7 +228,7 @@ def _trace_drift(trace_err: float, time: float) -> TraceDriftError:
 
 
 def _eig_check_points(steps: int) -> list:
-    """The ``EIG_CHECKS`` grid indices, roughly equidistant, after the first point."""
+    """About ``EIG_CHECKS`` roughly equidistant grid indices after the first point."""
     every = max(1, steps // (EIG_CHECKS - 1))
     return sorted({*range(every, steps + 1, every), steps})
 

@@ -487,7 +487,7 @@ class TestInvariantsCommand:
             (["--seed", str(2**64)], "error: seed must fit in an unsigned 64-bit integer"),
             (["--points", "0"], "error: points must be >= 1"),
         ],
-        ids=["negative-seed", "seed-too-large", "zero-points"],
+        ids=["seed-below-0", "seed-too-big", "zero-points"],
     )
     def test_bad_seed_or_points_is_a_clean_error(self, flags, message, capsys):
         assert main(["check-invariants", *flags]) == 1

@@ -91,17 +91,16 @@ class RunConfig:
     invariants_points: int = DEFAULT_POINTS
 
     def model_params(self) -> ModelParams:
-        omega = self.omega
-        if not omega:
-            if self.length is None:
-                raise ConfigError("either omega or length must be given in [model]")
-            # the cavity resonances pi*c*n/length, as in ModelParams.from_cavity
-            omega = tuple(
-                math.pi * self.c * n / self.length for n in range(1, self.mode_count + 1)
-            )
         # every ModelParams field is a RunConfig field of the same name
         model = {f.name: getattr(self, f.name) for f in fields(ModelParams)}
-        return ModelParams.from_frequencies(**{**model, "omega": omega})
+        if self.omega:
+            return ModelParams.from_frequencies(**model)
+        if self.length is None:
+            raise ConfigError("either omega or length must be given in [model]")
+        del model["omega"]
+        return ModelParams.from_cavity(
+            mode_count=self.mode_count, coupling=model.pop("g"), **model
+        )
 
     def family(self) -> BasisFamily:
         if self.family_kind == COHERENT_SPIN:

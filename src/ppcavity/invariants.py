@@ -82,7 +82,7 @@ def random_rates(rng):
     return dict(r12=rng.uniform(0.05, 1.0), r21=rng.uniform(0.05, 1.0), r_p=rng.uniform(0.05, 1.0))
 
 
-def sample_model(rng=None, n_modes=2, **rates):
+def sample_model(n_modes=2, **rates):
     omega = (0.9, 1.7, 2.3)[:n_modes]
     g = (0.4, 0.25, 0.15)[:n_modes]
     return jc.ModelParams.from_frequencies(omega=omega, g=g, Omega=1.3, x0=0.8, length=3.0, **rates)

@@ -117,35 +117,23 @@ class MbTrajectory:
 def evolve_mb(params: ModelParams, state0: MbState, grid: TimeGrid) -> MbTrajectory:
     """Fixed-step RK4 integration; warns once if the Bloch bound is violated."""
     n = params.mode_count
-    vec = state0.to_real_vector()
-    n_pts = grid.steps + 1
-    eps = np.empty((n_pts, n))
-    eta = np.empty((n_pts, n))
-    rho21 = np.empty(n_pts, complex)
-    nu = np.empty(n_pts)
-    worst = -np.inf
-
-    def record(idx, vec):
-        nonlocal worst
-        eps[idx] = vec[0:n]
-        eta[idx] = vec[n : 2 * n]
-        rho21[idx] = complex(vec[2 * n], vec[2 * n + 1])
-        nu[idx] = vec[2 * n + 2]
-        worst = max(worst, (vec[2 * n] ** 2 + vec[2 * n + 1] ** 2) - (1.0 - vec[2 * n + 2] ** 2) / 4.0)
-
-    record(0, vec)
+    vecs = np.empty((grid.steps + 1, 2 * n + 3))
+    vecs[0] = vec = state0.to_real_vector()
     dt = grid.dt
-    for idx in range(grid.steps):
+    for idx in range(1, grid.steps + 1):
         k1 = _rhs_real(params, vec)
         k2 = _rhs_real(params, vec + 0.5 * dt * k1)
         k3 = _rhs_real(params, vec + 0.5 * dt * k2)
         k4 = _rhs_real(params, vec + dt * k3)
-        vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        record(idx + 1, vec)
+        vecs[idx] = vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    rho21 = np.empty(grid.steps + 1, complex)
+    rho21.real, rho21.imag = vecs[:, 2 * n], vecs[:, 2 * n + 1]
+    nu = vecs[:, 2 * n + 2]
+    worst = float(((rho21.real**2 + rho21.imag**2) - (1.0 - nu**2) / 4.0).max())
     if worst > BLOCH_BOUND_SLACK:
         warnings.warn(
             f"Bloch-sphere bound violated by {worst:.3e} during the run",
             RuntimeWarning,
             stacklevel=2,
         )
-    return MbTrajectory(grid.times, eps, eta, rho21, nu, float(worst))
+    return MbTrajectory(grid.times, vecs[:, 0:n], vecs[:, n : 2 * n], rho21, nu, worst)

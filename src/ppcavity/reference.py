@@ -10,6 +10,10 @@ fixed-step RK4 (:func:`evolve_rk4`): the commutator is evaluated as
 M - M^dagger with M = H rho, which preserves hermiticity exactly, and the
 atomic dissipator terms reduce to elementwise operations because the
 pseudospin operators act on a single 2x2 factor.
+
+Both routes record tr(A rho) over one operator list (:func:`_recorded_operators`),
+check the state at the same sampled grid points and build their trajectory
+with :func:`_trajectory`.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from .sde import TimeGrid
 
 DIMENSION_CAP = 4096
 TRACE_TOLERANCE = 1e-6
-#: grid points, roughly equidistant, at which the minimum eigenvalue is checked
-#: (the spectral route also samples hermiticity and purity there)
+#: grid points, roughly equidistant, at which both routes sample hermiticity,
+#: purity and the minimum eigenvalue
 EIG_CHECKS = 17
 #: grid points per phase block of the spectral route, which bounds its memory
 TIME_BLOCK = 64
@@ -200,17 +204,12 @@ class ReferenceTrajectory:
         """max |E(t) - E(0)| / |E(0)| over the grid; the absolute drift if E(0) = 0.
 
         E(t) = tr(H rho(t)).  On the spectral route this is the roundoff of the
-        propagated eigenbasis populations; on a dissipative RK4 run it is the
-        physical energy change caused by the dissipator.  It is not an estimate
-        of the integration error on either route.
+        H quadratic form; on a dissipative RK4 run it is the physical energy
+        change caused by the dissipator.  It is not an estimate of the
+        integration error on either route.
         """
         drift = float(np.abs(self.energy - self.energy[0]).max())
         return drift / abs(self.energy[0]) if self.energy[0] != 0 else drift
-
-
-def _atomic_reduced(rho: np.ndarray) -> np.ndarray:
-    f = rho.shape[0] // 2
-    return np.einsum("fsft->st", rho.reshape(f, 2, f, 2))
 
 
 def _initial(params: ModelParams, rho0, space: TruncatedSpace):
@@ -220,17 +219,72 @@ def _initial(params: ModelParams, rho0, space: TruncatedSpace):
     return rho, build_hamiltonian(params, space)
 
 
-def _trace_drift(trace_err: float, time: float) -> TraceDriftError:
-    return TraceDriftError(
-        f"trace drift {trace_err:.3e} at t = {time:.6g}; "
-        "reduce the step or raise the cutoff"
-    )
+def _recorded_operators(space: TruncatedSpace, ham: np.ndarray):
+    """The operators A whose tr(A rho) is recorded, one at a time in column order.
+
+    1 (x) |t><s| for rho_11, rho_22, rho_21, rho_12 (so tr(A rho) is the
+    reduced atomic element [s, t]), then x_m = a_m + a_m^dagger and
+    y_m = i (a_m^dagger - a_m) per mode, then H for the energy:
+    5 + 2 * mode_count operators.
+    """
+    for s, t in ((0, 0), (1, 1), (1, 0), (0, 1)):
+        flip = np.zeros((2, 2), complex)
+        flip[t, s] = 1.0
+        yield _embed_atom(flip, space)
+    for m in range(space.mode_count):
+        a = _embed_mode(destroy(space.n_max[m] + 1), space, m)
+        yield a + a.conj().T
+        yield 1j * (a.conj().T - a)
+    yield ham
+
+
+def _trace_errors(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """|tr rho - 1| = |rho_11 + rho_22 - 1| per row; TraceDriftError at the first above 1e-6."""
+    trace = values[:, 0] + values[:, 1]
+    err = np.abs(trace.real - 1.0) + np.abs(trace.imag)
+    bad = np.flatnonzero(~(err <= TRACE_TOLERANCE))
+    if bad.size:
+        raise TraceDriftError(
+            f"trace drift {err[bad[0]]:.3e} at t = {times[bad[0]]:.6g}; "
+            "reduce the step or raise the cutoff"
+        )
+    return err
+
+
+def _state_checks(rho: np.ndarray) -> tuple:
+    """Hermiticity error, purity tr(rho^2) and lowest eigenvalue of ``rho``."""
+    herm_err = float(np.abs(rho - rho.conj().T).max())
+    purity = float(np.einsum("ij,ij->", rho, rho.conj()).real)
+    low = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+    return herm_err, purity, low
 
 
 def _eig_check_points(steps: int) -> list:
     """About ``EIG_CHECKS`` roughly equidistant grid indices after the first point."""
     every = max(1, steps // (EIG_CHECKS - 1))
     return sorted({*range(every, steps + 1, every), steps})
+
+
+def _trajectory(grid: TimeGrid, values: np.ndarray, checks: list, integrator: str):
+    """Trajectory from the recorded columns and the sampled :func:`_state_checks`."""
+    trace_err = _trace_errors(values, grid.times)
+    herm_err, purity, low = zip(*checks)
+    return ReferenceTrajectory(
+        times=grid.times,
+        rho11=values[:, 0],
+        rho22=values[:, 1],
+        rho21=values[:, 2],
+        rho12=values[:, 3],
+        nu=values[:, 1] - values[:, 0],
+        e=values[:, 4:-1:2],
+        h=values[:, 5:-1:2],
+        energy=values[:, -1].real,
+        max_trace_error=float(trace_err.max()),
+        max_herm_error=max(herm_err),
+        max_purity=max(purity),
+        min_eigenvalue=min(low),
+        integrator=integrator,
+    )
 
 
 def evolve(
@@ -258,73 +312,37 @@ def evolve_rk4(
 ) -> ReferenceTrajectory:
     """Fixed-step RK4 integration of the master equation over the grid.
 
-    One RK4 step is taken per grid interval.  Raises TraceDriftError when
-    |tr rho - 1| exceeds 1e-6 (step too large or cutoff too small).  Trace,
-    hermiticity and purity are monitored at every grid point, the minimum
-    eigenvalue at ``EIG_CHECKS`` roughly equidistant grid points; none of
-    them is enforced except the trace.
+    One RK4 step is taken per grid interval.  The rows A^T of the recorded
+    operators are stacked into one table, so every grid point is recorded by
+    one product with vec(rho).  The trace is checked after every step and
+    raises TraceDriftError above 1e-6 (step too large or cutoff too small)
+    before an unstable step overflows; hermiticity, purity and the minimum
+    eigenvalue are sampled at ``EIG_CHECKS`` roughly equidistant grid points.
     """
     rho, ham = _initial(params, rho0, space)
-    n_modes = space.mode_count
-    quads = [
-        _embed_mode(destroy(space.n_max[m] + 1), space, m) for m in range(n_modes)
-    ]
-    x_ops = [a.conj().T + a for a in quads]
-    y_ops = [1j * (a.conj().T - a) for a in quads]
-    n_pts = grid.steps + 1
-    out = ReferenceTrajectory(
-        times=grid.times,
-        rho11=np.empty(n_pts, complex),
-        rho22=np.empty(n_pts, complex),
-        rho21=np.empty(n_pts, complex),
-        rho12=np.empty(n_pts, complex),
-        nu=np.empty(n_pts, complex),
-        e=np.empty((n_pts, n_modes), complex),
-        h=np.empty((n_pts, n_modes), complex),
-        energy=np.empty(n_pts, float),
-        max_trace_error=0.0,
-        max_herm_error=0.0,
-        max_purity=0.0,
-        min_eigenvalue=np.inf,
-    )
+    table = np.empty((5 + 2 * space.mode_count, space.dim**2), complex)
+    for j, op in enumerate(_recorded_operators(space, ham)):
+        table[j] = op.T.ravel()
+    values = np.empty((grid.steps + 1, len(table)), complex)
+    values[0] = table @ rho.ravel()
     eig_points = set(_eig_check_points(grid.steps))
-
-    def record(idx, rho):
-        atom = _atomic_reduced(rho)
-        out.rho11[idx] = atom[0, 0]
-        out.rho22[idx] = atom[1, 1]
-        out.rho21[idx] = atom[1, 0]
-        out.rho12[idx] = atom[0, 1]
-        out.nu[idx] = atom[1, 1] - atom[0, 0]
-        for m in range(n_modes):
-            out.e[idx, m] = np.einsum("ij,ji->", x_ops[m], rho)
-            out.h[idx, m] = np.einsum("ij,ji->", y_ops[m], rho)
-        out.energy[idx] = np.einsum("ij,ji->", ham, rho).real
-        trace_err = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-        herm_err = np.abs(rho - rho.conj().T).max()
-        purity = np.einsum("ij,ij->", rho, rho.conj()).real
-        out.max_trace_error = max(out.max_trace_error, trace_err)
-        out.max_herm_error = max(out.max_herm_error, herm_err)
-        out.max_purity = max(out.max_purity, purity)
-        if trace_err > TRACE_TOLERANCE:
-            raise _trace_drift(trace_err, grid.times[idx])
+    checks = []
 
     def rhs(rho):
         return master_rhs(params, rho, space, hamiltonian=ham)
 
-    record(0, rho)
     dt = grid.dt
-    for idx in range(grid.steps):
+    for idx in range(1, grid.steps + 1):
         k1 = rhs(rho)
         k2 = rhs(rho + 0.5 * dt * k1)
         k3 = rhs(rho + 0.5 * dt * k2)
         k4 = rhs(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        record(idx + 1, rho)
-        if idx + 1 in eig_points:
-            low = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]
-            out.min_eigenvalue = min(out.min_eigenvalue, float(low))
-    return out
+        values[idx] = table @ rho.ravel()
+        _trace_errors(values[idx : idx + 1], grid.times[idx : idx + 1])
+        if idx in eig_points:
+            checks.append(_state_checks(rho))
+    return _trajectory(grid, values, checks, "rk4")
 
 
 def evolve_spectral(
@@ -339,69 +357,34 @@ def evolve_spectral(
     eigenbasis, rho~ = V^dagger rho0 V.  Each recorded quantity tr(A rho(t))
     is then the quadratic form phi^T (A~^T o rho~) phi^* in the phases
     phi_k(t) = exp(-i E_k t / hbar), with A~ = V^dagger A V and o the
-    elementwise product.  The forms of the reduced atom and of every mode
-    quadrature are stacked into one matrix, so a block of ``TIME_BLOCK``
-    grid points costs one GEMM.  The trace is rho_11 + rho_22 at every grid
-    point (TraceDriftError above 1e-6).  The energy form is diagonal,
-    sum_k E_k rho~_kk |phi_k|^2, so its drift is the roundoff of the
-    propagated eigenbasis populations.  ``max_herm_error``, ``max_purity``
-    and ``min_eigenvalue`` are sampled: rho(t) is formed only at the
-    ``EIG_CHECKS`` points that RK4 checks for positivity.
+    elementwise product.  The forms of all recorded operators, H included,
+    are stacked into one matrix, so a block of ``TIME_BLOCK`` grid points
+    costs one GEMM.  The trace is rho_11 + rho_22 at every grid point
+    (TraceDriftError above 1e-6).  rho(t) itself is formed only at the
+    ``EIG_CHECKS`` points where hermiticity, purity and the minimum
+    eigenvalue are sampled.
     """
     if params.dissipative:
         raise ValueError("spectral propagation needs a dissipation-free model")
     rho0, ham = _initial(params, rho0, space)
     energies, vecs = np.linalg.eigh(ham)
     rho_t = vecs.conj().T @ rho0 @ vecs
-    dim, n_modes = space.dim, space.mode_count
-    n_forms = 4 + 2 * n_modes
+    dim, n_forms = space.dim, 5 + 2 * space.mode_count
     forms = np.empty((dim, n_forms, dim), complex)
-    # reduced atom[s, t] = tr(A rho) with A = 1 (x) |t><s|: A~^T = V_s^T V_t^*
-    rows = vecs.reshape(space.field_dim, 2, dim)
-    for j, (s, t) in enumerate(((0, 0), (1, 1), (1, 0), (0, 1))):
-        forms[:, j, :] = (rows[:, s, :].T @ rows[:, t, :].conj()) * rho_t
-    for m in range(n_modes):
-        a = vecs.conj().T @ _embed_mode(destroy(space.n_max[m] + 1), space, m) @ vecs
-        forms[:, 4 + 2 * m, :] = (a + a.conj().T).T * rho_t
-        forms[:, 5 + 2 * m, :] = (1j * (a.conj().T - a)).T * rho_t
+    for j, op in enumerate(_recorded_operators(space, ham)):
+        forms[:, j, :] = (vecs.conj().T @ op @ vecs).T * rho_t
     forms = forms.reshape(dim, n_forms * dim)
-    weighted_energy = energies * rho_t.diagonal().real
     rates = -1j * energies / params.hbar
     offsets = grid.dt * np.arange(grid.steps + 1)
 
     values = np.empty((grid.steps + 1, n_forms), complex)
-    energy = np.empty(grid.steps + 1)
     for start in range(0, grid.steps + 1, TIME_BLOCK):
         phi = np.exp(np.multiply.outer(offsets[start : start + TIME_BLOCK], rates))
         quad = (phi @ forms).reshape(len(phi), n_forms, dim)
         values[start : start + len(phi)] = np.einsum("bjl,bl->bj", quad, phi.conj())
-        energy[start : start + len(phi)] = (phi.real**2 + phi.imag**2) @ weighted_energy
 
-    trace = values[:, 0] + values[:, 1]
-    trace_err = np.abs(trace.real - 1.0) + np.abs(trace.imag)
-    if (trace_err > TRACE_TOLERANCE).any():
-        idx = int(np.argmax(trace_err > TRACE_TOLERANCE))
-        raise _trace_drift(trace_err[idx], grid.times[idx])
-    herm_err, purity, low = 0.0, 0.0, np.inf
+    checks = []
     for idx in _eig_check_points(grid.steps):
         phi = np.exp(offsets[idx] * rates)
-        rho = vecs @ (rho_t * np.outer(phi, phi.conj())) @ vecs.conj().T
-        herm_err = max(herm_err, float(np.abs(rho - rho.conj().T).max()))
-        purity = max(purity, float(np.einsum("ij,ij->", rho, rho.conj()).real))
-        low = min(low, float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]))
-    return ReferenceTrajectory(
-        times=grid.times,
-        rho11=values[:, 0],
-        rho22=values[:, 1],
-        rho21=values[:, 2],
-        rho12=values[:, 3],
-        nu=values[:, 1] - values[:, 0],
-        e=values[:, 4::2],
-        h=values[:, 5::2],
-        energy=energy,
-        max_trace_error=float(trace_err.max()),
-        max_herm_error=herm_err,
-        max_purity=purity,
-        min_eigenvalue=low,
-        integrator="spectral",
-    )
+        checks.append(_state_checks(vecs @ (rho_t * np.outer(phi, phi.conj())) @ vecs.conj().T))
+    return _trajectory(grid, values, checks, "spectral")

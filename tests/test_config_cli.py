@@ -193,9 +193,10 @@ class TestParsing:
             "g = inf",
             "t_end = inf",
             "rho11 = nan",
-            "alpha = 5 -inf",
+            # short ids keep every test name within 100 characters
+            pytest.param("alpha = 5 -inf", id="alpha=5 -inf"),
             "delta = 4 nan",
-            "divergence_threshold = inf",
+            pytest.param("divergence_threshold = inf", id="threshold=inf"),
         ],
     )
     def test_non_finite_value_names_its_line(self, engine, line):
@@ -222,6 +223,7 @@ class TestParsing:
             ("invariants", f"seed = {2**64}", "\\[invariants\\] seed must satisfy"),
             ("invariants", "points = 0", "\\[invariants\\] points must be >= 1"),
         ],
+        ids=["run-neg-seed", "run-big-seed", "inv-neg-seed", "inv-big-seed", "inv-0-points"],
     )
     def test_seeds_and_points_are_range_checked(self, section, line, message):
         with pytest.raises(ConfigError, match=message):
@@ -487,7 +489,7 @@ class TestInvariantsCommand:
             (["--seed", str(2**64)], "error: seed must fit in an unsigned 64-bit integer"),
             (["--points", "0"], "error: points must be >= 1"),
         ],
-        ids=["seed-below-0", "seed-too-big", "zero-points"],
+        ids=["neg-seed", "big-seed", "0-points"],
     )
     def test_bad_seed_or_points_is_a_clean_error(self, flags, message, capsys):
         assert main(["check-invariants", *flags]) == 1

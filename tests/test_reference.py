@@ -7,6 +7,7 @@ from ppcavity.jc import ModelParams
 from ppcavity.observables import physical_columns
 from ppcavity.reference import (
     TruncatedSpace,
+    _eig_check_points,
     build_hamiltonian,
     coherent_state,
     destroy,
@@ -17,6 +18,8 @@ from ppcavity.reference import (
     master_rhs,
 )
 from ppcavity.sde import TimeGrid
+
+from helpers import rk4
 
 
 def free_params(**kw):
@@ -184,6 +187,57 @@ def test_spectral_route_matches_rk4(params, n_max):
     assert exact.max_herm_error <= 1e-12
     assert abs(exact.max_purity - rk4.max_purity) <= 1e-12
     assert exact.min_eigenvalue >= -1e-12
+
+
+@pytest.fixture(scope="module")
+def lossy_two_mode():
+    """A dissipative two-mode RK4 reference and rho(t) integrated independently."""
+    params = ModelParams.from_frequencies(
+        omega=(2.0, 3.1), g=(0.7, 0.4), Omega=1.5, r12=0.1, r21=0.4, r_p=0.2
+    )
+    space = TruncatedSpace((3, 2))
+    rho0 = initial_density(params, space, 0.8, AtomicDensity.from_upper(0.7, 0.3 + 0.2j))
+    grid = TimeGrid(0.0, 1.0, 200)
+    rhos = rk4(lambda rho: master_rhs(params, rho, space), rho0, grid)
+    return params, space, grid, evolve(params, rho0, grid, space), rhos
+
+
+def test_rk4_columns_are_explicit_traces(lossy_two_mode):
+    params, space, grid, traj, rhos = lossy_two_mode
+    assert traj.integrator == "rk4"
+    f = space.field_dim
+    atom = np.einsum("kfsft->kst", rhos.reshape(-1, f, 2, f, 2))
+    eye = [np.eye(n + 1) for n in space.n_max]
+    a = [
+        np.kron(np.kron(destroy(4), eye[1]), np.eye(2)),
+        np.kron(np.kron(eye[0], destroy(3)), np.eye(2)),
+    ]
+    x = [op + op.conj().T for op in a]
+    y = [1j * (op.conj().T - op) for op in a]
+    ham = build_hamiltonian(params, space)
+    tol = 1e-13  # recording roundoff only: both integrations take the same RK4 steps
+    assert np.abs(traj.rho11 - atom[:, 0, 0]).max() <= tol
+    assert np.abs(traj.rho22 - atom[:, 1, 1]).max() <= tol
+    assert np.abs(traj.rho21 - atom[:, 1, 0]).max() <= tol
+    assert np.abs(traj.rho12 - atom[:, 0, 1]).max() <= tol
+    assert np.abs(traj.nu - (atom[:, 1, 1] - atom[:, 0, 0])).max() <= tol
+    for m in range(2):
+        assert np.abs(traj.e[:, m] - np.einsum("ij,kji->k", x[m], rhos)).max() <= tol
+        assert np.abs(traj.h[:, m] - np.einsum("ij,kji->k", y[m], rhos)).max() <= tol
+    energy = np.einsum("ij,kji->k", ham, rhos)
+    assert np.abs(traj.energy - energy.real).max() <= tol * np.abs(energy).max()
+
+
+def test_rk4_diagnostics_are_sampled_at_the_check_points(lossy_two_mode):
+    _, _, grid, traj, rhos = lossy_two_mode
+    sampled = rhos[_eig_check_points(grid.steps)]
+    herm = np.abs(sampled - sampled.conj().transpose(0, 2, 1)).max()
+    purity = np.einsum("kij,kij->k", sampled, sampled.conj()).real
+    low = np.linalg.eigvalsh(0.5 * (sampled + sampled.conj().transpose(0, 2, 1)))[:, 0]
+    assert abs(traj.max_herm_error - herm) <= 1e-15
+    # the dissipator lowers the purity from its initial value, which is not sampled
+    assert abs(traj.max_purity - purity.max()) <= 1e-14
+    assert abs(traj.min_eigenvalue - low.min()) <= 1e-14
 
 
 def test_dissipative_model_runs_rk4():

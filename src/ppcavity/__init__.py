@@ -13,10 +13,10 @@ __version__ = "0.1.0"
 
 from .basis import ADDITIVE_NOISE, COHERENT_SPIN, BasisFamily
 from .initialization import AtomicDensity, InitDistribution, init_points
-from .jc import ModelParams, PhaseState, jc_sde_system
+from .jc import ModelParams, jc_sde_system
 from .maxwell_bloch import MbState, evolve_mb, mb_rhs
 from .observables import observable_bundle, physical_columns
-from .physical import PhysState, drift_bar, from_physical, to_physical
+from .physical import drift_bar, from_physical, to_physical
 from .reference import TruncatedSpace, build_hamiltonian, evolve, master_rhs
 from .sde import EnsembleResult, SdeSystem, TimeGrid, run_ensemble
 
@@ -29,8 +29,6 @@ __all__ = [
     "InitDistribution",
     "MbState",
     "ModelParams",
-    "PhaseState",
-    "PhysState",
     "SdeSystem",
     "TimeGrid",
     "TruncatedSpace",

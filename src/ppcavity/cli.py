@@ -38,7 +38,7 @@ from .config import (
 from .errors import CavityError
 from .initialization import init_points
 from .invariants import DEFAULT_POINTS, DEFAULT_SEED, run_all
-from .jc import jc_sde_system, phase_init_sampler
+from .jc import jc_sde_system, per_mode_amplitudes, phase_init_sampler
 from .maxwell_bloch import MbState, evolve_mb
 from .observables import observable_bundle, physical_columns, physical_observable_bundle
 from .physical import physical_init_sampler, physical_sde_system
@@ -162,9 +162,7 @@ def run_reference(cfg: RunConfig):
 def run_mb(cfg: RunConfig):
     params = cfg.model_params()
     atom = cfg.atomic_density()
-    alpha = np.atleast_1d(np.asarray(cfg.alpha, dtype=complex))
-    if alpha.size == 1 and params.mode_count > 1:
-        alpha = np.repeat(alpha, params.mode_count)
+    alpha = per_mode_amplitudes(cfg.alpha, params.mode_count)
     state0 = MbState(
         epsilon=2.0 * alpha.real,
         eta=2.0 * alpha.imag,

@@ -71,41 +71,27 @@ def fermionic_projector(family: BasisFamily, z, w) -> np.ndarray:
     return np.array([[1.0, ht], [h, h * ht]], dtype=complex) / denom
 
 
-@dataclass(frozen=True)
-class InitPoint:
-    weight: float
-    z: complex
-    w: complex
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitDistribution:
-    """Three-point distribution over fermionic phase-space coordinates."""
+    """Three-point distribution over fermionic phase-space coordinates.
 
-    points: tuple[InitPoint, ...]
+    Point i has probability ``weights[i]`` and coordinates ``(zs[i], ws[i])``.
+    """
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([pt.weight for pt in self.points])
-
-    @property
-    def zs(self) -> np.ndarray:
-        return np.array([pt.z for pt in self.points], dtype=complex)
-
-    @property
-    def ws(self) -> np.ndarray:
-        return np.array([pt.w for pt in self.points], dtype=complex)
+    weights: np.ndarray
+    zs: np.ndarray
+    ws: np.ndarray
 
     def reconstruct(self, family: BasisFamily) -> np.ndarray:
         """Weighted projector average; equals the source density matrix."""
         out = np.zeros((2, 2), dtype=complex)
-        for pt in self.points:
-            out += pt.weight * fermionic_projector(family, pt.z, pt.w)
+        for weight, z, w in zip(self.weights, self.zs, self.ws):
+            out += weight * fermionic_projector(family, z, w)
         return out
 
     def sample(self, rng: np.random.Generator, count=None):
         """Draw point indices; returns (z, w) arrays (or scalars for count=None)."""
-        idx = rng.choice(len(self.points), size=count, p=self.weights)
+        idx = rng.choice(len(self.weights), size=count, p=self.weights)
         return self.zs[idx], self.ws[idx]
 
 
@@ -133,12 +119,11 @@ def init_points(rho: AtomicDensity, family: BasisFamily) -> InitDistribution:
 
     h_targets = (big_k * np.exp(-1j * phi), big_k, -big_k)
     ht_targets = (big_k * np.exp(1j * phi), big_k, -big_k)
-    weights = (q, (1.0 - q) / 2.0, (1.0 - q) / 2.0)
-    points = tuple(
-        InitPoint(wgt, family.invert_h(th), family.invert_htilde(tht))
-        for wgt, th, tht in zip(weights, h_targets, ht_targets)
+    dist = InitDistribution(
+        weights=np.array([q, (1.0 - q) / 2.0, (1.0 - q) / 2.0]),
+        zs=np.array([family.invert_h(th) for th in h_targets], dtype=complex),
+        ws=np.array([family.invert_htilde(tht) for tht in ht_targets], dtype=complex),
     )
-    dist = InitDistribution(points)
 
     residual = np.abs(dist.reconstruct(family) - rho.matrix()).max()
     if residual > _RECONSTRUCTION_GUARD:

@@ -166,7 +166,7 @@ def check_init_reconstruction(rng, points):
         phi = rng.uniform(-np.pi, np.pi)
         rho = AtomicDensity.from_upper(p, r * np.exp(1j * phi))
         dist = init_points(rho, fam)
-        if not (0.0 <= min(pt.weight for pt in dist.points) and abs(sum(pt.weight for pt in dist.points) - 1) < 1e-12):
+        if not (0.0 <= dist.weights.min() and abs(dist.weights.sum() - 1) < 1e-12):
             return np.inf, 1e-12
         worst = max(worst, np.abs(dist.reconstruct(fam) - rho.matrix()).max())
     return worst, 1e-12

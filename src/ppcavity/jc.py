@@ -179,51 +179,9 @@ class ModelParams:
         return float(values[0])
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """Structured view of one positive-P phase-space point."""
-
-    alpha: tuple
-    beta: tuple
-    z: complex
-    w: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(complex(a) for a in np.atleast_1d(self.alpha)))
-        object.__setattr__(self, "beta", tuple(complex(b) for b in np.atleast_1d(self.beta)))
-        if len(self.alpha) != len(self.beta):
-            raise ValueError("alpha and beta must have one entry per mode")
-
-    def to_vector(self) -> np.ndarray:
-        n = len(self.alpha)
-        out = np.empty(2 * (n + 1), dtype=complex)
-        out[0 : 2 * n : 2] = self.alpha
-        out[1 : 2 * n : 2] = self.beta
-        out[2 * n] = self.z
-        out[2 * n + 1] = self.w
-        return out
-
-    @classmethod
-    def from_vector(cls, vec) -> "PhaseState":
-        vec = np.asarray(vec, dtype=complex)
-        n = (vec.shape[-1] - 2) // 2
-        return cls(
-            alpha=tuple(vec[0 : 2 * n : 2]),
-            beta=tuple(vec[1 : 2 * n : 2]),
-            z=complex(vec[2 * n]),
-            w=complex(vec[2 * n + 1]),
-        )
-
-
-def as_state_vector(state) -> np.ndarray:
-    if isinstance(state, PhaseState):
-        return state.to_vector()
-    return np.asarray(state, dtype=complex)
-
-
 def split_state(state, n_modes):
     """Views (alpha, beta, z, w) of a flat (batched) phase vector."""
-    state = as_state_vector(state)
+    state = np.asarray(state, dtype=complex)
     alpha = state[..., 0 : 2 * n_modes : 2]
     beta = state[..., 1 : 2 * n_modes : 2]
     z = state[..., 2 * n_modes]
@@ -246,7 +204,7 @@ def jet_state(family: BasisFamily, state) -> JetState:
     """
     if isinstance(state, JetState):
         return state
-    state = as_state_vector(state)
+    state = np.asarray(state, dtype=complex)
     return JetState(state, family.jet(state[..., -2], state[..., -1]))
 
 
@@ -386,6 +344,21 @@ def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
     )
 
 
+def per_mode_amplitudes(coherent, n_modes: int) -> np.ndarray:
+    """Coherent amplitudes, one per mode; a single amplitude serves every mode.
+
+    Raises ValueError for any other count.
+    """
+    coherent = np.atleast_1d(np.asarray(coherent, dtype=complex))
+    if coherent.size == 1:
+        coherent = np.repeat(coherent, n_modes)
+    if coherent.shape != (n_modes,):
+        raise ValueError(
+            f"need one coherent amplitude or one per mode ({n_modes}), got {coherent.size}"
+        )
+    return coherent
+
+
 def phase_init_sampler(params: ModelParams, family: BasisFamily, coherent, dist):
     """Initial-state sampler: fixed coherent bosonic point, sampled atom.
 
@@ -394,11 +367,7 @@ def phase_init_sampler(params: ModelParams, family: BasisFamily, coherent, dist)
     distribution from :func:`ppcavity.initialization.init_points`.
     """
     n = params.mode_count
-    coherent = np.atleast_1d(np.asarray(coherent, dtype=complex))
-    if coherent.size == 1 and n > 1:
-        coherent = np.repeat(coherent, n)
-    if coherent.shape != (n,):
-        raise ValueError("need one coherent amplitude per mode")
+    coherent = per_mode_amplitudes(coherent, n)
     base = np.empty(2 * (n + 1), dtype=complex)
     base[0 : 2 * n : 2] = coherent
     base[1 : 2 * n : 2] = np.conj(coherent)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .jc import ModelParams
 from .physical import join_phys
-from .sde import TimeGrid
+from .sde import TimeGrid, rk4_states
 
 BLOCH_BOUND_SLACK = 1e-9
 
@@ -63,10 +64,6 @@ class MbState:
     def to_phys_vector(self) -> np.ndarray:
         """Embed into the complex physical-coordinate layout."""
         return join_phys(self.epsilon, self.eta, self.rho21, np.conj(self.rho21), self.nu)
-
-    def bloch_violation(self) -> float:
-        """Positive when |rho21|^2 exceeds the Bloch-sphere bound."""
-        return abs(self.rho21) ** 2 - (1.0 - self.nu**2) / 4.0
 
 
 def _rhs_real(params: ModelParams, vec: np.ndarray) -> np.ndarray:
@@ -118,14 +115,9 @@ def evolve_mb(params: ModelParams, state0: MbState, grid: TimeGrid) -> MbTraject
     """Fixed-step RK4 integration; warns once if the Bloch bound is violated."""
     n = params.mode_count
     vecs = np.empty((grid.steps + 1, 2 * n + 3))
-    vecs[0] = vec = state0.to_real_vector()
-    dt = grid.dt
-    for idx in range(1, grid.steps + 1):
-        k1 = _rhs_real(params, vec)
-        k2 = _rhs_real(params, vec + 0.5 * dt * k1)
-        k3 = _rhs_real(params, vec + 0.5 * dt * k2)
-        k4 = _rhs_real(params, vec + dt * k3)
-        vecs[idx] = vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    vecs[0] = vec0 = state0.to_real_vector()
+    for idx, vec in enumerate(rk4_states(partial(_rhs_real, params), vec0, grid), start=1):
+        vecs[idx] = vec
     rho21 = np.empty(grid.steps + 1, complex)
     rho21.real, rho21.imag = vecs[:, 2 * n], vecs[:, 2 * n + 1]
     nu = vecs[:, 2 * n + 2]

@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .basis import BasisFamily
-from .jc import ModelParams, as_state_vector, jet_state
-from .physical import as_phys_vector, jacobian_change, reconstruct_fields, to_physical
+from .jc import ModelParams, jet_state
+from .physical import jacobian_change, reconstruct_fields, to_physical
 from .sde import ObservableMap, SdeSystem
 
 DEFAULT_OBSERVABLES = ("rho_11", "rho_22", "rho_21", "rho_12", "nu")
@@ -83,7 +83,7 @@ def physical_columns(params: ModelParams, names, probes=(), raw=()):
     readers = [_column_reader(params, name, probes, raw) for name in names]
 
     def columns(phys, raw_values=()):
-        phys = as_phys_vector(phys)
+        phys = np.asarray(phys, dtype=complex)
         out = np.empty(phys.shape[:-1] + (len(readers),), dtype=complex)
         for j, read in enumerate(readers):
             out[..., j] = read(phys, raw_values)
@@ -186,7 +186,7 @@ def projection_observable(which: str, family: BasisFamily, n_modes: int) -> Smoo
         return jacobian_change(family, state)[..., row, :]
 
     def hessian(state):
-        state = as_state_vector(state)
+        state = np.asarray(state, dtype=complex)
         pf = family.jet(state[..., iz], state[..., iw])
         batch = state.shape[:-1]
         denom = 1.0 + pf.h * pf.ht

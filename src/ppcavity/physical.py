@@ -9,60 +9,17 @@ available for the coherent-spin family only) supplies the quantum corrections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import COHERENT_SPIN, POLE_FLOOR, BasisFamily, checked_denominator
 from .errors import InconsistentStateError, PoleProximityError
-from .jc import JetState, ModelParams, _ROOT_I, as_state_vector, principal_sqrt, split_state
+from .jc import JetState, ModelParams, _ROOT_I, principal_sqrt, split_state
 from .sde import SdeSystem
 
 
-@dataclass(frozen=True)
-class PhysState:
-    """Structured view of one physical-variable point."""
-
-    epsilon: tuple
-    eta: tuple
-    rho21: complex
-    rho12: complex
-    nu: complex
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "epsilon", tuple(complex(v) for v in np.atleast_1d(self.epsilon))
-        )
-        object.__setattr__(
-            self, "eta", tuple(complex(v) for v in np.atleast_1d(self.eta))
-        )
-        if len(self.epsilon) != len(self.eta):
-            raise ValueError("epsilon and eta must have one entry per mode")
-
-    def to_vector(self) -> np.ndarray:
-        return join_phys(self.epsilon, self.eta, self.rho21, self.rho12, self.nu)
-
-    @classmethod
-    def from_vector(cls, vec) -> "PhysState":
-        vec = np.asarray(vec, dtype=complex)
-        n = (vec.shape[-1] - 3) // 2
-        return cls(
-            epsilon=tuple(vec[0 : 2 * n : 2]),
-            eta=tuple(vec[1 : 2 * n : 2]),
-            rho21=complex(vec[2 * n]),
-            rho12=complex(vec[2 * n + 1]),
-            nu=complex(vec[2 * n + 2]),
-        )
-
-
-def as_phys_vector(phys) -> np.ndarray:
-    if isinstance(phys, PhysState):
-        return phys.to_vector()
-    return np.asarray(phys, dtype=complex)
-
-
 def split_phys(phys, n_modes):
-    phys = as_phys_vector(phys)
+    """Views (eps, eta, rho21, rho12, nu) of a flat (batched) physical vector."""
+    phys = np.asarray(phys, dtype=complex)
     eps = phys[..., 0 : 2 * n_modes : 2]
     eta = phys[..., 1 : 2 * n_modes : 2]
     rho21 = phys[..., 2 * n_modes]
@@ -94,7 +51,7 @@ def to_physical(family: BasisFamily, state, check=True) -> np.ndarray:
     if isinstance(state, JetState):
         state, h, ht = state.state, state.pf.h, state.pf.ht
     else:
-        state = as_state_vector(state)
+        state = np.asarray(state, dtype=complex)
         h, ht = family.pair(state[..., -2], state[..., -1])
     alpha, beta, _, _ = split_state(state, (state.shape[-1] - 2) // 2)
     denom = checked_denominator(h, ht) if check else 1.0 + h * ht
@@ -109,7 +66,7 @@ def from_physical(family: BasisFamily, phys, consistency_tol=1e-9) -> np.ndarray
     Requires the compatibility relation 4*rho21*rho12 = (1+nu)(1-nu); the
     inversion then uses h = 2*rho21/(1-nu) and htilde = 2*rho12/(1-nu).
     """
-    phys = as_phys_vector(phys)
+    phys = np.asarray(phys, dtype=complex)
     if phys.ndim != 1:
         raise ValueError("from_physical expects a single flat physical vector")
     n = (phys.shape[-1] - 3) // 2
@@ -136,7 +93,7 @@ def from_physical(family: BasisFamily, phys, consistency_tol=1e-9) -> np.ndarray
 
 def drift_bar(params: ModelParams, phys) -> np.ndarray:
     """Drift in physical coordinates: cavity-mode Maxwell plus Bloch rows."""
-    phys = as_phys_vector(phys)
+    phys = np.asarray(phys, dtype=complex)
     n = params.mode_count
     eps, eta, rho21, rho12, nu = split_phys(phys, n)
     om = params.omega_array
@@ -164,7 +121,7 @@ def noise_bar(params: ModelParams, phys) -> np.ndarray:
     dissipative columns acting on the atomic rows only.  Complex square roots
     are taken on the principal branch (a diffusion-gauge choice).
     """
-    phys = as_phys_vector(phys)
+    phys = np.asarray(phys, dtype=complex)
     n = params.mode_count
     _, _, rho21, rho12, nu = split_phys(phys, n)
     batch = phys.shape[:-1]
@@ -225,7 +182,7 @@ def noise_bar(params: ModelParams, phys) -> np.ndarray:
 
 def jacobian_change(family: BasisFamily, state) -> np.ndarray:
     """Analytic Jacobian of the phase-space -> physical change of variables."""
-    state = as_state_vector(state)
+    state = np.asarray(state, dtype=complex)
     n = (state.shape[-1] - 2) // 2
     _, _, z, w = split_state(state, n)
     pf = family.jet(z, w)
@@ -248,7 +205,7 @@ def jacobian_change(family: BasisFamily, state) -> np.ndarray:
 
 def reconstruct_fields(params: ModelParams, phys, x):
     """Electric and magnetic field values at position x from mode quadratures."""
-    phys = as_phys_vector(phys)
+    phys = np.asarray(phys, dtype=complex)
     n = params.mode_count
     eps, eta, _, _, _ = split_phys(phys, n)
     k = params.wave_numbers

@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import DimensionCapError, TraceDriftError
 from .initialization import AtomicDensity
-from .jc import ModelParams
+from .jc import ModelParams, per_mode_amplitudes
 from .physical import join_phys
-from .sde import TimeGrid
+from .sde import TimeGrid, rk4_states
 
 DIMENSION_CAP = 4096
 TRACE_TOLERANCE = 1e-6
@@ -160,9 +160,7 @@ def initial_density(
     params: ModelParams, space: TruncatedSpace, coherent, atomic: AtomicDensity
 ) -> np.ndarray:
     """Product state: per-mode coherent states times the atomic density."""
-    coherent = np.atleast_1d(np.asarray(coherent, dtype=complex))
-    if coherent.size == 1 and space.mode_count > 1:
-        coherent = np.repeat(coherent, space.mode_count)
+    coherent = per_mode_amplitudes(coherent, space.mode_count)
     field = np.eye(1, dtype=complex)
     for m, amp in enumerate(coherent):
         vec = coherent_state(amp, space.n_max[m] + 1)
@@ -331,13 +329,7 @@ def evolve_rk4(
     def rhs(rho):
         return master_rhs(params, rho, space, hamiltonian=ham)
 
-    dt = grid.dt
-    for idx in range(1, grid.steps + 1):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt * k1)
-        k3 = rhs(rho + 0.5 * dt * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for idx, rho in enumerate(rk4_states(rhs, rho, grid), start=1):
         values[idx] = table @ rho.ravel()
         _trace_errors(values[idx : idx + 1], grid.times[idx : idx + 1])
         if idx in eig_points:

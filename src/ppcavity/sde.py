@@ -12,13 +12,14 @@ path chunks so that realizations vectorize, while every path still owns an
 independent counter-based random stream keyed by (master_seed, path_index).
 Chunks run one after another and their moments are merged in ascending path
 order, so statistics do not depend on scheduling, and a single realization is
-``run_ensemble(..., runs=1)``.
+``run_ensemble(..., runs=1)``.  ``TimeGrid`` and the classical RK4 generator
+``rk4_states`` also serve the deterministic engines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +51,23 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.steps + 1)
+
+
+def rk4_states(rhs: Callable[[Any], Any], y0, grid: TimeGrid) -> Iterator:
+    """Classical fixed-step RK4 of dy/dt = rhs(y) from ``y0`` over ``grid``.
+
+    Yields the state after each of the ``grid.steps`` steps, so the caller
+    records or checks it before the next step is taken.
+    """
+    dt = grid.dt
+    y = y0
+    for _ in range(grid.steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield y
 
 
 def _identity(state):

@@ -19,8 +19,8 @@ THERMAL_P = 1.0 / (1.0 + np.exp(-1.0))
 
 def reconstruct_independent(dist, family):
     out = np.zeros((2, 2), dtype=complex)
-    for pt in dist.points:
-        out += pt.weight * projector_2x2(family, pt.z, pt.w)
+    for weight, z, w in zip(dist.weights, dist.zs, dist.ws):
+        out += weight * projector_2x2(family, z, w)
     return out
 
 
@@ -30,8 +30,8 @@ def test_thermal_state_both_families():
     for fam in (CS, ADD):
         dist = init_points(rho, fam)
         assert np.allclose(dist.weights, [0.0, 0.5, 0.5], atol=1e-15)
-        h1, _, _, _ = fam.eval(dist.points[1].z, 0.0)
-        h2, _, _, _ = fam.eval(dist.points[2].z, 0.0)
+        h1, _, _, _ = fam.eval(dist.zs[1], 0.0)
+        h2, _, _, _ = fam.eval(dist.zs[2], 0.0)
         assert abs(complex(h1) - big_k) <= 1e-12
         assert abs(complex(h2) + big_k) <= 1e-12
         assert np.abs(reconstruct_independent(dist, fam) - rho.matrix()).max() <= 1e-12
@@ -49,7 +49,7 @@ def test_maximally_mixed_coherent_spin():
 def test_coherence_example():
     rho = AtomicDensity.from_upper(0.5, 0.3 * np.exp(1j * np.pi / 4.0))
     dist = init_points(rho, CS)
-    assert abs(dist.points[0].weight - 0.6) <= 1e-12
+    assert abs(dist.weights[0] - 0.6) <= 1e-12
     assert np.allclose(dist.weights, [0.6, 0.2, 0.2], atol=1e-12)
     assert np.abs(reconstruct_independent(dist, CS) - rho.matrix()).max() <= 1e-12
 

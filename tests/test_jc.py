@@ -2,19 +2,23 @@ import numpy as np
 import pytest
 
 from ppcavity.basis import BasisFamily
+from ppcavity.cli import run_mb
+from ppcavity.config import RunConfig
 from ppcavity.errors import PoleProximityError
 from ppcavity.invariants import random_phase_state, random_rates, sample_model
 from ppcavity.jc import (
     ModelParams,
-    PhaseState,
     diffusion_jc,
     drift_jc,
     jc_sde_system,
     noise_jc,
+    per_mode_amplitudes,
     phase_init_sampler,
+    split_state,
 )
 from ppcavity.initialization import AtomicDensity, init_points
 from ppcavity.observables import observable_bundle
+from ppcavity.reference import TruncatedSpace, initial_density
 from ppcavity.sde import TimeGrid, run_ensemble
 
 from helpers import single_mode_drift, single_mode_noise
@@ -68,11 +72,16 @@ class TestModelParams:
         m21 = good.dipole_moment()
         assert m21 == pytest.approx(-0.3)
 
-    def test_phase_state_round_trip(self):
-        state = PhaseState(alpha=(1 + 2j, 0.5), beta=(3j, -1.0), z=0.1j, w=-0.2)
-        vec = state.to_vector()
-        assert np.array_equal(vec, [1 + 2j, 3j, 0.5, -1.0, 0.1j, -0.2])
-        assert PhaseState.from_vector(vec) == state
+    def test_split_state_layout(self):
+        vec = np.array([1 + 2j, 3j, 0.5, -1.0, 0.1j, -0.2])
+        alpha, beta, z, w = split_state(vec, 2)
+        assert np.array_equal(alpha, [1 + 2j, 0.5])
+        assert np.array_equal(beta, [3j, -1.0])
+        assert (z, w) == (0.1j, -0.2)
+        # batched: the same views along the last axis
+        alpha, beta, z, w = split_state(np.stack([vec, 2 * vec]), 2)
+        assert np.array_equal(alpha[1], [2 + 4j, 1.0])
+        assert np.array_equal(w, [-0.2, -0.4])
 
 
 class TestDrift:
@@ -255,8 +264,41 @@ class TestEnsembleIntegration:
         dist = init_points(atom, CS)
         sampler = phase_init_sampler(params, CS, 1.5, dist)
         draws = np.array([sampler(rng)[2] for _ in range(4000)])
-        fractions = [
-            np.mean(np.abs(draws - pt.z) < 1e-12) for pt in dist.points
-        ]
-        for frac, pt in zip(fractions, dist.points):
-            assert abs(frac - pt.weight) <= 4.0 * np.sqrt(0.25 / 4000)
+        fractions = [np.mean(np.abs(draws - z) < 1e-12) for z in dist.zs]
+        for frac, weight in zip(fractions, dist.weights):
+            assert abs(frac - weight) <= 4.0 * np.sqrt(0.25 / 4000)
+
+
+class TestPerModeAmplitudes:
+    """One coherent amplitude or one per mode, the same rule in every consumer."""
+
+    @staticmethod
+    def consumers(n_modes):
+        omega = tuple(float(k) for k in range(1, n_modes + 1))
+        params = ModelParams.from_frequencies(omega=omega, g=0.1, Omega=1.5)
+        atom = AtomicDensity.from_upper(0.7, 0.1j)
+        dist = init_points(atom, CS)
+        space = TruncatedSpace((2,) * n_modes)
+        return {
+            "phase_init_sampler": lambda amps: phase_init_sampler(params, CS, amps, dist)(
+                np.random.default_rng(0)
+            ),
+            "initial_density": lambda amps: initial_density(params, space, amps, atom),
+            "run_mb": lambda amps: run_mb(
+                RunConfig(engine="mb", Omega=1.5, omega=omega, g=(0.1,), alpha=amps, steps=4)
+            )[1].phys,
+        }
+
+    @pytest.mark.parametrize("n_modes, count", [(2, 3), (3, 2)])
+    def test_wrong_count_raises(self, n_modes, count):
+        amps = tuple(0.5 + 0.1j * k for k in range(count))
+        with pytest.raises(ValueError, match="one per mode"):
+            per_mode_amplitudes(amps, n_modes)
+        for consume in self.consumers(n_modes).values():
+            with pytest.raises(ValueError, match="one per mode"):
+                consume(amps)
+
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_scalar_equals_explicit_list(self, n_modes):
+        for name, consume in self.consumers(n_modes).items():
+            assert np.array_equal(consume(0.5 - 0.2j), consume((0.5 - 0.2j,) * n_modes)), name

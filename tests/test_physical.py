@@ -21,15 +21,16 @@ from ppcavity.jc import (
 )
 from ppcavity.observables import observable_bundle, physical_observable_bundle
 from ppcavity.physical import (
-    PhysState,
     coupling_rate,
     drift_bar,
     from_physical,
     jacobian_change,
+    join_phys,
     noise_bar,
     physical_init_sampler,
     physical_sde_system,
     reconstruct_fields,
+    split_phys,
     to_physical,
 )
 from ppcavity.sde import TimeGrid, run_ensemble
@@ -49,9 +50,13 @@ def test_to_physical_definitions():
     assert np.allclose(phys[2:], [0.0, 0.0, -1.0])
 
 
-def test_phys_state_round_trip():
-    ps = PhysState(epsilon=(1.0, 2.0), eta=(0.5j, 0), rho21=0.1, rho12=0.2, nu=-0.3)
-    assert PhysState.from_vector(ps.to_vector()) == ps
+def test_join_split_phys_round_trip():
+    parts = ([1.0, 2.0], [0.5j, 0], 0.1, 0.2, -0.3)
+    vec = join_phys(*parts)
+    assert np.array_equal(vec, [1.0, 0.5j, 2.0, 0, 0.1, 0.2, -0.3])
+    for got, want in zip(split_phys(vec, 2), parts):
+        assert np.array_equal(got, want)
+    assert np.array_equal(join_phys(*split_phys(vec, 2)), vec)
 
 
 def test_from_physical_example():
@@ -214,7 +219,7 @@ def test_deterministic_equivalence_over_horizon():
     params = fig3_free_params()
     atom = AtomicDensity.from_upper(1.0 / (1.0 + np.exp(-1.0)), 0.0)
     dist = init_points(atom, ADD)
-    phi0 = np.array([5.0, 5.0, dist.points[1].z, dist.points[1].w], dtype=complex)
+    phi0 = np.array([5.0, 5.0, dist.zs[1], dist.ws[1]], dtype=complex)
     grid = TimeGrid(0.0, np.pi / 1100.0, 8192)
     phase = rk4(lambda x: drift_jc(params, ADD, x, dissipative=True, check=False), phi0, grid)
     bar = rk4(lambda x: drift_bar(params, x), to_physical(ADD, phi0), grid)

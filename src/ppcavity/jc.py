@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -37,13 +38,20 @@ def principal_sqrt(x):
     return np.sqrt(x)
 
 
+def _read_only(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Cavity geometry, mode spectrum, couplings, atom, and dissipation rates.
 
     Frequencies are angular.  Dimensionless desk-scale runs keep the defaults
     hbar = c = epsilon0 = area = 1.  Derived quantities (wave numbers, the
-    per-photon field, relaxation rates) are exposed as properties.
+    per-photon field, relaxation rates) are exposed as properties; the
+    per-mode arrays among them are computed once and are read-only.
     """
 
     Omega: float
@@ -110,27 +118,27 @@ class ModelParams:
     def dim(self) -> int:
         return 2 * (self.mode_count + 1)
 
-    @property
+    @cached_property
     def omega_array(self) -> np.ndarray:
-        return np.asarray(self.omega)
+        return _read_only(self.omega)
 
-    @property
+    @cached_property
     def g_array(self) -> np.ndarray:
-        return np.asarray(self.g)
+        return _read_only(self.g)
 
-    @property
+    @cached_property
     def wave_numbers(self) -> np.ndarray:
-        return self.omega_array / self.c
+        return _read_only(self.omega_array / self.c)
 
-    @property
+    @cached_property
     def mode_amplitudes(self) -> np.ndarray:
         """sin(k_n x0) position factors at the atom."""
-        return np.sin(self.wave_numbers * self.x0)
+        return _read_only(np.sin(self.wave_numbers * self.x0))
 
-    @property
+    @cached_property
     def gs(self) -> np.ndarray:
         """Per-mode effective couplings g_n sin(k_n x0)."""
-        return self.g_array * self.mode_amplitudes
+        return _read_only(self.g_array * self.mode_amplitudes)
 
     @property
     def mu0(self) -> float:
@@ -144,10 +152,12 @@ class ModelParams:
     def volume(self) -> float:
         return self.length * self.area
 
-    @property
+    @cached_property
     def e_photon(self) -> np.ndarray:
         """Electric field per photon, sqrt(hbar*omega_n / (epsilon0 V))."""
-        return np.sqrt(self.hbar * self.omega_array / (self.epsilon0 * self.volume))
+        return _read_only(
+            np.sqrt(self.hbar * self.omega_array / (self.epsilon0 * self.volume))
+        )
 
     @property
     def gamma1(self) -> float:

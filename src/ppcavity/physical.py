@@ -118,8 +118,9 @@ def noise_bar(params: ModelParams, phys) -> np.ndarray:
     """Transformed noise matrix, closed form for the coherent-spin family.
 
     The 4N+2 columns mirror the phase-space layout: four per mode plus two
-    dissipative columns acting on the atomic rows only.  Complex square roots
-    are taken on the principal branch (a diffusion-gauge choice).
+    dissipative columns acting on the atomic rows only, left zero without
+    dissipation.  Complex square roots are taken on the principal branch (a
+    diffusion-gauge choice).
     """
     phys = np.asarray(phys, dtype=complex)
     n = params.mode_count
@@ -168,6 +169,9 @@ def noise_bar(params: ModelParams, phys) -> np.ndarray:
             out[..., inu, c + 2] = -pk * 1j * s3
             out[..., inu, c + 3] = pk * s3
 
+        if not params.dissipative:
+            # the two dissipative columns stay zero
+            return out
         ratio = one_p / one_m
         dbar = 2.0 * params.r_p * ratio + params.r21 * ratio**2 + params.r12
         tpref = principal_sqrt(dbar / 2.0)

@@ -12,8 +12,12 @@ path chunks so that realizations vectorize, while every path still owns an
 independent counter-based random stream keyed by (master_seed, path_index).
 Chunks run one after another and their moments are merged in ascending path
 order, so statistics do not depend on scheduling, and a single realization is
-``run_ensemble(..., runs=1)``.  ``TimeGrid`` and the classical RK4 generator
-``rk4_states`` also serve the deterministic engines.
+``run_ensemble(..., runs=1)``.  A chunk draws its Wiener increments
+``_DRAW_BLOCK`` steps at a time into one reused buffer and reduces its record
+one time block at a time, so an ensemble's peak memory is one chunk's
+observable record plus O(chunk x block), whatever the number of runs.
+``TimeGrid`` and the classical RK4 generator ``rk4_states`` also serve the
+deterministic engines.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ from .errors import AllPathsDivergedError
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e6
 _DEFAULT_CHUNK = 256
+# steps per block: a chunk draws its Wiener increments and reduces its record
+# this many steps at a time; Philox streams are sequential and the reduction
+# sums over paths, so the numbers do not depend on it
+_DRAW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -128,7 +136,9 @@ class EnsembleResult:
 
     ``stderr`` is the standard error of the complex sample mean, computed
     from the total (real plus imaginary) variance of the completed runs.
-    Diverged paths are excluded from the statistics and listed by index.
+    Diverged paths are excluded from the statistics and listed by index;
+    ``divergence_steps`` gives, in the same order, the grid step at which each
+    one first left the finite, under-threshold region.
     """
 
     grid: TimeGrid
@@ -138,6 +148,7 @@ class EnsembleResult:
     runs_requested: int
     runs_diverged: int
     diverged_paths: tuple[int, ...]
+    divergence_steps: tuple[int, ...]
 
     @property
     def runs_completed(self) -> int:
@@ -148,19 +159,25 @@ class EnsembleResult:
         return self.mean[:, j], self.stderr[:, j]
 
 
-def _integrate_chunk(system, inits, grid, dws, observable_map, threshold):
+def _integrate_chunk(system, inits, grid, gens, observable_map, threshold):
     """Vectorized Euler-Maruyama over one chunk of paths.
 
-    Returns the (paths, points, observables) value array and the alive mask.
-    Paths are latched dead on the first non-finite or over-threshold state.
-    Each step prepares the new state once; the observables at that point and
-    the next drift and noise read the prepared value.  Constant noise is one
-    (dim, m) matrix applied to all paths by one real-by-complex product.
+    Returns the (paths, points, observables) value array, the alive mask and
+    the number of steps each path survived.  Paths are latched dead on the
+    first non-finite or over-threshold state.  Every ``_DRAW_BLOCK`` steps,
+    each path's next increments are drawn from its generator in ``gens`` into
+    one reused buffer.  Each step prepares the new state once; the
+    observables at that point and the next drift and noise read the prepared
+    value.  Constant noise is one (dim, m) matrix applied to all paths by one
+    real-by-complex product.
     """
     steps, dt = grid.steps, grid.dt
+    sqrt_dt = np.sqrt(dt)
     state = np.array(inits, dtype=complex)
     n_paths = state.shape[0]
     alive = np.ones(n_paths, dtype=bool)
+    survived = np.zeros(n_paths, dtype=np.int64)
+    dws = np.empty((n_paths, min(_DRAW_BLOCK, steps), system.noise_dim))
 
     with np.errstate(all="ignore"):
         values = np.empty((n_paths, steps + 1, len(observable_map.names)), dtype=complex)
@@ -171,18 +188,39 @@ def _integrate_chunk(system, inits, grid, dws, observable_map, threshold):
             noise = np.asarray(system.noise(prepared), dtype=complex)
             noise_t = noise.reshape(-1, system.dim, system.noise_dim)[0].T
         for k in range(steps):
+            j = k % _DRAW_BLOCK
+            if j == 0:
+                rows = min(_DRAW_BLOCK, steps - k)
+                for dw, gen in zip(dws, gens):
+                    gen.standard_normal(out=dw[:rows])
+                dws[:, :rows] *= sqrt_dt
             a = np.asarray(system.drift(prepared), dtype=complex)
             if system.constant_noise:
-                kick = dws[:, k] @ noise_t
+                kick = dws[:, j] @ noise_t
             else:
                 b = np.asarray(system.noise(prepared), dtype=complex)
-                kick = (b @ dws[:, k, :, None].astype(complex))[..., 0]
+                kick = (b @ dws[:, j, :, None].astype(complex))[..., 0]
             state = state + a * dt + kick
-            mag_max = np.abs(state).max(axis=-1)
-            alive &= np.isfinite(mag_max) & (mag_max <= threshold)
+            alive &= (np.abs(state) <= threshold).all(axis=-1)
+            survived += alive
             prepared = system.prepare(state)
             values[:, k + 1, :] = observable_map.batch(prepared)
-    return values, alive
+    return values, alive, survived
+
+
+def _chunk_moments(values):
+    """Mean and summed squared deviation over paths, one time block at a time.
+
+    Centres ``values`` in place; no temporary is the size of the record.
+    """
+    mean = np.empty(values.shape[1:], dtype=complex)
+    m2 = np.empty(values.shape[1:])
+    for t in range(0, values.shape[1], _DRAW_BLOCK):
+        block = values[:, t : t + _DRAW_BLOCK]
+        mean[t : t + _DRAW_BLOCK] = block.mean(axis=0)
+        block -= mean[t : t + _DRAW_BLOCK]
+        m2[t : t + _DRAW_BLOCK] = (np.abs(block) ** 2).sum(axis=0)
+    return mean, m2
 
 
 def _merge_moments(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
@@ -212,6 +250,9 @@ def run_ensemble(
     stream keyed by (master_seed, r), so results are reproducible.  Chunks of
     ``chunk_size`` paths run in turn; each chunk's moments are merged at once,
     in ascending path order, with the pairwise variance-combination rule.
+    Peak memory is one chunk's observable record, paths x (steps + 1) x
+    observables complex values, plus one draw block of increments: no record
+    outlives its chunk.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -221,39 +262,35 @@ def run_ensemble(
         observables = ObservableMap.from_mapping(observables)
     names = observables.names
     shape = (grid.steps + 1, len(names))
-    sqrt_dt = np.sqrt(grid.dt)
 
     total = 0
     mean = np.zeros(shape, dtype=complex)
     m2 = np.zeros(shape)
     diverged: list[int] = []
+    divergence_steps: list[int] = []
     for start in range(0, runs, chunk_size):
         stop = min(start + chunk_size, runs)
         gens = [path_generator(master_seed, r) for r in range(start, stop)]
         inits = np.stack([np.asarray(init_sampler(g), dtype=complex) for g in gens])
         if inits.shape[1] != system.dim:
             raise ValueError("init_sampler returned a vector of the wrong length")
-        dws = np.stack(
-            [g.standard_normal((grid.steps, system.noise_dim)) for g in gens]
-        ) * sqrt_dt
-        values, alive = _integrate_chunk(
-            system, inits, grid, dws, observables, divergence_threshold
+        values, alive, survived = _integrate_chunk(
+            system, inits, grid, gens, observables, divergence_threshold
         )
         # reduce with no record-sized copy, whether or not a path died, then
         # free the record before the next chunk: the survivors move to the
         # front in place, giving the same contiguous rows as values[alive]
-        del dws
         kept = np.flatnonzero(alive)
         if kept.size < alive.size:
             for row, path in enumerate(kept):
                 values[row] = values[path]
             values = values[: kept.size]
         if values.shape[0]:
-            c_mean = values.mean(axis=0)
-            values -= c_mean
-            c_m2 = (np.abs(values) ** 2).sum(axis=0)
+            c_mean, c_m2 = _chunk_moments(values)
             total, mean, m2 = _merge_moments(total, mean, m2, values.shape[0], c_mean, c_m2)
-        diverged.extend(int(start + i) for i in np.nonzero(~alive)[0])
+        dead = np.flatnonzero(~alive)
+        diverged.extend(int(start + i) for i in dead)
+        divergence_steps.extend(int(survived[i]) + 1 for i in dead)
         del values
 
     if total == 0:
@@ -270,4 +307,5 @@ def run_ensemble(
         runs_requested=runs,
         runs_diverged=runs - total,
         diverged_paths=tuple(diverged),
+        divergence_steps=tuple(divergence_steps),
     )

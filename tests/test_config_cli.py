@@ -334,6 +334,7 @@ class TestRunCommand:
         meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
         assert meta["runs_requested"] == 12
         assert meta["master_seed"] == 7
+        assert len(meta["divergence_steps"]) == len(meta["diverged_paths"])
 
     def test_seed_flag_and_env_override(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "run.cfg"

@@ -38,6 +38,14 @@ class TestModelParams:
         assert np.allclose(params.wave_numbers, params.omega_array)
         assert params.x0 == 1.0
 
+    def test_mode_arrays_are_computed_once_and_read_only(self):
+        params = ModelParams.from_cavity(length=2.0, mode_count=3, Omega=5.0, coupling=0.1)
+        for name in ("omega_array", "g_array", "wave_numbers", "mode_amplitudes", "gs", "e_photon"):
+            values = getattr(params, name)
+            assert getattr(params, name) is values
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ModelParams(Omega=1.0, omega=(2.0, 1.0), g=(0.1, 0.1), x0=0.5, length=1.0)

@@ -1,8 +1,12 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ppcavity.errors import AllPathsDivergedError
 from ppcavity.sde import (
+    _DRAW_BLOCK,
     ObservableMap,
     SdeSystem,
     TimeGrid,
@@ -202,23 +206,22 @@ def test_reduction_is_worker_and_chunk_deterministic():
     assert np.array_equal(again.stderr, base.stderr)
 
 
-def test_streaming_moments_match_direct_recomputation():
-    grid = TimeGrid(0.0, 1.0, 50)
-    runs = 64
+def check_against_one_shot_draws(grid, runs, seed, chunk_size):
+    """An OU ensemble's moments equal those of paths rebuilt from their streams."""
     res = run_ensemble(
         make_ou(),
         lambda rng: np.ones(1, complex),
         grid,
         runs,
-        314,
+        seed,
         {"x": lambda s: s[..., 0], "x2": lambda s: s[..., 0] ** 2},
-        chunk_size=7,
+        chunk_size=chunk_size,
     )
     # rebuild every path from its stream: init draw is absent (deterministic
     # sampler), so explicit Euler steps with the per-path key reproduce it
     values = np.empty((runs, grid.steps + 1, 2), dtype=complex)
     for r in range(runs):
-        gen = path_generator(314, r)
+        gen = path_generator(seed, r)
         init = np.ones(1, complex)
         dws = gen.standard_normal((grid.steps, 1)) * np.sqrt(grid.dt)
         state = init
@@ -230,6 +233,91 @@ def test_streaming_moments_match_direct_recomputation():
     std = np.sqrt((np.abs(values - mean) ** 2).sum(axis=0) / (runs - 1) / runs)
     assert np.abs(res.mean - mean).max() <= 1e-12
     assert np.abs(res.stderr - std).max() <= 1e-12
+
+
+def test_streaming_moments_match_direct_recomputation():
+    check_against_one_shot_draws(TimeGrid(0.0, 1.0, 50), 64, 314, chunk_size=7)
+
+
+def test_block_drawn_increments_match_one_shot_draws():
+    # a grid longer than two draw blocks, ending inside a partial third one
+    grid = TimeGrid(0.0, 1.0, 2 * _DRAW_BLOCK + 37)
+    check_against_one_shot_draws(grid, 20, 2718, chunk_size=7)
+
+
+def test_peak_memory_is_one_chunk_record():
+    grid = TimeGrid(0.0, 1.0, 8192)
+    chunk = 128
+    record_bytes = chunk * (grid.steps + 1) * 2 * 16
+    observables = {"x": lambda s: s[..., 0], "x2": lambda s: s[..., 0] ** 2}
+    tracemalloc.start()
+    try:
+        run_ensemble(
+            make_ou(),
+            lambda rng: np.zeros(1, complex),
+            grid,
+            2 * chunk,
+            5,
+            observables,
+            chunk_size=chunk,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # increments for the whole grid, a record-sized temporary or a record
+    # kept across chunks would each add at least half a record
+    assert peak <= 1.15 * record_bytes
+
+
+def test_divergence_steps_are_first_crossings():
+    # path r starts at r - 5 and moves by +1 per unit step; |x| > 6 first
+    # holds at step 12 - r for 4 <= r <= 11 and at step 1 beyond (|x| = 6
+    # itself, as path 4 reaches at step 7, is kept)
+    counter = itertools.count()
+    system = SdeSystem(
+        dim=1,
+        noise_dim=1,
+        drift=lambda x: np.ones_like(x),
+        noise=constant_noise_system(1, [[0.0]]),
+        constant_noise=True,
+    )
+    res = run_ensemble(
+        system,
+        lambda rng: np.array([next(counter) - 5.0], dtype=complex),
+        TimeGrid(0.0, 8.0, 8),
+        16,
+        1,
+        {"x": lambda s: s[..., 0]},
+        divergence_threshold=6.0,
+        chunk_size=5,
+    )
+    assert res.diverged_paths == tuple(range(4, 16))
+    assert res.divergence_steps == (8, 7, 6, 5, 4, 3, 2, 1, 1, 1, 1, 1)
+    # the survivors 0..3 start at -5..-2
+    assert np.array_equal(res.mean[:, 0], -3.5 + np.arange(9.0))
+
+
+def test_non_finite_state_diverges_at_its_step():
+    system = SdeSystem(
+        dim=1,
+        noise_dim=1,
+        drift=lambda x: np.where(x.real >= 2.0, np.nan, 1.0) + 0j,
+        noise=constant_noise_system(1, [[0.0]]),
+        constant_noise=True,
+    )
+    counter = itertools.count()
+    res = run_ensemble(
+        system,
+        lambda rng: np.array([float(next(counter))], dtype=complex),
+        TimeGrid(0.0, 2.0, 2),
+        3,
+        1,
+        {"x": lambda s: s[..., 0]},
+    )
+    # path r starts at r and moves by +1 per step until it reaches 2; the
+    # step after that makes it nan, so path 0 survives both steps
+    assert res.diverged_paths == (1, 2)
+    assert res.divergence_steps == (2, 1)
 
 
 def test_observable_map_from_mapping():

@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .basis import ADDITIVE_NOISE, COHERENT_SPIN, BasisFamily
 from .initialization import AtomicDensity, InitDistribution, init_points
 from .jc import ModelParams, jc_sde_system
-from .maxwell_bloch import MbState, evolve_mb, mb_rhs
+from .maxwell_bloch import evolve_mb, mb_rhs
 from .observables import observable_bundle, physical_columns
 from .physical import drift_bar, from_physical, to_physical
 from .reference import TruncatedSpace, build_hamiltonian, evolve, master_rhs
@@ -27,7 +27,6 @@ __all__ = [
     "BasisFamily",
     "EnsembleResult",
     "InitDistribution",
-    "MbState",
     "ModelParams",
     "SdeSystem",
     "TimeGrid",

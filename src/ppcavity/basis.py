@@ -10,7 +10,10 @@ mirror ``htilde(w) = conj(h(conj(w)))``.  Two families are supported:
   the solution family of delta * h'(z) = h(z)**2 - 1.  The constant ratio
   (h**2 - 1)/h' = delta is what makes the cavity SDE noise state-independent.
 
-All evaluation methods broadcast over numpy arrays of ``z`` and ``w``.
+All evaluation methods broadcast over numpy arrays of ``z`` and ``w`` and
+never raise: near a pole they return inf/nan entries.  A caller that must
+refuse such a point passes the jet to :func:`checked_denominator`, the one
+pole check for a phase-space point.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .errors import PoleProximityError, UnreachableTargetError
 COHERENT_SPIN = "coherent-spin"
 ADDITIVE_NOISE = "additive-noise"
 
-#: evaluation refuses points where |1 + exp(2z/delta + kappa)|, or a quantity
-#: checked by :func:`checked_denominator`, falls below this
+#: :func:`checked_denominator` refuses states where a quantity it checks, and
+#: the inverse change of variables where 1 - nu, falls below this in modulus
 POLE_FLOOR = 1e-10
 
 
@@ -135,28 +138,6 @@ class BasisFamily:
             return np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
         (d, k), (dc, kc) = self._sides()
         return self._exp_form(z, d, k)[0], self._exp_form(w, dc, kc)[0]
-
-    def eval(self, z, w):
-        """Return (h, h', htilde, htilde') at (z, w).
-
-        Raises PoleProximityError when |1 + exp(2z/delta + kappa)| (or the
-        mirrored expression at w) drops below POLE_FLOOR.
-        """
-        if self.kind == COHERENT_SPIN:
-            z = np.asarray(z, dtype=complex)
-            w = np.asarray(w, dtype=complex)
-            return z, np.ones_like(z), w, np.ones_like(w)
-        out = []
-        with np.errstate(all="ignore"):
-            for x, (d, k) in zip((z, w), self._sides()):
-                h, q, s = self._exp_form(x, d, k)
-                # e = q**s, so |1 + e| is |1 + q| / |q| where s = -1
-                if np.any(np.abs(1.0 + q) < POLE_FLOOR * np.where(s < 0, np.abs(q), 1.0)):
-                    raise PoleProximityError(
-                        "phase-space point within %.1e of a basis-function pole" % POLE_FLOOR
-                    )
-                out += [h, (h * h - 1.0) / d]
-        return tuple(out)
 
     def jet(self, z, w) -> PhaseFunctions:
         """All SDE coefficient ingredients, without pole checks.

@@ -39,9 +39,9 @@ from .errors import CavityError
 from .initialization import init_points
 from .invariants import DEFAULT_POINTS, DEFAULT_SEED, run_all
 from .jc import jc_sde_system, per_mode_amplitudes, phase_init_sampler
-from .maxwell_bloch import MbState, evolve_mb
+from .maxwell_bloch import evolve_mb
 from .observables import observable_bundle, physical_columns, physical_observable_bundle
-from .physical import physical_init_sampler, physical_sde_system
+from .physical import join_phys, physical_init_sampler, physical_sde_system
 from .reference import TruncatedSpace, evolve, initial_density
 from .sde import run_ensemble
 
@@ -163,13 +163,11 @@ def run_mb(cfg: RunConfig):
     params = cfg.model_params()
     atom = cfg.atomic_density()
     alpha = per_mode_amplitudes(cfg.alpha, params.mode_count)
-    state0 = MbState(
-        epsilon=2.0 * alpha.real,
-        eta=2.0 * alpha.imag,
-        rho21=complex(atom.rho21),
-        nu=float((atom.rho22 - atom.rho11).real),
+    rho21 = complex(atom.rho21)
+    phys0 = join_phys(
+        2.0 * alpha.real, 2.0 * alpha.imag, rho21, np.conj(rho21), (atom.rho22 - atom.rho11).real
     )
-    return params, evolve_mb(params, state0, cfg.grid())
+    return params, evolve_mb(params, phys0, cfg.grid())
 
 
 def cmd_run(args) -> int:

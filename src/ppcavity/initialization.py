@@ -22,6 +22,8 @@ from .basis import BasisFamily
 from .errors import BoundaryPopulationError, CavityError, PositivityError
 
 _RECONSTRUCTION_GUARD = 1e-9
+#: absolute slack of the hermiticity, trace and positivity checks of a density
+DENSITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,26 +49,26 @@ class AtomicDensity:
             [[self.rho11, self.rho12], [self.rho21, self.rho22]], dtype=complex
         )
 
-    def validate(self, tol=1e-9):
+    def validate(self):
         """Check hermiticity, unit trace, and positive semidefiniteness."""
-        self._check_hermitian_trace(tol)
+        self._check_hermitian_trace()
         p = self.rho11.real
         det = p * self.rho22.real - abs(self.rho12) ** 2
-        if det < -tol:
+        if det < -DENSITY_TOL:
             raise ValueError(f"density matrix is not positive semidefinite (det {det:.3e})")
 
-    def _check_hermitian_trace(self, tol=1e-9):
-        if abs(self.rho12 - np.conj(self.rho21)) > tol:
+    def _check_hermitian_trace(self):
+        if abs(self.rho12 - np.conj(self.rho21)) > DENSITY_TOL:
             raise ValueError("density matrix is not hermitian: rho12 != conj(rho21)")
-        if abs(self.rho11.imag) > tol or abs(self.rho22.imag) > tol:
+        if abs(self.rho11.imag) > DENSITY_TOL or abs(self.rho22.imag) > DENSITY_TOL:
             raise ValueError("density matrix diagonal must be real")
-        if abs(self.rho11 + self.rho22 - 1.0) > tol:
+        if abs(self.rho11 + self.rho22 - 1.0) > DENSITY_TOL:
             raise ValueError("density matrix trace must be one")
 
 
 def fermionic_projector(family: BasisFamily, z, w) -> np.ndarray:
     """Normalized projector onto the pair of family states at (z, w)."""
-    h, _, ht, _ = family.eval(z, w)
+    h, ht = family.pair(z, w)
     denom = 1.0 + h * ht
     return np.array([[1.0, ht], [h, h * ht]], dtype=complex) / denom
 

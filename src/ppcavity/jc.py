@@ -24,6 +24,9 @@ from .basis import ADDITIVE_NOISE, BasisFamily, PhaseFunctions, checked_denomina
 from .sde import SdeSystem
 
 _ROOT_I = np.sqrt(1j)  # fixed diffusion-gauge choice exp(i pi/4)
+#: relative spread of -hbar*g_n/e_p(omega_n) over the modes that
+#: ``ModelParams.dipole_moment`` still accepts as one dipole moment
+DIPOLE_SPREAD_TOL = 1e-9
 
 
 def principal_sqrt(x):
@@ -177,11 +180,11 @@ class ModelParams:
     def dissipative(self) -> bool:
         return self.gamma1 > 0 or self.r_p > 0
 
-    def dipole_moment(self, tol=1e-9) -> float:
+    def dipole_moment(self) -> float:
         """Dipole matrix element -hbar*g_n/e_p(omega_n); requires g prop e_p."""
         values = -self.hbar * self.g_array / self.e_photon
         spread = np.abs(values - values[0]).max()
-        if spread > tol * (1.0 + abs(values[0])):
+        if spread > DIPOLE_SPREAD_TOL * (1.0 + abs(values[0])):
             raise ValueError(
                 "couplings are not proportional to the per-photon field; "
                 "no single dipole moment reproduces all modes"
@@ -218,14 +221,12 @@ def jet_state(family: BasisFamily, state) -> JetState:
     return JetState(state, family.jet(state[..., -2], state[..., -1]))
 
 
-def _prepare(params, family, state, check, dissipative):
+def _prepare(params, family, state, check):
     state, pf = jet_state(family, state)
     alpha, beta, _, _ = split_state(state, params.mode_count)
     if check:
         checked_denominator(pf.h, pf.ht, pf.hp, pf.htp)
-    if dissipative is None:
-        dissipative = params.dissipative
-    return alpha, beta, pf, state.shape[:-1], dissipative
+    return alpha, beta, pf, state.shape[:-1]
 
 
 def _mode_diffusion(params: ModelParams, pf: PhaseFunctions):
@@ -241,15 +242,14 @@ def _dissipative_entry(params: ModelParams, pf: PhaseFunctions):
     ) * pf.inv_hp * pf.inv_htp
 
 
-def drift_jc(params: ModelParams, family: BasisFamily, state, dissipative=None, check=True):
-    """Drift vector, with scattering and pure-dephasing terms if ``dissipative``.
+def drift_jc(params: ModelParams, family: BasisFamily, state, check=True):
+    """Drift vector, with scattering and pure-dephasing terms if ``params.dissipative``.
 
     ``state`` is a phase-space vector or its :class:`JetState`, in which case
-    the three coefficient functions reuse its jet.  ``dissipative`` defaults
-    to ``params.dissipative``.  With ``check`` they raise PoleProximityError
-    near a singularity.
+    the three coefficient functions reuse its jet.  With ``check`` they raise
+    PoleProximityError near a singularity.
     """
-    alpha, beta, pf, _, dissipative = _prepare(params, family, state, check, dissipative)
+    alpha, beta, pf, _ = _prepare(params, family, state, check)
     n = params.mode_count
     om = params.omega_array
     gs = params.gs
@@ -261,7 +261,7 @@ def drift_jc(params: ModelParams, family: BasisFamily, state, dissipative=None, 
     out[..., 1 : 2 * n : 2] = 1j * (om * beta + gs * coupling[..., None])
     a_z = 1j * (-params.Omega * pf.lin + drive * pf.quad)
     a_w = 1j * (params.Omega * pf.lin_t - drive * pf.quad_t)
-    if dissipative:
+    if params.dissipative:
         hht = pf.h * pf.ht
         factor = (
             -params.r_p * (1.0 - hht)
@@ -275,27 +275,27 @@ def drift_jc(params: ModelParams, family: BasisFamily, state, dissipative=None, 
     return out
 
 
-def diffusion_jc(params: ModelParams, family: BasisFamily, state, dissipative=None, check=True):
+def diffusion_jc(params: ModelParams, family: BasisFamily, state, check=True):
     """Symmetric diffusion matrix; the dissipative layout adds the fermionic block."""
-    _, _, pf, batch_shape, dissipative = _prepare(params, family, state, check, dissipative)
+    _, _, pf, batch_shape = _prepare(params, family, state, check)
     n = params.mode_count
     d, dt_ = _mode_diffusion(params, pf)
     out = np.zeros(batch_shape + (2 * (n + 1), 2 * (n + 1)), dtype=complex)
     for k in range(n):
         out[..., 2 * k, 2 * n] = out[..., 2 * n, 2 * k] = 1j * d[..., k]
         out[..., 2 * k + 1, 2 * n + 1] = out[..., 2 * n + 1, 2 * k + 1] = -1j * dt_[..., k]
-    if dissipative:
+    if params.dissipative:
         dd = _dissipative_entry(params, pf)
         out[..., 2 * n, 2 * n + 1] = out[..., 2 * n + 1, 2 * n] = dd
     return out
 
 
-def noise_jc(params: ModelParams, family: BasisFamily, state, dissipative=None, check=True):
+def noise_jc(params: ModelParams, family: BasisFamily, state, check=True):
     """Noise matrix with 4N (dissipative: 4N+2) columns satisfying B @ B.T = D."""
-    _, _, pf, batch_shape, dissipative = _prepare(params, family, state, check, dissipative)
+    _, _, pf, batch_shape = _prepare(params, family, state, check)
     n = params.mode_count
     d, dt_ = _mode_diffusion(params, pf)
-    cols = 4 * n + (2 if dissipative else 0)
+    cols = 4 * n + (2 if params.dissipative else 0)
     out = np.zeros(batch_shape + (2 * (n + 1), cols), dtype=complex)
     sp = _ROOT_I * principal_sqrt(d / 2.0)
     sq = _ROOT_I * principal_sqrt(dt_ / 2.0)
@@ -310,7 +310,7 @@ def noise_jc(params: ModelParams, family: BasisFamily, state, dissipative=None, 
         out[..., 2 * k + 1, c + 3] = -sq[..., k]
         out[..., 2 * n + 1, c + 2] = -1j * sq[..., k]
         out[..., 2 * n + 1, c + 3] = sq[..., k]
-    if dissipative:
+    if params.dissipative:
         td = principal_sqrt(_dissipative_entry(params, pf) / 2.0)
         out[..., 2 * n, 4 * n] = -1j * td
         out[..., 2 * n, 4 * n + 1] = td
@@ -338,10 +338,10 @@ def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
         return jet_state(family, state)
 
     def drift(state):
-        return drift_jc(params, family, state, dissipative, check=False)
+        return drift_jc(params, family, state, check=False)
 
     def noise(state):
-        return noise_jc(params, family, state, dissipative, check=False)
+        return noise_jc(params, family, state, check=False)
 
     constant = family.kind == ADDITIVE_NOISE and not dissipative
     return SdeSystem(

@@ -2,8 +2,10 @@
 
 This is the noise-free limit of the changed-variable SDE restricted to the
 hermitian slice rho12 = conj(rho21) with real inversion and real field
-quadratures.  The state is integrated in a real representation so roundoff
-cannot push it off the physical manifold.
+quadratures.  States are flat physical vectors in the layout of
+:func:`ppcavity.physical.join_phys`, as for the other engines; a vector off
+the slice is refused.  The state is integrated in a real representation so
+roundoff cannot push it off the physical manifold.
 """
 
 from __future__ import annotations
@@ -15,55 +17,30 @@ from functools import partial
 import numpy as np
 
 from .jc import ModelParams
-from .physical import join_phys
+from .physical import join_phys, split_phys
 from .sde import TimeGrid, rk4_states
 
 BLOCH_BOUND_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class MbState:
-    """Hermitian-slice state: real quadratures, one coherence, real inversion."""
+def _real_vector(params: ModelParams, phys) -> np.ndarray:
+    """Pack a hermitian-slice physical vector as (eps, eta, Re rho21, Im rho21, nu).
 
-    epsilon: tuple
-    eta: tuple
-    rho21: complex
-    nu: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "epsilon", tuple(float(v) for v in np.atleast_1d(self.epsilon))
+    The real form keeps only these coordinates, so a vector off the slice is
+    refused with ValueError instead of being silently projected onto it.
+    """
+    n = params.mode_count
+    phys = np.asarray(phys, dtype=complex)
+    if phys.shape != (2 * n + 3,):
+        raise ValueError(
+            f"need a physical vector of length {2 * n + 3} for {n} modes, got shape {phys.shape}"
         )
-        object.__setattr__(
-            self, "eta", tuple(float(v) for v in np.atleast_1d(self.eta))
-        )
-        if len(self.epsilon) != len(self.eta):
-            raise ValueError("epsilon and eta must have one entry per mode")
-
-    def to_real_vector(self) -> np.ndarray:
-        n = len(self.epsilon)
-        out = np.empty(2 * n + 3)
-        out[0:n] = self.epsilon
-        out[n : 2 * n] = self.eta
-        out[2 * n] = self.rho21.real
-        out[2 * n + 1] = self.rho21.imag
-        out[2 * n + 2] = self.nu
-        return out
-
-    @classmethod
-    def from_real_vector(cls, vec) -> "MbState":
-        vec = np.asarray(vec, dtype=float)
-        n = (vec.shape[-1] - 3) // 2
-        return cls(
-            epsilon=tuple(vec[0:n]),
-            eta=tuple(vec[n : 2 * n]),
-            rho21=complex(vec[2 * n], vec[2 * n + 1]),
-            nu=float(vec[2 * n + 2]),
-        )
-
-    def to_phys_vector(self) -> np.ndarray:
-        """Embed into the complex physical-coordinate layout."""
-        return join_phys(self.epsilon, self.eta, self.rho21, np.conj(self.rho21), self.nu)
+    eps, eta, rho21, rho12, nu = split_phys(phys, n)
+    if rho12 != np.conj(rho21):
+        raise ValueError("Maxwell-Bloch state needs rho12 = conj(rho21)")
+    if np.any(eps.imag != 0) or np.any(eta.imag != 0) or nu.imag != 0:
+        raise ValueError("Maxwell-Bloch state needs real epsilon, eta and nu")
+    return np.concatenate([eps.real, eta.real, [rho21.real, rho21.imag, nu.real]])
 
 
 def _rhs_real(params: ModelParams, vec: np.ndarray) -> np.ndarray:
@@ -86,14 +63,19 @@ def _rhs_real(params: ModelParams, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def mb_rhs(params: ModelParams, state: MbState) -> MbState:
-    """Time derivative of the Maxwell-Bloch state.
+def mb_rhs(params: ModelParams, phys) -> np.ndarray:
+    """Time derivative of a physical vector on the hermitian slice.
 
-    Identical to the changed-variable drift restricted to the hermitian
-    slice; the coupling enters through the mode sum, which equals
-    -(i/hbar) m21 E(x0) when the couplings track the per-photon field.
+    ``phys`` is laid out as :func:`ppcavity.physical.join_phys` and must lie
+    on the slice (see :func:`evolve_mb`).  The result is the changed-variable
+    drift restricted to the slice; the coupling enters through the mode sum,
+    which equals -(i/hbar) m21 E(x0) when the couplings track the per-photon
+    field.
     """
-    return MbState.from_real_vector(_rhs_real(params, state.to_real_vector()))
+    n = params.mode_count
+    out = _rhs_real(params, _real_vector(params, phys))
+    rho21 = complex(out[2 * n], out[2 * n + 1])
+    return join_phys(out[0:n], out[n : 2 * n], rho21, np.conj(rho21), out[2 * n + 2])
 
 
 @dataclass
@@ -111,11 +93,17 @@ class MbTrajectory:
         return join_phys(self.epsilon, self.eta, self.rho21, np.conj(self.rho21), self.nu)
 
 
-def evolve_mb(params: ModelParams, state0: MbState, grid: TimeGrid) -> MbTrajectory:
-    """Fixed-step RK4 integration; warns once if the Bloch bound is violated."""
+def evolve_mb(params: ModelParams, phys0, grid: TimeGrid) -> MbTrajectory:
+    """Fixed-step RK4 integration; warns once if the Bloch bound is violated.
+
+    ``phys0`` is the initial physical vector (eps_1, eta_1, ..., eps_N, eta_N,
+    rho21, rho12, nu) of :func:`ppcavity.physical.join_phys`.  It must have
+    length 2N+3 and lie exactly on the hermitian slice, rho12 = conj(rho21)
+    with real epsilon, eta and nu; otherwise ValueError is raised.
+    """
     n = params.mode_count
     vecs = np.empty((grid.steps + 1, 2 * n + 3))
-    vecs[0] = vec0 = state0.to_real_vector()
+    vecs[0] = vec0 = _real_vector(params, phys0)
     for idx, vec in enumerate(rk4_states(partial(_rhs_real, params), vec0, grid), start=1):
         vecs[idx] = vec
     rho21 = np.empty(grid.steps + 1, complex)

@@ -16,6 +16,10 @@ from .errors import InconsistentStateError, PoleProximityError
 from .jc import JetState, ModelParams, _ROOT_I, principal_sqrt, split_state
 from .sde import SdeSystem
 
+#: relative mismatch of 4*rho21*rho12 and (1+nu)(1-nu) that
+#: :func:`from_physical` still accepts as consistent
+CONSISTENCY_TOL = 1e-9
+
 
 def split_phys(phys, n_modes):
     """Views (eps, eta, rho21, rho12, nu) of a flat (batched) physical vector."""
@@ -60,7 +64,7 @@ def to_physical(family: BasisFamily, state, check=True) -> np.ndarray:
     )
 
 
-def from_physical(family: BasisFamily, phys, consistency_tol=1e-9) -> np.ndarray:
+def from_physical(family: BasisFamily, phys) -> np.ndarray:
     """Invert the change of variables for a single physical point.
 
     Requires the compatibility relation 4*rho21*rho12 = (1+nu)(1-nu); the
@@ -77,7 +81,7 @@ def from_physical(family: BasisFamily, phys, consistency_tol=1e-9) -> np.ndarray
     lhs = 4.0 * rho21 * rho12
     rhs = (1.0 + nu) * one_m
     scale = 1.0 + max(abs(lhs), abs(rhs))
-    if abs(lhs - rhs) > consistency_tol * scale:
+    if abs(lhs - rhs) > CONSISTENCY_TOL * scale:
         raise InconsistentStateError(
             "4*rho21*rho12 != (1+nu)(1-nu); the two expressions for h disagree"
         )

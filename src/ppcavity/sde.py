@@ -272,8 +272,11 @@ def run_ensemble(
         stop = min(start + chunk_size, runs)
         gens = [path_generator(master_seed, r) for r in range(start, stop)]
         inits = np.stack([np.asarray(init_sampler(g), dtype=complex) for g in gens])
-        if inits.shape[1] != system.dim:
-            raise ValueError("init_sampler returned a vector of the wrong length")
+        if inits.shape[1:] != (system.dim,):
+            raise ValueError(
+                f"init_sampler must return a vector of length {system.dim}, "
+                f"got shape {inits.shape[1:]}"
+            )
         values, alive, survived = _integrate_chunk(
             system, inits, grid, gens, observables, divergence_threshold
         )

@@ -19,8 +19,9 @@ from ppcavity.invariants import (
     check_jacobian_diffusion,
 )
 from ppcavity.jc import ModelParams, jc_sde_system, phase_init_sampler
-from ppcavity.maxwell_bloch import MbState, evolve_mb
+from ppcavity.maxwell_bloch import evolve_mb
 from ppcavity.observables import observable_bundle, physical_columns
+from ppcavity.physical import join_phys
 from ppcavity.reference import TruncatedSpace, evolve, initial_density
 from ppcavity.sde import TimeGrid, run_ensemble
 
@@ -213,12 +214,8 @@ def test_criterion_6_reference_conservation(fig3, fock60, fock80):
 
 def test_criterion_7_semiclassical_divergence(fig3, fock60, sde_fig3):
     params, atom, grid = fig3
-    state0 = MbState(
-        epsilon=(10.0,),
-        eta=(0.0,),
-        rho21=complex(atom.rho21),
-        nu=float((atom.rho22 - atom.rho11).real),
-    )
+    rho21 = complex(atom.rho21)
+    state0 = join_phys((10.0,), (0.0,), rho21, np.conj(rho21), (atom.rho22 - atom.rho11).real)
     mb = evolve_mb(params, state0, grid)
     mb_rho11 = physical_columns(params, ("rho_11",))(mb.phys)[:, 0]
     mb_dev = np.abs(mb_rho11.real - fock60.rho11.real).max()
@@ -252,11 +249,8 @@ def test_criterion_8_relaxation_limits():
         np.abs(ref.nu - nu_exact).max(), np.abs(ref.rho21 - coh_exact).max()
     )
 
-    mb = evolve_mb(
-        params,
-        MbState(epsilon=(0.0,), eta=(0.0,), rho21=complex(atom.rho21), nu=nu0_init),
-        grid,
-    )
+    rho21 = complex(atom.rho21)
+    mb = evolve_mb(params, join_phys((0.0,), (0.0,), rho21, np.conj(rho21), nu0_init), grid)
     mb_err = max(
         np.abs(mb.nu - nu_exact).max(), np.abs(mb.rho21 - coh_exact).max()
     )

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ppcavity.basis import ADDITIVE_NOISE, BasisFamily
+from ppcavity.basis import ADDITIVE_NOISE, BasisFamily, checked_denominator
 from ppcavity.errors import PoleProximityError, UnreachableTargetError
 
 from helpers import random_disc
@@ -14,7 +14,8 @@ CS = BasisFamily.coherent_spin()
 
 
 def test_coherent_spin_eval_is_identity():
-    h, hp, ht, htp = CS.eval(0.3, 0.2)
+    pf = CS.jet(0.3, 0.2)
+    h, hp, ht, htp = pf.h, pf.hp, pf.ht, pf.htp
     assert complex(h) == 0.3
     assert complex(hp) == 1.0
     assert complex(ht) == 0.2
@@ -22,7 +23,8 @@ def test_coherent_spin_eval_is_identity():
 
 
 def test_additive_eval_at_origin():
-    h, hp, ht, htp = ADD.eval(0.0, 0.0)
+    pf = ADD.jet(0.0, 0.0)
+    h, hp, ht, htp = pf.h, pf.hp, pf.ht, pf.htp
     assert abs(complex(h)) == 0.0
     assert complex(hp) == -0.25
     assert abs(complex(ht)) == 0.0
@@ -32,8 +34,8 @@ def test_additive_eval_at_origin():
 def test_htilde_is_conjugate_of_h_at_conjugate_point(rng):
     for fam in (ADD, ADD_C, CS):
         z = random_disc(rng, 50, 1.5)
-        _, _, ht, _ = fam.eval(np.zeros_like(z), np.conj(z))
-        h, _, _, _ = fam.eval(z, np.zeros_like(z))
+        ht = fam.pair(np.zeros_like(z), np.conj(z))[1]
+        h = fam.pair(z, np.zeros_like(z))[0]
         assert np.abs(ht - np.conj(h)).max() <= 1e-14
 
 
@@ -41,7 +43,8 @@ def test_ode_identity_on_disc(rng):
     # delta * h' = h^2 - 1 throughout |z| <= 2
     for fam in (ADD, ADD_C):
         z = random_disc(rng, 1000, 2.0)
-        h, hp, _, _ = fam.eval(z, np.zeros_like(z))
+        pf = fam.jet(z, np.zeros_like(z))
+        h, hp = pf.h, pf.hp
         err = np.abs(fam.delta * hp - (h * h - 1.0))
         assert (err <= 1e-12 * (1.0 + np.abs(h) ** 2)).all()
 
@@ -50,9 +53,9 @@ def test_derivative_matches_central_difference(rng):
     step = 1e-6
     for fam in (ADD, ADD_C, CS):
         z = random_disc(rng, 100, 0.9)
-        _, hp, _, _ = fam.eval(z, np.zeros_like(z))
-        hplus, _, _, _ = fam.eval(z + step, np.zeros_like(z))
-        hminus, _, _, _ = fam.eval(z - step, np.zeros_like(z))
+        hp = fam.jet(z, np.zeros_like(z)).hp
+        hplus = fam.pair(z + step, np.zeros_like(z))[0]
+        hminus = fam.pair(z - step, np.zeros_like(z))[0]
         fd = (hplus - hminus) / (2.0 * step)
         assert (np.abs(fd - hp) <= 1e-6 * (1.0 + np.abs(hp))).all()
 
@@ -63,7 +66,7 @@ def test_invert_round_trips(rng):
             target = complex(random_disc(rng, None, 0.8))
             z = fam.invert_h(target)
             w = fam.invert_htilde(target)
-            h, _, ht, _ = fam.eval(z, w)
+            h, ht = fam.pair(z, w)
             assert abs(complex(h) - target) <= 1e-12 * (1.0 + abs(target))
             assert abs(complex(ht) - target) <= 1e-12 * (1.0 + abs(target))
 
@@ -75,7 +78,7 @@ def test_invert_examples():
     z = ADD.invert_h(target)
     # quoted to four decimals; the forward evaluation is the authority
     assert abs(z - (-2.8138)) < 2.5e-4
-    h, _, _, _ = ADD.eval(z, 0.0)
+    h = ADD.pair(z, 0.0)[0]
     assert abs(complex(h) - target) <= 1e-12
 
 
@@ -90,14 +93,19 @@ def test_invert_unreachable_targets():
 
 
 def test_pole_detection():
-    # h has a pole where 1 + exp(2z/delta + kappa) = 0, i.e. z = i*pi*delta/2
+    # h has a pole where 1 + exp(2z/delta + kappa) = 0, i.e. z = i*pi*delta/2;
+    # the jet carries it without raising, as |h| beyond 1e15 (1/h' -> 0 there)
     pole = 0.5j * np.pi * 4.0
-    with pytest.raises(PoleProximityError):
-        ADD.eval(pole, 0.0)
-    with pytest.raises(PoleProximityError):
-        ADD.eval(0.0, np.conj(pole))
-    # just far enough away evaluates fine
-    ADD.eval(pole + 0.1, 0.0)
+    assert abs(complex(ADD.jet(pole, 0.0).h)) > 1e15
+    assert abs(complex(ADD.jet(0.0, np.conj(pole)).ht)) > 1e15
+    # checked_denominator refuses a state where 1 + h*htilde vanishes (here
+    # h = htilde = i) or the jet is not finite, and passes one 0.1 away
+    z, w = ADD.invert_h(1j), ADD.invert_htilde(1j)
+    for pf in (ADD.jet(z, w), ADD.jet(np.nan, w)):
+        with pytest.raises(PoleProximityError):
+            checked_denominator(pf.h, pf.ht, pf.hp, pf.htp)
+    pf = ADD.jet(z + 0.1, w)
+    checked_denominator(pf.h, pf.ht, pf.hp, pf.htp)
 
 
 def test_family_validation():
@@ -107,11 +115,16 @@ def test_family_validation():
         BasisFamily.additive_noise(0.0)
 
 
-def test_jet_matches_eval_and_ratios(rng):
+def test_jet_matches_pair_and_ratios(rng):
     for fam in (ADD, ADD_C, CS):
         z = random_disc(rng, 40, 0.9)
         w = random_disc(rng, 40, 0.9)
-        h, hp, ht, htp = fam.eval(z, w)
+        h, ht = fam.pair(z, w)
+        # the slopes from the family identity delta * h' = h^2 - 1
+        if fam.kind == ADDITIVE_NOISE:
+            hp, htp = (h * h - 1.0) / fam.delta, (ht * ht - 1.0) / np.conj(fam.delta)
+        else:
+            hp, htp = np.ones_like(h), np.ones_like(ht)
         pf = fam.jet(z, w)
         assert np.abs(pf.h - h).max() == 0.0
         assert np.abs(pf.hp - hp).max() <= 1e-15
@@ -166,9 +179,8 @@ def test_far_from_origin_h_is_finite(rng):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pair = fam.pair(z, w)
-            h, hp, ht, htp = fam.eval(z, w)
             pf = fam.jet(z, w)
-        for value in pair + (h, ht, pf.h, pf.ht):
+        for value in pair + (pf.h, pf.ht):
             assert np.array_equal(value, -np.sign(u.real))
-        for value in (hp, htp, pf.hp, pf.htp):
+        for value in (pf.hp, pf.htp):
             assert np.isfinite(value).all()

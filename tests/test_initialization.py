@@ -30,8 +30,8 @@ def test_thermal_state_both_families():
     for fam in (CS, ADD):
         dist = init_points(rho, fam)
         assert np.allclose(dist.weights, [0.0, 0.5, 0.5], atol=1e-15)
-        h1, _, _, _ = fam.eval(dist.zs[1], 0.0)
-        h2, _, _, _ = fam.eval(dist.zs[2], 0.0)
+        h1 = fam.pair(dist.zs[1], 0.0)[0]
+        h2 = fam.pair(dist.zs[2], 0.0)[0]
         assert abs(complex(h1) - big_k) <= 1e-12
         assert abs(complex(h2) + big_k) <= 1e-12
         assert np.abs(reconstruct_independent(dist, fam) - rho.matrix()).max() <= 1e-12
@@ -85,6 +85,14 @@ def test_additive_noise_rejects_k_equal_one():
     rho = AtomicDensity.from_upper(0.5, 0.1)
     with pytest.raises(UnreachableTargetError):
         init_points(rho, ADD)
+
+
+def test_near_boundary_population_additive_noise():
+    # rho11 = 1e-30 puts the points within 1e-15 of a pole of h; the
+    # distribution still reconstructs the density within the 1e-9 guard
+    rho = AtomicDensity.from_upper(1e-30)
+    dist = init_points(rho, ADD)
+    assert np.abs(dist.reconstruct(ADD) - rho.matrix()).max() <= 1e-9
 
 
 def test_hermiticity_and_trace_validation():

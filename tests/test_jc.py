@@ -122,13 +122,6 @@ class TestDrift:
                 want = single_mode_drift(params, delta, state)
                 assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
 
-    def test_dissipation_free_limit(self, rng):
-        params = fig_params()
-        state = random_phase_state(rng, CS, 1)
-        assert np.array_equal(
-            drift_jc(params, CS, state, dissipative=True), drift_jc(params, CS, state)
-        )
-
     def test_dissipation_touches_only_fermionic_rows(self, rng):
         params = sample_model(**random_rates(rng))
         free = sample_model()
@@ -154,8 +147,8 @@ class TestDiffusionAndNoise:
         params = sample_model(**random_rates(rng))
         for fam in (CS, ADD):
             state = random_phase_state(rng, fam, params.mode_count)
-            for dissipative in (False, True):
-                d = diffusion_jc(params, fam, state, dissipative)
+            for model in (sample_model(), params):
+                d = diffusion_jc(model, fam, state)
                 assert np.abs(d - d.T).max() == 0.0
 
     def test_additive_family_entries_are_constant(self, rng):
@@ -174,12 +167,13 @@ class TestDiffusionAndNoise:
         assert d[0, 2] == 0.0  # d_1 = g s (z^2 - 1) = 0
 
     def test_factorization(self, rng):
+        free = sample_model()
         for _ in range(25):
             params = sample_model(**random_rates(rng))
             for fam in (CS, ADD, BasisFamily.additive_noise(3.0 + 1.0j, 0.1j)):
                 state = random_phase_state(rng, fam, params.mode_count)
-                b = noise_jc(params, fam, state, dissipative=False)
-                d = diffusion_jc(params, fam, state, dissipative=False)
+                b = noise_jc(free, fam, state)
+                d = diffusion_jc(free, fam, state)
                 assert np.abs(b @ b.T - d).max() <= 1e-12 * (1.0 + np.abs(d).max())
                 bp = noise_jc(params, fam, state)
                 dp = diffusion_jc(params, fam, state)
@@ -210,10 +204,8 @@ class TestDiffusionAndNoise:
         want = np.zeros_like(tt)
         want[2 * n, 2 * n + 1] = want[2 * n + 1, 2 * n] = d_entry
         assert np.abs(tt - want).max() <= 1e-15 * (1.0 + abs(d_entry))
-        # zero rates: the extra columns vanish identically
-        free = sample_model()
-        extra0 = noise_jc(free, CS, state, dissipative=True)[:, 4 * n :]
-        assert np.abs(extra0).max() == 0.0
+        # zero rates: the layout has no extra columns
+        assert noise_jc(sample_model(), CS, state).shape == (2 * (n + 1), 4 * n)
 
 
 class TestEnsembleIntegration:

@@ -3,17 +3,17 @@ import pytest
 
 from ppcavity.invariants import check_mb_drift_identity
 from ppcavity.jc import ModelParams
-from ppcavity.maxwell_bloch import MbState, evolve_mb, mb_rhs
+from ppcavity.maxwell_bloch import evolve_mb, mb_rhs
 from ppcavity.observables import physical_columns
-from ppcavity.physical import drift_bar
+from ppcavity.physical import drift_bar, join_phys
 from ppcavity.sde import TimeGrid
 
 from helpers import rk4
 
 
-def test_state_round_trip():
-    state = MbState(epsilon=(1.0, 2.0), eta=(0.3, -0.4), rho21=0.1 - 0.2j, nu=-0.5)
-    assert MbState.from_real_vector(state.to_real_vector()) == state
+def mb_state(epsilon, eta, rho21, nu):
+    """Physical vector on the hermitian slice, rho12 = conj(rho21)."""
+    return join_phys(epsilon, eta, rho21, np.conj(rho21), nu)
 
 
 def test_rhs_equals_changed_variable_drift(rng):
@@ -25,27 +25,27 @@ def test_rhs_is_hermitian_slice_of_drift_bar():
     params = ModelParams.from_frequencies(
         omega=(0.9, 1.7), g=(0.4, 0.25), Omega=1.3, r12=0.4, r21=0.25, r_p=0.15
     )
-    state = MbState(epsilon=(0.7, -0.2), eta=(0.1, 0.4), rho21=0.1 + 0.05j, nu=-0.3)
+    state = mb_state((0.7, -0.2), (0.1, 0.4), 0.1 + 0.05j, -0.3)
     deriv = mb_rhs(params, state)
-    bar = drift_bar(params, state.to_phys_vector())
-    assert np.abs(deriv.to_phys_vector() - bar).max() <= 1e-14
+    bar = drift_bar(params, state)
+    assert np.abs(deriv - bar).max() <= 1e-14
 
 
 def test_decoupled_invariants():
     params = ModelParams.from_frequencies(omega=(2.0, 3.0), g=(0.0, 0.0), Omega=1.4)
-    state0 = MbState(epsilon=(1.0, 0.3), eta=(0.2, -0.5), rho21=0.15 + 0.1j, nu=-0.4)
+    state0 = mb_state((1.0, 0.3), (0.2, -0.5), 0.15 + 0.1j, -0.4)
     grid = TimeGrid(0.0, 4.0, 2000)
     traj = evolve_mb(params, state0, grid)
     energy = (traj.epsilon**2 + traj.eta**2).sum(axis=1)
     assert np.abs(energy - energy[0]).max() <= 1e-10 * energy[0]
-    assert np.abs(np.abs(traj.rho21) - abs(state0.rho21)).max() <= 1e-10
+    assert np.abs(np.abs(traj.rho21) - abs(0.15 + 0.1j)).max() <= 1e-10
 
 
 def test_relaxation_closed_form():
     params = ModelParams.from_frequencies(
         omega=(2.0,), g=(0.0,), Omega=0.0, r12=0.4, r21=0.25, r_p=0.15
     )
-    state0 = MbState(epsilon=(0.0,), eta=(0.0,), rho21=0.2, nu=-0.6)
+    state0 = mb_state((0.0,), (0.0,), 0.2, -0.6)
     grid = TimeGrid(0.0, 3.0, 1500)
     traj = evolve_mb(params, state0, grid)
     nu_exact = params.nu0 + (-0.6 - params.nu0) * np.exp(-params.gamma1 * grid.times)
@@ -56,11 +56,11 @@ def test_relaxation_closed_form():
 
 def test_against_independent_complex_rk4_and_step_halving():
     params = ModelParams.from_frequencies(omega=1100.0, g=200.0, Omega=1000.0)
-    state0 = MbState(epsilon=(10.0,), eta=(0.0,), rho21=0.0, nu=-0.46)
+    state0 = mb_state((10.0,), (0.0,), 0.0, -0.46)
     grid = TimeGrid(0.0, 0.25 * np.pi / 1100.0, 2048)
     traj = evolve_mb(params, state0, grid)
     # independent integration of the complex changed-variable drift
-    other = rk4(lambda x: drift_bar(params, x), state0.to_phys_vector(), grid)
+    other = rk4(lambda x: drift_bar(params, x), state0, grid)
     assert np.abs(traj.rho21 - other[:, 2]).max() <= 1e-10
     assert np.abs(traj.epsilon[:, 0] - other[:, 0].real).max() <= 1e-9
     # Richardson: halving the step changes nothing at the reported accuracy
@@ -70,7 +70,7 @@ def test_against_independent_complex_rk4_and_step_halving():
 
 def test_hermitian_columns():
     params = ModelParams.from_frequencies(omega=(2.0,), g=(0.3,), Omega=1.0)
-    state0 = MbState(epsilon=(1.0,), eta=(0.0,), rho21=0.1 + 0.2j, nu=-0.2)
+    state0 = mb_state((1.0,), (0.0,), 0.1 + 0.2j, -0.2)
     traj = evolve_mb(params, state0, TimeGrid(0.0, 1.0, 200))
     cols = physical_columns(params, ("rho_12", "rho_21", "rho_11", "rho_22"))(traj.phys)
     assert np.array_equal(cols[:, 0], np.conj(cols[:, 1]))
@@ -79,9 +79,30 @@ def test_hermitian_columns():
 
 def test_bloch_bound_warning():
     params = ModelParams.from_frequencies(omega=(2.0,), g=(0.0,), Omega=1.0)
-    bad = MbState(epsilon=(0.0,), eta=(0.0,), rho21=0.9, nu=0.0)
+    bad = mb_state((0.0,), (0.0,), 0.9, 0.0)
     with pytest.warns(RuntimeWarning):
         evolve_mb(params, bad, TimeGrid(0.0, 0.1, 10))
-    good = MbState(epsilon=(0.0,), eta=(0.0,), rho21=0.3, nu=0.0)
+    good = mb_state((0.0,), (0.0,), 0.3, 0.0)
     traj = evolve_mb(params, good, TimeGrid(0.0, 0.1, 10))
     assert traj.max_bloch_violation <= 0.0
+
+
+def test_state_off_the_hermitian_slice_is_refused():
+    params = ModelParams.from_frequencies(omega=(2.0, 3.0), g=(0.3, 0.2), Omega=1.0)
+    grid = TimeGrid(0.0, 0.1, 10)
+    good = mb_state((1.0, 0.5), (0.0, -0.2), 0.1 + 0.2j, -0.2)
+    evolve_mb(params, good, grid)
+    wrong_length = good[:-1]
+    rho12_not_conj = good.copy()
+    rho12_not_conj[5] = 0.1 + 0.2j
+    complex_nu = good.copy()
+    complex_nu[6] = -0.2 + 0.1j
+    for bad, message in (
+        (wrong_length, "length 7"),
+        (rho12_not_conj, "rho12 = conj"),
+        (complex_nu, "real epsilon, eta and nu"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            evolve_mb(params, bad, grid)
+        with pytest.raises(ValueError, match=message):
+            mb_rhs(params, bad)

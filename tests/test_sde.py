@@ -172,6 +172,21 @@ def test_run_ensemble_rejects_bad_chunk_size(chunk_size):
         )
 
 
+@pytest.mark.parametrize(
+    "init, shape", [(np.complex128(0.5), r"\(\)"), (np.zeros((1, 1), complex), r"\(1, 1\)")]
+)
+def test_run_ensemble_rejects_badly_shaped_initial_state(init, shape):
+    with pytest.raises(ValueError, match=rf"vector of length 1, got shape {shape}"):
+        run_ensemble(
+            make_ou(),
+            lambda rng: init,
+            TimeGrid(0.0, 1.0, 4),
+            3,
+            0,
+            {"x": lambda s: s[..., 0]},
+        )
+
+
 def test_single_run_has_zero_stderr():
     grid = TimeGrid(0.0, 1.0, 32)
     res = run_ensemble(

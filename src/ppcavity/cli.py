@@ -204,6 +204,7 @@ def cmd_run(args) -> int:
                 "runs_diverged": result.runs_diverged,
                 "diverged_paths": list(result.diverged_paths[:100]),
                 "divergence_steps": list(result.divergence_steps[:100]),
+                "chunk_size": result.chunk_size,
             },
         )
         print(

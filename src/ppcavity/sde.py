@@ -10,12 +10,13 @@ its basis jet).  ``run_ensemble`` is the only entry point
 and ``_integrate_chunk`` the only stepping loop: ensembles are executed in
 path chunks so that realizations vectorize, while every path still owns an
 independent counter-based random stream keyed by (master_seed, path_index).
-Chunks run one after another and their moments are merged in ascending path
-order, so statistics do not depend on scheduling, and a single realization is
-``run_ensemble(..., runs=1)``.  A chunk draws its Wiener increments
-``_DRAW_BLOCK`` steps at a time into one reused buffer and reduces its record
-one time block at a time, so an ensemble's peak memory is one chunk's
-observable record plus O(chunk x block), whatever the number of runs.
+Chunks run one after another and merge into one set of per-point moments in
+ascending path order, so statistics do not depend on scheduling, and a single
+realization is ``run_ensemble(..., runs=1)``.  Nothing holds a record of paths
+x steps: a chunk draws its Wiener increments and buffers its observables
+``_DRAW_BLOCK`` points at a time, merges each full block into the moments, and
+keeps one state per path and block from which the paths that diverge are
+replayed and taken out of the moments again when the chunk ends.
 ``TimeGrid`` and the classical RK4 generator ``rk4_states`` also serve the
 deterministic engines.
 """
@@ -30,11 +31,12 @@ import numpy as np
 from .errors import AllPathsDivergedError
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e6
-_DEFAULT_CHUNK = 256
-# steps per block: a chunk draws its Wiener increments and reduces its record
-# this many steps at a time; Philox streams are sequential and the reduction
-# sums over paths, so the numbers do not depend on it
-_DRAW_BLOCK = 256
+_DEFAULT_CHUNK = 1024
+# points per block: a chunk draws its Wiener increments, buffers its
+# observables, checkpoints its state and merges its moments this many points
+# at a time; Philox streams are sequential and the moments are per point, so
+# the numbers do not depend on it
+_DRAW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,9 @@ class EnsembleResult:
     from the total (real plus imaginary) variance of the completed runs.
     Diverged paths are excluded from the statistics and listed by index;
     ``divergence_steps`` gives, in the same order, the grid step at which each
-    one first left the finite, under-threshold region.
+    one first left the finite, under-threshold region.  ``chunk_size`` is the
+    widest chunk that ran: results are reproducible bit for bit at a fixed
+    seed and chunk size.
     """
 
     grid: TimeGrid
@@ -149,6 +153,7 @@ class EnsembleResult:
     runs_diverged: int
     diverged_paths: tuple[int, ...]
     divergence_steps: tuple[int, ...]
+    chunk_size: int
 
     @property
     def runs_completed(self) -> int:
@@ -159,28 +164,32 @@ class EnsembleResult:
         return self.mean[:, j], self.stderr[:, j]
 
 
-def _integrate_chunk(system, inits, grid, gens, observable_map, threshold):
-    """Vectorized Euler-Maruyama over one chunk of paths.
+def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, on_block):
+    """Vectorized Euler-Maruyama over one batch of paths.
 
-    Returns the (paths, points, observables) value array, the alive mask and
-    the number of steps each path survived.  Paths are latched dead on the
-    first non-finite or over-threshold state.  Every ``_DRAW_BLOCK`` steps,
-    each path's next increments are drawn from its generator in ``gens`` into
-    one reused buffer.  Each step prepares the new state once; the
-    observables at that point and the next drift and noise read the prepared
-    value.  Constant noise is one (dim, m) matrix applied to all paths by one
-    real-by-complex product.
+    Returns the alive mask, the number of steps each path survived and the
+    state at the first point of every block that has a step after it, shape
+    (blocks, paths, dim).  Paths are latched dead on the first non-finite or
+    over-threshold state.  At the first step of every block, ``draw(out)``
+    fills ``out`` (paths, rows, m) with standard normals for the next rows
+    steps.  The observables of each point go to a (paths, ``_DRAW_BLOCK``,
+    observables) buffer; when it is full, or the grid ends, ``on_block(t,
+    values, alive)`` receives the points from t on and the alive mask at the
+    last of them, and may overwrite ``values``.  Each step prepares the new
+    state once; the observables at that point and the next drift and noise
+    read the prepared value.  Constant noise is one (dim, m) matrix applied to
+    all paths by one real-by-complex product.
     """
-    steps, dt = grid.steps, grid.dt
     sqrt_dt = np.sqrt(dt)
-    state = np.array(inits, dtype=complex)
+    state = np.array(state, dtype=complex)
     n_paths = state.shape[0]
     alive = np.ones(n_paths, dtype=bool)
     survived = np.zeros(n_paths, dtype=np.int64)
     dws = np.empty((n_paths, min(_DRAW_BLOCK, steps), system.noise_dim))
+    values = np.empty((n_paths, min(_DRAW_BLOCK, steps + 1), len(observable_map.names)), complex)
+    checkpoints = np.empty((-(-steps // _DRAW_BLOCK), n_paths, system.dim), dtype=complex)
 
     with np.errstate(all="ignore"):
-        values = np.empty((n_paths, steps + 1, len(observable_map.names)), dtype=complex)
         prepared = system.prepare(state)
         values[:, 0, :] = observable_map.batch(prepared)
         if system.constant_noise:
@@ -190,9 +199,9 @@ def _integrate_chunk(system, inits, grid, gens, observable_map, threshold):
         for k in range(steps):
             j = k % _DRAW_BLOCK
             if j == 0:
+                checkpoints[k // _DRAW_BLOCK] = state
                 rows = min(_DRAW_BLOCK, steps - k)
-                for dw, gen in zip(dws, gens):
-                    gen.standard_normal(out=dw[:rows])
+                draw(dws[:, :rows])
                 dws[:, :rows] *= sqrt_dt
             a = np.asarray(system.drift(prepared), dtype=complex)
             if system.constant_noise:
@@ -204,33 +213,105 @@ def _integrate_chunk(system, inits, grid, gens, observable_map, threshold):
             alive &= (np.abs(state) <= threshold).all(axis=-1)
             survived += alive
             prepared = system.prepare(state)
-            values[:, k + 1, :] = observable_map.batch(prepared)
-    return values, alive, survived
+            i = (k + 1) % _DRAW_BLOCK
+            values[:, i, :] = observable_map.batch(prepared)
+            if i == _DRAW_BLOCK - 1:
+                on_block(k + 2 - _DRAW_BLOCK, values, alive)
+        rows = (steps + 1) % _DRAW_BLOCK
+        if rows:
+            on_block(steps + 1 - rows, values[:, :rows], alive)
+    return alive, survived, checkpoints
 
 
-def _chunk_moments(values):
-    """Mean and summed squared deviation over paths, one time block at a time.
+def _block_moments(values):
+    """Path count, mean and summed squared deviation over the first axis.
 
-    Centres ``values`` in place; no temporary is the size of the record.
+    Centres ``values`` in place, so no temporary is the size of the block.
     """
-    mean = np.empty(values.shape[1:], dtype=complex)
-    m2 = np.empty(values.shape[1:])
-    for t in range(0, values.shape[1], _DRAW_BLOCK):
-        block = values[:, t : t + _DRAW_BLOCK]
-        mean[t : t + _DRAW_BLOCK] = block.mean(axis=0)
-        block -= mean[t : t + _DRAW_BLOCK]
-        m2[t : t + _DRAW_BLOCK] = (np.abs(block) ** 2).sum(axis=0)
-    return mean, m2
+    mean = values.mean(axis=0)
+    values -= mean
+    return values.shape[0], mean, (np.abs(values) ** 2).sum(axis=0)
 
 
-def _merge_moments(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
-    if n_a == 0:
-        return n_b, mean_b, m2_b
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    mean = mean_a + delta * (n_b / n)
-    m2 = m2_a + m2_b + np.abs(delta) ** 2 * (n_a * n_b / n)
-    return n, mean, m2
+class _Moments:
+    """Per-point path count, mean and summed squared deviation of the observables.
+
+    Blocks of points enter through ``add`` and leave through ``remove``, the
+    pairwise variance-combination rule and its inverse; all points of a
+    block share one count.  Both centre their argument in place.
+    """
+
+    def __init__(self, points, width):
+        self.count = np.zeros(points, dtype=np.int64)
+        self.mean = np.zeros((points, width), dtype=complex)
+        self.m2 = np.zeros((points, width))
+
+    def add(self, t, values):
+        """Merge the moments over paths of ``values`` into the points from t on."""
+        if len(values) == 0:
+            return
+        block = slice(t, t + values.shape[1])
+        n_b, mean_b, m2_b = _block_moments(values)
+        n_a = int(self.count[t])
+        if n_a == 0:
+            self.mean[block], self.m2[block] = mean_b, m2_b
+        else:
+            n = n_a + n_b
+            delta = mean_b - self.mean[block]
+            self.mean[block] += delta * (n_b / n)
+            self.m2[block] = self.m2[block] + m2_b + np.abs(delta) ** 2 * (n_a * n_b / n)
+        self.count[block] = n_a + n_b
+
+    def remove(self, t, values):
+        """Take paths that ``add`` merged into the points from t on out again."""
+        if len(values) == 0:
+            return
+        block = slice(t, t + values.shape[1])
+        n_b, mean_b, m2_b = _block_moments(values)
+        n = int(self.count[t])
+        n_a = n - n_b
+        self.count[block] = n_a
+        if n_a == 0:
+            self.mean[block], self.m2[block] = 0.0, 0.0
+            return
+        self.mean[block] += (self.mean[block] - mean_b) * (n_b / n_a)
+        delta = mean_b - self.mean[block]
+        self.m2[block] -= m2_b + np.abs(delta) ** 2 * (n_a * n_b / n)
+
+
+def _remove_dead(
+    system, dt, observables, threshold, checkpoints, dead, streams, skipped, moments
+):
+    """Replay the blocks the dead paths entered and take them out of ``moments``.
+
+    ``dead`` maps each diverged path to the step at which it diverged.  A
+    path that first diverges at step d was alive at the last point of every
+    block that ends before point d, and entered each of them that it was not
+    ``skipped`` in.  Those blocks run from their ``checkpoints`` for one block
+    less a step, as many at once as the chunk has paths, on increments drawn
+    again from each path's stream restored to its ``streams`` snapshot.
+    """
+    entries = [(p, b) for p, d in dead.items() for b in range(d // _DRAW_BLOCK)]
+    gens = {p: np.random.Generator(np.random.Philox()) for p in dead}
+    for p, gen in gens.items():
+        gen.bit_generator.state = streams[p]
+    for i in range(0, len(entries), checkpoints.shape[1]):
+        batch = entries[i : i + checkpoints.shape[1]]
+        # a path's blocks come in order, so its stream is read in order
+        normals = np.stack(
+            [gens[p].standard_normal((_DRAW_BLOCK, system.noise_dim)) for p, _ in batch]
+        )
+
+        def draw(out):
+            out[...] = normals[:, : _DRAW_BLOCK - 1]
+
+        def remove(t, values, alive):
+            for b in sorted({b for _, b in batch}):
+                rows = [j for j, (p, c) in enumerate(batch) if c == b and (p, b) not in skipped]
+                moments.remove(b * _DRAW_BLOCK, values[rows])
+
+        inits = np.stack([checkpoints[b, p] for p, b in batch])
+        _integrate_chunk(system, inits, _DRAW_BLOCK - 1, dt, draw, observables, threshold, remove)
 
 
 def run_ensemble(
@@ -248,11 +329,16 @@ def run_ensemble(
 
     Path r draws its initial state and then its Wiener increments from the
     stream keyed by (master_seed, r), so results are reproducible.  Chunks of
-    ``chunk_size`` paths run in turn; each chunk's moments are merged at once,
-    in ascending path order, with the pairwise variance-combination rule.
-    Peak memory is one chunk's observable record, paths x (steps + 1) x
-    observables complex values, plus one draw block of increments: no record
-    outlives its chunk.
+    ``chunk_size`` paths run in turn.  Each ``_DRAW_BLOCK``-point block of a
+    chunk is merged into the per-point moments, with the pairwise
+    variance-combination rule, over the paths alive at its last point whose
+    observables in it are finite and within ``divergence_threshold`` in
+    modulus; a live path's other blocks wait aside.  After the chunk, the
+    paths that diverged are replayed block by block from the chunk's state
+    checkpoints and taken out, and the waiting blocks of the survivors are
+    merged in, so the moments are those of the surviving paths.  Memory is
+    one block of increments and observables per path plus one state per path
+    and block: nothing holds paths x steps observables.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -261,11 +347,7 @@ def run_ensemble(
     if not isinstance(observables, ObservableMap):
         observables = ObservableMap.from_mapping(observables)
     names = observables.names
-    shape = (grid.steps + 1, len(names))
-
-    total = 0
-    mean = np.zeros(shape, dtype=complex)
-    m2 = np.zeros(shape)
+    moments = _Moments(grid.steps + 1, len(names))
     diverged: list[int] = []
     divergence_steps: list[int] = []
     for start in range(0, runs, chunk_size):
@@ -277,38 +359,55 @@ def run_ensemble(
                 f"init_sampler must return a vector of length {system.dim}, "
                 f"got shape {inits.shape[1:]}"
             )
-        values, alive, survived = _integrate_chunk(
-            system, inits, grid, gens, observables, divergence_threshold
-        )
-        # reduce with no record-sized copy, whether or not a path died, then
-        # free the record before the next chunk: the survivors move to the
-        # front in place, giving the same contiguous rows as values[alive]
-        kept = np.flatnonzero(alive)
-        if kept.size < alive.size:
-            for row, path in enumerate(kept):
-                values[row] = values[path]
-            values = values[: kept.size]
-        if values.shape[0]:
-            c_mean, c_m2 = _chunk_moments(values)
-            total, mean, m2 = _merge_moments(total, mean, m2, values.shape[0], c_mean, c_m2)
-        dead = np.flatnonzero(~alive)
-        diverged.extend(int(start + i) for i in dead)
-        divergence_steps.extend(int(survived[i]) + 1 for i in dead)
-        del values
+        streams = [g.bit_generator.state for g in gens]
+        waiting: list[tuple[int, int, np.ndarray]] = []
 
+        def draw(out):
+            for dw, gen in zip(out, gens):
+                gen.standard_normal(out=dw)
+
+        def merge_block(t, values, alive):
+            kept = alive & (np.abs(values) <= divergence_threshold).all(axis=(1, 2))
+            waiting.extend((t, p, values[p].copy()) for p in np.flatnonzero(alive & ~kept))
+            moments.add(t, values if kept.all() else values[kept])
+
+        alive, survived, checkpoints = _integrate_chunk(
+            system, inits, grid.steps, grid.dt, draw, observables, divergence_threshold, merge_block
+        )
+        dead = {int(p): int(survived[p]) + 1 for p in np.flatnonzero(~alive)}
+        diverged.extend(start + p for p in dead)
+        divergence_steps.extend(dead.values())
+        with np.errstate(all="ignore"):
+            skipped = {(p, t // _DRAW_BLOCK) for t, p, _ in waiting}
+            _remove_dead(
+                system,
+                grid.dt,
+                observables,
+                divergence_threshold,
+                checkpoints,
+                dead,
+                streams,
+                skipped,
+                moments,
+            )
+            for t in sorted({t for t, p, _ in waiting if alive[p]}):
+                moments.add(t, np.stack([v for s, p, v in waiting if s == t and alive[p]]))
+
+    total = runs - len(diverged)
     if total == 0:
         raise AllPathsDivergedError(f"all {runs} requested paths diverged")
     if total > 1:
-        stderr = np.sqrt(m2 / (total - 1) / total)
+        stderr = np.sqrt(moments.m2 / (total - 1) / total)
     else:
-        stderr = np.zeros(shape)
+        stderr = np.zeros(moments.m2.shape)
     return EnsembleResult(
         grid=grid,
         names=names,
-        mean=mean,
+        mean=moments.mean,
         stderr=stderr,
         runs_requested=runs,
         runs_diverged=runs - total,
         diverged_paths=tuple(diverged),
         divergence_steps=tuple(divergence_steps),
+        chunk_size=min(chunk_size, runs),
     )

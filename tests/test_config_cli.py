@@ -335,6 +335,8 @@ class TestRunCommand:
         assert meta["runs_requested"] == 12
         assert meta["master_seed"] == 7
         assert len(meta["divergence_steps"]) == len(meta["diverged_paths"])
+        # the default chunk is wider than the 12 runs: one chunk of 12 ran
+        assert meta["chunk_size"] == 12
 
     def test_seed_flag_and_env_override(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "run.cfg"

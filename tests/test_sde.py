@@ -260,10 +260,9 @@ def test_block_drawn_increments_match_one_shot_draws():
     check_against_one_shot_draws(grid, 20, 2718, chunk_size=7)
 
 
-def test_peak_memory_is_one_chunk_record():
+def test_peak_memory_is_blocks_not_steps():
     grid = TimeGrid(0.0, 1.0, 8192)
     chunk = 128
-    record_bytes = chunk * (grid.steps + 1) * 2 * 16
     observables = {"x": lambda s: s[..., 0], "x2": lambda s: s[..., 0] ** 2}
     tracemalloc.start()
     try:
@@ -279,9 +278,106 @@ def test_peak_memory_is_one_chunk_record():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # increments for the whole grid, a record-sized temporary or a record
-    # kept across chunks would each add at least half a record
-    assert peak <= 1.15 * record_bytes
+    # one block of observables per path, one checkpointed state per path and
+    # block, and the per-point moments; a record of the chunk's observables
+    # (34 MB here) or its increments for the whole grid (8 MB) would each
+    # exceed the bound (3.7 MB)
+    block_bytes = chunk * _DRAW_BLOCK * len(observables) * 16
+    checkpoint_bytes = chunk * (grid.steps // _DRAW_BLOCK) * 16
+    point_bytes = (grid.steps + 1) * len(observables) * 16
+    assert peak <= 4 * block_bytes + 2 * checkpoint_bytes + 8 * point_bytes
+
+
+def dying_ou(lam=0.5, sigma=0.7):
+    """OU in x, a clock c that moves by dt per step and three constants that
+    mark the observable; the step taken from any point with c > -1 kicks x far
+    over the threshold."""
+
+    def drift(s):
+        a = np.zeros_like(s)
+        a[..., 0] = -lam * s[..., 0] + np.where(s[..., 1].real > -1.0, 1e9, 0.0)
+        a[..., 1] = 1.0
+        return a
+
+    return SdeSystem(
+        dim=5,
+        noise_dim=1,
+        drift=drift,
+        noise=constant_noise_system(5, [[sigma], [0.0], [0.0], [0.0], [0.0]]),
+        constant_noise=True,
+    )
+
+
+def observe_dying_ou(x, c, nan_at, big_at, big_exp):
+    """x, x**2 and x made nan where c = nan_at and 10**big_exp larger where c = big_at."""
+    c, nan_at, big_at, big_exp = np.real(c), np.real(nan_at), np.real(big_at), np.real(big_exp)
+    odd = np.where(c == nan_at, np.nan, x) + np.where(c == big_at, 10.0**big_exp, 0.0)
+    return np.stack(np.broadcast_arrays(x, x**2, odd), axis=-1)
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 64])
+def test_dead_paths_leave_no_trace_in_the_moments(chunk_size):
+    b = _DRAW_BLOCK
+    grid = TimeGrid(0.0, 3 * b + 37.0, 3 * b + 37)  # dt = 1, a partial last block
+    threshold, lam, sigma, seed = 1e4, 0.5, 0.7, 99
+    # divergence step per path, 0 for a survivor: in block 0, mid-grid, at
+    # the first step of a block (the last alive point ends the block before),
+    # at the last step
+    dies = [0, 3, 0, b + 17, 2 * b, 0, 3 * b, grid.steps, 0, 0, 2 * b + 5, 0]
+    runs = len(dies)
+    clock = np.array([1.0 - d if d else -1e3 for d in dies])
+    nan_at, big_at, big_exp = np.full(runs, 0.5), np.full(runs, 0.5), np.zeros(runs)
+    # while every state stays under the threshold, the third observable is
+    # nan (path 6) or 1e200 (path 4) at the last alive point, which ends a
+    # block, and 10**4.5 for survivors 2 and 9 in block 1 and at the last point
+    nan_at[6] = big_at[4] = 0.0
+    big_exp[4] = 200.0
+    big_at[2], big_at[9] = clock[2] + b + 5, clock[9] + grid.steps
+    big_exp[[2, 9]] = 4.5
+    calls = []
+
+    def sampler(rng):
+        r = len(calls)
+        calls.append(r)
+        marks = [clock[r], nan_at[r], big_at[r], big_exp[r]]
+        return np.array([rng.standard_normal(), *marks], dtype=complex)
+
+    observables = ObservableMap(
+        ("x", "x2", "odd"), lambda s: observe_dying_ou(*np.moveaxis(s, -1, 0))
+    )
+    res = run_ensemble(
+        dying_ou(lam, sigma),
+        sampler,
+        grid,
+        runs,
+        seed,
+        observables,
+        divergence_threshold=threshold,
+        chunk_size=chunk_size,
+    )
+    assert calls == list(range(runs))
+    assert res.chunk_size == min(chunk_size, runs)
+    dead = [r for r in range(runs) if dies[r]]
+    assert res.diverged_paths == tuple(dead)
+    assert res.divergence_steps == tuple(dies[r] for r in dead)
+
+    # the survivors rebuilt from one-shot draws of their streams
+    values = []
+    for r in range(runs):
+        if dies[r]:
+            continue
+        gen = path_generator(seed, r)
+        x = np.empty(grid.steps + 1)
+        x[0] = gen.standard_normal()
+        dws = gen.standard_normal(grid.steps) * np.sqrt(grid.dt)
+        for k in range(grid.steps):
+            x[k + 1] = x[k] - lam * x[k] * grid.dt + sigma * dws[k]
+        values.append(observe_dying_ou(x, clock[r] + grid.times, nan_at[r], big_at[r], big_exp[r]))
+    values = np.array(values)
+    mean = values.mean(axis=0)
+    stderr = np.sqrt((np.abs(values - mean) ** 2).sum(axis=0) / (len(values) - 1) / len(values))
+    assert (np.abs(res.mean - mean) <= 1e-12 * np.abs(mean).max(axis=0)).all()
+    assert (np.abs(res.stderr - stderr) <= 1e-12 * stderr.max(axis=0)).all()
 
 
 def test_divergence_steps_are_first_crossings():

@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import BasisFamily
 from .jc import ModelParams, jet_state
-from .physical import jacobian_change, reconstruct_fields, to_physical
+from .physical import jacobian_change, to_physical
 from .sde import ObservableMap, SdeSystem
 
 DEFAULT_OBSERVABLES = ("rho_11", "rho_22", "rho_21", "rho_12", "nu")
@@ -60,10 +60,15 @@ def _column_reader(params: ModelParams, name: str, probes, raw):
         if name.startswith(prefix):
             i = 2 * _index(name, prefix, n, "mode") + offset
             return lambda phys, _: phys[..., i]
-    for prefix, part in (("E_at_", 0), ("H_at_", 1)):
+    for prefix, trig in (("E_at_", np.sin), ("H_at_", np.cos)):
         if name.startswith(prefix):
+            # reconstruct_fields, one field, with the per-mode factor formed once
             x = probes[_index(name, prefix, len(probes), "probe")]
-            return lambda phys, _: reconstruct_fields(params, phys, x)[part]
+            factor = params.e_photon * trig(params.wave_numbers * x)
+            if trig is np.sin:
+                return lambda phys, _: (factor * phys[..., 0 : 2 * n : 2]).sum(axis=-1)
+            scale = -(1.0 / params.impedance)
+            return lambda phys, _: scale * (factor * phys[..., 1 : 2 * n : 2]).sum(axis=-1)
     if name in PHASE_COORDINATES:
         raise ValueError(f"observable {name!r} exists only for the sde-jc engine")
     raise ValueError(f"unknown observable {name!r}")

@@ -7,9 +7,11 @@ Without dissipation it is unitary with a time-independent H, and
 :func:`evolve` propagates it exactly in the eigenbasis of H
 (:func:`evolve_spectral`).  With dissipation it is integrated with classical
 fixed-step RK4 (:func:`evolve_rk4`): the commutator is evaluated as
-M - M^dagger with M = H rho, which preserves hermiticity exactly, and the
-atomic dissipator terms reduce to elementwise operations because the
-pseudospin operators act on a single 2x2 factor.
+M - M^dagger with M = H rho, which preserves hermiticity exactly.  The
+atomic jump operators act on the 2x2 atomic factor only, so on the
+(field, 2, field, 2) reshape the dissipator is four block scalings
+(:func:`_dissipator`): d rho_00 = r21 rho_11 - r12 rho_00 = -d rho_11, and the
+coherence blocks rho_01, rho_10 decay at gamma2 = r_p + (r21 + r12)/2.
 
 Both routes record tr(A rho) over one operator list (:func:`_recorded_operators`),
 check the state at the same sampled grid points and build their trajectory
@@ -105,30 +107,21 @@ def build_hamiltonian(params: ModelParams, space: TruncatedSpace) -> np.ndarray:
 
 
 def _dissipator(params: ModelParams, rho: np.ndarray) -> np.ndarray:
-    """Atomic Lindblad terms, evaluated on the (field, 2, field, 2) reshape."""
+    """Atomic Lindblad terms r21 D[S-] + r12 D[S+] + 2 r_p D[Sz] as four block scalings.
+
+    The jump operators act on the 2x2 atomic factor only, so on the
+    (field, 2, field, 2) reshape the populations exchange at r21 and r12 and
+    both coherence blocks decay at gamma2 = r_p + (r21 + r12)/2.
+    """
     f = rho.shape[0] // 2
     r = rho.reshape(f, 2, f, 2)
-    out = np.zeros_like(r)
-    # 2 Sz rho Sz - rho/2
-    if params.r_p:
-        sz = np.array([-0.5, 0.5])
-        out += params.r_p * (
-            2.0 * sz[None, :, None, None] * sz[None, None, None, :] * r - 0.5 * r
-        )
-    szr_prs = None
-    if params.r21 or params.r12:
-        sz = np.array([-0.5, 0.5])
-        szr_prs = sz[None, :, None, None] * r + r * sz[None, None, None, :]
-    # S- rho S+ - (Sz rho + rho Sz + rho)/2
-    if params.r21:
-        hop = np.zeros_like(r)
-        hop[:, 0, :, 0] = r[:, 1, :, 1]
-        out += params.r21 * (hop - 0.5 * (szr_prs + r))
-    # S+ rho S- + (Sz rho + rho Sz - rho)/2
-    if params.r12:
-        hop = np.zeros_like(r)
-        hop[:, 1, :, 1] = r[:, 0, :, 0]
-        out += params.r12 * (hop + 0.5 * (szr_prs - r))
+    out = np.empty_like(r)
+    np.multiply(r[:, 1, :, 1], params.r21, out=out[:, 0, :, 0])
+    np.multiply(r[:, 0, :, 0], params.r12, out=out[:, 1, :, 1])
+    np.subtract(out[:, 0, :, 0], out[:, 1, :, 1], out=out[:, 0, :, 0])
+    np.negative(out[:, 0, :, 0], out=out[:, 1, :, 1])
+    np.multiply(r[:, 0, :, 1], -params.gamma2, out=out[:, 0, :, 1])
+    np.multiply(r[:, 1, :, 0], -params.gamma2, out=out[:, 1, :, 0])
     return out.reshape(rho.shape)
 
 
@@ -137,10 +130,11 @@ def master_rhs(params: ModelParams, rho, space: TruncatedSpace, hamiltonian=None
     rho = np.asarray(rho, dtype=complex)
     ham = build_hamiltonian(params, space) if hamiltonian is None else hamiltonian
     m = ham @ rho
-    out = (-1j / params.hbar) * (m - m.conj().T)
+    m -= m.conj().T
+    m *= -1j / params.hbar
     if params.dissipative:
-        out = out + _dissipator(params, rho)
-    return out
+        m += _dissipator(params, rho)
+    return m
 
 
 def coherent_state(alpha, levels: int) -> np.ndarray:

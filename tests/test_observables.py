@@ -13,7 +13,7 @@ from ppcavity.observables import (
     physical_observable_bundle,
     projection_observable,
 )
-from ppcavity.physical import split_phys, to_physical
+from ppcavity.physical import reconstruct_fields, split_phys, to_physical
 from ppcavity.reference import ReferenceTrajectory
 from ppcavity.sde import SdeSystem, TimeGrid, run_ensemble
 
@@ -127,6 +127,19 @@ def test_columns_agree_across_engines(rng):
         )
         deterministic = physical_columns(params, names, probes)(traj.phys)
         assert np.array_equal(deterministic, phase)
+
+
+def test_field_columns_equal_reconstruct_fields(rng):
+    # the probe columns form their per-mode factors once, with the same
+    # arithmetic as reconstruct_fields, so the values are identical
+    params = ModelParams.from_frequencies(omega=(1.0, 2.0), g=(0.1, 0.2), Omega=3.0)
+    probes = (0.3 * params.length, 0.7 * params.length)
+    phys = to_physical(ADD, np.stack([random_phase_state(rng, ADD, 2) for _ in range(16)]))
+    got = physical_columns(params, ("E_at_1", "H_at_1", "E_at_2", "H_at_2"), probes)(phys)
+    for j, x in enumerate(probes):
+        e_val, h_val = reconstruct_fields(params, phys, x)
+        assert np.array_equal(got[:, 2 * j], e_val)
+        assert np.array_equal(got[:, 2 * j + 1], h_val)
 
 
 class TestAugmentation:

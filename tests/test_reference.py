@@ -6,7 +6,11 @@ from ppcavity.initialization import AtomicDensity
 from ppcavity.jc import ModelParams
 from ppcavity.observables import physical_columns
 from ppcavity.reference import (
+    _SM,
+    _SP,
+    _SZ,
     TruncatedSpace,
+    _embed_atom,
     _eig_check_points,
     build_hamiltonian,
     coherent_state,
@@ -91,6 +95,33 @@ def test_bloch_relaxation_of_inversion(rng):
         got = 2.0 * np.trace(sz @ dotrho)
         want = -params.gamma1 * (2.0 * np.trace(sz @ rho) - params.nu0)
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+def lindblad(op, rho):
+    """Dense D[L] rho = L rho L^dagger - {L^dagger L, rho}/2."""
+    op_dag = op.conj().T
+    return op @ rho @ op_dag - 0.5 * (op_dag @ op @ rho + rho @ op_dag @ op)
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [dict(r12=0.4), dict(r21=0.25), dict(r_p=0.15), dict(r12=0.4, r21=0.25, r_p=0.15)],
+    ids=["r12", "r21", "r_p", "all"],
+)
+def test_dissipator_matches_dense_lindblad(rng, rates):
+    params = ModelParams.from_frequencies(omega=(2.0, 3.1), g=(0.7, 0.4), Omega=1.5, **rates)
+    space = TruncatedSpace((3, 2))
+    a = rng.standard_normal((space.dim,) * 2) + 1j * rng.standard_normal((space.dim,) * 2)
+    rho = a + a.conj().T
+    sm, sp, sz = (_embed_atom(op, space) for op in (_SM, _SP, _SZ))
+    want = (
+        params.r21 * lindblad(sm, rho)
+        + params.r12 * lindblad(sp, rho)
+        + 2.0 * params.r_p * lindblad(sz, rho)
+    )
+    # a zero Hamiltonian leaves the dissipative part of the right-hand side alone
+    got = master_rhs(params, rho, space, hamiltonian=np.zeros_like(rho))
+    assert np.abs(got - want).max() <= 1e-14
 
 
 def test_free_precession():
@@ -238,6 +269,24 @@ def test_rk4_diagnostics_are_sampled_at_the_check_points(lossy_two_mode):
     # the dissipator lowers the purity from its initial value, which is not sampled
     assert abs(traj.max_purity - purity.max()) <= 1e-14
     assert abs(traj.min_eigenvalue - low.min()) <= 1e-14
+
+
+def test_rk4_positivity_loss_is_step_error():
+    # the lossy benchmark model on a smaller cutoff: its lowest eigenvalue
+    # crosses -1e-8 at the coarse step and shrinks at RK4's order when halved
+    params = ModelParams.from_frequencies(
+        omega=(1100.0, 1900.0), g=(200.0, 150.0), Omega=1000.0, r21=100.0, r_p=50.0
+    )
+    space = TruncatedSpace((3, 2))
+    rho11 = 1.0 / (1.0 + np.exp(-1.0))
+    rho0 = initial_density(params, space, 1.0, AtomicDensity.from_upper(rho11))
+    t_end = np.pi / 1100.0
+    coarse, fine = (
+        evolve_rk4(params, rho0, TimeGrid(0.0, t_end, steps), space).min_eigenvalue
+        for steps in (256, 512)
+    )
+    assert coarse < -1e-8
+    assert abs(fine) * 16.0 <= abs(coarse)
 
 
 def test_dissipative_model_runs_rk4():

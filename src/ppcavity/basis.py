@@ -11,9 +11,15 @@ mirror ``htilde(w) = conj(h(conj(w)))``.  Two families are supported:
   (h**2 - 1)/h' = delta is what makes the cavity SDE noise state-independent.
 
 All evaluation methods broadcast over numpy arrays of ``z`` and ``w`` and
-never raise: near a pole they return inf/nan entries.  A caller that must
-refuse such a point passes the jet to :func:`checked_denominator`, the one
-pole check for a phase-space point.
+never raise or warn: near a pole they return inf/nan entries.  A caller that
+must refuse such a point passes the jet to :func:`checked_denominator`, the
+one pole check for a phase-space point.
+
+:meth:`BasisFamily.jet` forms h, htilde, h/h' and the mirror, and the
+diffusion ratio (h**2 - 1)/h' (the constant delta for the additive-noise
+family) at once.  The slopes h', h'', 1/h' of both sides and the products
+h*htilde and 1 + h*htilde are formed on first read and cached, so a step pays
+only for what its drift, noise and projection read.
 """
 
 from __future__ import annotations
@@ -50,27 +56,100 @@ def checked_denominator(h, ht, *slopes):
     return denom
 
 
-class PhaseFunctions(NamedTuple):
+class _ExpForm(NamedTuple):
+    """One additive-noise side kept from ``BasisFamily._exp_form``.
+
+    q = exp(2*s*u) and its inverse, and the side's delta; 1/h' is
+    -(delta/4)(q + 2 + 1/q) on either branch s.
+    """
+
+    q: np.ndarray
+    q_inv: np.ndarray
+    d: complex
+
+
+class _FormedOnFirstRead:
+    """A member formed, with the others of its group, on the first read of any.
+
+    ``form`` returns the values of ``names`` in order, and all of them are
+    kept in the instance, so each is formed once.  Like the eager members
+    they are formed without numpy warnings.
+    """
+
+    def __init__(self, names, form):
+        self.names, self.form = names, form
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, pf, owner=None):
+        if pf is None:
+            return self
+        with np.errstate(all="ignore"):
+            values = dict(zip(self.names, self.form(pf)))
+        pf.__dict__.update(values)
+        return values[self.name]
+
+
+def _formed_together(form, *names):
+    return tuple(_FormedOnFirstRead(names, form) for _ in names)
+
+
+def _slope(h, form):
+    return np.ones_like(h) if form is None else (h * h - 1.0) / form.d
+
+
+def _inverse_slope(h, form):
+    if form is None:
+        return np.ones_like(h)
+    return -(form.d / 4.0) * (form.q + 2.0 + form.q_inv)
+
+
+def _slopes(pf):
+    return _slope(pf.h, pf._form), _slope(pf.ht, pf._form_t)
+
+
+def _curvatures(pf):
+    if pf._form is None:
+        return np.zeros_like(pf.h), np.zeros_like(pf.ht)
+    return 2.0 * pf.h * pf.hp / pf._form.d, 2.0 * pf.ht * pf.htp / pf._form_t.d
+
+
+def _inverse_slopes(pf):
+    return _inverse_slope(pf.h, pf._form), _inverse_slope(pf.ht, pf._form_t)
+
+
+def _products(pf):
+    hht = pf.h * pf.ht
+    return hht, 1.0 + hht
+
+
+class PhaseFunctions:
     """All quantities of one family needed by the SDE coefficient assembly.
 
     ``lin`` is h/h', ``quad`` is (h**2 - 1)/h', ``inv_hp`` is 1/h'; the
     ``*_t`` and ``ht*`` members are the mirrored quantities evaluated at w.
-    Closed forms are used per family so that e.g. ``quad`` is the exact
-    constant ``delta`` for the additive-noise family.
+    Closed forms are used per family, so ``quad`` is the exact constant
+    ``delta`` (a 0-d value) for the additive-noise family.  ``hht`` is
+    h*htilde and ``denom`` is 1 + h*htilde.
+
+    h, ht, lin, lin_t, quad and quad_t are formed by :meth:`BasisFamily.jet`.
+    The others are formed from what the jet kept (the exponential form of
+    each side) on first read, a member together with its mirror (and hht
+    with denom), and cached; the order of reads does not change any value.
     """
 
-    h: np.ndarray
-    ht: np.ndarray
-    hp: np.ndarray
-    htp: np.ndarray
-    hpp: np.ndarray
-    htpp: np.ndarray
-    inv_hp: np.ndarray
-    inv_htp: np.ndarray
-    lin: np.ndarray
-    lin_t: np.ndarray
-    quad: np.ndarray
-    quad_t: np.ndarray
+    def __init__(self, h, ht, lin, lin_t, quad, quad_t, form=None, form_t=None):
+        self.h, self.ht = h, ht
+        self.lin, self.lin_t = lin, lin_t
+        self.quad, self.quad_t = quad, quad_t
+        # None for the coherent-spin family, whose slopes are 1
+        self._form, self._form_t = form, form_t
+
+    hp, htp = _formed_together(_slopes, "hp", "htp")
+    hpp, htpp = _formed_together(_curvatures, "hpp", "htpp")
+    inv_hp, inv_htp = _formed_together(_inverse_slopes, "inv_hp", "inv_htp")
+    hht, denom = _formed_together(_products, "hht", "denom")
 
 
 @dataclass(frozen=True)
@@ -122,16 +201,6 @@ class BasisFamily:
         q = np.exp(s * two_u)
         return s * (1.0 - q) / (1.0 + q), q, s
 
-    @classmethod
-    def _jet_side(cls, x, d, kappa):
-        """h, h', h'', 1/h' and h/h' of one side, all from ``_exp_form``."""
-        h, q, s = cls._exp_form(x, d, kappa)
-        q_inv = 1.0 / q
-        hp = (h * h - 1.0) / d
-        quarter = d / 4.0
-        # h/h' = (d/4)(e - 1/e) and 1/h' = -(d/4)(e + 2 + 1/e), with e = q**s
-        return h, hp, 2.0 * h * hp / d, -quarter * (q + 2.0 + q_inv), quarter * s * (q - q_inv)
-
     def pair(self, z, w):
         """h(z) and htilde(w) without derivative bookkeeping."""
         if self.kind == COHERENT_SPIN:
@@ -144,33 +213,23 @@ class BasisFamily:
 
         Near-pole inputs yield inf/nan entries; callers integrating paths rely
         on divergence detection instead of exceptions.  The additive-noise
-        family takes two complex exponentials, one per side.
+        family takes two complex exponentials, one per side, and keeps them
+        for the members formed on first read.
         """
         if self.kind == COHERENT_SPIN:
             z = np.asarray(z, dtype=complex)
             w = np.asarray(w, dtype=complex)
-            one_z, one_w = np.ones_like(z), np.ones_like(w)
-            zero_z, zero_w = np.zeros_like(z), np.zeros_like(w)
-            return PhaseFunctions(
-                h=z, ht=w,
-                hp=one_z, htp=one_w,
-                hpp=zero_z, htpp=zero_w,
-                inv_hp=one_z, inv_htp=one_w,
-                lin=z, lin_t=w,
-                quad=z * z - 1.0, quad_t=w * w - 1.0,
-            )
-        (d, k), (dc, kc) = self._sides()
+            return PhaseFunctions(z, w, z, w, z * z - 1.0, w * w - 1.0)
+        sides = []
         with np.errstate(all="ignore"):
-            h, hp, hpp, inv_hp, lin = self._jet_side(z, d, k)
-            ht, htp, htpp, inv_htp, lin_t = self._jet_side(w, dc, kc)
-        return PhaseFunctions(
-            h=h, ht=ht,
-            hp=hp, htp=htp,
-            hpp=hpp, htpp=htpp,
-            inv_hp=inv_hp, inv_htp=inv_htp,
-            lin=lin, lin_t=lin_t,
-            quad=np.full_like(h, d), quad_t=np.full_like(ht, dc),
-        )
+            for x, (d, k) in zip((z, w), self._sides()):
+                h, q, s = self._exp_form(x, d, k)
+                q_inv = 1.0 / q
+                # h/h' = (d/4)(e - 1/e), with e = q**s
+                sides.append((h, d / 4.0 * s * (q - q_inv), _ExpForm(q, q_inv, d)))
+        (h, lin, form), (ht, lin_t, form_t) = sides
+        quad, quad_t = np.asarray(form.d), np.asarray(form_t.d)
+        return PhaseFunctions(h, ht, lin, lin_t, quad, quad_t, form, form_t)
 
     # -- inversion ----------------------------------------------------------
 

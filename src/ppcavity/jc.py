@@ -143,6 +143,13 @@ class ModelParams:
         """Per-mode effective couplings g_n sin(k_n x0)."""
         return _read_only(self.g_array * self.mode_amplitudes)
 
+    @cached_property
+    def noise_prefactor(self) -> np.ndarray:
+        """Per-mode changed-variable noise factors exp(i pi/4) sqrt(g_n s_n / 2)."""
+        out = _ROOT_I * principal_sqrt(self.gs / 2.0)
+        out.flags.writeable = False
+        return out
+
     @property
     def mu0(self) -> float:
         return 1.0 / (self.epsilon0 * self.c**2)
@@ -236,7 +243,7 @@ def _mode_diffusion(params: ModelParams, pf: PhaseFunctions):
 
 
 def _dissipative_entry(params: ModelParams, pf: PhaseFunctions):
-    hht = pf.h * pf.ht
+    hht = pf.hht
     return (
         2.0 * params.r_p * hht + params.r21 * hht**2 + params.r12
     ) * pf.inv_hp * pf.inv_htp
@@ -249,25 +256,25 @@ def drift_jc(params: ModelParams, family: BasisFamily, state, check=True):
     the three coefficient functions reuse its jet.  With ``check`` they raise
     PoleProximityError near a singularity.
     """
-    alpha, beta, pf, _ = _prepare(params, family, state, check)
+    alpha, beta, pf, batch_shape = _prepare(params, family, state, check)
     n = params.mode_count
     om = params.omega_array
     gs = params.gs
-    coupling = (pf.h + pf.ht) / (1.0 + pf.h * pf.ht)
+    coupled = gs * ((pf.h + pf.ht) / pf.denom)[..., None]
     drive = (gs * (alpha + beta)).sum(axis=-1)
 
-    out = np.empty(np.broadcast_shapes(alpha.shape[:-1], pf.h.shape) + (2 * (n + 1),), dtype=complex)
-    out[..., 0 : 2 * n : 2] = 1j * (-om * alpha - gs * coupling[..., None])
-    out[..., 1 : 2 * n : 2] = 1j * (om * beta + gs * coupling[..., None])
+    out = np.empty(batch_shape + (2 * (n + 1),), dtype=complex)
+    out[..., 0 : 2 * n : 2] = 1j * (-om * alpha - coupled)
+    out[..., 1 : 2 * n : 2] = 1j * (om * beta + coupled)
     a_z = 1j * (-params.Omega * pf.lin + drive * pf.quad)
     a_w = 1j * (params.Omega * pf.lin_t - drive * pf.quad_t)
     if params.dissipative:
-        hht = pf.h * pf.ht
+        hht = pf.hht
         factor = (
             -params.r_p * (1.0 - hht)
             - params.r21 * (1.0 + 3.0 * hht) / 2.0
             + params.r12 * (3.0 + hht) / 2.0
-        ) / (1.0 + hht)
+        ) / pf.denom
         a_z = a_z + pf.h * pf.inv_hp * factor
         a_w = a_w + pf.ht * pf.inv_htp * factor
     out[..., 2 * n] = a_z

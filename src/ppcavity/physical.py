@@ -13,7 +13,7 @@ import numpy as np
 
 from .basis import COHERENT_SPIN, POLE_FLOOR, BasisFamily, checked_denominator
 from .errors import InconsistentStateError, PoleProximityError
-from .jc import JetState, ModelParams, _ROOT_I, principal_sqrt, split_state
+from .jc import JetState, ModelParams, principal_sqrt, split_state
 from .sde import SdeSystem
 
 #: relative mismatch of 4*rho21*rho12 and (1+nu)(1-nu) that
@@ -53,15 +53,17 @@ def to_physical(family: BasisFamily, state, check=True) -> np.ndarray:
     PoleProximityError; without it the result carries inf/nan there.
     """
     if isinstance(state, JetState):
-        state, h, ht = state.state, state.pf.h, state.pf.ht
+        state, pf = state
+        h, ht, hht, denom = pf.h, pf.ht, pf.hht, pf.denom
     else:
         state = np.asarray(state, dtype=complex)
         h, ht = family.pair(state[..., -2], state[..., -1])
+        hht = h * ht
+        denom = 1.0 + hht
+    if check:
+        checked_denominator(h, ht)
     alpha, beta, _, _ = split_state(state, (state.shape[-1] - 2) // 2)
-    denom = checked_denominator(h, ht) if check else 1.0 + h * ht
-    return join_phys(
-        beta + alpha, 1j * (beta - alpha), h / denom, ht / denom, (h * ht - 1.0) / denom
-    )
+    return join_phys(beta + alpha, 1j * (beta - alpha), h / denom, ht / denom, (hht - 1.0) / denom)
 
 
 def from_physical(family: BasisFamily, phys) -> np.ndarray:
@@ -133,20 +135,23 @@ def noise_bar(params: ModelParams, phys) -> np.ndarray:
     with np.errstate(all="ignore"):
         one_m = 1.0 - nu
         one_p = 1.0 + nu
-        p = principal_sqrt(4.0 * rho21**2 / one_m**2 - 1.0)
-        q = principal_sqrt(4.0 * rho12**2 / one_m**2 - 1.0)
-        rad12 = principal_sqrt(one_p**2 / (4.0 * rho12**2) - 1.0)
-        rad21 = principal_sqrt(one_p**2 / (4.0 * rho21**2) - 1.0)
-        r1 = one_m**2 / 4.0 * p
-        r2 = -rho12**2 * rad12
+        one_m2, one_p2 = one_m**2, one_p**2
+        quarter_m2 = one_m2 / 4.0
+        rho21_2, rho12_2 = rho21**2, rho12**2
+        p = principal_sqrt(4.0 * rho21_2 / one_m2 - 1.0)
+        q = principal_sqrt(4.0 * rho12_2 / one_m2 - 1.0)
+        rad12 = principal_sqrt(one_p2 / (4.0 * rho12_2) - 1.0)
+        rad21 = principal_sqrt(one_p2 / (4.0 * rho21_2) - 1.0)
+        r1 = quarter_m2 * p
+        r2 = -rho12_2 * rad12
         r3 = rho12 * one_m * rad12
-        s1 = -rho21**2 * rad21
-        s2 = one_m**2 / 4.0 * q
+        s1 = -rho21_2 * rad21
+        s2 = quarter_m2 * q
         s3 = rho21 * one_m * rad21
 
         out = np.zeros(batch + (2 * n + 3, 4 * n + 2), dtype=complex)
         ir21, ir12, inu = 2 * n, 2 * n + 1, 2 * n + 2
-        pref = _ROOT_I * principal_sqrt(params.gs / 2.0)
+        pref = params.noise_prefactor
         for k in range(n):
             c = 4 * k
             pk = pref[k]
@@ -179,10 +184,10 @@ def noise_bar(params: ModelParams, phys) -> np.ndarray:
         ratio = one_p / one_m
         dbar = 2.0 * params.r_p * ratio + params.r21 * ratio**2 + params.r12
         tpref = principal_sqrt(dbar / 2.0)
-        out[..., ir21, 4 * n] = tpref * (-1j) * (rho21**2 + one_m**2 / 4.0)
-        out[..., ir21, 4 * n + 1] = tpref * (-(rho21**2) + one_m**2 / 4.0)
-        out[..., ir12, 4 * n] = tpref * 1j * (rho12**2 + one_m**2 / 4.0)
-        out[..., ir12, 4 * n + 1] = tpref * (-(rho12**2) + one_m**2 / 4.0)
+        out[..., ir21, 4 * n] = tpref * (-1j) * (rho21_2 + quarter_m2)
+        out[..., ir21, 4 * n + 1] = tpref * (-rho21_2 + quarter_m2)
+        out[..., ir12, 4 * n] = tpref * 1j * (rho12_2 + quarter_m2)
+        out[..., ir12, 4 * n + 1] = tpref * (-rho12_2 + quarter_m2)
         out[..., inu, 4 * n] = tpref * 1j * (rho21 - rho12) * one_m
         out[..., inu, 4 * n + 1] = tpref * (rho21 + rho12) * one_m
     return out
@@ -194,7 +199,7 @@ def jacobian_change(family: BasisFamily, state) -> np.ndarray:
     n = (state.shape[-1] - 2) // 2
     _, _, z, w = split_state(state, n)
     pf = family.jet(z, w)
-    den2 = (1.0 + pf.h * pf.ht) ** 2
+    den2 = pf.denom**2
     out = np.zeros(state.shape[:-1] + (2 * n + 3, 2 * (n + 1)), dtype=complex)
     for k in range(n):
         out[..., 2 * k, 2 * k] = 1.0

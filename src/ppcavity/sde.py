@@ -210,7 +210,10 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
                 b = np.asarray(system.noise(prepared), dtype=complex)
                 kick = (b @ dws[:, j, :, None].astype(complex))[..., 0]
             state = state + a * dt + kick
-            alive &= (np.abs(state) <= threshold).all(axis=-1)
+            # |x| <= sqrt(2) max(|Re x|, |Im x|), so no path can cross while
+            # every part is within threshold / 2; nan and inf fail the screen
+            if not np.abs(state.view(float)).max() <= 0.5 * threshold:
+                alive &= (np.abs(state) <= threshold).all(axis=-1)
             survived += alive
             prepared = system.prepare(state)
             i = (k + 1) % _DRAW_BLOCK

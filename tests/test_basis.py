@@ -139,6 +139,10 @@ def test_jet_matches_pair_and_ratios(rng):
         if fam.kind == ADDITIVE_NOISE:
             # second derivative obeys the differentiated family identity
             assert np.abs(pf.hpp - 2.0 * h * hp / fam.delta).max() <= 1e-14
+            # the diffusion ratio is the exact constant delta, not an array
+            assert np.shape(pf.quad) == np.shape(pf.quad_t) == ()
+            assert complex(pf.quad) == fam.delta
+            assert complex(pf.quad_t) == np.conj(fam.delta)
 
 
 def test_jet_matches_hyperbolic_definitions(rng):
@@ -180,7 +184,33 @@ def test_far_from_origin_h_is_finite(rng):
             warnings.simplefilter("error")
             pair = fam.pair(z, w)
             pf = fam.jet(z, w)
+            # the members formed on first read do not warn either
+            members = {name: getattr(pf, name) for name in MEMBERS}
         for value in pair + (pf.h, pf.ht):
             assert np.array_equal(value, -np.sign(u.real))
-        for value in (pf.hp, pf.htp):
-            assert np.isfinite(value).all()
+        for name in ("hp", "htp", "hpp", "htpp", "hht", "denom"):
+            assert np.isfinite(members[name]).all()
+
+
+MEMBERS = (
+    "h", "ht", "hp", "htp", "hpp", "htpp", "inv_hp", "inv_htp",
+    "lin", "lin_t", "quad", "quad_t", "hht", "denom",
+)
+
+
+def test_members_do_not_depend_on_read_order(rng):
+    # every member formed on first read is the same array whichever member
+    # is read first, including at a pole of h and far from the origin
+    for fam in (ADD, ADD_C, CS):
+        z = np.concatenate([random_disc(rng, 50, 8.0), [0.5j * np.pi * 4.0, 1e4, np.nan]])
+        w = np.concatenate([random_disc(rng, 50, 8.0), [0.0, -1e4, 1.0]])
+        # 1/h' first and the rest backwards (h'' before h', 1 + h*htilde
+        # before h*htilde) on one jet; in declaration order on the other
+        backwards, forwards = fam.jet(z, w), fam.jet(z, w)
+        with np.errstate(all="raise"):
+            first = {name: getattr(backwards, name) for name in ("inv_hp", "inv_htp") + MEMBERS[::-1]}
+            last = {name: getattr(forwards, name) for name in MEMBERS}
+        for name in MEMBERS:
+            assert np.array_equal(first[name], last[name], equal_nan=True), name
+        assert np.array_equal(first["hht"], first["h"] * first["ht"], equal_nan=True)
+        assert np.array_equal(first["denom"], 1.0 + first["hht"], equal_nan=True)

@@ -431,6 +431,51 @@ def test_non_finite_state_diverges_at_its_step():
     assert res.divergence_steps == (2, 1)
 
 
+def test_divergence_latch_reads_the_modulus():
+    # x moves by its own velocity v (the second coordinate) per unit step.
+    # Path 0 reaches re = im = 0.75 T at step 3, where |x| > T although
+    # both parts are under T; path 1 ends at re = im = 0.7 T, both parts
+    # above T / 2, with |x| just under T; path 2 starts beyond T and is dead
+    # from step 1 on, so in the second run every step takes the exact test
+    threshold = 4.0
+    velocities = (0.25 * threshold * (1 + 1j), 0.175 * threshold * (1 + 1j), 0.0)
+    starts = (0.0, 0.0, 2.5 * threshold)
+    system = SdeSystem(
+        dim=2,
+        noise_dim=1,
+        drift=lambda s: np.stack([s[..., 1], np.zeros_like(s[..., 1])], axis=-1),
+        noise=constant_noise_system(2, [[0.0], [0.0]]),
+        constant_noise=True,
+    )
+    steps = 4
+    # the exact rule: the first step at which |x| exceeds the threshold
+    exact = {
+        r: next((k for k in range(1, steps + 1) if abs(x0 + k * v) > threshold), None)
+        for r, (x0, v) in enumerate(zip(starts, velocities))
+    }
+    assert exact == {0: 3, 1: None, 2: 1}
+    for runs in (2, 3):
+        counter = itertools.count()
+
+        def sample(rng):
+            r = next(counter)
+            return np.array([starts[r], velocities[r]], dtype=complex)
+
+        res = run_ensemble(
+            system,
+            sample,
+            TimeGrid(0.0, float(steps), steps),
+            runs,
+            1,
+            {"x": lambda s: s[..., 0]},
+            divergence_threshold=threshold,
+        )
+        dead = {r: d for r, d in exact.items() if r < runs and d is not None}
+        assert res.diverged_paths == tuple(dead)
+        assert res.divergence_steps == tuple(dead.values())
+        assert np.array_equal(res.mean[:, 0], velocities[1] * np.arange(steps + 1.0))
+
+
 def test_observable_map_from_mapping():
     m = ObservableMap.from_mapping({"a": lambda s: s[..., 0], "b": lambda s: 2 * s[..., 1]})
     out = m.batch(np.array([[1.0 + 0j, 3.0]]))

@@ -18,14 +18,15 @@ one pole check for a phase-space point.
 :meth:`BasisFamily.jet` forms h, htilde, h/h' and the mirror, and the
 diffusion ratio (h**2 - 1)/h' (the constant delta for the additive-noise
 family) at once.  The slopes h', h'', 1/h' of both sides and the products
-h*htilde and 1 + h*htilde are formed on first read and cached, so a step pays
-only for what its drift, noise and projection read.
+h*htilde and 1 + h*htilde are ``functools.cached_property`` members of the
+jet, each formed on first read and kept, so a step pays only for what its
+drift, noise and projection read, and they all read one jet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -56,72 +57,29 @@ def checked_denominator(h, ht, *slopes):
     return denom
 
 
-class _ExpForm(NamedTuple):
-    """One additive-noise side kept from ``BasisFamily._exp_form``.
-
-    q = exp(2*s*u) and its inverse, and the side's delta; 1/h' is
-    -(delta/4)(q + 2 + 1/q) on either branch s.
-    """
-
-    q: np.ndarray
-    q_inv: np.ndarray
-    d: complex
-
-
-class _FormedOnFirstRead:
-    """A member formed, with the others of its group, on the first read of any.
-
-    ``form`` returns the values of ``names`` in order, and all of them are
-    kept in the instance, so each is formed once.  Like the eager members
-    they are formed without numpy warnings.
-    """
-
-    def __init__(self, names, form):
-        self.names, self.form = names, form
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, pf, owner=None):
-        if pf is None:
-            return self
-        with np.errstate(all="ignore"):
-            values = dict(zip(self.names, self.form(pf)))
-        pf.__dict__.update(values)
-        return values[self.name]
-
-
-def _formed_together(form, *names):
-    return tuple(_FormedOnFirstRead(names, form) for _ in names)
-
-
-def _slope(h, form):
-    return np.ones_like(h) if form is None else (h * h - 1.0) / form.d
-
-
-def _inverse_slope(h, form):
-    if form is None:
+def _slope(h, d, q):
+    """h' = (h**2 - 1)/delta; 1 for the coherent-spin family (q is None)."""
+    if q is None:
         return np.ones_like(h)
-    return -(form.d / 4.0) * (form.q + 2.0 + form.q_inv)
+    with np.errstate(all="ignore"):
+        return (h * h - 1.0) / d
 
 
-def _slopes(pf):
-    return _slope(pf.h, pf._form), _slope(pf.ht, pf._form_t)
+def _curvature(h, hp, d, q):
+    """h'' = 2 h h'/delta; 0 for the coherent-spin family."""
+    if q is None:
+        return np.zeros_like(h)
+    with np.errstate(all="ignore"):
+        return 2.0 * h * hp / d
 
 
-def _curvatures(pf):
-    if pf._form is None:
-        return np.zeros_like(pf.h), np.zeros_like(pf.ht)
-    return 2.0 * pf.h * pf.hp / pf._form.d, 2.0 * pf.ht * pf.htp / pf._form_t.d
-
-
-def _inverse_slopes(pf):
-    return _inverse_slope(pf.h, pf._form), _inverse_slope(pf.ht, pf._form_t)
-
-
-def _products(pf):
-    hht = pf.h * pf.ht
-    return hht, 1.0 + hht
+def _inverse_slope(h, d, q):
+    """1/h' = -(delta/4)(q + 2 + 1/q) on either branch; 1 for the coherent-spin family."""
+    if q is None:
+        return np.ones_like(h)
+    q, q_inv = q
+    with np.errstate(all="ignore"):
+        return -(d / 4.0) * (q + 2.0 + q_inv)
 
 
 class PhaseFunctions:
@@ -133,23 +91,52 @@ class PhaseFunctions:
     ``delta`` (a 0-d value) for the additive-noise family.  ``hht`` is
     h*htilde and ``denom`` is 1 + h*htilde.
 
-    h, ht, lin, lin_t, quad and quad_t are formed by :meth:`BasisFamily.jet`.
-    The others are formed from what the jet kept (the exponential form of
-    each side) on first read, a member together with its mirror (and hht
-    with denom), and cached; the order of reads does not change any value.
+    h, ht, lin, lin_t, quad and quad_t are formed by :meth:`BasisFamily.jet`,
+    which also keeps q = exp(2*s*u) and 1/q of each additive-noise side.  The
+    other members are cached properties: each is formed from those on first
+    read, without numpy warnings, and kept, so the order of reads does not
+    change any value.
     """
 
-    def __init__(self, h, ht, lin, lin_t, quad, quad_t, form=None, form_t=None):
+    def __init__(self, h, ht, lin, lin_t, quad, quad_t, q=None, q_t=None):
         self.h, self.ht = h, ht
         self.lin, self.lin_t = lin, lin_t
         self.quad, self.quad_t = quad, quad_t
-        # None for the coherent-spin family, whose slopes are 1
-        self._form, self._form_t = form, form_t
+        # (q, 1/q) of each side; None for the coherent-spin family, whose slopes are 1
+        self._q, self._q_t = q, q_t
 
-    hp, htp = _formed_together(_slopes, "hp", "htp")
-    hpp, htpp = _formed_together(_curvatures, "hpp", "htpp")
-    inv_hp, inv_htp = _formed_together(_inverse_slopes, "inv_hp", "inv_htp")
-    hht, denom = _formed_together(_products, "hht", "denom")
+    @cached_property
+    def hp(self):
+        return _slope(self.h, self.quad, self._q)
+
+    @cached_property
+    def htp(self):
+        return _slope(self.ht, self.quad_t, self._q_t)
+
+    @cached_property
+    def hpp(self):
+        return _curvature(self.h, self.hp, self.quad, self._q)
+
+    @cached_property
+    def htpp(self):
+        return _curvature(self.ht, self.htp, self.quad_t, self._q_t)
+
+    @cached_property
+    def inv_hp(self):
+        return _inverse_slope(self.h, self.quad, self._q)
+
+    @cached_property
+    def inv_htp(self):
+        return _inverse_slope(self.ht, self.quad_t, self._q_t)
+
+    @cached_property
+    def hht(self):
+        with np.errstate(all="ignore"):
+            return self.h * self.ht
+
+    @cached_property
+    def denom(self):
+        return 1.0 + self.hht
 
 
 @dataclass(frozen=True)
@@ -226,10 +213,9 @@ class BasisFamily:
                 h, q, s = self._exp_form(x, d, k)
                 q_inv = 1.0 / q
                 # h/h' = (d/4)(e - 1/e), with e = q**s
-                sides.append((h, d / 4.0 * s * (q - q_inv), _ExpForm(q, q_inv, d)))
-        (h, lin, form), (ht, lin_t, form_t) = sides
-        quad, quad_t = np.asarray(form.d), np.asarray(form_t.d)
-        return PhaseFunctions(h, ht, lin, lin_t, quad, quad_t, form, form_t)
+                sides.append((h, d / 4.0 * s * (q - q_inv), np.asarray(d), (q, q_inv)))
+        (h, lin, quad, q), (ht, lin_t, quad_t, q_t) = sides
+        return PhaseFunctions(h, ht, lin, lin_t, quad, quad_t, q, q_t)
 
     # -- inversion ----------------------------------------------------------
 

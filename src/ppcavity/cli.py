@@ -49,19 +49,6 @@ ENV_PREFIX = "PPCAVITY_"
 DIVERGENCE_WARNING_FRACTION = 0.01
 #: the reference warns when the density matrix has an eigenvalue below this
 EIGENVALUE_WARNING_FLOOR = -1e-8
-#: what the deterministic engines record in the sidecar: their numerical
-#: diagnostics and, for the reference, the integrator that ran
-DIAGNOSTICS = {
-    "reference": (
-        "max_trace_error",
-        "max_herm_error",
-        "max_purity",
-        "min_eigenvalue",
-        "max_energy_drift",
-        "integrator",
-    ),
-    "mb": ("max_bloch_violation",),
-}
 
 
 def _env_override(name, kind):
@@ -113,18 +100,12 @@ def _write_sidecar(out_path, cfg: RunConfig, extra):
         handle.write("\n")
 
 
-def run_sde_jc(cfg: RunConfig):
-    params = cfg.model_params()
-    family = cfg.family()
-    grid = cfg.grid()
-    dist = init_points(cfg.atomic_density(), family)
-    sampler = phase_init_sampler(params, family, cfg.alpha, dist)
-    system = jc_sde_system(params, family)
-    bundle = observable_bundle(params, family, cfg.observables, cfg.probes)
+def _run_ensemble(cfg: RunConfig, system, sampler, bundle):
+    """The one ensemble call of both SDE engines, on the grid and seed of ``cfg``."""
     return run_ensemble(
         system,
         sampler,
-        grid,
+        cfg.grid(),
         cfg.runs,
         cfg.master_seed,
         bundle,
@@ -132,23 +113,25 @@ def run_sde_jc(cfg: RunConfig):
     )
 
 
-def run_sde_physical(cfg: RunConfig):
-    params = cfg.model_params()
-    family = cfg.family()
-    grid = cfg.grid()
+def run_sde_jc(cfg: RunConfig):
+    params, family = cfg.model_params(), cfg.family()
     dist = init_points(cfg.atomic_density(), family)
-    phase_sampler = phase_init_sampler(params, family, cfg.alpha, dist)
-    sampler = physical_init_sampler(family, phase_sampler)
-    system = physical_sde_system(params)
-    bundle = physical_observable_bundle(params, cfg.observables, cfg.probes)
-    return run_ensemble(
-        system,
-        sampler,
-        grid,
-        cfg.runs,
-        cfg.master_seed,
-        bundle,
-        divergence_threshold=cfg.divergence_threshold,
+    return _run_ensemble(
+        cfg,
+        jc_sde_system(params, family),
+        phase_init_sampler(params, family, cfg.alpha, dist),
+        observable_bundle(params, family, cfg.observables, cfg.probes),
+    )
+
+
+def run_sde_physical(cfg: RunConfig):
+    params, family = cfg.model_params(), cfg.family()
+    dist = init_points(cfg.atomic_density(), family)
+    return _run_ensemble(
+        cfg,
+        physical_sde_system(params),
+        physical_init_sampler(family, phase_init_sampler(params, family, cfg.alpha, dist)),
+        physical_observable_bundle(params, cfg.observables, cfg.probes),
     )
 
 
@@ -221,10 +204,7 @@ def cmd_run(args) -> int:
         params, traj = run_reference(cfg) if cfg.engine == "reference" else run_mb(cfg)
         columns = physical_columns(params, cfg.observables, cfg.probes)(traj.phys)
         write_csv(cfg.out, traj.times, cfg.observables, list(columns.T))
-        extra = {}
-        for key in DIAGNOSTICS[cfg.engine]:
-            value = getattr(traj, key)
-            extra[key] = value if isinstance(value, str) else float(value)
+        extra = traj.diagnostics
         _write_sidecar(cfg.out, cfg, extra)
         print(f"{cfg.engine}: wrote {cfg.out}")
         if extra.get("min_eigenvalue", 0.0) < EIGENVALUE_WARNING_FLOOR:

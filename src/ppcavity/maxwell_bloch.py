@@ -92,6 +92,11 @@ class MbTrajectory:
         """Recorded series in physical coordinates, one row per grid point."""
         return join_phys(self.epsilon, self.eta, self.rho21, np.conj(self.rho21), self.nu)
 
+    @property
+    def diagnostics(self) -> dict:
+        """The sidecar entries: the worst Bloch-sphere bound violation."""
+        return {"max_bloch_violation": float(self.max_bloch_violation)}
+
 
 def evolve_mb(params: ModelParams, phys0, grid: TimeGrid) -> MbTrajectory:
     """Fixed-step RK4 integration; warns once if the Bloch bound is violated.

@@ -194,8 +194,7 @@ def projection_observable(which: str, family: BasisFamily, n_modes: int) -> Smoo
         state = np.asarray(state, dtype=complex)
         pf = family.jet(state[..., iz], state[..., iw])
         batch = state.shape[:-1]
-        denom = 1.0 + pf.h * pf.ht
-        den2, den3 = denom**2, denom**3
+        den2, den3 = pf.denom**2, pf.denom**3
         out = np.zeros(batch + (dim, dim), dtype=complex)
         if which == "rho_21":
             zz = pf.hpp / den2 - 2.0 * pf.hp**2 * pf.ht / den3

@@ -13,7 +13,7 @@ import numpy as np
 
 from .basis import COHERENT_SPIN, POLE_FLOOR, BasisFamily, checked_denominator
 from .errors import InconsistentStateError, PoleProximityError
-from .jc import JetState, ModelParams, principal_sqrt, split_state
+from .jc import ModelParams, jet_state, principal_sqrt, split_state
 from .sde import SdeSystem
 
 #: relative mismatch of 4*rho21*rho12 and (1+nu)(1-nu) that
@@ -48,22 +48,19 @@ def join_phys(eps, eta, rho21, rho12, nu) -> np.ndarray:
 def to_physical(family: BasisFamily, state, check=True) -> np.ndarray:
     """Map a phase-space vector (batched ok) to physical coordinates.
 
-    ``state`` may be a :class:`ppcavity.jc.JetState`, whose h and htilde are
-    used as they are.  With ``check`` a vanishing 1 + h*htilde raises
-    PoleProximityError; without it the result carries inf/nan there.
+    ``state`` may be a :class:`ppcavity.jc.JetState`, whose jet is read as
+    it is; a raw state gets its jet from :func:`ppcavity.jc.jet_state`.  With
+    ``check`` a vanishing 1 + h*htilde raises PoleProximityError; without it
+    the result carries inf/nan there.
     """
-    if isinstance(state, JetState):
-        state, pf = state
-        h, ht, hht, denom = pf.h, pf.ht, pf.hht, pf.denom
-    else:
-        state = np.asarray(state, dtype=complex)
-        h, ht = family.pair(state[..., -2], state[..., -1])
-        hht = h * ht
-        denom = 1.0 + hht
+    state, pf = jet_state(family, state)
     if check:
-        checked_denominator(h, ht)
+        checked_denominator(pf.h, pf.ht)
     alpha, beta, _, _ = split_state(state, (state.shape[-1] - 2) // 2)
-    return join_phys(beta + alpha, 1j * (beta - alpha), h / denom, ht / denom, (hht - 1.0) / denom)
+    denom = pf.denom
+    return join_phys(
+        beta + alpha, 1j * (beta - alpha), pf.h / denom, pf.ht / denom, (pf.hht - 1.0) / denom
+    )
 
 
 def from_physical(family: BasisFamily, phys) -> np.ndarray:

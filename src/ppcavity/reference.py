@@ -203,6 +203,18 @@ class ReferenceTrajectory:
         drift = float(np.abs(self.energy - self.energy[0]).max())
         return drift / abs(self.energy[0]) if self.energy[0] != 0 else drift
 
+    @property
+    def diagnostics(self) -> dict:
+        """The sidecar entries: the numerical diagnostics and the integrator that ran."""
+        return {
+            "max_trace_error": float(self.max_trace_error),
+            "max_herm_error": float(self.max_herm_error),
+            "max_purity": float(self.max_purity),
+            "min_eigenvalue": float(self.min_eigenvalue),
+            "max_energy_drift": float(self.max_energy_drift),
+            "integrator": self.integrator,
+        }
+
 
 def _initial(params: ModelParams, rho0, space: TruncatedSpace):
     rho = np.asarray(rho0, dtype=complex)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,31 @@ class TestEnsembleIntegration:
         # two chunks, of 6 and 4 paths
         run_ensemble(jc_sde_system(params, ADD), sampler, grid, 10, 5, bundle, chunk_size=6)
         assert calls == {"jet": 2 * (grid.steps + 1), "pair": 0}
+
+    @pytest.mark.parametrize(
+        "rates, formed", [({}, set()), ({"r21": 100.0, "r_p": 50.0}, {"inv_hp", "inv_htp"})]
+    )
+    def test_a_step_forms_only_the_slopes_it_reads(self, rates, formed):
+        # the additive-noise drift, its constant noise and the projection
+        # read no slope; the dissipative terms read 1/h' and its mirror only
+        params = fig_params(**rates)
+        sampler = phase_init_sampler(
+            params, ADD, 1.0, init_points(AtomicDensity.from_upper(0.7), ADD)
+        )
+        system = jc_sde_system(params, ADD)
+        jets = []
+
+        def prepare(state):
+            prepared = system.prepare(state)
+            jets.append(prepared.pf)
+            return prepared
+
+        bundle = observable_bundle(params, ADD, ("rho_21", "nu", "e_1", "z"))
+        grid = TimeGrid(0.0, 1e-4, 1)
+        run_ensemble(replace(system, prepare=prepare), sampler, grid, 6, 5, bundle)
+        # the first jet is read by the observables, the noise and the drift
+        slopes = {"hp", "htp", "hpp", "htpp", "inv_hp", "inv_htp"}
+        assert slopes & set(vars(jets[0])) == formed
 
     def test_sampler_respects_weights(self, rng):
         params = fig_params()

@@ -5,6 +5,8 @@ from ppcavity.basis import BasisFamily
 from ppcavity.errors import InconsistentStateError, PoleProximityError
 from ppcavity.initialization import AtomicDensity, init_points
 from ppcavity.invariants import (
+    _FAMILIES,
+    _SHIFTED_STATES,
     check_ito_transform,
     check_jacobian_diffusion,
     holomorphic_derivatives,
@@ -17,6 +19,7 @@ from ppcavity.jc import (
     diffusion_jc,
     drift_jc,
     jc_sde_system,
+    jet_state,
     phase_init_sampler,
 )
 from ppcavity.observables import observable_bundle, physical_observable_bundle
@@ -35,7 +38,7 @@ from ppcavity.physical import (
 )
 from ppcavity.sde import TimeGrid, run_ensemble
 
-from helpers import rk4
+from helpers import random_disc, rk4
 
 CS = BasisFamily.coherent_spin()
 ADD = BasisFamily.additive_noise(4.0, 0.0)
@@ -57,6 +60,36 @@ def test_join_split_phys_round_trip():
     for got, want in zip(split_phys(vec, 2), parts):
         assert np.array_equal(got, want)
     assert np.array_equal(join_phys(*split_phys(vec, 2)), vec)
+
+
+def test_raw_to_physical_reads_the_jet(rng):
+    # a raw state takes the jet_state route, bit for bit the closed form of
+    # BasisFamily.pair, at random points, near both poles and far out
+    for fam in _FAMILIES.values():
+        z, w = random_disc(rng, (2, 20), 3.0)
+        d, k = fam.delta, fam.kappa
+        # a pole of h, a pole of 1/(1 + h*htilde), then |Re u| = 400 and 1e4
+        z[:2] = d * (0.5j * np.pi - k / 2.0) + 1e-9, 0.3
+        w[1] = fam.invert_htilde(-1.0 / complex(fam.pair(0.3, 0.0)[0])) + 1e-9
+        u = np.array([400.0, -400.0, 1e4, -1e4]) + 0.5j
+        z[2:6] = d * (u - k / 2.0)
+        w[2:6] = np.conj(z[2:6])
+        alpha, beta = random_disc(rng, (2, 20))
+        states = np.stack([alpha, beta, z, w], axis=-1)
+        with np.errstate(all="ignore"):
+            got = to_physical(fam, states, check=False)
+            via_jet = to_physical(fam, jet_state(fam, states), check=False)
+            h, ht = fam.pair(z, w)
+            denom = 1.0 + h * ht
+            want = join_phys(
+                (beta + alpha)[:, None],
+                1j * (beta - alpha)[:, None],
+                h / denom,
+                ht / denom,
+                (h * ht - 1.0) / denom,
+            )
+        assert np.array_equal(got, via_jet, equal_nan=True)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_from_physical_example():
@@ -166,6 +199,26 @@ def test_holomorphic_derivatives_one_call_and_closed_forms():
     assert len(calls) == 1
     assert np.all(np.abs(grad - grad_want) <= 1e-8 * (1 + np.abs(grad_want)))
     assert np.all(np.abs(hess - hess_want) <= 1e-8 * (1 + np.abs(hess_want)))
+    # a (2, 2, n) stack of points: still one call, and each point's
+    # derivatives are those of its own single-point call
+    stack = np.stack([x, 0.5 * x + 0.1j, x[::-1], -x]).reshape(2, 2, 3)
+    calls.clear()
+    grads, hessians = holomorphic_derivatives(fn, stack)
+    assert len(calls) == 1
+    assert grads.shape == (2, 2, 2, 3) and hessians.shape == (2, 2, 2, 3, 3)
+    for idx in np.ndindex(2, 2):
+        grad, hess = holomorphic_derivatives(fn, stack[idx])
+        assert np.array_equal(grads[idx], grad) and np.array_equal(hessians[idx], hess)
+    # a stack too large for one call is split into calls of bounded size,
+    # with the same values
+    stack = x + 0.01 * np.arange(60)[:, None]
+    calls.clear()
+    grads, hessians = holomorphic_derivatives(fn, stack)
+    assert len(calls) > 1
+    assert all(np.prod(shape[:-1]) <= _SHIFTED_STATES for shape in calls)
+    for k in (0, 30, 59):
+        grad, hess = holomorphic_derivatives(fn, stack[k])
+        assert np.array_equal(grads[k], grad) and np.array_equal(hessians[k], hess)
 
 
 def test_noise_bar_structure(rng):

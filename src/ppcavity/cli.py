@@ -208,12 +208,9 @@ def cmd_run(args) -> int:
         _write_sidecar(cfg.out, cfg, extra)
         print(f"{cfg.engine}: wrote {cfg.out}")
         if extra.get("min_eigenvalue", 0.0) < EIGENVALUE_WARNING_FLOOR:
-            # on the RK4 route the loss is step error: it falls at least 16-fold per halved step
-            cause = "; RK4 step error, increase steps" if extra["integrator"] == "rk4" else ""
             print(
                 f"warning: minimum density-matrix eigenvalue {extra['min_eigenvalue']:.3e} "
-                f"is below {EIGENVALUE_WARNING_FLOOR:.0e}; the reference lost positivity"
-                + cause,
+                f"is below {EIGENVALUE_WARNING_FLOOR:.0e}; the reference lost positivity",
                 file=sys.stderr,
             )
     return 0

@@ -17,8 +17,8 @@ x steps: a chunk draws its Wiener increments and buffers its observables
 ``_DRAW_BLOCK`` points at a time, merges each full block into the moments, and
 keeps one state per path and block from which the paths that diverge are
 replayed and taken out of the moments again when the chunk ends.
-``TimeGrid`` and the classical RK4 generator ``rk4_states`` also serve the
-deterministic engines.
+``TimeGrid`` also serves the deterministic engines, and the classical RK4
+generator ``rk4_states`` serves ``maxwell_bloch``.
 """
 
 from __future__ import annotations

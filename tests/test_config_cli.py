@@ -319,25 +319,29 @@ class TestRunCommand:
         monkeypatch.setattr(cli_module, "evolve", lossy_evolve)
         assert main(["run", "--config", str(cfg_path), "--out", out]) == 0
         err = capsys.readouterr().err
-        assert "warning: minimum density-matrix eigenvalue -1.240e-08" in err
-        assert "increase steps" not in err  # the spectral route takes no steps
+        assert (
+            "warning: minimum density-matrix eigenvalue -1.240e-08 is below -1e-08; "
+            "the reference lost positivity\n" in err
+        )
         assert json.loads((tmp_path / "ref.csv.meta.json").read_text())["min_eigenvalue"] == -1.24e-8
         monkeypatch.undo()
-        # a genuine loss on the RK4 route: a lossy two-mode model at a coarse step
+        # a lossy two-mode model at a coarse step: both split-step factors are
+        # completely positive, so the lowest eigenvalue is roundoff (measured
+        # -1.6e-16 to -4.9e-16) and nothing is warned
         lossy = (
             FIG3_REFERENCE.replace("n_max = 8", "n_max = 2")
             .replace("omega = 1100", "omega = 1100, 1900")
             .replace("g = 200", "g = 200, 150\nr21 = 100\nr_p = 50")
             .replace("alpha = 5 0", "alpha = 1 0")
         )
-        for steps, warned in ((256, True), (512, False)):
+        for steps in (256, 512):
             cfg_path.write_text(lossy.replace("steps = 64", f"steps = {steps}"))
             assert main(["run", "--config", str(cfg_path), "--out", out]) == 0
             err = capsys.readouterr().err
             meta = json.loads((tmp_path / "ref.csv.meta.json").read_text())
-            assert meta["integrator"] == "rk4"
-            assert (meta["min_eigenvalue"] < -1e-8) == warned
-            assert ("the reference lost positivity; RK4 step error, increase steps" in err) == warned
+            assert meta["integrator"] == "strang"
+            assert meta["min_eigenvalue"] >= -1e-14
+            assert "warning" not in err
 
     def test_sde_run_is_reproducible_bytes(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -70,9 +70,9 @@ def write_csv(path, times, names, columns, stderr=None):
             fields.append(stderr[j])
     rows = np.column_stack(fields).astype(float, copy=False)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows.tolist())
+        csv.writer(handle).writerow(header)
+        # the bytes csv.writer writes for floats (repr, CRLF), one row at a time
+        handle.writelines(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
 
 
 def read_csv(path):

@@ -2,9 +2,10 @@
 
 The phase-space state is the flat complex vector
 (alpha_1, beta_1, ..., alpha_N, beta_N, z, w) for N cavity modes plus the
-two-level atom.  Drift, diffusion, and noise are assembled for the full-wave
-(counterrotating terms included) atom-field coupling, optionally extended by
-scattering and pure-dephasing dissipation acting on the fermionic rows.
+two-level atom.  ``increment_jc`` forms the Euler increment A dt + B dW of the
+full-wave (counterrotating terms included) atom-field coupling, optionally
+extended by scattering and pure-dephasing dissipation acting on the fermionic
+rows; drift and noise derive from it, the diffusion is a separate check.
 
 The noise matrix keeps only the structurally nonzero columns of the block
 factorization: four per mode, plus two dissipative columns.  The factorization
@@ -15,15 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .basis import ADDITIVE_NOISE, BasisFamily, PhaseFunctions, checked_denominator
-from .sde import SdeSystem
+from .sde import SdeSystem, noise_matrix
 
 _ROOT_I = np.sqrt(1j)  # fixed diffusion-gauge choice exp(i pi/4)
+_KICK = 1j * _ROOT_I  # the gauge factor times the i of the (c, c+1) column pairs
 #: relative spread of -hbar*g_n/e_p(omega_n) over the modes that
 #: ``ModelParams.dipole_moment`` still accepts as one dipole moment
 DIPOLE_SPREAD_TOL = 1e-9
@@ -34,11 +36,10 @@ def principal_sqrt(x):
 
     Radicands that are negative real can carry either signed zero depending on
     how they were computed; lifting to +0.0 pins one branch so algebraically
-    equal radicands always produce the same root.
+    equal radicands always produce the same root.  IEEE addition does the
+    lifting: -0.0 + 0.0 is +0.0 and every other imaginary part is unchanged.
     """
-    x = np.asarray(x, dtype=complex)
-    x = np.where(x.imag == 0.0, x.real + 0.0j, x)
-    return np.sqrt(x)
+    return np.sqrt(np.asarray(x, dtype=complex) + 0.0j)
 
 
 def _read_only(values) -> np.ndarray:
@@ -249,37 +250,65 @@ def _dissipative_entry(params: ModelParams, pf: PhaseFunctions):
     ) * pf.inv_hp * pf.inv_htp
 
 
-def drift_jc(params: ModelParams, family: BasisFamily, state, check=True):
-    """Drift vector, with scattering and pure-dephasing terms if ``params.dissipative``.
+def increment_jc(params: ModelParams, family: BasisFamily, state, dt, dw=None, check=True):
+    """Euler increment A dt + B dW in one pass: the engine's one coefficient formula.
 
-    ``state`` is a phase-space vector or its :class:`JetState`, in which case
-    the three coefficient functions reuse its jet.  With ``check`` they raise
-    PoleProximityError near a singularity.
+    ``dw`` (..., m) holds real Wiener increments with a contiguous last axis,
+    or is None for A dt alone.  The noise column pairs (c, c+1) meet dW only
+    as i dW_c +- dW_{c+1}, so the kick reads each pair as dW_c + i dW_{c+1}
+    and forms no (dim, m) matrix.  ``state`` is a phase-space vector or its
+    :class:`JetState`; with ``check`` a pole raises PoleProximityError.
     """
-    alpha, beta, pf, batch_shape = _prepare(params, family, state, check)
+    alpha, beta, pf, _ = _prepare(params, family, state, check)
     n = params.mode_count
     om = params.omega_array
     gs = params.gs
+    idt = 1j * dt
     coupled = gs * ((pf.h + pf.ht) / pf.denom)[..., None]
     drive = (gs * (alpha + beta)).sum(axis=-1)
-
-    out = np.empty(batch_shape + (2 * (n + 1),), dtype=complex)
-    out[..., 0 : 2 * n : 2] = 1j * (-om * alpha - coupled)
-    out[..., 1 : 2 * n : 2] = 1j * (om * beta + coupled)
-    a_z = 1j * (-params.Omega * pf.lin + drive * pf.quad)
-    a_w = 1j * (params.Omega * pf.lin_t - drive * pf.quad_t)
+    inc_a = -idt * (om * alpha + coupled)
+    inc_b = idt * (om * beta + coupled)
+    inc_z = idt * (drive * pf.quad - params.Omega * pf.lin)
+    inc_w = idt * (params.Omega * pf.lin_t - drive * pf.quad_t)
     if params.dissipative:
         hht = pf.hht
         factor = (
-            -params.r_p * (1.0 - hht)
-            - params.r21 * (1.0 + 3.0 * hht) / 2.0
-            + params.r12 * (3.0 + hht) / 2.0
+            -params.r_p * dt * (1.0 - hht)
+            - params.r21 * dt / 2.0 * (1.0 + 3.0 * hht)
+            + params.r12 * dt / 2.0 * (3.0 + hht)
         ) / pf.denom
-        a_z = a_z + pf.h * pf.inv_hp * factor
-        a_w = a_w + pf.ht * pf.inv_htp * factor
-    out[..., 2 * n] = a_z
-    out[..., 2 * n + 1] = a_w
+        inc_z = inc_z + pf.h * pf.inv_hp * factor
+        inc_w = inc_w + pf.ht * pf.inv_htp * factor
+    if dw is not None:
+        # per mode, dW_c + i dW_{c+1} and dW_{c+2} + i dW_{c+3}
+        pairs = dw[..., : 4 * n].view(complex)
+        a_k, c_k = pairs[..., 0::2], pairs[..., 1::2]
+        d, dt_ = _mode_diffusion(params, pf)
+        sp = _KICK * principal_sqrt(d / 2.0)
+        sq = _KICK * principal_sqrt(dt_ / 2.0)
+        inc_a = inc_a + sp * a_k
+        inc_b = inc_b - sq * np.conj(c_k)
+        inc_z = inc_z - (sp * np.conj(a_k)).sum(axis=-1)
+        inc_w = inc_w - (sq * c_k).sum(axis=-1)
+        if params.dissipative:
+            td = principal_sqrt(_dissipative_entry(params, pf) / 2.0)
+            pair = dw[..., 4 * n : 4 * n + 2].view(complex)[..., 0]
+            inc_z = inc_z - 1j * td * pair
+            inc_w = inc_w + 1j * td * np.conj(pair)
+    out = np.empty(np.shape(inc_z) + (2 * (n + 1),), dtype=complex)
+    out[..., 0 : 2 * n : 2] = inc_a
+    out[..., 1 : 2 * n : 2] = inc_b
+    out[..., 2 * n] = inc_z
+    out[..., 2 * n + 1] = inc_w
     return out
+
+
+def drift_jc(params: ModelParams, family: BasisFamily, state, check=True):
+    """Drift vector, with scattering and pure-dephasing terms if ``params.dissipative``.
+
+    The increment (:func:`increment_jc`) at dt = 1 without noise.
+    """
+    return increment_jc(params, family, state, 1.0, None, check)
 
 
 def diffusion_jc(params: ModelParams, family: BasisFamily, state, check=True):
@@ -298,66 +327,49 @@ def diffusion_jc(params: ModelParams, family: BasisFamily, state, check=True):
 
 
 def noise_jc(params: ModelParams, family: BasisFamily, state, check=True):
-    """Noise matrix with 4N (dissipative: 4N+2) columns satisfying B @ B.T = D."""
-    _, _, pf, batch_shape = _prepare(params, family, state, check)
-    n = params.mode_count
-    d, dt_ = _mode_diffusion(params, pf)
-    cols = 4 * n + (2 if params.dissipative else 0)
-    out = np.zeros(batch_shape + (2 * (n + 1), cols), dtype=complex)
-    sp = _ROOT_I * principal_sqrt(d / 2.0)
-    sq = _ROOT_I * principal_sqrt(dt_ / 2.0)
-    for k in range(n):
-        c = 4 * k
-        # columns from the block pairing mode k with the fermionic rows
-        out[..., 2 * k, c] = 1j * sp[..., k]
-        out[..., 2 * k, c + 1] = -sp[..., k]
-        out[..., 2 * n, c] = -1j * sp[..., k]
-        out[..., 2 * n, c + 1] = -sp[..., k]
-        out[..., 2 * k + 1, c + 2] = -1j * sq[..., k]
-        out[..., 2 * k + 1, c + 3] = -sq[..., k]
-        out[..., 2 * n + 1, c + 2] = -1j * sq[..., k]
-        out[..., 2 * n + 1, c + 3] = sq[..., k]
-    if params.dissipative:
-        td = principal_sqrt(_dissipative_entry(params, pf) / 2.0)
-        out[..., 2 * n, 4 * n] = -1j * td
-        out[..., 2 * n, 4 * n + 1] = td
-        out[..., 2 * n + 1, 4 * n] = 1j * td
-        out[..., 2 * n + 1, 4 * n + 1] = td
-    return out
+    """Noise matrix with 4N (dissipative: 4N+2) columns satisfying B @ B.T = D.
+
+    Column c is the increment (:func:`increment_jc`) at dt = 0 on the unit
+    increment e_c.
+    """
+    state = jet_state(family, state)
+    cols = 4 * params.mode_count + (2 if params.dissipative else 0)
+    increment = partial(increment_jc, params, family, state, check=check)
+    return noise_matrix(increment, cols, state.state.ndim - 1)
 
 
 def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
     """SDE system for the integrator; coefficients never raise on poles.
 
     ``prepare`` is :func:`jet_state`: the integrator evaluates the basis jet
-    once per step, and the drift (:func:`drift_jc`), the noise
-    (:func:`noise_jc`), both without the pole check, and
-    :func:`ppcavity.observables.observable_bundle` read it.  The dissipative
-    layout is used exactly when any rate is positive (``params.dissipative``).
-    The additive-noise family without dissipation yields a state-independent
-    noise matrix, which the system advertises so ensembles evaluate it once
-    per chunk.
+    once per step, and the increment (:func:`increment_jc`, without the pole
+    check) and :func:`ppcavity.observables.observable_bundle` read it.  The
+    dissipative layout is used exactly when any rate is positive
+    (``params.dissipative``).  The additive-noise family without dissipation
+    has a state-independent noise matrix, applied as one product.
     """
-    dissipative = params.dissipative
     n = params.mode_count
+    noise = partial(noise_jc, params, family, check=False)
+    if family.kind != ADDITIVE_NOISE or params.dissipative:
+        increment = partial(increment_jc, params, family, check=False)
+    else:
+        noise_t = None
 
-    def prepare(state):
-        return jet_state(family, state)
+        def increment(state, dt, dw):
+            nonlocal noise_t
+            if noise_t is None:  # the same at every state: keep the first
+                noise_t = noise(state).reshape(-1, 2 * (n + 1), dw.shape[-1])[0].T
+            out = increment_jc(params, family, state, dt, None, check=False)
+            out += dw @ noise_t
+            return out
 
-    def drift(state):
-        return drift_jc(params, family, state, check=False)
-
-    def noise(state):
-        return noise_jc(params, family, state, check=False)
-
-    constant = family.kind == ADDITIVE_NOISE and not dissipative
     return SdeSystem(
         dim=2 * (n + 1),
-        noise_dim=4 * n + (2 if dissipative else 0),
-        drift=drift,
+        noise_dim=4 * n + (2 if params.dissipative else 0),
+        drift=partial(drift_jc, params, family, check=False),
         noise=noise,
-        constant_noise=constant,
-        prepare=prepare,
+        prepare=partial(jet_state, family),
+        increment=increment,
     )
 
 

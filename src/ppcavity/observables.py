@@ -162,13 +162,7 @@ def extend_with_observable(system: SdeSystem, v: SmoothObservable) -> SdeSystem:
         row = np.einsum("...i,...im->...m", grad, b)
         return np.concatenate([b, row[..., None, :]], axis=-2)
 
-    return SdeSystem(
-        dim=n + 1,
-        noise_dim=system.noise_dim,
-        drift=drift,
-        noise=noise,
-        constant_noise=False,
-    )
+    return SdeSystem(dim=n + 1, noise_dim=system.noise_dim, drift=drift, noise=noise)
 
 
 def projection_observable(which: str, family: BasisFamily, n_modes: int) -> SmoothObservable:

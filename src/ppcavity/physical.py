@@ -5,16 +5,19 @@ collects field quadratures per mode and the atomic coherences and inversion.
 In these coordinates the drift is polynomial and its deterministic part is the
 cavity-mode Maxwell-Bloch system; the transformed noise matrix (closed form
 available for the coherent-spin family only) supplies the quantum corrections.
+Both come from one formula, ``increment_bar``, the Euler increment of a step.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from .basis import COHERENT_SPIN, POLE_FLOOR, BasisFamily, checked_denominator
 from .errors import InconsistentStateError, PoleProximityError
 from .jc import ModelParams, jet_state, principal_sqrt, split_state
-from .sde import SdeSystem
+from .sde import SdeSystem, noise_matrix
 
 #: relative mismatch of 4*rho21*rho12 and (1+nu)(1-nu) that
 #: :func:`from_physical` still accepts as consistent
@@ -94,100 +97,82 @@ def from_physical(family: BasisFamily, phys) -> np.ndarray:
     return out
 
 
-def drift_bar(params: ModelParams, phys) -> np.ndarray:
-    """Drift in physical coordinates: cavity-mode Maxwell plus Bloch rows."""
+def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
+    """Euler increment A dt + B dW in one pass: the engine's one coefficient formula.
+
+    A is the cavity-mode Maxwell plus Bloch drift, B the coherent-spin closed
+    form.  ``dw`` is as for :func:`ppcavity.jc.increment_jc`, with 4N+2
+    columns: four per mode, then two dissipative ones, which act on the
+    atomic rows only and are skipped without dissipation.  The atomic rows of
+    the kick are r X + s Y, X and Y two increment combinations summed over
+    the modes.  Square roots take the principal branch (a gauge choice).
+    """
     phys = np.asarray(phys, dtype=complex)
     n = params.mode_count
     eps, eta, rho21, rho12, nu = split_phys(phys, n)
     om = params.omega_array
     gs = params.gs
-    drive = (gs * eps).sum(axis=-1)
-    out = np.empty_like(phys)
-    out[..., 0 : 2 * n : 2] = om * eta
-    out[..., 1 : 2 * n : 2] = -om * eps - 2.0 * gs * (rho21 + rho12)[..., None]
-    out[..., 2 * n] = (
-        -1j * params.Omega * rho21 + 1j * drive * nu - params.gamma2 * rho21
-    )
-    out[..., 2 * n + 1] = (
-        1j * params.Omega * rho12 - 1j * drive * nu - params.gamma2 * rho12
-    )
-    out[..., 2 * n + 2] = 2j * drive * (rho21 - rho12) - params.gamma1 * (
-        nu - params.nu0
-    )
+    idrive = 1j * dt * (gs * eps).sum(axis=-1)
+    drive_nu = idrive * nu
+    inc_eps = dt * om * eta
+    inc_eta = -dt * (om * eps + 2.0 * gs * (rho21 + rho12)[..., None])
+    inc_21 = (-1j * params.Omega - params.gamma2) * dt * rho21 + drive_nu
+    inc_12 = (1j * params.Omega - params.gamma2) * dt * rho12 - drive_nu
+    inc_nu = 2.0 * idrive * (rho21 - rho12) - params.gamma1 * dt * (nu - params.nu0)
+    if dw is not None:
+        with np.errstate(all="ignore"):
+            one_m = 1.0 - nu
+            one_p2 = (1.0 + nu) ** 2
+            quarter_m2 = one_m**2 / 4.0
+            rho21_2, rho12_2 = rho21**2, rho12**2
+            p = principal_sqrt(rho21_2 / quarter_m2 - 1.0)
+            q = principal_sqrt(rho12_2 / quarter_m2 - 1.0)
+            rad12 = principal_sqrt(one_p2 / (4.0 * rho12_2) - 1.0)
+            rad21 = principal_sqrt(one_p2 / (4.0 * rho21_2) - 1.0)
+            # per mode, pref (dW_c + i dW_{c+1}) and pref (dW_{c+2} - i dW_{c+3})
+            pairs = dw[..., : 4 * n].view(complex)
+            pref = params.noise_prefactor
+            pa = p[..., None] * (pref * pairs[..., 0::2])
+            qc = q[..., None] * (pref * np.conj(pairs[..., 1::2]))
+            inc_eps = inc_eps + 1j * (pa - qc)
+            inc_eta = inc_eta + (pa + qc)
+            x = (-1j * pref * np.conj(pairs[..., 0::2])).sum(axis=-1)
+            y = (-1j * pref * pairs[..., 1::2]).sum(axis=-1)
+            inc_21 = inc_21 + quarter_m2 * p * x - rho21_2 * rad21 * y
+            inc_12 = inc_12 - rho12_2 * rad12 * x + quarter_m2 * q * y
+            inc_nu = inc_nu + one_m * (rho12 * rad12 * x + rho21 * rad21 * y)
+            if params.dissipative:
+                ratio = (1.0 + nu) / one_m
+                dbar = 2.0 * params.r_p * ratio + params.r21 * ratio**2 + params.r12
+                tpref = principal_sqrt(dbar / 2.0)
+                pair = dw[..., 4 * n : 4 * n + 2].view(complex)[..., 0]
+                x_d, y_d = -1j * tpref * np.conj(pair), -1j * tpref * pair
+                inc_21 = inc_21 + rho21_2 * x_d + quarter_m2 * y_d
+                inc_12 = inc_12 - quarter_m2 * x_d - rho12_2 * y_d
+                inc_nu = inc_nu - one_m * (rho21 * x_d - rho12 * y_d)
+    out = np.empty(np.shape(inc_21) + (2 * n + 3,), dtype=complex)
+    out[..., 0 : 2 * n : 2] = inc_eps
+    out[..., 1 : 2 * n : 2] = inc_eta
+    out[..., 2 * n] = inc_21
+    out[..., 2 * n + 1] = inc_12
+    out[..., 2 * n + 2] = inc_nu
     return out
+
+
+def drift_bar(params: ModelParams, phys) -> np.ndarray:
+    """Drift in physical coordinates: the increment at dt = 1 without noise."""
+    return increment_bar(params, phys, 1.0)
 
 
 def noise_bar(params: ModelParams, phys) -> np.ndarray:
     """Transformed noise matrix, closed form for the coherent-spin family.
 
-    The 4N+2 columns mirror the phase-space layout: four per mode plus two
-    dissipative columns acting on the atomic rows only, left zero without
-    dissipation.  Complex square roots are taken on the principal branch (a
-    diffusion-gauge choice).
+    Column c is the increment (:func:`increment_bar`) at dt = 0 on the unit
+    increment e_c.  The two dissipative columns are zero without dissipation.
     """
     phys = np.asarray(phys, dtype=complex)
-    n = params.mode_count
-    _, _, rho21, rho12, nu = split_phys(phys, n)
-    batch = phys.shape[:-1]
-    with np.errstate(all="ignore"):
-        one_m = 1.0 - nu
-        one_p = 1.0 + nu
-        one_m2, one_p2 = one_m**2, one_p**2
-        quarter_m2 = one_m2 / 4.0
-        rho21_2, rho12_2 = rho21**2, rho12**2
-        p = principal_sqrt(4.0 * rho21_2 / one_m2 - 1.0)
-        q = principal_sqrt(4.0 * rho12_2 / one_m2 - 1.0)
-        rad12 = principal_sqrt(one_p2 / (4.0 * rho12_2) - 1.0)
-        rad21 = principal_sqrt(one_p2 / (4.0 * rho21_2) - 1.0)
-        r1 = quarter_m2 * p
-        r2 = -rho12_2 * rad12
-        r3 = rho12 * one_m * rad12
-        s1 = -rho21_2 * rad21
-        s2 = quarter_m2 * q
-        s3 = rho21 * one_m * rad21
-
-        out = np.zeros(batch + (2 * n + 3, 4 * n + 2), dtype=complex)
-        ir21, ir12, inu = 2 * n, 2 * n + 1, 2 * n + 2
-        pref = params.noise_prefactor
-        for k in range(n):
-            c = 4 * k
-            pk = pref[k]
-            # field-quadrature rows of this mode
-            out[..., 2 * k, c] = pk * 1j * p
-            out[..., 2 * k, c + 1] = -pk * p
-            out[..., 2 * k + 1, c] = pk * p
-            out[..., 2 * k + 1, c + 1] = pk * 1j * p
-            out[..., 2 * k, c + 2] = -pk * 1j * q
-            out[..., 2 * k, c + 3] = -pk * q
-            out[..., 2 * k + 1, c + 2] = pk * q
-            out[..., 2 * k + 1, c + 3] = -pk * 1j * q
-            # atomic rows
-            out[..., ir21, c] = -pk * 1j * r1
-            out[..., ir21, c + 1] = -pk * r1
-            out[..., ir12, c] = -pk * 1j * r2
-            out[..., ir12, c + 1] = -pk * r2
-            out[..., inu, c] = -pk * 1j * r3
-            out[..., inu, c + 1] = -pk * r3
-            out[..., ir21, c + 2] = -pk * 1j * s1
-            out[..., ir21, c + 3] = pk * s1
-            out[..., ir12, c + 2] = -pk * 1j * s2
-            out[..., ir12, c + 3] = pk * s2
-            out[..., inu, c + 2] = -pk * 1j * s3
-            out[..., inu, c + 3] = pk * s3
-
-        if not params.dissipative:
-            # the two dissipative columns stay zero
-            return out
-        ratio = one_p / one_m
-        dbar = 2.0 * params.r_p * ratio + params.r21 * ratio**2 + params.r12
-        tpref = principal_sqrt(dbar / 2.0)
-        out[..., ir21, 4 * n] = tpref * (-1j) * (rho21_2 + quarter_m2)
-        out[..., ir21, 4 * n + 1] = tpref * (-rho21_2 + quarter_m2)
-        out[..., ir12, 4 * n] = tpref * 1j * (rho12_2 + quarter_m2)
-        out[..., ir12, 4 * n + 1] = tpref * (-rho12_2 + quarter_m2)
-        out[..., inu, 4 * n] = tpref * 1j * (rho21 - rho12) * one_m
-        out[..., inu, 4 * n + 1] = tpref * (rho21 + rho12) * one_m
-    return out
+    increment = partial(increment_bar, params, phys)
+    return noise_matrix(increment, 4 * params.mode_count + 2, phys.ndim - 1)
 
 
 def jacobian_change(family: BasisFamily, state) -> np.ndarray:
@@ -240,22 +225,16 @@ def physical_sde_system(params: ModelParams) -> SdeSystem:
     """Changed-variable SDE (coherent-spin closed-form noise).
 
     Numerically delicate: every noise entry involves square roots that react
-    badly to sampling noise, so treat this engine as experimental.
+    badly to sampling noise, so treat this engine as experimental.  A step
+    adds :func:`increment_bar`.
     """
     n = params.mode_count
-
-    def drift(state):
-        return drift_bar(params, state)
-
-    def noise(state):
-        return noise_bar(params, state)
-
     return SdeSystem(
         dim=2 * n + 3,
         noise_dim=4 * n + 2,
-        drift=drift,
-        noise=noise,
-        constant_noise=False,
+        drift=partial(drift_bar, params),
+        noise=partial(noise_bar, params),
+        increment=partial(increment_bar, params),
     )
 
 

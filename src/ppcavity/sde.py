@@ -2,13 +2,14 @@
 
 The integrator works on flat complex state vectors.  Drift and noise callables
 must broadcast over a leading batch axis: drift maps (..., n) -> (..., n) and
-noise maps (..., n) -> (..., n, m).  A system may also set ``prepare``: the
-integrator calls it once per step on the new state, and drift, noise and the
-observable batch all receive its result in place of the raw state, so work
-they share is done once per step (``jc_sde_system`` prepares the state with
-its basis jet).  ``run_ensemble`` is the only entry point
-and ``_integrate_chunk`` the only stepping loop: ensembles are executed in
-path chunks so that realizations vectorize, while every path still owns an
+noise maps (..., n) -> (..., n, m).  A step adds one increment, which a
+system may form in one pass without the noise matrix (``increment``).  A
+system may also set ``prepare``: the integrator calls it once per step on the
+new state, and the increment and the observable batch receive its result, so
+work they share is done once per step (``jc_sde_system`` prepares the state
+with its basis jet).  ``run_ensemble`` is the only entry point and
+``_integrate_chunk`` the only stepping loop: ensembles are executed in path
+chunks so that realizations vectorize, while every path still owns an
 independent counter-based random stream keyed by (master_seed, path_index).
 Chunks run one after another and merge into one set of per-point moments in
 ascending path order, so statistics do not depend on scheduling, and a single
@@ -88,9 +89,10 @@ def _identity(state):
 class SdeSystem:
     """Ito SDE dX = drift(X) dt + noise(X) dW with m real Wiener components.
 
-    ``constant_noise`` marks systems whose noise matrix does not depend on the
-    state, letting the integrator evaluate it once per chunk.  ``prepare``
-    maps a (batched) state to the value that drift, noise and the observable
+    ``increment(prepared, dt, dw)``, the one coefficient call of a step, is
+    drift dt + noise @ dw for real ``dw`` (..., m); without it a step forms
+    drift(p) dt + noise(p) @ dw.  ``prepare``
+    maps a (batched) state to the value that the increment and the observable
     batch receive; it runs once per step, so work they share (such as basis
     functions of the state) is done once.  It defaults to the identity.
     """
@@ -99,8 +101,25 @@ class SdeSystem:
     noise_dim: int
     drift: Callable[[Any], np.ndarray]
     noise: Callable[[Any], np.ndarray]
-    constant_noise: bool = False
     prepare: Callable[[np.ndarray], Any] = _identity
+    increment: Callable[[Any, float, np.ndarray], np.ndarray] | None = None
+
+
+def _drift_plus_noise(system):
+    """drift(p) dt + noise(p) @ dw: the increment of a system that gives none."""
+
+    def increment(prepared, dt, dw):
+        b = np.asarray(system.noise(prepared), dtype=complex)
+        return np.asarray(system.drift(prepared), dtype=complex) * dt + (b @ dw[..., None])[..., 0]
+
+    return increment
+
+
+def noise_matrix(increment, noise_dim, batch_ndim):
+    """The (..., dim, m) noise matrix of ``increment(dt, dw)``, batched over
+    ``batch_ndim`` axes: column c is ``increment(0.0, e_c)``, all in one call."""
+    units = np.eye(noise_dim).reshape((noise_dim,) + (1,) * batch_ndim + (noise_dim,))
+    return np.moveaxis(increment(0.0, units), 0, -1)
 
 
 class ObservableMap:
@@ -176,9 +195,9 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
     observables) buffer; when it is full, or the grid ends, ``on_block(t,
     values, alive)`` receives the points from t on and the alive mask at the
     last of them, and may overwrite ``values``.  Each step prepares the new
-    state once; the observables at that point and the next drift and noise
-    read the prepared value.  Constant noise is one (dim, m) matrix applied to
-    all paths by one real-by-complex product.
+    state once; the observables at that point and the next increment read the
+    prepared value.  A dead path is held at 0 from the next step on, so it
+    costs no exact latch test.
     """
     sqrt_dt = np.sqrt(dt)
     state = np.array(state, dtype=complex)
@@ -189,13 +208,11 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
     values = np.empty((n_paths, min(_DRAW_BLOCK, steps + 1), len(observable_map.names)), complex)
     checkpoints = np.empty((-(-steps // _DRAW_BLOCK), n_paths, system.dim), dtype=complex)
 
+    increment = system.increment or _drift_plus_noise(system)
     with np.errstate(all="ignore"):
         prepared = system.prepare(state)
         values[:, 0, :] = observable_map.batch(prepared)
-        if system.constant_noise:
-            # the same matrix for every path: keep the first one
-            noise = np.asarray(system.noise(prepared), dtype=complex)
-            noise_t = noise.reshape(-1, system.dim, system.noise_dim)[0].T
+        dead = None
         for k in range(steps):
             j = k % _DRAW_BLOCK
             if j == 0:
@@ -203,17 +220,14 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
                 rows = min(_DRAW_BLOCK, steps - k)
                 draw(dws[:, :rows])
                 dws[:, :rows] *= sqrt_dt
-            a = np.asarray(system.drift(prepared), dtype=complex)
-            if system.constant_noise:
-                kick = dws[:, j] @ noise_t
-            else:
-                b = np.asarray(system.noise(prepared), dtype=complex)
-                kick = (b @ dws[:, j, :, None].astype(complex))[..., 0]
-            state = state + a * dt + kick
+            state = state + increment(prepared, dt, dws[:, j])
+            if dead is not None:  # parked at 0 every step: a step from 0 can diverge
+                state[dead] = 0.0
             # |x| <= sqrt(2) max(|Re x|, |Im x|), so no path can cross while
             # every part is within threshold / 2; nan and inf fail the screen
             if not np.abs(state.view(float)).max() <= 0.5 * threshold:
                 alive &= (np.abs(state) <= threshold).all(axis=-1)
+                dead = None if alive.all() else np.flatnonzero(~alive)
             survived += alive
             prepared = system.prepare(state)
             i = (k + 1) % _DRAW_BLOCK

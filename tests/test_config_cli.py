@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -445,6 +446,31 @@ class TestCsv:
         expected = np.array([[0.0, -0.0, 5e-324, -np.inf], [1.0, np.nan, np.inf, 0.1]])
         assert np.array_equal(data, expected, equal_nan=True)
         assert np.array_equal(np.signbit(data), np.signbit(expected))
+
+    def test_bytes_match_csv_writer_and_round_trip(self, tmp_path, rng):
+        times = np.linspace(0.0, 1e-3, 33)
+        parts = rng.standard_normal((2, 33)) * 10.0 ** rng.integers(-300, 300, (2, 33))
+        parts[:, :6] = [
+            [-0.0, np.nan, np.inf, 5e-324, 1e308, 0.1],
+            [0.0, -np.inf, -0.0, -5e-324, -2.2250738585072014e-308, 0.0],
+        ]
+        column = np.empty(33, dtype=complex)
+        column.real, column.imag = parts
+        stderr = np.abs(rng.standard_normal(33))
+        stderr[:2] = [np.nan, np.inf]
+        write_csv(tmp_path / "a.csv", times, ("x", "y"), [column, column[::-1]], [stderr, stderr])
+        rows = np.column_stack(
+            [times, column.real, column.imag, stderr, column[::-1].real, column[::-1].imag, stderr]
+        )
+        with open(tmp_path / "b.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["t", "real_x", "imag_x", "stderr_x", "real_y", "imag_y", "stderr_y"])
+            writer.writerows(rows.tolist())
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        header, data = read_csv(tmp_path / "a.csv")
+        assert header[0] == "t" and len(header) == 7
+        assert np.array_equal(data, rows, equal_nan=True)
+        assert np.array_equal(np.signbit(data), np.signbit(rows))
 
 
 class TestCompareCommand:

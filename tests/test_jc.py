@@ -16,6 +16,7 @@ from ppcavity.jc import (
     noise_jc,
     per_mode_amplitudes,
     phase_init_sampler,
+    principal_sqrt,
     split_state,
 )
 from ppcavity.initialization import AtomicDensity, init_points
@@ -31,6 +32,23 @@ ADD = BasisFamily.additive_noise(4.0, 0.0)
 
 def fig_params(**rates):
     return ModelParams.from_frequencies(omega=1100.0, g=200.0, Omega=1000.0, **rates)
+
+
+def test_principal_sqrt_matches_the_three_step_form(rng):
+    # lift an imaginary -0.0 to +0.0, then take the root: bit for bit the
+    # same on signed zeros, infinities, nan, subnormals and random values
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0])
+    random = rng.standard_normal((2, 22000)) * 10.0 ** rng.integers(-320, 300, (2, 22000))
+    random[1, :4000] = 0.0
+    random[1, 4000:8000] = -0.0
+    x = np.empty(special.size**2 + random.shape[1], dtype=complex)
+    x.real = np.concatenate([np.repeat(special, special.size), random[0]])
+    x.imag = np.concatenate([np.tile(special, special.size), random[1]])
+    with np.errstate(all="ignore"):
+        want = np.sqrt(np.where(x.imag == 0.0, x.real + 0.0j, x))
+        got = principal_sqrt(x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert principal_sqrt(complex(-4.0, -0.0)) == 2j
 
 
 class TestModelParams:

@@ -149,7 +149,7 @@ class TestAugmentation:
                 np.array([[sigma + 0j]]), state.shape[:-1] + (1, 1)
             )
 
-        return SdeSystem(1, 1, lambda x: -lam * x, noise, constant_noise=True)
+        return SdeSystem(1, 1, lambda x: -lam * x, noise)
 
     def test_constant_observable_stays_constant(self):
         from ppcavity.observables import SmoothObservable

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -329,3 +331,66 @@ def test_jacobian_diffusion_on_dense_grid(rng):
     lhs = noise_bar(params, phys) @ noise_bar(params, phys).T
     rhs = jac @ diffusion_jc(params, CS, state) @ jac.T
     assert np.abs(lhs - rhs).max() <= 1e-8 * (1.0 + np.abs(rhs).max())
+
+
+def _both_engines(params, family, states):
+    """(system, prepared states) of the phase-space and changed-variable engines."""
+    physical = physical_sde_system(params)
+    jc = jc_sde_system(params, family)
+    return ((jc, jc.prepare(states)), (physical, physical.prepare(to_physical(family, states))))
+
+
+@pytest.mark.parametrize("rated", [False, True], ids=["free", "rates"])
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_increment_is_drift_dt_plus_noise_dw(rng, family, n_modes, rated):
+    # one formula per engine: the increment is affine in dt and dw, with the
+    # drift and the noise matrix as its coefficients
+    fam = _FAMILIES[family]
+    params = sample_model(n_modes, **(random_rates(rng) if rated else {}))
+    states = np.stack([random_phase_state(rng, fam, n_modes) for _ in range(16)])
+    for system, prepared in _both_engines(params, fam, states):
+        for dt in (1e-3, 0.3):
+            dw = rng.standard_normal((16, system.noise_dim)) * np.sqrt(dt)
+            got = system.increment(prepared, dt, dw)
+            a, b = system.drift(prepared), system.noise(prepared)
+            assert b.shape == (16, system.dim, system.noise_dim)
+            want = a * dt + (b @ dw[..., None])[..., 0]
+            scale = np.abs(a * dt) + (np.abs(b) * np.abs(dw)[:, None, :]).sum(axis=-1)
+            assert (np.abs(got - want) <= 1e-15 * scale.max(axis=-1, keepdims=True)).all()
+
+
+@pytest.mark.parametrize("engine", ["sde-jc", "sde-mb-experimental"])
+def test_replaced_drift_and_noise_keep_a_working_system(engine):
+    # benchmark tracing rebuilds a system with dataclasses.replace(system,
+    # drift=..., noise=...): the rebuilt system steps as before, and its
+    # drift and noise are the wrapped ones
+    params = ModelParams.from_frequencies(
+        omega=(1100.0, 1900.0), g=(200.0, 150.0), Omega=1000.0, r21=100.0, r_p=50.0
+    )
+    sampler = phase_init_sampler(params, CS, 1.0, init_points(AtomicDensity.from_upper(0.7), CS))
+    if engine == "sde-jc":
+        system = jc_sde_system(params, CS)
+        bundle = observable_bundle(params, CS, ("rho_21", "nu", "e_1"))
+    else:
+        system = physical_sde_system(params)
+        sampler = physical_init_sampler(CS, sampler)
+        bundle = physical_observable_bundle(params, ("rho_21", "nu", "e_1"))
+    calls = []
+
+    def traced(fn):
+        def wrapped(state):
+            calls.append(fn)
+            return fn(state)
+
+        return wrapped
+
+    rebuilt = replace(system, drift=traced(system.drift), noise=traced(system.noise))
+    grid = TimeGrid(0.0, 1e-4, 70)
+    res = run_ensemble(system, sampler, grid, 8, 3, bundle)
+    again = run_ensemble(rebuilt, sampler, grid, 8, 3, bundle)
+    assert np.array_equal(res.mean, again.mean) and np.array_equal(res.stderr, again.stderr)
+    state = system.prepare(sampler(np.random.default_rng(1)))
+    assert np.array_equal(rebuilt.drift(state), system.drift(state))
+    assert np.array_equal(rebuilt.noise(state), system.noise(state))
+    assert calls == [system.drift, system.noise]

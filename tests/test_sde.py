@@ -32,7 +32,6 @@ def make_ou(lam=2.0, sigma=0.7):
         noise_dim=1,
         drift=lambda x: -lam * x,
         noise=constant_noise_system(1, [[sigma]]),
-        constant_noise=True,
     )
 
 
@@ -199,11 +198,12 @@ def test_single_run_has_zero_stderr():
     )
     assert res.runs_completed == 1
     assert np.array_equal(res.stderr, np.zeros_like(res.stderr))
-    # matches explicit Euler steps driven by the same stream (no init draw used)
+    # matches explicit Euler steps driven by the same stream (no init draw
+    # used); a step adds one increment, drift dt + noise dW
     dws = path_generator(11, 0).standard_normal((grid.steps, 1)) * np.sqrt(grid.dt)
     state = 1.0 + 0j
     for k in range(grid.steps):
-        state = state - 2.0 * state * grid.dt + 0.7 * dws[k, 0]
+        state = state + (-2.0 * state * grid.dt + 0.7 * dws[k, 0])
         assert res.mean[k + 1, 0] == state
 
 
@@ -304,7 +304,6 @@ def dying_ou(lam=0.5, sigma=0.7):
         noise_dim=1,
         drift=drift,
         noise=constant_noise_system(5, [[sigma], [0.0], [0.0], [0.0], [0.0]]),
-        constant_noise=True,
     )
 
 
@@ -380,6 +379,45 @@ def test_dead_paths_leave_no_trace_in_the_moments(chunk_size):
     assert (np.abs(res.stderr - stderr) <= 1e-12 * stderr.max(axis=0)).all()
 
 
+def test_dead_paths_are_parked_and_survivors_do_not_move():
+    # path 2 of 5 is kicked to 1e9, inf or nan at step b + 7 (dt = 1, its
+    # clock counts the steps); from the next step on its row is held at 0,
+    # where its drift is nan, so it is parked again every step; the
+    # survivors' moments are the same bit for bit whatever the kick
+    b, lam, sigma = _DRAW_BLOCK, 0.5, 0.7
+    grid = TimeGrid(0.0, b + 20.0, b + 20)
+    results = []
+    for kick in (1e9, np.inf, np.nan):
+        seen = []
+
+        def drift(s, kick=kick):
+            seen.append(s.copy())
+            x, clock = s[..., 0], s[..., 1].real
+            a = np.empty_like(s)
+            a[..., 0] = -lam * x + np.where(clock == b + 6, kick, 0.0)
+            a[..., 0] += np.where((s == 0).all(axis=-1), np.nan, 0.0)
+            a[..., 1] = 1.0
+            return a
+
+        system = SdeSystem(2, 1, drift, constant_noise_system(2, [[sigma], [0.0]]))
+        counter = itertools.count()
+
+        def sampler(rng):
+            return np.array([rng.standard_normal(), 0.0 if next(counter) == 2 else -1e3])
+
+        res = run_ensemble(system, sampler, grid, 5, 17, {"x": lambda s: s[..., 0]})
+        assert res.diverged_paths == (2,) and res.divergence_steps == (b + 7,)
+        # the forward pass (then the replay of block 0 for path 2 alone)
+        forward = [s for s in seen if s.shape[0] == 5]
+        assert len(forward) == grid.steps
+        assert np.isfinite(forward[b + 6]).all() and not abs(forward[b + 7][2, 0]) <= 1e6
+        assert all((s[2] == 0).all() for s in forward[b + 8 :])
+        results.append(res)
+    for res in results[1:]:
+        assert np.array_equal(res.mean, results[0].mean)
+        assert np.array_equal(res.stderr, results[0].stderr)
+
+
 def test_divergence_steps_are_first_crossings():
     # path r starts at r - 5 and moves by +1 per unit step; |x| > 6 first
     # holds at step 12 - r for 4 <= r <= 11 and at step 1 beyond (|x| = 6
@@ -390,7 +428,6 @@ def test_divergence_steps_are_first_crossings():
         noise_dim=1,
         drift=lambda x: np.ones_like(x),
         noise=constant_noise_system(1, [[0.0]]),
-        constant_noise=True,
     )
     res = run_ensemble(
         system,
@@ -414,7 +451,6 @@ def test_non_finite_state_diverges_at_its_step():
         noise_dim=1,
         drift=lambda x: np.where(x.real >= 2.0, np.nan, 1.0) + 0j,
         noise=constant_noise_system(1, [[0.0]]),
-        constant_noise=True,
     )
     counter = itertools.count()
     res = run_ensemble(
@@ -435,8 +471,8 @@ def test_divergence_latch_reads_the_modulus():
     # x moves by its own velocity v (the second coordinate) per unit step.
     # Path 0 reaches re = im = 0.75 T at step 3, where |x| > T although
     # both parts are under T; path 1 ends at re = im = 0.7 T, both parts
-    # above T / 2, with |x| just under T; path 2 starts beyond T and is dead
-    # from step 1 on, so in the second run every step takes the exact test
+    # above T / 2, with |x| just under T; path 2 starts beyond T, is dead
+    # from step 1 on and is then parked at 0
     threshold = 4.0
     velocities = (0.25 * threshold * (1 + 1j), 0.175 * threshold * (1 + 1j), 0.0)
     starts = (0.0, 0.0, 2.5 * threshold)
@@ -445,7 +481,6 @@ def test_divergence_latch_reads_the_modulus():
         noise_dim=1,
         drift=lambda s: np.stack([s[..., 1], np.zeros_like(s[..., 1])], axis=-1),
         noise=constant_noise_system(2, [[0.0], [0.0]]),
-        constant_noise=True,
     )
     steps = 4
     # the exact rule: the first step at which |x| exceeds the threshold

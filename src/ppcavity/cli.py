@@ -49,6 +49,8 @@ ENV_PREFIX = "PPCAVITY_"
 DIVERGENCE_WARNING_FRACTION = 0.01
 #: the reference warns when the density matrix has an eigenvalue below this
 EIGENVALUE_WARNING_FLOOR = -1e-8
+#: rows that ``write_csv`` formats at once
+_CSV_ROWS = 512
 
 
 def _env_override(name, kind):
@@ -59,20 +61,27 @@ def _env_override(name, kind):
 
 
 def write_csv(path, times, names, columns, stderr=None):
-    """Full round-trip precision CSV with the documented column order."""
+    """Full round-trip precision CSV with the documented column order.
+
+    Rows are formatted and written ``_CSV_ROWS`` at a time, so no copy of
+    the whole table, as an array or as Python floats, is ever held.
+    """
     header = ["t"]
-    fields = [times]
+    fields = [np.asarray(times)]
     for j, name in enumerate(names):
         header += [f"real_{name}", f"imag_{name}"]
         fields += [np.real(columns[j]), np.imag(columns[j])]
         if stderr is not None:
             header.append(f"stderr_{name}")
             fields.append(stderr[j])
-    rows = np.column_stack(fields).astype(float, copy=False)
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(header)
-        # the bytes csv.writer writes for floats (repr, CRLF), one row at a time
-        handle.writelines(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
+        for start in range(0, len(fields[0]), _CSV_ROWS):
+            rows = np.column_stack([f[start : start + _CSV_ROWS] for f in fields])
+            # the bytes csv.writer writes for floats (repr, CRLF), one row at a time
+            handle.writelines(
+                ",".join(map(repr, row)) + "\r\n" for row in rows.astype(float, copy=False).tolist()
+            )
 
 
 def read_csv(path):

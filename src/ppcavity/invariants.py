@@ -186,9 +186,36 @@ def check_init_reconstruction(rng, points):
     return worst, 1e-12
 
 
+def _candidate_states(normals, n_modes, scale):
+    """The phase points :func:`random_phase_state` forms from rows of 4N + 4 normals."""
+    m = 2 * n_modes
+    states = np.empty((len(normals), m + 2), dtype=complex)
+    states[:, :m] = scale * (normals[:, :m] + 1j * normals[:, m : 2 * m])
+    states[:, m:] = scale * (normals[:, 2 * m : 2 * m + 2] + 1j * normals[:, 2 * m + 2 :])
+    return states
+
+
 def _random_states(rng, family, n_modes, count, scale=0.5):
-    """``count`` phase points from :func:`random_phase_state`, stacked in draw order."""
-    return np.stack([random_phase_state(rng, family, n_modes, scale) for _ in range(count)])
+    """``count`` phase points, bit for bit those of ``count`` calls of
+    :func:`random_phase_state`, which leave ``rng`` in the same state.
+
+    Candidates are drawn and screened in batches, one jet per batch; then the
+    generator is reset and draws again exactly the candidates those calls
+    would have drawn, up to the last one accepted.
+    """
+    snapshot = rng.bit_generator.state
+    drawn, accepted = 0, []
+    while len(accepted) < count:
+        batch = 2 * (count - len(accepted))
+        states = _candidate_states(rng.standard_normal((batch, 4 * n_modes + 4)), n_modes, scale)
+        pf = family.jet(states[:, -2], states[:, -1])
+        ok = (np.abs(pf.denom) > 0.3) & (np.abs(pf.hp) > 0.05) & (np.abs(pf.htp) > 0.05)
+        accepted.extend(drawn + np.flatnonzero(ok))
+        drawn += batch
+    accepted = accepted[:count]
+    rng.bit_generator.state = snapshot
+    normals = rng.standard_normal((accepted[-1] + 1, 4 * n_modes + 4))
+    return _candidate_states(normals, n_modes, scale)[accepted]
 
 
 def _factorization_error(params, family, states):

@@ -17,7 +17,9 @@ realization is ``run_ensemble(..., runs=1)``.  Nothing holds a record of paths
 x steps: a chunk draws its Wiener increments and buffers its observables
 ``_DRAW_BLOCK`` points at a time, merges each full block into the moments, and
 keeps one state per path and block from which the paths that diverge are
-replayed and taken out of the moments again when the chunk ends.
+replayed and taken out of the moments again when the chunk ends.  Merging a
+block works in place on its buffer, one slice of paths at a time, so it
+allocates at most one slice: the values of ``_MERGE_SLICE`` of its points.
 ``TimeGrid`` also serves the deterministic engines, and the classical RK4
 generator ``rk4_states`` serves ``maxwell_bloch``.
 """
@@ -38,6 +40,10 @@ _DEFAULT_CHUNK = 1024
 # at a time; Philox streams are sequential and the moments are per point, so
 # the numbers do not depend on it
 _DRAW_BLOCK = 64
+# merging a block screens, moves and squares it a slice of paths at a time,
+# each slice holding the values of this many of its points, so a merge
+# allocates a fraction of the block; the moments do not depend on it
+_MERGE_SLICE = 16
 
 
 @dataclass(frozen=True)
@@ -240,14 +246,63 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
     return alive, survived, checkpoints
 
 
+def _slice_rows(values):
+    """Paths in a slice of a (paths, points, observables) block: as many values
+    as ``_MERGE_SLICE`` of its points hold.  A slice of paths is contiguous,
+    so work on it goes as fast as on the whole block."""
+    return max(1, len(values) * _MERGE_SLICE // values.shape[1])
+
+
+def _within(values, threshold):
+    """Per path of a block: are all its values finite and at most
+    ``threshold`` in modulus?  Screens one slice of paths at a time."""
+    within = np.empty(len(values), dtype=bool)
+    rows = _slice_rows(values)
+    for start in range(0, len(values), rows):
+        part = np.abs(values[start : start + rows]) <= threshold
+        within[start : start + rows] = part.all(axis=(1, 2))
+    return within
+
+
+def _to_front(values, rows):
+    """The rows of ``values`` that the mask ``rows`` selects, moved in place to
+    its front in their order: ``values[rows]`` without a copy of the block.
+
+    Rows move from the first one not selected on, half a slice at a time
+    (complex values take twice the bytes of the moduli ``_within`` forms);
+    row i comes from row index[i] >= i, which no earlier move has overwritten.
+    """
+    index = np.flatnonzero(rows)
+    if len(index) < len(values):
+        step = max(1, _slice_rows(values) // 2)
+        for i in range(int(np.argmin(rows)), len(index), step):
+            sources = index[i : i + step]
+            values[i : i + len(sources)] = values[sources]
+    return values[: len(index)]
+
+
 def _block_moments(values):
     """Path count, mean and summed squared deviation over the first axis.
 
-    Centres ``values`` in place, so no temporary is the size of the block.
+    Centres ``values`` in place and squares the deviations one slice of paths
+    at a time.  Each slice's first row takes on the sum so far, so every
+    point's sum runs over the paths in order, as numpy sums a whole
+    (paths, points, observables) block along its first axis: the result is
+    that of one sum, bit for bit (a block of one point and one observable is
+    one slice, whose sum numpy forms pairwise).
     """
     mean = values.mean(axis=0)
     values -= mean
-    return values.shape[0], mean, (np.abs(values) ** 2).sum(axis=0)
+    m2 = None
+    rows = _slice_rows(values)
+    for start in range(0, len(values), rows):
+        squares = np.abs(values[start : start + rows])
+        squares **= 2
+        if m2 is not None:
+            squares[0] += m2
+        m2 = squares.sum(axis=0)
+        del squares  # before the next slice forms its own
+    return len(values), mean, m2
 
 
 class _Moments:
@@ -355,7 +410,11 @@ def run_ensemble(
     checkpoints and taken out, and the waiting blocks of the survivors are
     merged in, so the moments are those of the surviving paths.  Memory is
     one block of increments and observables per path plus one state per path
-    and block: nothing holds paths x steps observables.
+    and block: nothing holds paths x steps observables.  A block is screened,
+    its kept rows moved to the front of its buffer in path order and its
+    moments reduced in place, one slice of paths at a time, so merging it
+    allocates at most one slice, the values of ``_MERGE_SLICE`` of its 64
+    points; the moments are those of one reduction over the block, bit for bit.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -384,9 +443,9 @@ def run_ensemble(
                 gen.standard_normal(out=dw)
 
         def merge_block(t, values, alive):
-            kept = alive & (np.abs(values) <= divergence_threshold).all(axis=(1, 2))
+            kept = alive & _within(values, divergence_threshold)
             waiting.extend((t, p, values[p].copy()) for p in np.flatnonzero(alive & ~kept))
-            moments.add(t, values if kept.all() else values[kept])
+            moments.add(t, _to_front(values, kept))
 
         alive, survived, checkpoints = _integrate_chunk(
             system, inits, grid.steps, grid.dt, draw, observables, divergence_threshold, merge_block

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ppcavity import sde
 from ppcavity.errors import AllPathsDivergedError
 from ppcavity.sde import (
     _DRAW_BLOCK,
@@ -286,6 +287,93 @@ def test_peak_memory_is_blocks_not_steps():
     checkpoint_bytes = chunk * (grid.steps // _DRAW_BLOCK) * 16
     point_bytes = (grid.steps + 1) * len(observables) * 16
     assert peak <= 4 * block_bytes + 2 * checkpoint_bytes + 8 * point_bytes
+
+
+def test_merging_a_block_allocates_at_most_a_quarter_block():
+    # 256 paths and 64 observables over eight blocks (dt = 1); path 100 is
+    # kicked over the threshold mid-block, so that block and every later one
+    # reach the moments through the kept rows
+    paths, width, b = 256, 64, _DRAW_BLOCK
+    grid = TimeGrid(0.0, 8.0 * b, 8 * b)
+    kick = 3 * b + 20
+
+    def drift(s):
+        a = np.empty_like(s)
+        a[..., 0] = -0.5 * s[..., 0] + np.where(s[..., 1].real == kick - 1, 1e9, 0.0)
+        a[..., 1] = 1.0
+        return a
+
+    system = SdeSystem(2, 1, drift, constant_noise_system(2, [[0.7], [0.0]]))
+    weights = np.arange(1.0, width + 1)
+    observables = ObservableMap([f"x{k}" for k in range(width)], lambda s: s[..., :1] * weights)
+    counter = itertools.count()
+
+    def sampler(rng):
+        return np.array([rng.standard_normal(), 0.0 if next(counter) == 100 else -1e3])
+
+    # a first small run, so lazy imports are not traced
+    run_ensemble(system, lambda rng: np.zeros(2, complex), TimeGrid(0.0, 2.0, 2), 2, 0, observables)
+    tracemalloc.start()
+    try:
+        res = run_ensemble(system, sampler, grid, paths, 3, observables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.diverged_paths == (100,) and res.divergence_steps == (kick,)
+    block = paths * b * width * 16
+    buffers = block + paths * b * 8  # observables and increments
+    checkpoints = (grid.steps // b) * paths * system.dim * 16
+    moments = (grid.steps + 1) * (width * (16 + 8) + 8)
+    # merging the whole block at once held a copy of its kept rows and their
+    # moduli and squares besides it, two blocks more (16.8 MB here)
+    assert peak <= buffers + checkpoints + moments + block // 4
+
+
+def whole_block_moments(values):
+    """The moments of a block reduced all at once, centring it in place."""
+    mean = values.mean(axis=0)
+    values -= mean
+    return values.shape[0], mean, (np.abs(values) ** 2).sum(axis=0)
+
+
+@pytest.mark.parametrize("points, width", [(1, 1), (2, 1), (17, 1), (33, 3), (_DRAW_BLOCK, 5)])
+def test_slicewise_merge_equals_whole_block_merge(monkeypatch, points, width):
+    # blocks with nan, inf and over-threshold rows and dead paths are screened,
+    # moved and squared a slice of paths at a time (one slice for one point,
+    # up to five for 64 points), and must give the moments of the whole-block
+    # formulas bit for bit: the rows merged are values[kept], and each point's
+    # sums run over the paths in order (numpy sums a (paths, 1, 1) block
+    # pairwise, which only a single slice reproduces)
+    rng = np.random.default_rng(100 * points + width)
+    threshold = 50.0
+    sliced, whole = sde._Moments(2 * points, width), sde._Moments(2 * points, width)
+    for t, paths in [(0, 23), (points, 40), (points, 9)]:
+        shape = (paths, points, width)
+        values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(
+            -3, 2, (paths, 1, 1)
+        )
+        values[1::5, -1, 0] = np.nan
+        values[2::5, 0, -1] = complex(0.0, np.inf)
+        values[3::5, points // 2, width // 2] = 1.5 * threshold
+        alive = rng.uniform(size=paths) < 0.9
+        with np.errstate(all="ignore"):
+            assert [whole_block_moments(values.copy())[k].tobytes() for k in (1, 2)] == [
+                sde._block_moments(values.copy())[k].tobytes() for k in (1, 2)
+            ]
+        kept = alive & (np.abs(values) <= threshold).all(axis=(1, 2))
+        assert np.array_equal(alive & sde._within(values, threshold), kept)
+        selected = values[kept]
+        leaving = selected[::3].copy()
+        front = sde._to_front(values, kept)
+        assert front.tobytes() == selected.tobytes()
+        sliced.add(t, front)
+        monkeypatch.setattr(sde, "_block_moments", whole_block_moments)
+        whole.add(t, selected)
+        whole.remove(t, leaving.copy())
+        monkeypatch.undo()
+        sliced.remove(t, leaving)
+        for name in ("count", "mean", "m2"):
+            assert getattr(sliced, name).tobytes() == getattr(whole, name).tobytes()
 
 
 def dying_ou(lam=0.5, sigma=0.7):

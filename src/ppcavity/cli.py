@@ -8,11 +8,12 @@ Subcommands::
 
 Flags override environment variables (prefix ``PPCAVITY_``, e.g.
 ``PPCAVITY_SEED``), which in turn override the configuration file; overrides
-are parsed and validated like the file before any engine starts.  Every run
-writes a CSV (column order: t, then real_/imag_/stderr_ triples per
-observable, stderr only for stochastic engines) and a JSON sidecar
-``<out>.meta.json`` holding the resolved configuration, seed, and divergence
-count, which suffices to reproduce the run bit for bit.
+are parsed and validated like the file before any engine starts.  Every
+engine returns one ``EngineResult``, which ``cmd_run`` writes the same way for
+all: a CSV (column order: t, then real_/imag_/stderr_ triples per observable,
+stderr only for stochastic engines), a sidecar ``<out>.meta.json`` with the
+resolved configuration, seed and engine diagnostics (enough to reproduce the
+run bit for bit), a summary line on stdout and the engine's warnings on stderr.
 """
 
 from __future__ import annotations
@@ -23,18 +24,12 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .config import (
-    RunConfig,
-    parse_config,
-    parse_value,
-    serialize_config,
-    validate_config,
-)
+from .config import RunConfig, parse_config, parse_value, serialize_config, validate_config
 from .errors import CavityError
 from .initialization import init_points
 from .invariants import DEFAULT_POINTS, DEFAULT_SEED, run_all
@@ -53,11 +48,12 @@ EIGENVALUE_WARNING_FLOOR = -1e-8
 _CSV_ROWS = 512
 
 
-def _env_override(name, kind):
+def _override(flag, name, kind):
+    """The flag's value, else that of the environment variable ``name``, else None."""
     raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return None
-    return parse_value(raw, kind, f"environment variable {ENV_PREFIX}{name}")
+    if flag is None and raw is not None:
+        return parse_value(raw, kind, f"environment variable {ENV_PREFIX}{name}")
+    return flag
 
 
 def write_csv(path, times, names, columns, stderr=None):
@@ -85,23 +81,27 @@ def write_csv(path, times, names, columns, stderr=None):
 
 
 def read_csv(path):
+    """Header and (rows, columns) data of a CSV; ValueError names the file,
+    and the line of a row whose field count is not the header's."""
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = [[float(x) for x in row] for row in reader]
-    data = np.array(rows) if rows else np.zeros((0, len(header)))
-    return header, data
+        rows = list(csv.reader(handle))
+    if not rows or not rows[0]:
+        raise ValueError(f"{path}: empty file, no header")
+    header, rows = rows[0], rows[1:]
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {line} has {len(row)} of {len(header)} fields")
+    return header, np.array(rows, dtype=float).reshape(-1, len(header))
 
 
 def _write_sidecar(out_path, cfg: RunConfig, extra):
+    text = serialize_config(cfg)
     meta = {
         "version": __version__,
         "engine": cfg.engine,
         "master_seed": cfg.master_seed,
-        "config": serialize_config(cfg),
-        "config_sha256": hashlib.sha256(
-            serialize_config(cfg).encode("utf-8")
-        ).hexdigest(),
+        "config": text,
+        "config_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
     }
     meta.update(extra)
     with open(str(out_path) + ".meta.json", "w") as handle:
@@ -109,9 +109,24 @@ def _write_sidecar(out_path, cfg: RunConfig, extra):
         handle.write("\n")
 
 
-def _run_ensemble(cfg: RunConfig, system, sampler, bundle):
+@dataclass(frozen=True)
+class EngineResult:
+    """One engine run as ``cmd_run`` writes it: the CSV's times, names, values
+    (points, observables) and standard errors (``None`` for a deterministic
+    engine), the sidecar entries, the stdout summary and the stderr warnings."""
+
+    times: np.ndarray
+    names: tuple
+    values: np.ndarray
+    stderr: np.ndarray | None
+    diagnostics: dict
+    summary: str
+    warnings: tuple
+
+
+def _run_ensemble(cfg: RunConfig, system, sampler, bundle) -> EngineResult:
     """The one ensemble call of both SDE engines, on the grid and seed of ``cfg``."""
-    return run_ensemble(
+    res = run_ensemble(
         system,
         sampler,
         cfg.grid(),
@@ -120,9 +135,39 @@ def _run_ensemble(cfg: RunConfig, system, sampler, bundle):
         bundle,
         divergence_threshold=cfg.divergence_threshold,
     )
+    fraction = res.runs_diverged / res.runs_requested
+    warning = (
+        f"warning: divergent fraction {fraction:.2%} exceeds "
+        f"{DIVERGENCE_WARNING_FRACTION:.0%}; statistics are suspect"
+    )
+    summary = (
+        f"{cfg.engine}: {res.runs_completed}/{res.runs_requested} runs "
+        f"completed ({res.runs_diverged} diverged) -> {cfg.out}"
+    )
+    return EngineResult(
+        times=res.grid.times, names=res.names, values=res.mean, stderr=res.stderr,
+        diagnostics=res.diagnostics, summary=summary,
+        warnings=(warning,) if fraction > DIVERGENCE_WARNING_FRACTION else (),
+    )
 
 
-def run_sde_jc(cfg: RunConfig):
+def _run_deterministic(cfg: RunConfig, params, traj) -> EngineResult:
+    """A ``reference`` or ``mb`` trajectory, its physical coordinates read as observables."""
+    diagnostics = traj.diagnostics
+    low = diagnostics.get("min_eigenvalue", 0.0)
+    warning = (
+        f"warning: minimum density-matrix eigenvalue {low:.3e} "
+        f"is below {EIGENVALUE_WARNING_FLOOR:.0e}; the reference lost positivity"
+    )
+    return EngineResult(
+        times=traj.times, names=cfg.observables, stderr=None, diagnostics=diagnostics,
+        values=physical_columns(params, cfg.observables, cfg.probes)(traj.phys),
+        summary=f"{cfg.engine}: wrote {cfg.out}",
+        warnings=(warning,) if low < EIGENVALUE_WARNING_FLOOR else (),
+    )
+
+
+def run_sde_jc(cfg: RunConfig) -> EngineResult:
     params, family = cfg.model_params(), cfg.family()
     dist = init_points(cfg.atomic_density(), family)
     return _run_ensemble(
@@ -133,7 +178,7 @@ def run_sde_jc(cfg: RunConfig):
     )
 
 
-def run_sde_physical(cfg: RunConfig):
+def run_sde_physical(cfg: RunConfig) -> EngineResult:
     params, family = cfg.model_params(), cfg.family()
     dist = init_points(cfg.atomic_density(), family)
     return _run_ensemble(
@@ -144,14 +189,14 @@ def run_sde_physical(cfg: RunConfig):
     )
 
 
-def run_reference(cfg: RunConfig):
+def run_reference(cfg: RunConfig) -> EngineResult:
     params = cfg.model_params()
     space = TruncatedSpace((cfg.n_max,) * params.mode_count)
     rho0 = initial_density(params, space, cfg.alpha, cfg.atomic_density())
-    return params, evolve(params, rho0, cfg.grid(), space)
+    return _run_deterministic(cfg, params, evolve(params, rho0, cfg.grid(), space))
 
 
-def run_mb(cfg: RunConfig):
+def run_mb(cfg: RunConfig) -> EngineResult:
     params = cfg.model_params()
     atom = cfg.atomic_density()
     alpha = per_mode_amplitudes(cfg.alpha, params.mode_count)
@@ -159,22 +204,18 @@ def run_mb(cfg: RunConfig):
     phys0 = join_phys(
         2.0 * alpha.real, 2.0 * alpha.imag, rho21, np.conj(rho21), (atom.rho22 - atom.rho11).real
     )
-    return params, evolve_mb(params, phys0, cfg.grid())
+    return _run_deterministic(cfg, params, evolve_mb(params, phys0, cfg.grid()))
 
 
 def cmd_run(args) -> int:
     with open(args.config) as handle:
         cfg = parse_config(handle.read())
-    overrides = {}
-    seed = args.seed if args.seed is not None else _env_override("SEED", "int")
-    runs = args.runs if args.runs is not None else _env_override("RUNS", "int")
-    out = args.out if args.out is not None else _env_override("OUT", "str")
-    if seed is not None:
-        overrides["master_seed"] = seed
-    if runs is not None:
-        overrides["runs"] = runs
-    if out is not None:
-        overrides["out"] = out
+    overrides = {
+        "master_seed": _override(args.seed, "SEED", "int"),
+        "runs": _override(args.runs, "RUNS", "int"),
+        "out": _override(args.out, "OUT", "str"),
+    }
+    overrides = {field: value for field, value in overrides.items() if value is not None}
     if overrides:
         cfg = replace(cfg, **overrides)
         validate_config(cfg)
@@ -182,46 +223,20 @@ def cmd_run(args) -> int:
         print("error: no output path (set out in [run] or pass --out)", file=sys.stderr)
         return 2
 
-    if cfg.engine in ("sde-jc", "sde-mb-experimental"):
-        result = run_sde_jc(cfg) if cfg.engine == "sde-jc" else run_sde_physical(cfg)
-        write_csv(
-            cfg.out, result.grid.times, result.names, list(result.mean.T), list(result.stderr.T)
-        )
-        fraction = result.runs_diverged / result.runs_requested
-        _write_sidecar(
-            cfg.out,
-            cfg,
-            {
-                "runs_requested": result.runs_requested,
-                "runs_diverged": result.runs_diverged,
-                "diverged_paths": list(result.diverged_paths[:100]),
-                "divergence_steps": list(result.divergence_steps[:100]),
-                "chunk_size": result.chunk_size,
-            },
-        )
-        print(
-            f"{cfg.engine}: {result.runs_completed}/{result.runs_requested} runs "
-            f"completed ({result.runs_diverged} diverged) -> {cfg.out}"
-        )
-        if fraction > DIVERGENCE_WARNING_FRACTION:
-            print(
-                f"warning: divergent fraction {fraction:.2%} exceeds "
-                f"{DIVERGENCE_WARNING_FRACTION:.0%}; statistics are suspect",
-                file=sys.stderr,
-            )
-    else:
-        params, traj = run_reference(cfg) if cfg.engine == "reference" else run_mb(cfg)
-        columns = physical_columns(params, cfg.observables, cfg.probes)(traj.phys)
-        write_csv(cfg.out, traj.times, cfg.observables, list(columns.T))
-        extra = traj.diagnostics
-        _write_sidecar(cfg.out, cfg, extra)
-        print(f"{cfg.engine}: wrote {cfg.out}")
-        if extra.get("min_eigenvalue", 0.0) < EIGENVALUE_WARNING_FLOOR:
-            print(
-                f"warning: minimum density-matrix eigenvalue {extra['min_eigenvalue']:.3e} "
-                f"is below {EIGENVALUE_WARNING_FLOOR:.0e}; the reference lost positivity",
-                file=sys.stderr,
-            )
+    # looked up at call time, so a wrapped run_* is the one that runs
+    engines = {
+        "sde-jc": run_sde_jc,
+        "sde-mb-experimental": run_sde_physical,
+        "reference": run_reference,
+        "mb": run_mb,
+    }
+    result = engines[cfg.engine](cfg)
+    stderr = None if result.stderr is None else result.stderr.T
+    write_csv(cfg.out, result.times, result.names, result.values.T, stderr)
+    _write_sidecar(cfg.out, cfg, result.diagnostics)
+    print(result.summary)
+    for line in result.warnings:
+        print(line, file=sys.stderr)
     return 0
 
 
@@ -240,9 +255,7 @@ def cmd_compare(args) -> int:
         return 2
     print("column,max_abs,rms")
     for name in shared:
-        col_a = data_a[:, header_a.index(name)]
-        col_b = data_b[:, header_b.index(name)]
-        diff = col_a - col_b
+        diff = data_a[:, header_a.index(name)] - data_b[:, header_b.index(name)]
         max_abs = float(np.abs(diff).max()) if diff.size else 0.0
         rms = float(np.sqrt(np.mean(diff**2))) if diff.size else 0.0
         print(f"{name},{max_abs!r},{rms!r}")
@@ -255,10 +268,8 @@ def cmd_check_invariants(args) -> int:
         with open(args.config) as handle:
             cfg = parse_config(handle.read())
         seed, points = cfg.invariants_seed, cfg.invariants_points
-    if args.seed is not None:
-        seed = args.seed
-    if args.points is not None:
-        points = args.points
+    seed = seed if args.seed is None else args.seed
+    points = points if args.points is None else args.points
     report = run_all(seed=seed, points=points)
     text = json.dumps(report, indent=2)
     if args.out:

@@ -39,12 +39,8 @@ from .sde import DEFAULT_DIVERGENCE_THRESHOLD, TimeGrid
 
 ENGINES = ("sde-jc", "sde-mb-experimental", "reference", "mb")
 
-_OBSERVABLE_ALIASES = {
-    "rho11": "rho_11",
-    "rho22": "rho_22",
-    "rho21": "rho_21",
-    "rho12": "rho_12",
-}
+#: density-matrix observables may drop the underscore: rho11 is rho_11
+_OBSERVABLE_ALIASES = {f"rho{ij}": f"rho_{ij}" for ij in ("11", "22", "21", "12")}
 
 
 @dataclass(frozen=True)
@@ -232,10 +228,6 @@ def parse_value(text: str, kind: str, source: str):
         raise ConfigError(f"{source}: {exc}") from None
 
 
-def normalize_observable(name: str) -> str:
-    return _OBSERVABLE_ALIASES.get(name, name)
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a configuration; raises ConfigError."""
     values: dict = {}
@@ -253,9 +245,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno)
         if section is None:
             raise ConfigError("key outside of any [section]", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if (section, key) not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
         attr, kind = _SCHEMA[(section, key)]
@@ -267,9 +257,7 @@ def parse_config(text: str) -> RunConfig:
         if _SCHEMA[section, key][0] not in values:
             raise ConfigError(f"{key} is required in [{section}]")
     if "observables" in values:
-        values["observables"] = tuple(
-            normalize_observable(v) for v in values["observables"]
-        )
+        values["observables"] = tuple(_OBSERVABLE_ALIASES.get(v, v) for v in values["observables"])
     cfg = RunConfig(**values)
     validate_config(cfg)
     return cfg

@@ -25,14 +25,10 @@ CONSISTENCY_TOL = 1e-9
 
 
 def split_phys(phys, n_modes):
-    """Views (eps, eta, rho21, rho12, nu) of a flat (batched) physical vector."""
+    """Views (eps, eta, rho21, rho12, nu) of a flat (batched) physical vector:
+    the layout of :func:`ppcavity.jc.split_state` with nu appended."""
     phys = np.asarray(phys, dtype=complex)
-    eps = phys[..., 0 : 2 * n_modes : 2]
-    eta = phys[..., 1 : 2 * n_modes : 2]
-    rho21 = phys[..., 2 * n_modes]
-    rho12 = phys[..., 2 * n_modes + 1]
-    nu = phys[..., 2 * n_modes + 2]
-    return eps, eta, rho21, rho12, nu
+    return (*split_state(phys, n_modes), phys[..., 2 * n_modes + 2])
 
 
 def join_phys(eps, eta, rho21, rho12, nu) -> np.ndarray:

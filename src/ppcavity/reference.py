@@ -65,10 +65,7 @@ class TruncatedSpace:
 
     @property
     def field_dim(self) -> int:
-        out = 1
-        for v in self.n_max:
-            out *= v + 1
-        return out
+        return math.prod(v + 1 for v in self.n_max)
 
     @property
     def dim(self) -> int:

@@ -16,8 +16,9 @@ ascending path order, so statistics do not depend on scheduling, and a single
 realization is ``run_ensemble(..., runs=1)``.  Nothing holds a record of paths
 x steps: a chunk draws its Wiener increments and buffers its observables
 ``_DRAW_BLOCK`` points at a time, merges each full block into the moments, and
-keeps one state per path and block from which the paths that diverge are
-replayed and taken out of the moments again when the chunk ends.  Merging a
+keeps one state per path and block.  From those states it replays, when the
+chunk ends, the blocks of the paths that diverged, to take them out of the
+moments again, and the blocks it set aside, to merge them in.  Merging a
 block works in place on its buffer, one slice of paths at a time, so it
 allocates at most one slice: the values of ``_MERGE_SLICE`` of its points.
 ``TimeGrid`` also serves the deterministic engines, and the classical RK4
@@ -26,6 +27,7 @@ generator ``rk4_states`` serves ``maxwell_bloch``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -97,10 +99,10 @@ class SdeSystem:
 
     ``increment(prepared, dt, dw)``, the one coefficient call of a step, is
     drift dt + noise @ dw for real ``dw`` (..., m); without it a step forms
-    drift(p) dt + noise(p) @ dw.  ``prepare``
-    maps a (batched) state to the value that the increment and the observable
-    batch receive; it runs once per step, so work they share (such as basis
-    functions of the state) is done once.  It defaults to the identity.
+    drift(p) dt + noise(p) @ dw.  ``prepare`` maps a (batched) state to the
+    value that the increment and the observable batch receive; it runs once
+    per step, so work they share (such as basis functions of the state) is
+    done once.  It defaults to the identity.
     """
 
     dim: int
@@ -141,9 +143,7 @@ class ObservableMap:
         fns = tuple(mapping[name] for name in names)
 
         def batch(state):
-            return np.stack(
-                [np.asarray(f(state), dtype=complex) for f in fns], axis=-1
-            )
+            return np.stack([np.asarray(f(state), dtype=complex) for f in fns], axis=-1)
 
         return cls(names, batch)
 
@@ -183,6 +183,18 @@ class EnsembleResult:
     @property
     def runs_completed(self) -> int:
         return self.runs_requested - self.runs_diverged
+
+    @property
+    def diagnostics(self) -> dict:
+        """The sidecar entries: the run counts, the first 100 diverged paths
+        with their divergence steps, and the chunk size."""
+        return {
+            "runs_requested": self.runs_requested,
+            "runs_diverged": self.runs_diverged,
+            "diverged_paths": list(self.diverged_paths[:100]),
+            "divergence_steps": list(self.divergence_steps[:100]),
+            "chunk_size": self.chunk_size,
+        }
 
     def column(self, name: str):
         j = self.names.index(name)
@@ -351,39 +363,38 @@ class _Moments:
         self.m2[block] -= m2_b + np.abs(delta) ** 2 * (n_a * n_b / n)
 
 
-def _remove_dead(
-    system, dt, observables, threshold, checkpoints, dead, streams, skipped, moments
-):
-    """Replay the blocks the dead paths entered and take them out of ``moments``.
+def _replay(system, dt, observables, threshold, checkpoints, streams, entries):
+    """Integrate blocks of a chunk again and merge each into the moments.
 
-    ``dead`` maps each diverged path to the step at which it diverged.  A
-    path that first diverges at step d was alive at the last point of every
-    block that ends before point d, and entered each of them that it was not
-    ``skipped`` in.  Those blocks run from their ``checkpoints`` for one block
-    less a step, as many at once as the chunk has paths, on increments drawn
-    again from each path's stream restored to its ``streams`` snapshot.
+    ``entries`` lists (path, block, merge), each path's blocks in order, where
+    ``merge(t, values)`` is ``_Moments.add`` or ``_Moments.remove``.  The
+    blocks run from their ``checkpoints`` for one block less a step, as many
+    at once as the chunk has paths, on the increments the chunk drew for
+    them: each path's stream is restored to its ``streams`` snapshot and read
+    block by block, dropping the draws of the blocks it skips.
     """
-    entries = [(p, b) for p, d in dead.items() for b in range(d // _DRAW_BLOCK)]
-    gens = {p: np.random.Generator(np.random.Philox()) for p in dead}
-    for p, gen in gens.items():
+
+    def blocks(p):
+        gen = np.random.Generator(np.random.Philox())
         gen.bit_generator.state = streams[p]
+        for b in itertools.count():
+            yield b, gen.standard_normal((_DRAW_BLOCK, system.noise_dim))
+
+    draws = {p: blocks(p) for p in dict.fromkeys(p for p, _, _ in entries)}
     for i in range(0, len(entries), checkpoints.shape[1]):
         batch = entries[i : i + checkpoints.shape[1]]
-        # a path's blocks come in order, so its stream is read in order
-        normals = np.stack(
-            [gens[p].standard_normal((_DRAW_BLOCK, system.noise_dim)) for p, _ in batch]
-        )
+        normals = np.stack([next(dw for c, dw in draws[p] if c == b) for p, b, _ in batch])
 
         def draw(out):
             out[...] = normals[:, : _DRAW_BLOCK - 1]
 
-        def remove(t, values, alive):
-            for b in sorted({b for _, b in batch}):
-                rows = [j for j, (p, c) in enumerate(batch) if c == b and (p, b) not in skipped]
-                moments.remove(b * _DRAW_BLOCK, values[rows])
+        def merge(t, values, alive):
+            for b, into in dict.fromkeys((b, into) for _, b, into in batch):
+                rows = [j for j, (_, c, m) in enumerate(batch) if (c, m) == (b, into)]
+                into(b * _DRAW_BLOCK, values[rows])
 
-        inits = np.stack([checkpoints[b, p] for p, b in batch])
-        _integrate_chunk(system, inits, _DRAW_BLOCK - 1, dt, draw, observables, threshold, remove)
+        inits = np.stack([checkpoints[b, p] for p, b, _ in batch])
+        _integrate_chunk(system, inits, _DRAW_BLOCK - 1, dt, draw, observables, threshold, merge)
 
 
 def run_ensemble(
@@ -405,9 +416,11 @@ def run_ensemble(
     chunk is merged into the per-point moments, with the pairwise
     variance-combination rule, over the paths alive at its last point whose
     observables in it are finite and within ``divergence_threshold`` in
-    modulus; a live path's other blocks wait aside.  After the chunk, the
-    paths that diverged are replayed block by block from the chunk's state
-    checkpoints and taken out, and the waiting blocks of the survivors are
+    modulus; a live path's other blocks are set aside, and only their path
+    and block are kept.  The grid's last block merges every path alive at its
+    end: those are the survivors.  After the chunk, the blocks that the
+    diverged paths entered are replayed from the chunk's state checkpoints
+    and taken out, and the set-aside blocks of the survivors are replayed and
     merged in, so the moments are those of the surviving paths.  Memory is
     one block of increments and observables per path plus one state per path
     and block: nothing holds paths x steps observables.  A block is screened,
@@ -436,15 +449,17 @@ def run_ensemble(
                 f"got shape {inits.shape[1:]}"
             )
         streams = [g.bit_generator.state for g in gens]
-        waiting: list[tuple[int, int, np.ndarray]] = []
+        aside: set[tuple[int, int]] = set()
 
         def draw(out):
             for dw, gen in zip(out, gens):
                 gen.standard_normal(out=dw)
 
         def merge_block(t, values, alive):
-            kept = alive & _within(values, divergence_threshold)
-            waiting.extend((t, p, values[p].copy()) for p in np.flatnonzero(alive & ~kept))
+            # the paths alive at the end of the grid's last block are the survivors
+            last = t + values.shape[1] > grid.steps
+            kept = alive if last else alive & _within(values, divergence_threshold)
+            aside.update((int(p), t // _DRAW_BLOCK) for p in np.flatnonzero(alive & ~kept))
             moments.add(t, _to_front(values, kept))
 
         alive, survived, checkpoints = _integrate_chunk(
@@ -453,21 +468,13 @@ def run_ensemble(
         dead = {int(p): int(survived[p]) + 1 for p in np.flatnonzero(~alive)}
         diverged.extend(start + p for p in dead)
         divergence_steps.extend(dead.values())
-        with np.errstate(all="ignore"):
-            skipped = {(p, t // _DRAW_BLOCK) for t, p, _ in waiting}
-            _remove_dead(
-                system,
-                grid.dt,
-                observables,
-                divergence_threshold,
-                checkpoints,
-                dead,
-                streams,
-                skipped,
-                moments,
-            )
-            for t in sorted({t for t, p, _ in waiting if alive[p]}):
-                moments.add(t, np.stack([v for s, p, v in waiting if s == t and alive[p]]))
+        # a path that first diverges at step d was alive at the last point of
+        # every block that ends before point d, and entered each one it was
+        # not set aside in
+        blocks = [(p, b) for p, d in dead.items() for b in range(d // _DRAW_BLOCK)]
+        entries = [(p, b, moments.remove) for p, b in blocks if (p, b) not in aside]
+        entries += [(p, b, moments.add) for p, b in sorted(aside) if alive[p]]
+        _replay(system, grid.dt, observables, divergence_threshold, checkpoints, streams, entries)
 
     total = runs - len(diverged)
     if total == 0:

@@ -427,6 +427,30 @@ class TestRunCommand:
         header, _ = read_csv(tmp_path / "x.csv")
         assert "real_nu" in header
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_engine_prints_its_summary_line(self, tmp_path, capsys, engine):
+        out = tmp_path / "run.csv"
+        if engine.startswith("sde"):
+            text = small_sde_config(tmp_path, engine=engine) + "\n[family]\nkind = coherent-spin\n"
+            summary = f"{engine}: 12/12 runs completed (0 diverged) -> {out}\n"
+        else:
+            text = FIG3_REFERENCE.replace("engine = reference", f"engine = {engine}")
+            summary = f"{engine}: wrote {out}\n"
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert capsys.readouterr() == (summary, "")
+
+    def test_divergent_fraction_is_warned(self, tmp_path, capsys):
+        # at this threshold 1 of the 12 paths diverges
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(small_sde_config(tmp_path, "d.csv", divergence_threshold="4"))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr() == (
+            f"sde-jc: 11/12 runs completed (1 diverged) -> {tmp_path / 'd.csv'}\n",
+            "warning: divergent fraction 8.33% exceeds 1%; statistics are suspect\n",
+        )
+
     def test_missing_out_is_an_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(FIG3_REFERENCE)
@@ -513,6 +537,20 @@ class TestCompareCommand:
         write_csv(tmp_path / "a.csv", [0.0, 1.0], ("x",), [np.array([1j, 2j])])
         write_csv(tmp_path / "b.csv", [0.0], ("x",), [np.array([1j])])
         assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 2
+
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty file, no header"), ("t,real_x\r\n1.0\r\n", "line 2 has 1 of 2 fields")],
+        ids=["empty-file", "short-row"],
+    )
+    def test_malformed_csv_is_a_clean_error(self, tmp_path, capsys, text, message):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_csv(good, [0.0], ("x",), [np.array([1j])])
+        bad.write_text(text)
+        for pair in ([bad, good], [good, bad]):
+            assert main(["compare", *map(str, pair)]) == 1
+            assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 class TestInvariantsCommand:

@@ -324,14 +324,19 @@ class TestPerModeAmplitudes:
         atom = AtomicDensity.from_upper(0.7, 0.1j)
         dist = init_points(atom, CS)
         space = TruncatedSpace((2,) * n_modes)
+        quadratures = tuple(f"{q}_{k}" for k in range(1, n_modes + 1) for q in "eh")
         return {
             "phase_init_sampler": lambda amps: phase_init_sampler(params, CS, amps, dist)(
                 np.random.default_rng(0)
             ),
             "initial_density": lambda amps: initial_density(params, space, amps, atom),
+            # every coordinate of the trajectory: each mode's quadratures and the atom
             "run_mb": lambda amps: run_mb(
-                RunConfig(engine="mb", Omega=1.5, omega=omega, g=(0.1,), alpha=amps, steps=4)
-            )[1].phys,
+                RunConfig(
+                    engine="mb", Omega=1.5, omega=omega, g=(0.1,), alpha=amps, steps=4,
+                    observables=quadratures + ("rho_21", "rho_12", "nu"),
+                )
+            ).values,
         }
 
     @pytest.mark.parametrize("n_modes, count", [(2, 3), (3, 2)])

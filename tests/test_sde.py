@@ -329,6 +329,51 @@ def test_merging_a_block_allocates_at_most_a_quarter_block():
     assert peak <= buffers + checkpoints + moments + block // 4
 
 
+def test_set_aside_blocks_are_replayed_not_kept(monkeypatch):
+    # an OU of unit stationary variance observed as x**k, k = 1..16: in every
+    # block, paths pass |x| = 1e6 ** (1 / 16) = 2.37 and are set aside, alive
+    # with observables over the threshold
+    paths, width, b = 256, 16, _DRAW_BLOCK
+    powers = np.arange(1, width + 1)
+    observables = ObservableMap([f"x{k}" for k in powers], lambda s: s[..., :1] ** powers)
+    outside = []
+    within = sde._within
+
+    def counted_within(values, threshold):
+        inside = within(values, threshold)
+        outside.append(int((~inside).sum()))
+        return inside
+
+    def run(blocks, threshold=1e6):
+        grid = TimeGrid(0.0, 0.05 * blocks * b, blocks * b)
+        sampler = lambda rng: rng.standard_normal(1).astype(complex)  # noqa: E731
+        return run_ensemble(
+            make_ou(0.5, 1.0), sampler, grid, paths, 17, observables, divergence_threshold=threshold
+        )
+
+    run(1)  # so lazy imports are not traced
+    monkeypatch.setattr(sde, "_within", counted_within)
+    peaks = {}
+    for blocks in (8, 32):
+        outside.clear()
+        tracemalloc.start()
+        try:
+            res = run(blocks)
+            _, peaks[blocks] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert min(outside[: blocks - 1]) >= 10
+    monkeypatch.undo()
+    # 24 blocks more add one checkpointed state per path and block and the
+    # moments of their points (0.6 MB in all); a kept copy of every set-aside
+    # block (16 kB a path, 30-46 paths a block) would add 0.6 MB per block
+    per_block = paths * 16 + b * (width * (16 + 8) + 8)
+    assert peaks[32] - peaks[8] <= 24 * per_block + 2**19
+    kept = run(32, threshold=np.inf)
+    assert (np.abs(res.mean - kept.mean) <= 1e-12 * np.abs(kept.mean).max(axis=0)).all()
+    assert (np.abs(res.stderr - kept.stderr) <= 1e-12 * kept.stderr.max(axis=0)).all()
+
+
 def whole_block_moments(values):
     """The moments of a block reduced all at once, centring it in place."""
     mean = values.mean(axis=0)

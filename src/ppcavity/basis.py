@@ -15,12 +15,13 @@ never raise or warn: near a pole they return inf/nan entries.  A caller that
 must refuse such a point passes the jet to :func:`checked_denominator`, the
 one pole check for a phase-space point.
 
-:meth:`BasisFamily.jet` forms h, htilde, h/h' and the mirror, and the
-diffusion ratio (h**2 - 1)/h' (the constant delta for the additive-noise
-family) at once.  The slopes h', h'', 1/h' of both sides and the products
-h*htilde and 1 + h*htilde are ``functools.cached_property`` members of the
-jet, each formed on first read and kept, so a step pays only for what its
-drift, noise and projection read, and they all read one jet.
+:meth:`BasisFamily.jet` and :meth:`BasisFamily.pair` evaluate a side and its
+mirror in one pass: they stack (z, w) along a trailing axis of length 2, such
+as a state's last two coordinates, and take one exponential with the
+constants as (side, mirror) pairs (2/delta, 2/conj delta) and (kappa, conj
+kappa).  Every member of the jet is such a pair; the slopes h', h'', 1/h' are
+``functools.cached_property`` members formed on first read, so a step pays
+only for what its drift, noise and projection read, and they all read one jet.
 """
 
 from __future__ import annotations
@@ -57,86 +58,77 @@ def checked_denominator(h, ht, *slopes):
     return denom
 
 
-def _slope(h, d, q):
-    """h' = (h**2 - 1)/delta; 1 for the coherent-spin family (q is None)."""
-    if q is None:
-        return np.ones_like(h)
-    with np.errstate(all="ignore"):
-        return (h * h - 1.0) / d
+def _mirror_views(pair):
+    """Properties reading the side and the mirror of the stacked member ``pair``."""
+    return tuple(property(lambda self, i=i: getattr(self, pair)[..., i]) for i in (0, 1))
 
 
-def _curvature(h, hp, d, q):
-    """h'' = 2 h h'/delta; 0 for the coherent-spin family."""
-    if q is None:
-        return np.zeros_like(h)
-    with np.errstate(all="ignore"):
-        return 2.0 * h * hp / d
-
-
-def _inverse_slope(h, d, q):
-    """1/h' = -(delta/4)(q + 2 + 1/q) on either branch; 1 for the coherent-spin family."""
-    if q is None:
-        return np.ones_like(h)
-    q, q_inv = q
-    with np.errstate(all="ignore"):
-        return -(d / 4.0) * (q + 2.0 + q_inv)
+def _stack(z, w):
+    """The (..., 2) array of (z, w); with ``w`` None, ``z`` already is one."""
+    if w is None:
+        return np.asarray(z, dtype=complex)
+    if np.ndim(z) == np.ndim(w) == 0:  # one point, in one call
+        return np.array((z, w), dtype=complex)
+    zw = np.empty(np.broadcast(z, w).shape + (2,), dtype=complex)
+    zw[..., 0], zw[..., 1] = z, w
+    return zw
 
 
 class PhaseFunctions:
     """All quantities of one family needed by the SDE coefficient assembly.
 
-    ``lin`` is h/h', ``quad`` is (h**2 - 1)/h', ``inv_hp`` is 1/h'; the
-    ``*_t`` and ``ht*`` members are the mirrored quantities evaluated at w.
-    Closed forms are used per family, so ``quad`` is the exact constant
-    ``delta`` (a 0-d value) for the additive-noise family.  ``hht`` is
-    h*htilde and ``denom`` is 1 + h*htilde.
-
-    h, ht, lin, lin_t, quad and quad_t are formed by :meth:`BasisFamily.jet`,
-    which also keeps q = exp(2*s*u) and 1/q of each additive-noise side.  The
-    other members are cached properties: each is formed from those on first
-    read, without numpy warnings, and kept, so the order of reads does not
-    change any value.
+    Each member is a mirror pair, its last axis holding the side at z and the
+    mirror at w: ``hs`` (h, htilde), ``lins`` (h/h', ...), ``quads`` (the
+    diffusion ratios (h**2 - 1)/h', the exact constant pair (delta, conj
+    delta) for the additive-noise family), ``slopes`` (h', ...),
+    ``curvatures`` (h'', ...) and ``inv_slopes`` (1/h', ...); h/ht, lin/lin_t,
+    quad/quad_t, hp/htp, hpp/htpp and inv_hp/inv_htp are views of them.
+    :meth:`BasisFamily.jet` forms hs, lins, quads, ``hht`` = h*htilde and
+    ``denom`` = 1 + h*htilde, and keeps q = exp(2*s*u) and 1/q of the
+    additive-noise family.  The slopes, curvatures and inverse slopes are
+    cached properties, formed for both sides from those on first read without
+    numpy warnings, so the order of reads does not change any value; their
+    per-side views are properties.
     """
 
-    def __init__(self, h, ht, lin, lin_t, quad, quad_t, q=None, q_t=None):
-        self.h, self.ht = h, ht
-        self.lin, self.lin_t = lin, lin_t
-        self.quad, self.quad_t = quad, quad_t
-        # (q, 1/q) of each side; None for the coherent-spin family, whose slopes are 1
-        self._q, self._q_t = q, q_t
+    def __init__(self, hs, lins, quads, q=None):
+        self.hs, self.lins, self.quads = hs, lins, quads
+        self.h, self.ht = hs[..., 0], hs[..., 1]
+        self.lin, self.lin_t = lins[..., 0], lins[..., 1]
+        self.quad, self.quad_t = quads[..., 0], quads[..., 1]
+        self.hht = self.h * self.ht
+        self.denom = 1.0 + self.hht
+        # (q, 1/q); None for the coherent-spin family, whose slopes are 1
+        self._q = q
+
+    hp, htp = _mirror_views("slopes")
+    hpp, htpp = _mirror_views("curvatures")
+    inv_hp, inv_htp = _mirror_views("inv_slopes")
 
     @cached_property
-    def hp(self):
-        return _slope(self.h, self.quad, self._q)
-
-    @cached_property
-    def htp(self):
-        return _slope(self.ht, self.quad_t, self._q_t)
-
-    @cached_property
-    def hpp(self):
-        return _curvature(self.h, self.hp, self.quad, self._q)
-
-    @cached_property
-    def htpp(self):
-        return _curvature(self.ht, self.htp, self.quad_t, self._q_t)
-
-    @cached_property
-    def inv_hp(self):
-        return _inverse_slope(self.h, self.quad, self._q)
-
-    @cached_property
-    def inv_htp(self):
-        return _inverse_slope(self.ht, self.quad_t, self._q_t)
-
-    @cached_property
-    def hht(self):
+    def slopes(self):
+        """h' = (h**2 - 1)/delta; 1 for the coherent-spin family."""
+        if self._q is None:
+            return np.ones_like(self.hs)
         with np.errstate(all="ignore"):
-            return self.h * self.ht
+            return (self.hs * self.hs - 1.0) / self.quads
 
     @cached_property
-    def denom(self):
-        return 1.0 + self.hht
+    def curvatures(self):
+        """h'' = 2 h h'/delta; 0 for the coherent-spin family."""
+        if self._q is None:
+            return np.zeros_like(self.hs)
+        with np.errstate(all="ignore"):
+            return 2.0 * self.hs * self.slopes / self.quads
+
+    @cached_property
+    def inv_slopes(self):
+        """1/h' = -(delta/4)(q + 2 + 1/q) on either branch; 1 for the coherent-spin family."""
+        if self._q is None:
+            return np.ones_like(self.hs)
+        q, q_inv = self._q
+        with np.errstate(all="ignore"):
+            return -(self.quads / 4.0) * (q + 2.0 + q_inv)
 
 
 @dataclass(frozen=True)
@@ -159,6 +151,13 @@ class BasisFamily:
         object.__setattr__(self, "kappa", complex(self.kappa))
         if self.kind == ADDITIVE_NOISE and self.delta == 0:
             raise ValueError("additive-noise family requires delta != 0")
+        if self.kind == ADDITIVE_NOISE:
+            # the jet's constants 2/delta, kappa, delta/4 and delta as (side, mirror) pairs
+            values = (2.0 / self.delta, self.kappa, self.delta / 4.0, self.delta)
+            pairs = np.array([(c, c.conjugate()) for c in values])
+            pairs.flags.writeable = False
+            object.__setattr__(self, "_pairs", pairs)
+            object.__setattr__(self, "_tiles", {})
 
     @classmethod
     def coherent_spin(cls) -> "BasisFamily":
@@ -170,52 +169,59 @@ class BasisFamily:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _sides(self):
-        """(delta, kappa) of h and the conjugated pair of htilde."""
-        return (self.delta, self.kappa), (self.delta.conjugate(), self.kappa.conjugate())
+    def _constants(self, shape):
+        """2/delta, kappa and delta/4 as (side, mirror) pairs tiled to the jet's
+        argument ``shape`` (..., 2) and kept: numpy multiplies two arrays of one
+        shape much faster than it broadcasts a pair over a batch."""
+        if shape not in self._tiles:
+            if len(self._tiles) >= 4:  # a few batch shapes at a time
+                self._tiles.clear()
+            pairs = self._pairs[:3].reshape((3,) + (1,) * (len(shape) - 1) + (2,))
+            self._tiles[shape] = np.broadcast_to(pairs, (3,) + shape).copy()
+        return self._tiles[shape]
 
-    @staticmethod
-    def _exp_form(x, d, kappa):
-        """h = -tanh(u) at u = x/d + kappa/2 from one exponential.
+    def _exp_form(self, zw, twos, kappas):
+        """(h, htilde) = -tanh(u) at the (..., 2) array of u = z/delta + kappa/2
+        and its mirror, from one exponential.
 
-        Returns (h, q, s) with s = -1 where Re u > 0, else +1, and
+        Returns (hs, q, s) with s = -1 where Re u > 0, else +1, and
         q = exp(2*s*u).  So |q| <= 1, e = exp(2u) is q**s, and
         h = s*(1 - q)/(1 + q) stays finite wherever tanh is; exp only
         underflows, which numpy ignores by default.
         """
-        two_u = np.asarray(x, dtype=complex) * (2.0 / d) + kappa
-        s = 1.0 - 2.0 * (two_u.real > 0)
+        two_u = zw * twos + kappas
+        s = np.where(two_u.real > 0, -1.0 + 0.0j, 1.0 + 0.0j)
         q = np.exp(s * two_u)
         return s * (1.0 - q) / (1.0 + q), q, s
 
-    def pair(self, z, w):
-        """h(z) and htilde(w) without derivative bookkeeping."""
-        if self.kind == COHERENT_SPIN:
-            return np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-        (d, k), (dc, kc) = self._sides()
-        return self._exp_form(z, d, k)[0], self._exp_form(w, dc, kc)[0]
+    def pair(self, z, w=None):
+        """h(z) and htilde(w) without derivative bookkeeping; with ``w``
+        omitted, ``z`` holds (z, w) along its last axis."""
+        hs = _stack(z, w)
+        if self.kind != COHERENT_SPIN:
+            hs = self._exp_form(hs, *self._constants(hs.shape)[:2])[0]
+        return hs[..., 0], hs[..., 1]
 
-    def jet(self, z, w) -> PhaseFunctions:
+    def jet(self, z, w=None) -> PhaseFunctions:
         """All SDE coefficient ingredients, without pole checks.
 
-        Near-pole inputs yield inf/nan entries; callers integrating paths rely
-        on divergence detection instead of exceptions.  The additive-noise
-        family takes two complex exponentials, one per side, and keeps them
-        for the members formed on first read.
+        With ``w`` omitted, ``z`` holds (z, w) along its last axis, such as
+        the last two coordinates of a state.  Near-pole inputs yield inf/nan
+        entries; callers integrating paths rely on divergence detection
+        instead of exceptions.  The additive-noise family takes one complex
+        exponential of both sides and keeps it for the members formed on
+        first read.
         """
-        if self.kind == COHERENT_SPIN:
-            z = np.asarray(z, dtype=complex)
-            w = np.asarray(w, dtype=complex)
-            return PhaseFunctions(z, w, z, w, z * z - 1.0, w * w - 1.0)
-        sides = []
+        zw = _stack(z, w)
         with np.errstate(all="ignore"):
-            for x, (d, k) in zip((z, w), self._sides()):
-                h, q, s = self._exp_form(x, d, k)
-                q_inv = 1.0 / q
-                # h/h' = (d/4)(e - 1/e), with e = q**s
-                sides.append((h, d / 4.0 * s * (q - q_inv), np.asarray(d), (q, q_inv)))
-        (h, lin, quad, q), (ht, lin_t, quad_t, q_t) = sides
-        return PhaseFunctions(h, ht, lin, lin_t, quad, quad_t, q, q_t)
+            if self.kind == COHERENT_SPIN:
+                hs = np.array(zw)  # h = z and htilde = w, not a view of the caller's state
+                return PhaseFunctions(hs, hs, hs * hs - 1.0)
+            twos, kappas, quarters = self._constants(zw.shape)
+            hs, q, s = self._exp_form(zw, twos, kappas)
+            q_inv = 1.0 / q
+            # h/h' = (d/4)(e - 1/e), with e = q**s
+            return PhaseFunctions(hs, quarters * s * (q - q_inv), self._pairs[3], (q, q_inv))
 
     # -- inversion ----------------------------------------------------------
 

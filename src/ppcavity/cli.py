@@ -82,16 +82,22 @@ def write_csv(path, times, names, columns, stderr=None):
 
 def read_csv(path):
     """Header and (rows, columns) data of a CSV; ValueError names the file,
-    and the line of a row whose field count is not the header's."""
+    and the line of a row whose field count is not the header's or that holds
+    a field that is not a number."""
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows or not rows[0]:
         raise ValueError(f"{path}: empty file, no header")
     header, rows = rows[0], rows[1:]
+    data = np.empty((len(rows), len(header)))
     for line, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise ValueError(f"{path}: line {line} has {len(row)} of {len(header)} fields")
-    return header, np.array(rows, dtype=float).reshape(-1, len(header))
+        try:
+            data[line - 2] = row
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+    return header, data
 
 
 def _write_sidecar(out_path, cfg: RunConfig, extra):

@@ -6,6 +6,9 @@ two-level atom.  ``increment_jc`` forms the Euler increment A dt + B dW of the
 full-wave (counterrotating terms included) atom-field coupling, optionally
 extended by scattering and pure-dephasing dissipation acting on the fermionic
 rows; drift and noise derive from it, the diffusion is a separate check.
+The basis jet holds each mirror pair, such as (h, htilde), as one array with
+a trailing axis of length 2; the coefficients read its per-side views, and
+the two diffusion roots of a mode are formed in one call.
 
 The noise matrix keeps only the structurally nonzero columns of the block
 factorization: four per mode, plus two dissipative columns.  The factorization
@@ -218,7 +221,7 @@ class JetState(NamedTuple):
 
 
 def jet_state(family: BasisFamily, state) -> JetState:
-    """Evaluate ``family.jet`` once at the fermionic coordinates of ``state``.
+    """Evaluate ``family.jet`` once on the last two coordinates (z, w) of ``state``.
 
     A JetState is returned as it is, so the coefficient functions, the
     observable batch and ``to_physical`` accept either form and share one jet.
@@ -226,21 +229,30 @@ def jet_state(family: BasisFamily, state) -> JetState:
     if isinstance(state, JetState):
         return state
     state = np.asarray(state, dtype=complex)
-    return JetState(state, family.jet(state[..., -2], state[..., -1]))
+    return JetState(state, family.jet(state[..., -2:]))
+
+
+def mode_sum(x, axis=-1):
+    """Sum over the (negative) mode ``axis`` by one add per mode, in order: numpy
+    adds two slices much faster than it reduces a short axis."""
+    tail = (slice(None),) * (-1 - axis)
+    total = x[(Ellipsis, 0) + tail]
+    for k in range(1, x.shape[axis]):
+        total = total + x[(Ellipsis, k) + tail]
+    return total
 
 
 def _prepare(params, family, state, check):
     state, pf = jet_state(family, state)
     alpha, beta, _, _ = split_state(state, params.mode_count)
     if check:
-        checked_denominator(pf.h, pf.ht, pf.hp, pf.htp)
+        checked_denominator(pf.h, pf.ht, pf.slopes)
     return alpha, beta, pf, state.shape[:-1]
 
 
 def _mode_diffusion(params: ModelParams, pf: PhaseFunctions):
-    """Per-mode diffusion entries d_n = g_n s_n (h^2 - 1)/h' and the mirror."""
-    gs = params.gs
-    return gs * pf.quad[..., None], gs * pf.quad_t[..., None]
+    """Per-mode diffusion entries g_n s_n (h^2 - 1)/h' and the mirror, (..., N, 2)."""
+    return params.gs[:, None] * pf.quads[..., None, :]
 
 
 def _dissipative_entry(params: ModelParams, pf: PhaseFunctions):
@@ -265,7 +277,7 @@ def increment_jc(params: ModelParams, family: BasisFamily, state, dt, dw=None, c
     gs = params.gs
     idt = 1j * dt
     coupled = gs * ((pf.h + pf.ht) / pf.denom)[..., None]
-    drive = (gs * (alpha + beta)).sum(axis=-1)
+    drive = mode_sum(gs * (alpha + beta))
     inc_a = -idt * (om * alpha + coupled)
     inc_b = idt * (om * beta + coupled)
     inc_z = idt * (drive * pf.quad - params.Omega * pf.lin)
@@ -283,13 +295,12 @@ def increment_jc(params: ModelParams, family: BasisFamily, state, dt, dw=None, c
         # per mode, dW_c + i dW_{c+1} and dW_{c+2} + i dW_{c+3}
         pairs = dw[..., : 4 * n].view(complex)
         a_k, c_k = pairs[..., 0::2], pairs[..., 1::2]
-        d, dt_ = _mode_diffusion(params, pf)
-        sp = _KICK * principal_sqrt(d / 2.0)
-        sq = _KICK * principal_sqrt(dt_ / 2.0)
+        roots = _KICK * principal_sqrt(_mode_diffusion(params, pf) / 2.0)
+        sp, sq = roots[..., 0], roots[..., 1]
         inc_a = inc_a + sp * a_k
         inc_b = inc_b - sq * np.conj(c_k)
-        inc_z = inc_z - (sp * np.conj(a_k)).sum(axis=-1)
-        inc_w = inc_w - (sq * c_k).sum(axis=-1)
+        inc_z = inc_z - mode_sum(sp * np.conj(a_k))
+        inc_w = inc_w - mode_sum(sq * c_k)
         if params.dissipative:
             td = principal_sqrt(_dissipative_entry(params, pf) / 2.0)
             pair = dw[..., 4 * n : 4 * n + 2].view(complex)[..., 0]
@@ -315,11 +326,11 @@ def diffusion_jc(params: ModelParams, family: BasisFamily, state, check=True):
     """Symmetric diffusion matrix; the dissipative layout adds the fermionic block."""
     _, _, pf, batch_shape = _prepare(params, family, state, check)
     n = params.mode_count
-    d, dt_ = _mode_diffusion(params, pf)
+    d = _mode_diffusion(params, pf)
     out = np.zeros(batch_shape + (2 * (n + 1), 2 * (n + 1)), dtype=complex)
     for k in range(n):
-        out[..., 2 * k, 2 * n] = out[..., 2 * n, 2 * k] = 1j * d[..., k]
-        out[..., 2 * k + 1, 2 * n + 1] = out[..., 2 * n + 1, 2 * k + 1] = -1j * dt_[..., k]
+        out[..., 2 * k, 2 * n] = out[..., 2 * n, 2 * k] = 1j * d[..., k, 0]
+        out[..., 2 * k + 1, 2 * n + 1] = out[..., 2 * n + 1, 2 * k + 1] = -1j * d[..., k, 1]
     if params.dissipative:
         dd = _dissipative_entry(params, pf)
         out[..., 2 * n, 2 * n + 1] = out[..., 2 * n + 1, 2 * n] = dd

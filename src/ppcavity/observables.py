@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import BasisFamily
-from .jc import ModelParams, jet_state
+from .jc import ModelParams, jet_state, mode_sum
 from .physical import jacobian_change, to_physical
 from .sde import ObservableMap, SdeSystem
 
@@ -44,31 +44,30 @@ def _index(name: str, prefix: str, count: int, what: str) -> int:
     return idx - 1
 
 
-def _column_reader(params: ModelParams, name: str, probes, raw):
+def _column(params: ModelParams, name: str, probes, raw):
+    """The index of a plain coordinate column, or a function of the coordinates."""
     n = params.mode_count
     i = _atomic_row(name, n)
     if i is not None:
-        return lambda phys, _: phys[..., i]
+        return i
     if name == "rho_11":
-        return lambda phys, _: (1.0 - phys[..., 2 * n + 2]) / 2.0
+        return lambda phys: (1.0 - phys[..., 2 * n + 2]) / 2.0
     if name == "rho_22":
-        return lambda phys, _: (1.0 + phys[..., 2 * n + 2]) / 2.0
+        return lambda phys: (1.0 + phys[..., 2 * n + 2]) / 2.0
     if name in raw:
-        i = raw.index(name)
-        return lambda _, raw_values: raw_values[i]
+        return 2 * n + 3 + raw.index(name)
     for prefix, offset in (("e_", 0), ("h_", 1)):
         if name.startswith(prefix):
-            i = 2 * _index(name, prefix, n, "mode") + offset
-            return lambda phys, _: phys[..., i]
+            return 2 * _index(name, prefix, n, "mode") + offset
     for prefix, trig in (("E_at_", np.sin), ("H_at_", np.cos)):
         if name.startswith(prefix):
             # reconstruct_fields, one field, with the per-mode factor formed once
             x = probes[_index(name, prefix, len(probes), "probe")]
             factor = params.e_photon * trig(params.wave_numbers * x)
             if trig is np.sin:
-                return lambda phys, _: (factor * phys[..., 0 : 2 * n : 2]).sum(axis=-1)
+                return lambda phys: mode_sum(factor * phys[..., 0 : 2 * n : 2])
             scale = -(1.0 / params.impedance)
-            return lambda phys, _: scale * (factor * phys[..., 1 : 2 * n : 2]).sum(axis=-1)
+            return lambda phys: scale * mode_sum(factor * phys[..., 1 : 2 * n : 2])
     if name in PHASE_COORDINATES:
         raise ValueError(f"observable {name!r} exists only for the sde-jc engine")
     raise ValueError(f"unknown observable {name!r}")
@@ -82,16 +81,28 @@ def physical_columns(params: ModelParams, names, probes=(), raw=()):
     (see :func:`ppcavity.physical.reconstruct_fields`), and the engine's own
     coordinates listed in ``raw``.  Unknown names and out-of-range indices
     raise ValueError here, not at evaluation.  The returned function maps
-    ``phys`` (..., 2N+3) and the ``raw`` values to a (..., len(names)) array.
+    ``phys`` (..., 2N+3), followed by the ``raw`` coordinates if any name
+    reads them, to a (..., len(names)) array.  The plain coordinate columns
+    are copied one slice per run of them that is consecutive in both.
     """
     probes = tuple(float(x) for x in probes)
-    readers = [_column_reader(params, name, probes, raw) for name in names]
+    found = [_column(params, name, probes, raw) for name in names]
+    runs = []  # [first column, first coordinate, length] of consecutive plain columns
+    for j, c in enumerate(found):
+        if isinstance(c, int):
+            if runs and runs[-1][0] + runs[-1][2] == j and runs[-1][1] + runs[-1][2] == c:
+                runs[-1][2] += 1
+            else:
+                runs.append([j, c, 1])
+    derived = [(j, c) for j, c in enumerate(found) if not isinstance(c, int)]
 
-    def columns(phys, raw_values=()):
+    def columns(phys):
         phys = np.asarray(phys, dtype=complex)
-        out = np.empty(phys.shape[:-1] + (len(readers),), dtype=complex)
-        for j, read in enumerate(readers):
-            out[..., j] = read(phys, raw_values)
+        out = np.empty(phys.shape[:-1] + (len(found),), dtype=complex)
+        for j, c, k in runs:
+            out[..., j : j + k] = phys[..., c : c + k]
+        for j, read in derived:
+            out[..., j] = read(phys)
         return out
 
     return columns
@@ -108,13 +119,15 @@ def observable_bundle(
     names = tuple(names)
     n = params.mode_count
     columns = physical_columns(params, names, probes, raw=PHASE_COORDINATES)
+    reads_raw = any(name in PHASE_COORDINATES for name in names)
 
     def batch(state):
         prepared = jet_state(family, state)
-        state = prepared.state
         with np.errstate(all="ignore"):
             phys = to_physical(family, prepared, check=False)
-            return columns(phys, (state[..., 2 * n], state[..., 2 * n + 1]))
+            if reads_raw:
+                phys = np.concatenate((phys, prepared.state[..., 2 * n :]), axis=-1)
+            return columns(phys)
 
     return ObservableMap(names, batch)
 
@@ -185,8 +198,7 @@ def projection_observable(which: str, family: BasisFamily, n_modes: int) -> Smoo
         return jacobian_change(family, state)[..., row, :]
 
     def hessian(state):
-        state = np.asarray(state, dtype=complex)
-        pf = family.jet(state[..., iz], state[..., iw])
+        state, pf = jet_state(family, state)
         batch = state.shape[:-1]
         den2, den3 = pf.denom**2, pf.denom**3
         out = np.zeros(batch + (dim, dim), dtype=complex)

@@ -5,7 +5,8 @@ collects field quadratures per mode and the atomic coherences and inversion.
 In these coordinates the drift is polynomial and its deterministic part is the
 cavity-mode Maxwell-Bloch system; the transformed noise matrix (closed form
 available for the coherent-spin family only) supplies the quantum corrections.
-Both come from one formula, ``increment_bar``, the Euler increment of a step.
+Both come from one formula, ``increment_bar``, the Euler increment of a step,
+which forms each root pair of the kick, (p, q) and (rad21, rad12), in one call.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .basis import COHERENT_SPIN, POLE_FLOOR, BasisFamily, checked_denominator
 from .errors import InconsistentStateError, PoleProximityError
-from .jc import ModelParams, jet_state, principal_sqrt, split_state
+from .jc import ModelParams, jet_state, mode_sum, principal_sqrt, split_state
 from .sde import SdeSystem, noise_matrix
 
 #: relative mismatch of 4*rho21*rho12 and (1+nu)(1-nu) that
@@ -108,7 +109,7 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
     eps, eta, rho21, rho12, nu = split_phys(phys, n)
     om = params.omega_array
     gs = params.gs
-    idrive = 1j * dt * (gs * eps).sum(axis=-1)
+    idrive = 1j * dt * mode_sum(gs * eps)
     drive_nu = idrive * nu
     inc_eps = dt * om * eta
     inc_eta = -dt * (om * eps + 2.0 * gs * (rho21 + rho12)[..., None])
@@ -120,11 +121,12 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
             one_m = 1.0 - nu
             one_p2 = (1.0 + nu) ** 2
             quarter_m2 = one_m**2 / 4.0
-            rho21_2, rho12_2 = rho21**2, rho12**2
-            p = principal_sqrt(rho21_2 / quarter_m2 - 1.0)
-            q = principal_sqrt(rho12_2 / quarter_m2 - 1.0)
-            rad12 = principal_sqrt(one_p2 / (4.0 * rho12_2) - 1.0)
-            rad21 = principal_sqrt(one_p2 / (4.0 * rho21_2) - 1.0)
+            rho_2 = phys[..., 2 * n : 2 * n + 2] ** 2
+            rho21_2, rho12_2 = rho_2[..., 0], rho_2[..., 1]
+            # the root pairs (p, q) and (rad21, rad12), each pair in one call
+            roots = principal_sqrt(rho_2 / quarter_m2[..., None] - 1.0)
+            rads = principal_sqrt(one_p2[..., None] / (4.0 * rho_2) - 1.0)
+            p, q, rad21, rad12 = roots[..., 0], roots[..., 1], rads[..., 0], rads[..., 1]
             # per mode, pref (dW_c + i dW_{c+1}) and pref (dW_{c+2} - i dW_{c+3})
             pairs = dw[..., : 4 * n].view(complex)
             pref = params.noise_prefactor
@@ -132,8 +134,8 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
             qc = q[..., None] * (pref * np.conj(pairs[..., 1::2]))
             inc_eps = inc_eps + 1j * (pa - qc)
             inc_eta = inc_eta + (pa + qc)
-            x = (-1j * pref * np.conj(pairs[..., 0::2])).sum(axis=-1)
-            y = (-1j * pref * pairs[..., 1::2]).sum(axis=-1)
+            x = mode_sum(-1j * pref * np.conj(pairs[..., 0::2]))
+            y = mode_sum(-1j * pref * pairs[..., 1::2])
             inc_21 = inc_21 + quarter_m2 * p * x - rho21_2 * rad21 * y
             inc_12 = inc_12 - rho12_2 * rad12 * x + quarter_m2 * q * y
             inc_nu = inc_nu + one_m * (rho12 * rad12 * x + rho21 * rad21 * y)
@@ -173,10 +175,8 @@ def noise_bar(params: ModelParams, phys) -> np.ndarray:
 
 def jacobian_change(family: BasisFamily, state) -> np.ndarray:
     """Analytic Jacobian of the phase-space -> physical change of variables."""
-    state = np.asarray(state, dtype=complex)
+    state, pf = jet_state(family, state)
     n = (state.shape[-1] - 2) // 2
-    _, _, z, w = split_state(state, n)
-    pf = family.jet(z, w)
     den2 = pf.denom**2
     out = np.zeros(state.shape[:-1] + (2 * n + 3, 2 * (n + 1)), dtype=complex)
     for k in range(n):

@@ -7,7 +7,8 @@ system may form in one pass without the noise matrix (``increment``).  A
 system may also set ``prepare``: the integrator calls it once per step on the
 new state, and the increment and the observable batch receive its result, so
 work they share is done once per step (``jc_sde_system`` prepares the state
-with its basis jet).  ``run_ensemble`` is the only entry point and
+with its basis jet, formed for the mirror pair (z, w) at once).
+``run_ensemble`` is the only entry point and
 ``_integrate_chunk`` the only stepping loop: ensembles are executed in path
 chunks so that realizations vectorize, while every path still owns an
 independent counter-based random stream keyed by (master_seed, path_index).
@@ -221,7 +222,7 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
     state = np.array(state, dtype=complex)
     n_paths = state.shape[0]
     alive = np.ones(n_paths, dtype=bool)
-    survived = np.zeros(n_paths, dtype=np.int64)
+    survived = np.full(n_paths, steps, dtype=np.int64)
     dws = np.empty((n_paths, min(_DRAW_BLOCK, steps), system.noise_dim))
     values = np.empty((n_paths, min(_DRAW_BLOCK, steps + 1), len(observable_map.names)), complex)
     checkpoints = np.empty((-(-steps // _DRAW_BLOCK), n_paths, system.dim), dtype=complex)
@@ -238,15 +239,16 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
                 rows = min(_DRAW_BLOCK, steps - k)
                 draw(dws[:, :rows])
                 dws[:, :rows] *= sqrt_dt
-            state = state + increment(prepared, dt, dws[:, j])
+            state += increment(prepared, dt, dws[:, j])
             if dead is not None:  # parked at 0 every step: a step from 0 can diverge
                 state[dead] = 0.0
             # |x| <= sqrt(2) max(|Re x|, |Im x|), so no path can cross while
             # every part is within threshold / 2; nan and inf fail the screen
             if not np.abs(state.view(float)).max() <= 0.5 * threshold:
-                alive &= (np.abs(state) <= threshold).all(axis=-1)
+                within = (np.abs(state) <= threshold).all(axis=-1)
+                survived[alive & ~within] = k
+                alive &= within
                 dead = None if alive.all() else np.flatnonzero(~alive)
-            survived += alive
             prepared = system.prepare(state)
             i = (k + 1) % _DRAW_BLOCK
             values[:, i, :] = observable_map.batch(prepared)

@@ -214,3 +214,58 @@ def test_members_do_not_depend_on_read_order(rng):
             assert np.array_equal(first[name], last[name], equal_nan=True), name
         assert np.array_equal(first["hht"], first["h"] * first["ht"], equal_nan=True)
         assert np.array_equal(first["denom"], 1.0 + first["hht"], equal_nan=True)
+
+
+def _per_side(x, d, kappa):
+    """One side of the additive-noise jet as it was formed before the sides
+    were stacked: h = -tanh(u) at u = x/d + kappa/2 from one exponential."""
+    two_u = np.asarray(x, dtype=complex) * (2.0 / d) + kappa
+    s = 1.0 - 2.0 * (two_u.real > 0)
+    q = np.exp(s * two_u)
+    h = s * (1.0 - q) / (1.0 + q)
+    q_inv = 1.0 / q
+    hp = (h * h - 1.0) / d
+    return {
+        "h": h, "lin": d / 4.0 * s * (q - q_inv), "quad": np.asarray(d),
+        "hp": hp, "hpp": 2.0 * h * hp / d, "inv_hp": -(d / 4.0) * (q + 2.0 + q_inv),
+    }
+
+
+def test_stacked_jet_matches_the_per_side_forms_bit_for_bit(rng):
+    # complex delta and nonzero kappa, so the mirror side's constants (conj
+    # delta, conj kappa) differ from the side's: a swapped constant shows here
+    fam = BasisFamily.additive_noise(4.0 + 0.5j, 0.1 - 0.2j)
+    d, k = fam.delta, fam.kappa
+    u = np.concatenate([
+        random_disc(rng, 200, 3.0),  # both branches, Re u > 0 and Re u <= 0
+        0.5j * np.pi * np.array([1, -1, 1, -1]) + 1e-9 * random_disc(rng, 4, 1.0),  # poles of h
+        np.array([400.0, -400.0, 1e4, -1e4]) + 1j * rng.uniform(-3.0, 3.0, 4),  # far out
+    ])
+    u_mirror = rng.permutation(u)
+    z = d * (u - k / 2.0)
+    w = np.conj(d) * (u_mirror - np.conj(k) / 2.0)
+    assert (u.real > 0).any() and (u.real <= 0).any()
+    pf = fam.jet(z, w)
+    with np.errstate(all="ignore"):
+        side, mirror = _per_side(z, d, k), _per_side(w, np.conj(d), np.conj(k))
+        names = {
+            "h": "ht", "lin": "lin_t", "quad": "quad_t", "hp": "htp", "hpp": "htpp", "inv_hp": "inv_htp",
+        }
+        for name, mirror_name in names.items():
+            got_want = ((getattr(pf, name), side[name]), (getattr(pf, mirror_name), mirror[name]))
+            for got, want in got_want:
+                assert got.shape == want.shape, name
+                assert np.array_equal(np.asarray(got), want, equal_nan=True), name
+        hht = side["h"] * mirror["h"]
+    assert np.array_equal(pf.hht, hht, equal_nan=True)
+    assert np.array_equal(pf.denom, 1.0 + hht, equal_nan=True)
+    # pair is the jet's (h, htilde), and the (..., 2) form of the arguments,
+    # such as the last two coordinates of a state, is the two-argument call
+    zw = np.stack([z, w], axis=-1)
+    for h, ht in (fam.pair(z, w), fam.pair(zw)):
+        assert np.array_equal(h, pf.h, equal_nan=True)
+        assert np.array_equal(ht, pf.ht, equal_nan=True)
+    state = np.concatenate([random_disc(rng, (len(z), 2), 1.0), zw], axis=-1)
+    view = fam.jet(state[..., -2:])
+    for name in MEMBERS:
+        assert np.array_equal(getattr(view, name), getattr(pf, name), equal_nan=True), name

@@ -541,8 +541,12 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("", "empty file, no header"), ("t,real_x\r\n1.0\r\n", "line 2 has 1 of 2 fields")],
-        ids=["empty-file", "short-row"],
+        [
+            ("", "empty file, no header"),
+            ("t,real_x\r\n1.0\r\n", "line 2 has 1 of 2 fields"),
+            ("t,real_x\r\n1.0,2.0\r\n2.0,abc\r\n", "line 3: could not convert string to float: 'abc'"),
+        ],
+        ids=["empty-file", "short-row", "non-numeric-field"],
     )
     def test_malformed_csv_is_a_clean_error(self, tmp_path, capsys, text, message):
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"

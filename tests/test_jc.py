@@ -279,11 +279,12 @@ class TestEnsembleIntegration:
         assert calls == {"jet": 2 * (grid.steps + 1), "pair": 0}
 
     @pytest.mark.parametrize(
-        "rates, formed", [({}, set()), ({"r21": 100.0, "r_p": 50.0}, {"inv_hp", "inv_htp"})]
+        "rates, formed", [({}, set()), ({"r21": 100.0, "r_p": 50.0}, {"inv_slopes"})]
     )
-    def test_a_step_forms_only_the_slopes_it_reads(self, rates, formed):
+    def test_a_step_forms_only_the_stacked_slopes_it_reads(self, rates, formed):
         # the additive-noise drift, its constant noise and the projection
-        # read no slope; the dissipative terms read 1/h' and its mirror only
+        # read no slope of either side; the dissipative terms read the
+        # stacked inverse slopes (1/h', 1/htilde') only
         params = fig_params(**rates)
         sampler = phase_init_sampler(
             params, ADD, 1.0, init_points(AtomicDensity.from_upper(0.7), ADD)
@@ -299,9 +300,20 @@ class TestEnsembleIntegration:
         bundle = observable_bundle(params, ADD, ("rho_21", "nu", "e_1", "z"))
         grid = TimeGrid(0.0, 1e-4, 1)
         run_ensemble(replace(system, prepare=prepare), sampler, grid, 6, 5, bundle)
-        # the first jet is read by the observables, the noise and the drift
-        slopes = {"hp", "htp", "hpp", "htpp", "inv_hp", "inv_htp"}
-        assert slopes & set(vars(jets[0])) == formed
+        stacked = {"slopes", "curvatures", "inv_slopes"}
+        # the first jet is read by the observables, the noise and the drift;
+        # the last one by the observables alone
+        assert stacked & set(vars(jets[0])) == formed
+        assert stacked & set(vars(jets[-1])) == set()
+        for name in formed:  # one array for both sides of the 6 paths
+            assert vars(jets[0])[name].shape == (6, 2)
+        for pf in jets:
+            # each side is a view of its pair, never a member formed on its own
+            assert {"hp", "htp", "hpp", "htpp", "inv_hp", "inv_htp"}.isdisjoint(vars(pf))
+            for pair, sides in (("hs", ("h", "ht")), ("lins", ("lin", "lin_t"))):
+                for i, name in enumerate(sides):
+                    assert getattr(pf, name).base is getattr(pf, pair)
+                    assert np.array_equal(getattr(pf, name), getattr(pf, pair)[..., i])
 
     def test_sampler_respects_weights(self, rng):
         params = fig_params()

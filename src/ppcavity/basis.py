@@ -212,16 +212,22 @@ class BasisFamily:
         exponential of both sides and keeps it for the members formed on
         first read.
         """
-        zw = _stack(z, w)
         with np.errstate(all="ignore"):
-            if self.kind == COHERENT_SPIN:
-                hs = np.array(zw)  # h = z and htilde = w, not a view of the caller's state
-                return PhaseFunctions(hs, hs, hs * hs - 1.0)
-            twos, kappas, quarters = self._constants(zw.shape)
-            hs, q, s = self._exp_form(zw, twos, kappas)
-            q_inv = 1.0 / q
-            # h/h' = (d/4)(e - 1/e), with e = q**s
-            return PhaseFunctions(hs, quarters * s * (q - q_inv), self._pairs[3], (q, q_inv))
+            return self._unguarded_jet(_stack(z, w))
+
+    def _unguarded_jet(self, zw) -> PhaseFunctions:
+        """:meth:`jet` at the (..., 2) complex array ``zw``, under the caller's
+        numpy error state: near a pole it warns unless numpy errors are ignored.
+        For a caller that already runs under ``np.errstate(all="ignore")``,
+        such as the stepping loop of :mod:`ppcavity.sde`."""
+        if self.kind == COHERENT_SPIN:
+            hs = np.array(zw)  # h = z and htilde = w, not a view of the caller's state
+            return PhaseFunctions(hs, hs, hs * hs - 1.0)
+        twos, kappas, quarters = self._constants(zw.shape)
+        hs, q, s = self._exp_form(zw, twos, kappas)
+        q_inv = 1.0 / q
+        # h/h' = (d/4)(e - 1/e), with e = q**s
+        return PhaseFunctions(hs, quarters * s * (q - q_inv), self._pairs[3], (q, q_inv))
 
     # -- inversion ----------------------------------------------------------
 

@@ -304,6 +304,10 @@ def validate_config(cfg: RunConfig):
     n_alpha = len(cfg.alpha)
     if n_alpha not in (1, params.mode_count):
         raise ConfigError("alpha must list one amplitude or one per mode")
+    folded = [_OBSERVABLE_ALIASES.get(name, name) for name in cfg.observables]
+    for i, name in enumerate(folded):
+        if name in folded[:i]:
+            raise ConfigError(f"observable {name!r} is listed more than once")
     raw = PHASE_COORDINATES if cfg.engine == "sde-jc" else ()
     try:
         physical_columns(params, cfg.observables, cfg.probes, raw)

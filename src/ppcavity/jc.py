@@ -220,6 +220,15 @@ class JetState(NamedTuple):
     pf: PhaseFunctions
 
 
+class StepJetState(JetState):
+    """A JetState whose jet was formed without an error state of its own, by
+    the ``prepare`` of :func:`jc_sde_system` for the stepping loop of
+    :mod:`ppcavity.sde`, which runs under ``np.errstate(all="ignore")``; what
+    reads it needs no error state of its own either."""
+
+    __slots__ = ()
+
+
 def jet_state(family: BasisFamily, state) -> JetState:
     """Evaluate ``family.jet`` once on the last two coordinates (z, w) of ``state``.
 
@@ -230,6 +239,11 @@ def jet_state(family: BasisFamily, state) -> JetState:
         return state
     state = np.asarray(state, dtype=complex)
     return JetState(state, family.jet(state[..., -2:]))
+
+
+def _step_jet_state(family: BasisFamily, state) -> StepJetState:
+    """:func:`jet_state` for the stepping loop, under its error state."""
+    return StepJetState(state, family._unguarded_jet(state[..., -2:]))
 
 
 def mode_sum(x, axis=-1):
@@ -352,9 +366,10 @@ def noise_jc(params: ModelParams, family: BasisFamily, state, check=True):
 def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
     """SDE system for the integrator; coefficients never raise on poles.
 
-    ``prepare`` is :func:`jet_state`: the integrator evaluates the basis jet
-    once per step, and the increment (:func:`increment_jc`, without the pole
-    check) and :func:`ppcavity.observables.observable_bundle` read it.  The
+    ``prepare`` forms the :class:`StepJetState` of a state: the integrator
+    evaluates the basis jet once per step, under its own error state, and the
+    increment (:func:`increment_jc`, without the pole check) and
+    :func:`ppcavity.observables.observable_bundle` read it.  The
     dissipative layout is used exactly when any rate is positive
     (``params.dissipative``).  The additive-noise family without dissipation
     has a state-independent noise matrix, applied as one product.
@@ -379,7 +394,7 @@ def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
         noise_dim=4 * n + (2 if params.dissipative else 0),
         drift=partial(drift_jc, params, family, check=False),
         noise=noise,
-        prepare=partial(jet_state, family),
+        prepare=partial(_step_jet_state, family),
         increment=increment,
     )
 

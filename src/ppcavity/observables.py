@@ -1,12 +1,16 @@
 """The one observable layer: named columns of the physical coordinates.
 
-Every engine reduces its state to the physical coordinates
-(epsilon_n, eta_n, rho21, rho12, nu) of :mod:`ppcavity.physical`, and
-:func:`physical_columns` resolves observable names and field probes once into
-a function of those coordinates.  The phase-space SDE gets there through
-``to_physical`` and adds its raw fermionic coordinates z, w; the
-changed-variable SDE reads its own state; the deterministic engines hand over
-their recorded series.  Per-realization values are algebraic functions of the
+Every engine supplies the physical coordinates (epsilon_n, eta_n, rho21,
+rho12, nu) of :mod:`ppcavity.physical`, and :func:`physical_columns` resolves
+observable names and field probes once into a writer of columns that reads
+only what the names need.  The phase-space SDE supplies them as
+:class:`ppcavity.physical.JetCoordinates`, which form each coordinate from
+the state and its basis jet when read, and adds its raw fermionic
+coordinates z, w; the changed-variable SDE supplies its own state and the
+deterministic engines their recorded series, as physical vectors.  A batch
+writes each step's columns straight into the row of the stepping loop's
+block buffer that it is given (the :class:`ppcavity.sde.ObservableMap`
+contract).  Per-realization values are algebraic functions of the
 phase-space point whose ensemble means converge to the quantum expectation
 values.  For higher accuracy an observable can instead be carried along as an
 extra SDE coordinate via the stochastic chain rule.
@@ -20,18 +24,20 @@ from typing import Callable
 import numpy as np
 
 from .basis import BasisFamily
-from .jc import ModelParams, jet_state, mode_sum
-from .physical import jacobian_change, to_physical
+from .jc import ModelParams, StepJetState, jet_state, mode_sum
+from .physical import ArrayCoordinates, JetCoordinates, jacobian_change, to_physical
 from .sde import ObservableMap, SdeSystem
 
 DEFAULT_OBSERVABLES = ("rho_11", "rho_22", "rho_21", "rho_12", "nu")
 #: raw fermionic coordinates, observable on the phase-space engine only
 PHASE_COORDINATES = ("z", "w")
+#: the atomic coordinates in the order of ``atomic(k)`` and of the physical layout
+_ATOMIC = ("rho_21", "rho_12", "nu")
 
 
 def _atomic_row(name: str, n_modes: int):
     """Position of rho_21, rho_12 or nu in the physical layout, else None."""
-    return {"rho_21": 2 * n_modes, "rho_12": 2 * n_modes + 1, "nu": 2 * n_modes + 2}.get(name)
+    return 2 * n_modes + _ATOMIC.index(name) if name in _ATOMIC else None
 
 
 def _index(name: str, prefix: str, count: int, what: str) -> int:
@@ -44,65 +50,74 @@ def _index(name: str, prefix: str, count: int, what: str) -> int:
     return idx - 1
 
 
-def _column(params: ModelParams, name: str, probes, raw):
-    """The index of a plain coordinate column, or a function of the coordinates."""
-    n = params.mode_count
-    i = _atomic_row(name, n)
-    if i is not None:
-        return i
+def _reader(params: ModelParams, name: str, probes, raw):
+    """The writer of column ``name``: read(c, nu, col) writes it into ``col``
+    from the coordinates ``c``, rho_11 and rho_22 from the inversion ``nu``."""
+    if name in _ATOMIC:
+        k = _ATOMIC.index(name)
+        return lambda c, nu, col: c.atomic(k, col)
     if name == "rho_11":
-        return lambda phys: (1.0 - phys[..., 2 * n + 2]) / 2.0
+        return lambda c, nu, col: np.divide(np.subtract(1.0, nu, out=col), 2.0, out=col)
     if name == "rho_22":
-        return lambda phys: (1.0 + phys[..., 2 * n + 2]) / 2.0
+        return lambda c, nu, col: np.divide(np.add(1.0, nu, out=col), 2.0, out=col)
     if name in raw:
-        return 2 * n + 3 + raw.index(name)
-    for prefix, offset in (("e_", 0), ("h_", 1)):
-        if name.startswith(prefix):
-            return 2 * _index(name, prefix, n, "mode") + offset
+        k = raw.index(name)
+        return lambda c, nu, col: np.copyto(col, c.raw(k))
+    n = params.mode_count
+    if name.startswith("e_"):
+        k = _index(name, "e_", n, "mode")
+        return lambda c, nu, col: np.copyto(col, c.eps[..., k])
+    if name.startswith("h_"):
+        k = _index(name, "h_", n, "mode")
+        return lambda c, nu, col: np.copyto(col, c.eta[..., k])
     for prefix, trig in (("E_at_", np.sin), ("H_at_", np.cos)):
         if name.startswith(prefix):
             # reconstruct_fields, one field, with the per-mode factor formed once
             x = probes[_index(name, prefix, len(probes), "probe")]
             factor = params.e_photon * trig(params.wave_numbers * x)
             if trig is np.sin:
-                return lambda phys: mode_sum(factor * phys[..., 0 : 2 * n : 2])
+                return lambda c, nu, col: np.copyto(col, mode_sum(factor * c.eps))
             scale = -(1.0 / params.impedance)
-            return lambda phys: scale * mode_sum(factor * phys[..., 1 : 2 * n : 2])
+            return lambda c, nu, col: np.multiply(scale, mode_sum(factor * c.eta), out=col)
     if name in PHASE_COORDINATES:
         raise ValueError(f"observable {name!r} exists only for the sde-jc engine")
     raise ValueError(f"unknown observable {name!r}")
 
 
 def physical_columns(params: ModelParams, names, probes=(), raw=()):
-    """Resolve observable names once into a function of physical coordinates.
+    """Resolve observable names once into a writer of columns of the coordinates.
 
     Names: rho_11 and rho_22 ((1 -/+ nu)/2), rho_21, rho_12, nu, the mode
     quadratures e_<n>/h_<n>, the fields E_at_<j>/H_at_<j> at ``probes[j-1]``
     (see :func:`ppcavity.physical.reconstruct_fields`), and the engine's own
     coordinates listed in ``raw``.  Unknown names and out-of-range indices
-    raise ValueError here, not at evaluation.  The returned function maps
-    ``phys`` (..., 2N+3), followed by the ``raw`` coordinates if any name
-    reads them, to a (..., len(names)) array.  The plain coordinate columns
-    are copied one slice per run of them that is consecutive in both.
+    raise ValueError here, not at evaluation.  The returned function
+    ``columns(coords, out=None)`` takes a physical vector ``coords`` (...,
+    2N+3), followed by the ``raw`` coordinates if any name reads them, or the
+    :class:`ppcavity.physical.JetCoordinates` of a phase-space state, and
+    writes the (..., len(names)) columns into ``out`` (a new array if None),
+    which it returns.  Each column reads only its own coordinates: rho_21,
+    rho_12 and nu the atomic ones, rho_11 and rho_22 nu (one nu per call,
+    the nu column's if there is one), e_<n> and h_<n> one mode, the fields
+    the mode sum, and the raw names the state.
     """
-    probes = tuple(float(x) for x in probes)
-    found = [_column(params, name, probes, raw) for name in names]
-    runs = []  # [first column, first coordinate, length] of consecutive plain columns
-    for j, c in enumerate(found):
-        if isinstance(c, int):
-            if runs and runs[-1][0] + runs[-1][2] == j and runs[-1][1] + runs[-1][2] == c:
-                runs[-1][2] += 1
-            else:
-                runs.append([j, c, 1])
-    derived = [(j, c) for j, c in enumerate(found) if not isinstance(c, int)]
+    names, probes = tuple(names), tuple(float(x) for x in probes)
+    n = params.mode_count
+    readers = [(j, _reader(params, name, probes, raw)) for j, name in enumerate(names)]
+    readers.sort(key=lambda reader: names[reader[0]] != "nu")  # nu first: rho_11 reads it
+    nu_column = names.index("nu") if "nu" in names else None
+    reads_nu = "rho_11" in names or "rho_22" in names
 
-    def columns(phys):
-        phys = np.asarray(phys, dtype=complex)
-        out = np.empty(phys.shape[:-1] + (len(found),), dtype=complex)
-        for j, c, k in runs:
-            out[..., j : j + k] = phys[..., c : c + k]
-        for j, read in derived:
-            out[..., j] = read(phys)
+    def columns(coords, out=None):
+        if not isinstance(coords, JetCoordinates):
+            coords = ArrayCoordinates(coords, n)
+        if out is None:
+            out = np.empty(coords.shape + (len(readers),), dtype=complex)
+        nu = None
+        if reads_nu:
+            nu = coords.atomic(2) if nu_column is None else out[..., nu_column]
+        for j, read in readers:
+            read(coords, nu, out[..., j])
         return out
 
     return columns
@@ -114,20 +129,20 @@ def observable_bundle(
     """Batched named observables of the phase-space SDE, raw z and w included.
 
     The batch takes a state or the :class:`ppcavity.jc.JetState` that
-    ``jc_sde_system`` prepares, and reads h and htilde from its jet.
+    ``jc_sde_system`` prepares, and reads its columns off the state and its
+    jet (:class:`ppcavity.physical.JetCoordinates`) into the row it is given.
+    It ignores numpy errors, so it never warns; on the
+    :class:`ppcavity.jc.StepJetState` of the stepping loop, which already
+    runs under ``np.errstate(all="ignore")``, it sets no error state itself.
     """
     names = tuple(names)
-    n = params.mode_count
     columns = physical_columns(params, names, probes, raw=PHASE_COORDINATES)
-    reads_raw = any(name in PHASE_COORDINATES for name in names)
 
-    def batch(state):
-        prepared = jet_state(family, state)
+    def batch(prepared, out=None):
+        if isinstance(prepared, StepJetState):
+            return columns(JetCoordinates(prepared), out)
         with np.errstate(all="ignore"):
-            phys = to_physical(family, prepared, check=False)
-            if reads_raw:
-                phys = np.concatenate((phys, prepared.state[..., 2 * n :]), axis=-1)
-            return columns(phys)
+            return columns(JetCoordinates(jet_state(family, prepared)), out)
 
     return ObservableMap(names, batch)
 

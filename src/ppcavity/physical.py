@@ -11,7 +11,7 @@ which forms each root pair of the kick, (p, q) and (rad21, rad12), in one call.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -45,22 +45,83 @@ def join_phys(eps, eta, rho21, rho12, nu) -> np.ndarray:
     return out
 
 
+class ArrayCoordinates:
+    """The physical coordinates of a (batched) physical vector (..., 2N+3),
+    followed by ``raw`` further coordinates of the engine.
+
+    What the observable columns read (see
+    :func:`ppcavity.observables.physical_columns`): ``eps`` and ``eta``
+    (..., N), ``atomic(k, out)`` with rho21, rho12, nu for k = 0, 1, 2, and
+    ``raw(k)``.  Here each is a view of the vector, which ``atomic`` copies
+    into ``out`` if one is given.
+    """
+
+    def __init__(self, phys, n_modes):
+        self.phys = np.asarray(phys, dtype=complex)
+        self.shape = self.phys.shape[:-1]
+        self.eps = self.phys[..., 0 : 2 * n_modes : 2]
+        self.eta = self.phys[..., 1 : 2 * n_modes : 2]
+        self._atomic = 2 * n_modes
+
+    def atomic(self, k, out=None):
+        value = self.phys[..., self._atomic + k]
+        if out is None:
+            return value
+        out[...] = value
+        return out
+
+    def raw(self, k):
+        return self.phys[..., self._atomic + 3 + k]
+
+
+class JetCoordinates:
+    """The physical coordinates of a :class:`ppcavity.jc.JetState`, each formed
+    from the state and its basis jet when read, and ``raw(k)`` its (z, w).
+
+    The members of :class:`ArrayCoordinates`: ``atomic(k, out)`` divides h,
+    htilde or h*htilde - 1 by the jet's 1 + h*htilde, into ``out`` if one is
+    given; ``eps`` = beta + alpha and ``eta`` = i(beta - alpha) are cached.
+    Nothing here sets a numpy error state: the caller does.
+    """
+
+    def __init__(self, prepared):
+        self.state, self.pf = prepared
+        self.shape = self.state.shape[:-1]
+        self._n = (self.state.shape[-1] - 2) // 2
+
+    def atomic(self, k, out=None):
+        pf = self.pf
+        numerator = pf.hht - 1.0 if k == 2 else (pf.h, pf.ht)[k]
+        return np.divide(numerator, pf.denom, out=out)
+
+    @cached_property
+    def eps(self):
+        alpha, beta, _, _ = split_state(self.state, self._n)
+        return beta + alpha
+
+    @cached_property
+    def eta(self):
+        alpha, beta, _, _ = split_state(self.state, self._n)
+        return 1j * (beta - alpha)
+
+    def raw(self, k):
+        return self.state[..., 2 * self._n + k]
+
+
 def to_physical(family: BasisFamily, state, check=True) -> np.ndarray:
     """Map a phase-space vector (batched ok) to physical coordinates.
 
     ``state`` may be a :class:`ppcavity.jc.JetState`, whose jet is read as
     it is; a raw state gets its jet from :func:`ppcavity.jc.jet_state`.  With
     ``check`` a vanishing 1 + h*htilde raises PoleProximityError; without it
-    the result carries inf/nan there.
+    the result carries inf/nan there, without numpy warnings.
     """
-    state, pf = jet_state(family, state)
+    prepared = jet_state(family, state)
     if check:
-        checked_denominator(pf.h, pf.ht)
-    alpha, beta, _, _ = split_state(state, (state.shape[-1] - 2) // 2)
-    denom = pf.denom
-    return join_phys(
-        beta + alpha, 1j * (beta - alpha), pf.h / denom, pf.ht / denom, (pf.hht - 1.0) / denom
-    )
+        checked_denominator(prepared.pf.h, prepared.pf.ht)
+    c = JetCoordinates(prepared)
+    with np.errstate(all="ignore"):
+        return join_phys(c.eps, c.eta, c.atomic(0), c.atomic(1), c.atomic(2))
 
 
 def from_physical(family: BasisFamily, phys) -> np.ndarray:

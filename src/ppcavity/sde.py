@@ -132,9 +132,16 @@ def noise_matrix(increment, noise_dim, batch_ndim):
 
 
 class ObservableMap:
-    """Named observables evaluated in one batched call per time step."""
+    """Named observables written in one batched call per time step.
 
-    def __init__(self, names: Sequence[str], batch: Callable[[np.ndarray], np.ndarray]):
+    ``batch(prepared, out)`` writes the observables at a (batched) prepared
+    state into ``out`` (..., len(names)), which it returns; the stepping loop
+    hands it the state's row of its block buffer, a strided view, so the
+    values are stored once.  The batches of this package also take ``out``
+    None and then return a new array.
+    """
+
+    def __init__(self, names: Sequence[str], batch: Callable[..., np.ndarray]):
         self.names = tuple(names)
         self.batch = batch
 
@@ -143,8 +150,13 @@ class ObservableMap:
         names = tuple(mapping)
         fns = tuple(mapping[name] for name in names)
 
-        def batch(state):
-            return np.stack([np.asarray(f(state), dtype=complex) for f in fns], axis=-1)
+        def batch(state, out=None):
+            for j, f in enumerate(fns):
+                value = f(state)
+                if out is None:
+                    out = np.empty(np.shape(value) + (len(fns),), dtype=complex)
+                out[..., j] = value
+            return out
 
         return cls(names, batch)
 
@@ -230,7 +242,7 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
     increment = system.increment or _drift_plus_noise(system)
     with np.errstate(all="ignore"):
         prepared = system.prepare(state)
-        values[:, 0, :] = observable_map.batch(prepared)
+        observable_map.batch(prepared, values[:, 0])
         dead = None
         for k in range(steps):
             j = k % _DRAW_BLOCK
@@ -251,7 +263,7 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
                 dead = None if alive.all() else np.flatnonzero(~alive)
             prepared = system.prepare(state)
             i = (k + 1) % _DRAW_BLOCK
-            values[:, i, :] = observable_map.batch(prepared)
+            observable_map.batch(prepared, values[:, i])
             if i == _DRAW_BLOCK - 1:
                 on_block(k + 2 - _DRAW_BLOCK, values, alive)
         rows = (steps + 1) % _DRAW_BLOCK

@@ -8,7 +8,7 @@ import pytest
 import ppcavity.cli as cli_module
 import ppcavity.jc as jc_module
 from ppcavity.cli import main, read_csv, write_csv
-from ppcavity.config import ENGINES, RunConfig, parse_config, serialize_config
+from ppcavity.config import ENGINES, RunConfig, parse_config, serialize_config, validate_config
 from ppcavity.errors import ConfigError
 from ppcavity.invariants import DEFAULT_POINTS, DEFAULT_SEED, run_all
 
@@ -267,6 +267,23 @@ class TestValidation:
         )
         with pytest.raises(ConfigError, match="probe"):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "listed, repeated",
+        [("nu, rho_11, nu", "nu"), ("rho11, rho_11", "rho_11"), ("rho_21, e_1, rho21", "rho_21")],
+    )
+    def test_repeated_observable_is_rejected(self, listed, repeated):
+        # a repeated column would be read as its first copy by compare and
+        # EnsembleResult.column; aliases fold first, so rho11 repeats rho_11
+        text = FIG3_REFERENCE.replace(
+            "observables = rho_11, rho_22, rho_21, rho_12", f"observables = {listed}"
+        )
+        with pytest.raises(ConfigError, match=f"observable '{repeated}' is listed more than once"):
+            parse_config(text)
+        cfg = RunConfig(engine="reference", Omega=1000.0, omega=(1100.0,), g=(200.0,),
+                        observables=tuple(v.strip() for v in listed.split(",")))
+        with pytest.raises(ConfigError, match=f"'{repeated}'"):
+            validate_config(cfg)
 
     def test_phase_coordinates_only_for_phase_engine(self):
         text = FIG3_REFERENCE.replace(

@@ -264,7 +264,8 @@ class TestEnsembleIntegration:
         sampler = phase_init_sampler(
             params, ADD, 1.0, init_points(AtomicDensity.from_upper(0.7), ADD)
         )
-        calls = {"jet": 0, "pair": 0}
+        # every jet, the loop's own and BasisFamily.jet, is formed by _unguarded_jet
+        calls = {"_unguarded_jet": 0, "pair": 0}
         for name in calls:
 
             def counted(self, *args, _name=name, _method=getattr(BasisFamily, name)):
@@ -276,7 +277,7 @@ class TestEnsembleIntegration:
         bundle = observable_bundle(params, ADD, ("rho_21", "nu", "e_1", "z"))
         # two chunks, of 6 and 4 paths
         run_ensemble(jc_sde_system(params, ADD), sampler, grid, 10, 5, bundle, chunk_size=6)
-        assert calls == {"jet": 2 * (grid.steps + 1), "pair": 0}
+        assert calls == {"_unguarded_jet": 2 * (grid.steps + 1), "pair": 0}
 
     @pytest.mark.parametrize(
         "rates, formed", [({}, set()), ({"r21": 100.0, "r_p": 50.0}, {"inv_slopes"})]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from ppcavity.basis import BasisFamily
 from ppcavity.errors import PoleProximityError
 from ppcavity.initialization import AtomicDensity, init_points
 from ppcavity.invariants import random_phase_state
-from ppcavity.jc import ModelParams, jc_sde_system, phase_init_sampler
+from ppcavity.jc import ModelParams, jc_sde_system, jet_state, phase_init_sampler
 from ppcavity.observables import (
     extend_with_observable,
     observable_bundle,
@@ -13,7 +15,7 @@ from ppcavity.observables import (
     physical_observable_bundle,
     projection_observable,
 )
-from ppcavity.physical import reconstruct_fields, split_phys, to_physical
+from ppcavity.physical import join_phys, reconstruct_fields, split_phys, to_physical
 from ppcavity.reference import ReferenceTrajectory
 from ppcavity.sde import SdeSystem, TimeGrid, run_ensemble
 
@@ -127,6 +129,79 @@ def test_columns_agree_across_engines(rng):
         )
         deterministic = physical_columns(params, names, probes)(traj.phys)
         assert np.array_equal(deterministic, phase)
+
+
+#: every observable kind, on two modes and two probes, in a permuted order
+ALL_KINDS = ("H_at_2", "w", "rho_22", "e_2", "nu", "E_at_1", "h_1", "rho_21", "z",
+             "rho_11", "H_at_1", "e_1", "rho_12", "h_2", "E_at_2")
+#: families with (z, w) at which 1 + h*htilde is exactly 0 (for the
+#: additive-noise ones, where exp(2u) under- or overflows, h = -1, htilde = 1)
+POLES = (
+    (CS, (1.0, -1.0)),
+    (ADD, (2000.0, -2000.0)),
+    (BasisFamily.additive_noise(4.0 + 0.5j, 0.1 - 0.2j), (1000 * (4 + 0.5j), -1000 * (4 - 0.5j))),
+)
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(float), b.view(float), equal_nan=True)
+
+
+@pytest.mark.parametrize("case", range(len(POLES)), ids=["cs", "add", "add-complex"])
+def test_writer_matches_physical_composition_bit_for_bit(rng, case):
+    # the batch writes each column straight from the jet into a strided row of
+    # the loop's block buffer; it equals the composition of to_physical, the
+    # raw (z, w) and the column layer on physical vectors, nan and inf
+    # included, and to_physical is the change of variables term by term
+    fam, pole = POLES[case]
+    params = ModelParams.from_frequencies(omega=(1.0, 2.0), g=(0.1, 0.2), Omega=3.0)
+    probes = (0.3 * params.length, 0.7 * params.length)
+    states = np.stack([random_phase_state(rng, fam, 2) for _ in range(16)])
+    states[[3, 11], -2:] = pole
+    with np.errstate(all="ignore"):
+        phys = to_physical(fam, states, check=False)
+        old = physical_columns(params, ALL_KINDS, probes, ("z", "w"))(
+            np.concatenate((phys, states[..., -2:]), axis=-1)
+        )
+        pf = fam.jet(states[..., -2:])
+        alpha, beta = states[..., 0:4:2], states[..., 1:4:2]
+        terms = (beta + alpha, 1j * (beta - alpha), pf.h / pf.denom, pf.ht / pf.denom,
+                 (pf.hht - 1.0) / pf.denom)
+    assert _same_bits(phys, join_phys(*terms))
+    assert not np.isfinite(old[[3, 11]]).all() and np.isfinite(np.delete(old, [3, 11], 0)).all()
+    bundle = observable_bundle(params, fam, ALL_KINDS, probes)
+    values = np.full((len(states), 64, len(ALL_KINDS)), 7.0 + 7.0j)
+    with np.errstate(all="ignore"):  # as in the stepping loop
+        row = values[:, 37]
+        assert bundle.batch(jc_sde_system(params, fam).prepare(states), row) is row
+    assert _same_bits(values[:, 37], old)
+    assert (values[:, :37] == 7.0 + 7.0j).all() and (values[:, 38:] == 7.0 + 7.0j).all()
+    assert _same_bits(bundle.batch(states), old)
+
+
+def test_direct_calls_at_a_pole_do_not_warn():
+    # outside any errstate, RuntimeWarnings as errors: the public jet,
+    # to_physical and the batch never warn; only the loop's prepare forms
+    # its jet under the caller's error state, so there the pole shows
+    params = ModelParams.from_frequencies(omega=1.0, g=0.1, Omega=3.0)
+    names = ("rho_11", "rho_21", "nu", "e_1", "z")
+    for fam, pole in POLES:
+        states = np.array([[1.0, 1.0, *pole], [0.5, 0.5, 0.1, 0.2]], dtype=complex)
+        bundle = observable_bundle(params, fam, names)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            jet = fam.jet(states[..., -2:])
+            for member in ("slopes", "curvatures", "inv_slopes"):
+                getattr(jet, member)
+            assert jet.denom[0] == 0.0
+            phys = to_physical(fam, states, check=False)
+            assert not np.isfinite(phys[0, 2:]).all()
+            row = bundle.batch(states)
+            assert np.array_equal(bundle.batch(jet_state(fam, states)), row, equal_nan=True)
+            assert not np.isfinite(row[0]).all()
+            with pytest.raises(RuntimeWarning):
+                bundle.batch(jc_sde_system(params, fam).prepare(states))
 
 
 def test_field_columns_equal_reconstruct_fields(rng):

@@ -305,7 +305,10 @@ def test_merging_a_block_allocates_at_most_a_quarter_block():
 
     system = SdeSystem(2, 1, drift, constant_noise_system(2, [[0.7], [0.0]]))
     weights = np.arange(1.0, width + 1)
-    observables = ObservableMap([f"x{k}" for k in range(width)], lambda s: s[..., :1] * weights)
+    observables = ObservableMap(
+        [f"x{k}" for k in range(width)],
+        lambda s, out: np.multiply(s[..., :1], weights, out=out),
+    )
     counter = itertools.count()
 
     def sampler(rng):
@@ -335,7 +338,9 @@ def test_set_aside_blocks_are_replayed_not_kept(monkeypatch):
     # with observables over the threshold
     paths, width, b = 256, 16, _DRAW_BLOCK
     powers = np.arange(1, width + 1)
-    observables = ObservableMap([f"x{k}" for k in powers], lambda s: s[..., :1] ** powers)
+    observables = ObservableMap(
+        [f"x{k}" for k in powers], lambda s, out: np.power(s[..., :1], powers, out=out)
+    )
     outside = []
     within = sde._within
 
@@ -475,7 +480,8 @@ def test_dead_paths_leave_no_trace_in_the_moments(chunk_size):
         return np.array([rng.standard_normal(), *marks], dtype=complex)
 
     observables = ObservableMap(
-        ("x", "x2", "odd"), lambda s: observe_dying_ou(*np.moveaxis(s, -1, 0))
+        ("x", "x2", "odd"),
+        lambda s, out: np.copyto(out, observe_dying_ou(*np.moveaxis(s, -1, 0))),
     )
     res = run_ensemble(
         dying_ou(lam, sigma),

@@ -341,6 +341,25 @@ def check_jacobian_diffusion(rng, points):
     return _worst_relative(bbar @ np.swapaxes(bbar, -1, -2), rhs, (-2, -1)), 1e-8
 
 
+def check_jacobian_diffusion_off_surface(rng, points):
+    """noise_bar stays within O(1e-6) of the transported diffusion 1e-6 off
+    the constraint surface 4 rho21 rho12 = (1 - nu)(1 + nu), where h (in half
+    the points, else htilde) is near 0: there a root pair's common radicand
+    h**2 - 1 lies on the branch cut, on either side of it."""
+    fam = _FAMILIES["coherent-spin"]
+    params = sample_model(**random_rates(rng))
+    n = params.mode_count
+    states = _random_states(rng, fam, n, points, scale=0.4)
+    near_zero = 1e-7 * np.exp(2j * np.pi * rng.uniform(size=points))
+    half = points // 2
+    states[:half, -2], states[half:, -1] = near_zero[:half], near_zero[half:]
+    jac = physical.jacobian_change(fam, states)
+    rhs = jac @ jc.diffusion_jc(params, fam, states) @ np.swapaxes(jac, -1, -2)
+    off = physical.to_physical(fam, states) + _random_complex(rng, (points, 2 * n + 3), 1e-6)
+    bbar = physical.noise_bar(params, off)
+    return _worst_relative(bbar @ np.swapaxes(bbar, -1, -2), rhs, (-2, -1)), 5e-5
+
+
 def check_jacobian_fd(rng, points):
     """Analytic Jacobian of the change map against spectral derivatives."""
     worst = 0.0
@@ -404,6 +423,7 @@ CHECKS = (
     ("jacobian-spectral-validation", check_jacobian_fd),
     ("mb-drift-bar-identity", check_mb_drift_identity),
     ("projection-derivatives", check_projection_derivatives),
+    ("jacobian-diffusion-off-surface", check_jacobian_diffusion_off_surface),
 )
 
 

@@ -187,6 +187,10 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
             # the root pairs (p, q) and (rad21, rad12), each pair in one call
             roots = principal_sqrt(rho_2 / quarter_m2[..., None] - 1.0)
             rads = principal_sqrt(one_p2[..., None] / (4.0 * rho_2) - 1.0)
+            # on the constraint surface rad21 and q share a radicand, as rad12
+            # and p do; off it, near the branch cut, the principal roots of a
+            # pair can part, so each rad takes the sign nearest its partner
+            rads = np.where((rads * np.conj(roots[..., ::-1])).real < 0, -rads, rads)
             p, q, rad21, rad12 = roots[..., 0], roots[..., 1], rads[..., 0], rads[..., 1]
             # per mode, pref (dW_c + i dW_{c+1}) and pref (dW_{c+2} - i dW_{c+3})
             pairs = dw[..., : 4 * n].view(complex)

@@ -35,11 +35,6 @@ PHASE_COORDINATES = ("z", "w")
 _ATOMIC = ("rho_21", "rho_12", "nu")
 
 
-def _atomic_row(name: str, n_modes: int):
-    """Position of rho_21, rho_12 or nu in the physical layout, else None."""
-    return 2 * n_modes + _ATOMIC.index(name) if name in _ATOMIC else None
-
-
 def _index(name: str, prefix: str, count: int, what: str) -> int:
     try:
         idx = int(name[len(prefix):])
@@ -63,13 +58,10 @@ def _reader(params: ModelParams, name: str, probes, raw):
     if name in raw:
         k = raw.index(name)
         return lambda c, nu, col: np.copyto(col, c.raw(k))
-    n = params.mode_count
-    if name.startswith("e_"):
-        k = _index(name, "e_", n, "mode")
-        return lambda c, nu, col: np.copyto(col, c.eps[..., k])
-    if name.startswith("h_"):
-        k = _index(name, "h_", n, "mode")
-        return lambda c, nu, col: np.copyto(col, c.eta[..., k])
+    for prefix, quadrature in (("e_", "eps"), ("h_", "eta")):
+        if name.startswith(prefix):
+            k = _index(name, prefix, params.mode_count, "mode")
+            return lambda c, nu, col: np.copyto(col, getattr(c, quadrature)[..., k])
     for prefix, trig in (("E_at_", np.sin), ("H_at_", np.cos)):
         if name.startswith(prefix):
             # reconstruct_fields, one field, with the per-mode factor formed once
@@ -200,9 +192,9 @@ def projection_observable(which: str, family: BasisFamily, n_modes: int) -> Smoo
     ``jacobian_change``.  Derivatives act on the full phase vector; bosonic
     entries are zero since the atomic projections depend only on (z, w).
     """
-    row = _atomic_row(which, n_modes)
-    if row is None:
+    if which not in _ATOMIC:
         raise ValueError("which must be one of rho_21, rho_12, nu")
+    row = 2 * n_modes + _ATOMIC.index(which)
     dim = 2 * (n_modes + 1)
     iz, iw = 2 * n_modes, 2 * n_modes + 1
 

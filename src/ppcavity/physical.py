@@ -6,7 +6,8 @@ In these coordinates the drift is polynomial and its deterministic part is the
 cavity-mode Maxwell-Bloch system; the transformed noise matrix (closed form
 available for the coherent-spin family only) supplies the quantum corrections.
 Both come from one formula, ``increment_bar``, the Euler increment of a step,
-which forms each root pair of the kick, (p, q) and (rad21, rad12), in one call.
+which forms each root pair of the kick, (p, q) and (rad12, rad21), in one call
+and gives each rad the sign nearest its partner's, p or q.
 """
 
 from __future__ import annotations
@@ -46,41 +47,35 @@ def join_phys(eps, eta, rho21, rho12, nu) -> np.ndarray:
 
 
 class ArrayCoordinates:
-    """The physical coordinates of a (batched) physical vector (..., 2N+3),
-    followed by ``raw`` further coordinates of the engine.
-
-    What the observable columns read (see
-    :func:`ppcavity.observables.physical_columns`): ``eps`` and ``eta``
-    (..., N), ``atomic(k, out)`` with rho21, rho12, nu for k = 0, 1, 2, and
-    ``raw(k)``.  Here each is a view of the vector, which ``atomic`` copies
-    into ``out`` if one is given.
+    """The physical coordinates of a (batched) physical vector (..., 2N+3)
+    followed by further coordinates of the engine, read by
+    :func:`ppcavity.observables.physical_columns`: ``eps`` and ``eta`` (...,
+    N), ``atomic(k, out)`` for rho21, rho12 and nu (k = 0, 1, 2), copied into
+    ``out`` if one is given, and ``raw(k)`` for the further coordinates.
     """
 
     def __init__(self, phys, n_modes):
         self.phys = np.asarray(phys, dtype=complex)
         self.shape = self.phys.shape[:-1]
-        self.eps = self.phys[..., 0 : 2 * n_modes : 2]
-        self.eta = self.phys[..., 1 : 2 * n_modes : 2]
-        self._atomic = 2 * n_modes
+        self.eps, self.eta, *self._atomic = split_phys(self.phys, n_modes)
+        self._raw = 2 * n_modes + 3
 
     def atomic(self, k, out=None):
-        value = self.phys[..., self._atomic + k]
         if out is None:
-            return value
-        out[...] = value
+            return self._atomic[k]
+        out[...] = self._atomic[k]
         return out
 
     def raw(self, k):
-        return self.phys[..., self._atomic + 3 + k]
+        return self.phys[..., self._raw + k]
 
 
 class JetCoordinates:
-    """The physical coordinates of a :class:`ppcavity.jc.JetState`, each formed
-    from the state and its basis jet when read, and ``raw(k)`` its (z, w).
-
-    The members of :class:`ArrayCoordinates`: ``atomic(k, out)`` divides h,
-    htilde or h*htilde - 1 by the jet's 1 + h*htilde, into ``out`` if one is
-    given; ``eps`` = beta + alpha and ``eta`` = i(beta - alpha) are cached.
+    """The members of :class:`ArrayCoordinates` for a
+    :class:`ppcavity.jc.JetState`, each formed from the state and its basis
+    jet when read: ``atomic(k, out)`` divides h, htilde or h*htilde - 1 by the
+    jet's 1 + h*htilde, into ``out`` if one is given; ``eps`` = beta + alpha
+    and ``eta`` = i(beta - alpha) are cached; ``raw(k)`` reads z or w.
     Nothing here sets a numpy error state: the caller does.
     """
 
@@ -184,14 +179,14 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
             quarter_m2 = one_m**2 / 4.0
             rho_2 = phys[..., 2 * n : 2 * n + 2] ** 2
             rho21_2, rho12_2 = rho_2[..., 0], rho_2[..., 1]
-            # the root pairs (p, q) and (rad21, rad12), each pair in one call
+            # the roots (p, q) and (rad12, rad21), each pair in one call; on the
+            # constraint surface rad12 shares its radicand with p, rad21 with q
             roots = principal_sqrt(rho_2 / quarter_m2[..., None] - 1.0)
-            rads = principal_sqrt(one_p2[..., None] / (4.0 * rho_2) - 1.0)
-            # on the constraint surface rad21 and q share a radicand, as rad12
-            # and p do; off it, near the branch cut, the principal roots of a
-            # pair can part, so each rad takes the sign nearest its partner
-            rads = np.where((rads * np.conj(roots[..., ::-1])).real < 0, -rads, rads)
-            p, q, rad21, rad12 = roots[..., 0], roots[..., 1], rads[..., 0], rads[..., 1]
+            rads = principal_sqrt(one_p2[..., None] / (4.0 * rho_2[..., ::-1]) - 1.0)
+            # off the surface, near the branch cut, the principal roots of
+            # such a pair can part: each rad takes the sign nearest its partner
+            np.negative(rads, out=rads, where=(rads * np.conj(roots)).real < 0)
+            p, q, rad12, rad21 = roots[..., 0], roots[..., 1], rads[..., 0], rads[..., 1]
             # per mode, pref (dW_c + i dW_{c+1}) and pref (dW_{c+2} - i dW_{c+3})
             pairs = dw[..., : 4 * n].view(complex)
             pref = params.noise_prefactor

@@ -7,10 +7,9 @@ system may form in one pass without the noise matrix (``increment``).  A
 system may also set ``prepare``: the integrator calls it once per step on the
 new state, and the increment and the observable batch receive its result, so
 work they share is done once per step (``jc_sde_system`` prepares the state
-with its basis jet, formed for the mirror pair (z, w) at once).  The loop runs
-under ``np.errstate(all="ignore")``, so what it calls needs no error state of
-its own.  An :class:`ObservableMap` batch writes each point's observables
-straight into the row of the block buffer it is given.
+with its basis jet, formed for the mirror pair (z, w) at once), under the
+loop's ``np.errstate(all="ignore")``; the observable batch writes each point
+straight into its row of the block buffer.
 ``run_ensemble`` is the only entry point and
 ``_integrate_chunk`` the only stepping loop: ensembles are executed in path
 chunks so that realizations vectorize, while every path still owns an
@@ -106,10 +105,8 @@ class SdeSystem:
     drift(p) dt + noise(p) @ dw.  ``prepare`` maps a (batched) state to the
     value that the increment and the observable batch receive; it runs once
     per step, so work they share (such as basis functions of the state) is
-    done once.  The stepping loop calls it under ``np.errstate(all="ignore")``,
-    so it may skip an error state of its own (``jc_sde_system``'s does); the
-    batch then writes its observables of the prepared value into the loop's
-    buffer row.  It defaults to the identity.
+    done once.  The loop calls it under ``np.errstate(all="ignore")``, so it
+    needs no error state of its own.  It defaults to the identity.
     """
 
     dim: int
@@ -141,10 +138,9 @@ class ObservableMap:
     """Named observables written in one batched call per time step.
 
     ``batch(prepared, out)`` writes the observables at a (batched) prepared
-    state into ``out`` (..., len(names)), which it returns; the stepping loop
-    hands it the state's row of its block buffer, a strided view, so the
-    values are stored once.  The batches of this package also take ``out``
-    None and then return a new array.
+    state into ``out`` (..., len(names)), such as the stepping loop's row of
+    its block buffer, and returns it; this package's batches allocate ``out``
+    when it is None.
     """
 
     def __init__(self, names: Sequence[str], batch: Callable[..., np.ndarray]):
@@ -229,9 +225,10 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
     over-threshold state.  At the first step of every block, ``draw(out)``
     fills ``out`` (paths, rows, m) with standard normals for the next rows
     steps.  The observable batch writes each point's observables into its
-    row of a (paths, ``_DRAW_BLOCK``, observables) buffer; when it is full, or the grid ends, ``on_block(t,
-    values, alive)`` receives the points from t on and the alive mask at the
-    last of them, and may overwrite ``values``.  Each step prepares the new
+    row of a (paths, ``_DRAW_BLOCK``, observables) buffer; when it is full,
+    or the grid ends, ``on_block(t, values, alive)`` receives the points from
+    t on and the alive mask at the last of them, and may overwrite
+    ``values``.  Each step prepares the new
     state once; the observables at that point and the next increment read the
     prepared value.  A dead path is held at 0 from the next step on, so it
     costs no exact latch test.

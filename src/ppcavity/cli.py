@@ -34,7 +34,7 @@ from .errors import CavityError
 from .initialization import init_points
 from .invariants import DEFAULT_POINTS, DEFAULT_SEED, run_all
 from .jc import jc_sde_system, per_mode_amplitudes, phase_init_sampler
-from .maxwell_bloch import evolve_mb
+from .maxwell_bloch import BLOCH_BOUND_SLACK, evolve_mb
 from .observables import observable_bundle, physical_columns, physical_observable_bundle
 from .physical import join_phys, physical_init_sampler, physical_sde_system
 from .reference import TruncatedSpace, evolve, initial_density
@@ -161,15 +161,20 @@ def _run_deterministic(cfg: RunConfig, params, traj) -> EngineResult:
     """A ``reference`` or ``mb`` trajectory, its physical coordinates read as observables."""
     diagnostics = traj.diagnostics
     low = diagnostics.get("min_eigenvalue", 0.0)
-    warning = (
-        f"warning: minimum density-matrix eigenvalue {low:.3e} "
-        f"is below {EIGENVALUE_WARNING_FLOOR:.0e}; the reference lost positivity"
-    )
+    bloch = diagnostics.get("max_bloch_violation", 0.0)
+    warnings = []
+    if low < EIGENVALUE_WARNING_FLOOR:
+        warnings.append(
+            f"warning: minimum density-matrix eigenvalue {low:.3e} "
+            f"is below {EIGENVALUE_WARNING_FLOOR:.0e}; the reference lost positivity"
+        )
+    if bloch > BLOCH_BOUND_SLACK:
+        warnings.append(f"warning: Bloch-sphere bound violated by {bloch:.3e} during the run")
     return EngineResult(
         times=traj.times, names=cfg.observables, stderr=None, diagnostics=diagnostics,
         values=physical_columns(params, cfg.observables, cfg.probes)(traj.phys),
         summary=f"{cfg.engine}: wrote {cfg.out}",
-        warnings=(warning,) if low < EIGENVALUE_WARNING_FLOOR else (),
+        warnings=tuple(warnings),
     )
 
 

@@ -125,6 +125,12 @@ class ModelParams:
     def dim(self) -> int:
         return 2 * (self.mode_count + 1)
 
+    @property
+    def noise_dim(self) -> int:
+        """Noise columns of the phase-space SDE: four per mode, plus two
+        dissipative ones if ``dissipative``."""
+        return 4 * self.mode_count + (2 if self.dissipative else 0)
+
     @cached_property
     def omega_array(self) -> np.ndarray:
         return _read_only(self.omega)
@@ -211,6 +217,23 @@ def split_state(state, n_modes):
     z = state[..., 2 * n_modes]
     w = state[..., 2 * n_modes + 1]
     return alpha, beta, z, w
+
+
+def join_state(alpha, beta, *tail) -> np.ndarray:
+    """Inverse of :func:`split_state`: lay out (batched) per-mode pairs.
+
+    ``alpha`` and ``beta`` (..., N) fill the pairs, then each of ``tail``
+    (...) one trailing coordinate, such as z and w; the batch shape is that
+    of ``alpha``.  The physical layout is the same with three trailing
+    coordinates (:func:`ppcavity.physical.join_phys`).
+    """
+    n = np.shape(alpha)[-1]
+    out = np.empty(np.shape(alpha)[:-1] + (2 * n + len(tail),), dtype=complex)
+    out[..., 0 : 2 * n : 2] = alpha
+    out[..., 1 : 2 * n : 2] = beta
+    for k, value in enumerate(tail):
+        out[..., 2 * n + k] = value
+    return out
 
 
 class JetState(NamedTuple):
@@ -320,12 +343,7 @@ def increment_jc(params: ModelParams, family: BasisFamily, state, dt, dw=None, c
             pair = dw[..., 4 * n : 4 * n + 2].view(complex)[..., 0]
             inc_z = inc_z - 1j * td * pair
             inc_w = inc_w + 1j * td * np.conj(pair)
-    out = np.empty(np.shape(inc_z) + (2 * (n + 1),), dtype=complex)
-    out[..., 0 : 2 * n : 2] = inc_a
-    out[..., 1 : 2 * n : 2] = inc_b
-    out[..., 2 * n] = inc_z
-    out[..., 2 * n + 1] = inc_w
-    return out
+    return join_state(inc_a, inc_b, inc_z, inc_w)
 
 
 def drift_jc(params: ModelParams, family: BasisFamily, state, check=True):
@@ -341,7 +359,7 @@ def diffusion_jc(params: ModelParams, family: BasisFamily, state, check=True):
     _, _, pf, batch_shape = _prepare(params, family, state, check)
     n = params.mode_count
     d = _mode_diffusion(params, pf)
-    out = np.zeros(batch_shape + (2 * (n + 1), 2 * (n + 1)), dtype=complex)
+    out = np.zeros(batch_shape + (params.dim, params.dim), dtype=complex)
     for k in range(n):
         out[..., 2 * k, 2 * n] = out[..., 2 * n, 2 * k] = 1j * d[..., k, 0]
         out[..., 2 * k + 1, 2 * n + 1] = out[..., 2 * n + 1, 2 * k + 1] = -1j * d[..., k, 1]
@@ -358,9 +376,8 @@ def noise_jc(params: ModelParams, family: BasisFamily, state, check=True):
     increment e_c.
     """
     state = jet_state(family, state)
-    cols = 4 * params.mode_count + (2 if params.dissipative else 0)
     increment = partial(increment_jc, params, family, state, check=check)
-    return noise_matrix(increment, cols, state.state.ndim - 1)
+    return noise_matrix(increment, params.noise_dim, state.state.ndim - 1)
 
 
 def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
@@ -372,26 +389,24 @@ def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
     :func:`ppcavity.observables.observable_bundle` read it.  The
     dissipative layout is used exactly when any rate is positive
     (``params.dissipative``).  The additive-noise family without dissipation
-    has a state-independent noise matrix, applied as one product.
+    has a state-independent noise matrix (the ``additive-noise-constancy``
+    invariant): it is formed once, at the zero state, and applied as one
+    product.
     """
-    n = params.mode_count
     noise = partial(noise_jc, params, family, check=False)
     if family.kind != ADDITIVE_NOISE or params.dissipative:
         increment = partial(increment_jc, params, family, check=False)
     else:
-        noise_t = None
+        noise_t = noise(np.zeros(params.dim, dtype=complex)).T
 
         def increment(state, dt, dw):
-            nonlocal noise_t
-            if noise_t is None:  # the same at every state: keep the first
-                noise_t = noise(state).reshape(-1, 2 * (n + 1), dw.shape[-1])[0].T
             out = increment_jc(params, family, state, dt, None, check=False)
             out += dw @ noise_t
             return out
 
     return SdeSystem(
-        dim=2 * (n + 1),
-        noise_dim=4 * n + (2 if params.dissipative else 0),
+        dim=params.dim,
+        noise_dim=params.noise_dim,
         drift=partial(drift_jc, params, family, check=False),
         noise=noise,
         prepare=partial(_step_jet_state, family),
@@ -421,17 +436,10 @@ def phase_init_sampler(params: ModelParams, family: BasisFamily, coherent, dist)
     beta_n = conj(amplitude)); ``dist`` is the three-point fermionic
     distribution from :func:`ppcavity.initialization.init_points`.
     """
-    n = params.mode_count
-    coherent = per_mode_amplitudes(coherent, n)
-    base = np.empty(2 * (n + 1), dtype=complex)
-    base[0 : 2 * n : 2] = coherent
-    base[1 : 2 * n : 2] = np.conj(coherent)
+    alpha = per_mode_amplitudes(coherent, params.mode_count)
+    beta = np.conj(alpha)
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
-        out = base.copy()
-        z, w = dist.sample(rng)
-        out[2 * n] = z
-        out[2 * n + 1] = w
-        return out
+        return join_state(alpha, beta, *dist.sample(rng))
 
     return sampler

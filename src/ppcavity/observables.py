@@ -26,7 +26,7 @@ import numpy as np
 from .basis import BasisFamily
 from .jc import ModelParams, StepJetState, jet_state, mode_sum
 from .physical import ArrayCoordinates, JetCoordinates, jacobian_change, to_physical
-from .sde import ObservableMap, SdeSystem
+from .sde import ObservableMap, SdeSystem, from_coefficients
 
 DEFAULT_OBSERVABLES = ("rho_11", "rho_22", "rho_21", "rho_12", "nu")
 #: raw fermionic coordinates, observable on the phase-space engine only
@@ -182,7 +182,7 @@ def extend_with_observable(system: SdeSystem, v: SmoothObservable) -> SdeSystem:
         row = np.einsum("...i,...im->...m", grad, b)
         return np.concatenate([b, row[..., None, :]], axis=-2)
 
-    return SdeSystem(dim=n + 1, noise_dim=system.noise_dim, drift=drift, noise=noise)
+    return from_coefficients(n + 1, system.noise_dim, drift, noise)
 
 
 def projection_observable(which: str, family: BasisFamily, n_modes: int) -> SmoothObservable:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import COHERENT_SPIN, POLE_FLOOR, BasisFamily, checked_denominator
 from .errors import InconsistentStateError, PoleProximityError
-from .jc import ModelParams, jet_state, mode_sum, principal_sqrt, split_state
+from .jc import ModelParams, jet_state, join_state, mode_sum, principal_sqrt, split_state
 from .sde import SdeSystem, noise_matrix
 
 #: relative mismatch of 4*rho21*rho12 and (1+nu)(1-nu) that
@@ -33,17 +33,9 @@ def split_phys(phys, n_modes):
     return (*split_state(phys, n_modes), phys[..., 2 * n_modes + 2])
 
 
-def join_phys(eps, eta, rho21, rho12, nu) -> np.ndarray:
-    """Inverse of :func:`split_phys`: lay out (batched) physical coordinates."""
-    eps = np.asarray(eps)
-    n = eps.shape[-1]
-    out = np.empty(eps.shape[:-1] + (2 * n + 3,), dtype=complex)
-    out[..., 0 : 2 * n : 2] = eps
-    out[..., 1 : 2 * n : 2] = eta
-    out[..., 2 * n] = rho21
-    out[..., 2 * n + 1] = rho12
-    out[..., 2 * n + 2] = nu
-    return out
+#: ``join_phys(eps, eta, rho21, rho12, nu)``, the inverse of :func:`split_phys`:
+#: the phase-space layout writer with the three atomic coordinates trailing
+join_phys = join_state
 
 
 class ArrayCoordinates:
@@ -142,12 +134,7 @@ def from_physical(family: BasisFamily, phys) -> np.ndarray:
         )
     z = family.invert_h(2.0 * rho21 / one_m)
     w = family.invert_htilde(2.0 * rho12 / one_m)
-    out = np.empty(2 * (n + 1), dtype=complex)
-    out[0 : 2 * n : 2] = (eps + 1j * eta) / 2.0
-    out[1 : 2 * n : 2] = (eps - 1j * eta) / 2.0
-    out[2 * n] = z
-    out[2 * n + 1] = w
-    return out
+    return join_state((eps + 1j * eta) / 2.0, (eps - 1j * eta) / 2.0, z, w)
 
 
 def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
@@ -208,13 +195,7 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
                 inc_21 = inc_21 + rho21_2 * x_d + quarter_m2 * y_d
                 inc_12 = inc_12 - quarter_m2 * x_d - rho12_2 * y_d
                 inc_nu = inc_nu - one_m * (rho21 * x_d - rho12 * y_d)
-    out = np.empty(np.shape(inc_21) + (2 * n + 3,), dtype=complex)
-    out[..., 0 : 2 * n : 2] = inc_eps
-    out[..., 1 : 2 * n : 2] = inc_eta
-    out[..., 2 * n] = inc_21
-    out[..., 2 * n + 1] = inc_12
-    out[..., 2 * n + 2] = inc_nu
-    return out
+    return join_phys(inc_eps, inc_eta, inc_21, inc_12, inc_nu)
 
 
 def drift_bar(params: ModelParams, phys) -> np.ndarray:

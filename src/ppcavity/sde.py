@@ -1,14 +1,15 @@
 """Euler-Maruyama integration of complex Ito SDEs with real Wiener increments.
 
-The integrator works on flat complex state vectors.  Drift and noise callables
-must broadcast over a leading batch axis: drift maps (..., n) -> (..., n) and
-noise maps (..., n) -> (..., n, m).  A step adds one increment, which a
-system may form in one pass without the noise matrix (``increment``).  A
-system may also set ``prepare``: the integrator calls it once per step on the
-new state, and the increment and the observable batch receive its result, so
-work they share is done once per step (``jc_sde_system`` prepares the state
-with its basis jet, formed for the mirror pair (z, w) at once), under the
-loop's ``np.errstate(all="ignore")``; the observable batch writes each point
+The integrator works on flat complex state vectors.  A step adds one
+increment, ``increment(prepared, dt, dw)``, broadcast over a leading batch
+axis: the engines form it in one pass without the noise matrix, and
+:func:`from_coefficients` forms it from a drift, mapping (..., n) -> (...,
+n), and a noise, mapping (..., n) -> (..., n, m).  A system may also set
+``prepare``: the integrator calls it once per step on the new state, and the
+increment and the observable batch receive its result, so work they share is
+done once per step (``jc_sde_system`` prepares the state with its basis jet,
+formed for the mirror pair (z, w) at once), under the loop's
+``np.errstate(all="ignore")``; the observable batch writes each point
 straight into its row of the block buffer.
 ``run_ensemble`` is the only entry point and
 ``_integrate_chunk`` the only stepping loop: ensembles are executed in path
@@ -101,30 +102,32 @@ class SdeSystem:
     """Ito SDE dX = drift(X) dt + noise(X) dW with m real Wiener components.
 
     ``increment(prepared, dt, dw)``, the one coefficient call of a step, is
-    drift dt + noise @ dw for real ``dw`` (..., m); without it a step forms
-    drift(p) dt + noise(p) @ dw.  ``prepare`` maps a (batched) state to the
-    value that the increment and the observable batch receive; it runs once
-    per step, so work they share (such as basis functions of the state) is
-    done once.  The loop calls it under ``np.errstate(all="ignore")``, so it
-    needs no error state of its own.  It defaults to the identity.
+    drift dt + noise @ dw for real ``dw`` (..., m); the stepping loop calls
+    nothing else of the coefficients.  ``drift`` and ``noise`` give them at a
+    (prepared) state for checks; :func:`from_coefficients` builds a system
+    from them.  ``prepare`` maps a (batched) state to the value that the
+    increment and the observable batch receive; it runs once per step, so
+    work they share (such as basis functions of the state) is done once.  The
+    loop calls it under ``np.errstate(all="ignore")``, so it needs no error
+    state of its own.  It defaults to the identity.
     """
 
     dim: int
     noise_dim: int
     drift: Callable[[Any], np.ndarray]
     noise: Callable[[Any], np.ndarray]
+    increment: Callable[[Any, float, np.ndarray], np.ndarray]
     prepare: Callable[[np.ndarray], Any] = _identity
-    increment: Callable[[Any, float, np.ndarray], np.ndarray] | None = None
 
 
-def _drift_plus_noise(system):
-    """drift(p) dt + noise(p) @ dw: the increment of a system that gives none."""
+def from_coefficients(dim, noise_dim, drift, noise) -> SdeSystem:
+    """The system whose increment is drift(p) dt + noise(p) @ dw."""
 
     def increment(prepared, dt, dw):
-        b = np.asarray(system.noise(prepared), dtype=complex)
-        return np.asarray(system.drift(prepared), dtype=complex) * dt + (b @ dw[..., None])[..., 0]
+        b = np.asarray(noise(prepared), dtype=complex)
+        return np.asarray(drift(prepared), dtype=complex) * dt + (b @ dw[..., None])[..., 0]
 
-    return increment
+    return SdeSystem(dim, noise_dim, drift, noise, increment)
 
 
 def noise_matrix(increment, noise_dim, batch_ndim):
@@ -242,7 +245,6 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
     values = np.empty((n_paths, min(_DRAW_BLOCK, steps + 1), len(observable_map.names)), complex)
     checkpoints = np.empty((-(-steps // _DRAW_BLOCK), n_paths, system.dim), dtype=complex)
 
-    increment = system.increment or _drift_plus_noise(system)
     with np.errstate(all="ignore"):
         prepared = system.prepare(state)
         observable_map.batch(prepared, values[:, 0])
@@ -254,7 +256,7 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
                 rows = min(_DRAW_BLOCK, steps - k)
                 draw(dws[:, :rows])
                 dws[:, :rows] *= sqrt_dt
-            state += increment(prepared, dt, dws[:, j])
+            state += system.increment(prepared, dt, dws[:, j])
             if dead is not None:  # parked at 0 every step: a step from 0 can diverge
                 state[dead] = 0.0
             # |x| <= sqrt(2) max(|Re x|, |Im x|), so no path can cross while

@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ppcavity.cli import main, read_csv, write_csv
 from ppcavity.config import ENGINES, RunConfig, parse_config, serialize_config, validate_config
 from ppcavity.errors import ConfigError
 from ppcavity.invariants import DEFAULT_POINTS, DEFAULT_SEED, run_all
+from ppcavity.maxwell_bloch import BLOCH_BOUND_SLACK
 
 FIG3_REFERENCE = """
 [run]
@@ -432,6 +434,25 @@ class TestRunCommand:
         assert data.shape[0] == 65
         meta = json.loads((tmp_path / "mb.csv.meta.json").read_text())
         assert isinstance(meta["max_bloch_violation"], float)
+
+    def test_pure_state_mb_run_reports_its_bloch_bound_violation(self, tmp_path, capsys):
+        # a pure atomic state starts on the Bloch sphere, and RK4 roundoff
+        # takes it just outside: a warning line, not a RuntimeWarning
+        text = FIG3_REFERENCE.replace("engine = reference", "engine = mb")
+        text = text.replace("t_end = 2.8559933214452665e-3", "t_end = 0.05")
+        text = text.replace("steps = 64", "steps = 4096")
+        text = text.replace("rho11 = 0.7310585786300049", "rho11 = 0.5\nrho12 = 0.5 0")
+        cfg_path = tmp_path / "run.cfg"
+        out_path = tmp_path / "mb.csv"
+        cfg_path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+        header, data = read_csv(out_path)
+        assert data.shape[0] == 4097
+        meta = json.loads((tmp_path / "mb.csv.meta.json").read_text())
+        assert meta["max_bloch_violation"] > BLOCH_BOUND_SLACK
+        assert "warning: Bloch-sphere bound violated" in capsys.readouterr().err
 
     def test_experimental_engine_runs(self, tmp_path):
         text = small_sde_config(tmp_path, "x.csv").replace(

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ppcavity import jc
 from ppcavity.basis import BasisFamily
 from ppcavity.cli import run_mb
 from ppcavity.config import RunConfig
@@ -258,12 +259,23 @@ class TestEnsembleIntegration:
 
     @pytest.mark.parametrize("rates", [{}, {"r21": 100.0, "r_p": 50.0}])
     def test_one_jet_per_step_and_no_pair(self, monkeypatch, rates):
-        # the stepping loop prepares each state once: drift, noise and the
-        # observable batch share its jet, and nothing evaluates h again
+        # the stepping loop prepares each state once: the increment and the
+        # observable batch share its jet, and nothing evaluates h again; the
+        # constant additive noise is formed when the system is built, so no
+        # step forms a noise matrix
         params = fig_params(**rates)
         sampler = phase_init_sampler(
             params, ADD, 1.0, init_points(AtomicDensity.from_upper(0.7), ADD)
         )
+        noise_calls = []
+
+        def counted_noise(*args, _noise=jc.noise_jc, **kwargs):
+            noise_calls.append(args)
+            return _noise(*args, **kwargs)
+
+        monkeypatch.setattr(jc, "noise_jc", counted_noise)
+        system = jc_sde_system(params, ADD)
+        noise_calls.clear()
         # every jet, the loop's own and BasisFamily.jet, is formed by _unguarded_jet
         calls = {"_unguarded_jet": 0, "pair": 0}
         for name in calls:
@@ -276,8 +288,9 @@ class TestEnsembleIntegration:
         grid = TimeGrid(0.0, 1e-4, 16)
         bundle = observable_bundle(params, ADD, ("rho_21", "nu", "e_1", "z"))
         # two chunks, of 6 and 4 paths
-        run_ensemble(jc_sde_system(params, ADD), sampler, grid, 10, 5, bundle, chunk_size=6)
+        run_ensemble(system, sampler, grid, 10, 5, bundle, chunk_size=6)
         assert calls == {"_unguarded_jet": 2 * (grid.steps + 1), "pair": 0}
+        assert noise_calls == []
 
     @pytest.mark.parametrize(
         "rates, formed", [({}, set()), ({"r21": 100.0, "r_p": 50.0}, {"inv_slopes"})]
@@ -302,8 +315,8 @@ class TestEnsembleIntegration:
         grid = TimeGrid(0.0, 1e-4, 1)
         run_ensemble(replace(system, prepare=prepare), sampler, grid, 6, 5, bundle)
         stacked = {"slopes", "curvatures", "inv_slopes"}
-        # the first jet is read by the observables, the noise and the drift;
-        # the last one by the observables alone
+        # the first jet is read by the observables and the increment; the
+        # last one by the observables alone
         assert stacked & set(vars(jets[0])) == formed
         assert stacked & set(vars(jets[-1])) == set()
         for name in formed:  # one array for both sides of the 6 paths

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import ppcavity.cli as cli_module
+from ppcavity.cli import main
 from ppcavity.invariants import check_mb_drift_identity
 from ppcavity.jc import ModelParams
-from ppcavity.maxwell_bloch import evolve_mb, mb_rhs
+from ppcavity.maxwell_bloch import BLOCH_BOUND_SLACK, evolve_mb, mb_rhs
 from ppcavity.observables import physical_columns
 from ppcavity.physical import drift_bar, join_phys
 from ppcavity.sde import TimeGrid
@@ -77,14 +81,32 @@ def test_hermitian_columns():
     assert np.abs(cols[:, 2] + cols[:, 3] - 1.0).max() <= 1e-14
 
 
-def test_bloch_bound_warning():
+@pytest.mark.parametrize("rho21, violated", [(0.9, True), (0.3, False)], ids=["bad", "good"])
+def test_bloch_bound_violation_is_recorded_and_reported(
+    tmp_path, monkeypatch, capsys, rho21, violated
+):
+    # evolve_mb records the worst violation without a Python warning, and
+    # ppcavity run reports it on stderr beside its other warnings
     params = ModelParams.from_frequencies(omega=(2.0,), g=(0.0,), Omega=1.0)
-    bad = mb_state((0.0,), (0.0,), 0.9, 0.0)
-    with pytest.warns(RuntimeWarning):
-        evolve_mb(params, bad, TimeGrid(0.0, 0.1, 10))
-    good = mb_state((0.0,), (0.0,), 0.3, 0.0)
-    traj = evolve_mb(params, good, TimeGrid(0.0, 0.1, 10))
-    assert traj.max_bloch_violation <= 0.0
+    state = mb_state((0.0,), (0.0,), rho21, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve_mb(params, state, TimeGrid(0.0, 0.1, 10))
+    if violated:
+        assert traj.max_bloch_violation > BLOCH_BOUND_SLACK
+    else:
+        assert traj.max_bloch_violation <= 0.0
+    # no configuration starts off the Bloch sphere: the run gets this trajectory
+    monkeypatch.setattr(cli_module, "evolve_mb", lambda *args: traj)
+    cfg_path = tmp_path / "mb.cfg"
+    cfg_path.write_text(
+        "[run]\nengine = mb\nobservables = rho_21, nu\n"
+        "[model]\nOmega = 1\nomega = 2\ng = 0\n[grid]\nt_end = 0.1\nsteps = 10\n"
+    )
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "mb.csv")]) == 0
+    violation = traj.max_bloch_violation
+    warning = f"warning: Bloch-sphere bound violated by {violation:.3e} during the run"
+    assert capsys.readouterr().err == (warning + "\n" if violated else "")
 
 
 def test_state_off_the_hermitian_slice_is_refused():

@@ -17,7 +17,7 @@ from ppcavity.observables import (
 )
 from ppcavity.physical import join_phys, reconstruct_fields, split_phys, to_physical
 from ppcavity.reference import ReferenceTrajectory
-from ppcavity.sde import SdeSystem, TimeGrid, run_ensemble
+from ppcavity.sde import TimeGrid, from_coefficients, run_ensemble
 
 from helpers import ou_second_moment
 
@@ -224,7 +224,7 @@ class TestAugmentation:
                 np.array([[sigma + 0j]]), state.shape[:-1] + (1, 1)
             )
 
-        return SdeSystem(1, 1, lambda x: -lam * x, noise)
+        return from_coefficients(1, 1, lambda x: -lam * x, noise)
 
     def test_constant_observable_stays_constant(self):
         from ppcavity.observables import SmoothObservable

@@ -9,8 +9,8 @@ from ppcavity.errors import AllPathsDivergedError
 from ppcavity.sde import (
     _DRAW_BLOCK,
     ObservableMap,
-    SdeSystem,
     TimeGrid,
+    from_coefficients,
     path_generator,
     run_ensemble,
 )
@@ -28,7 +28,7 @@ def constant_noise_system(dim, matrix):
 
 
 def make_ou(lam=2.0, sigma=0.7):
-    return SdeSystem(
+    return from_coefficients(
         dim=1,
         noise_dim=1,
         drift=lambda x: -lam * x,
@@ -53,7 +53,7 @@ def test_time_grid():
 
 
 def test_em_step_identity():
-    system = SdeSystem(
+    system = from_coefficients(
         dim=2,
         noise_dim=1,
         drift=lambda x: np.zeros_like(x),
@@ -65,7 +65,7 @@ def test_em_step_identity():
 
 
 def test_em_step_scalar_decay():
-    system = SdeSystem(
+    system = from_coefficients(
         dim=1,
         noise_dim=1,
         drift=lambda x: -2.0 * x,
@@ -115,7 +115,7 @@ def test_linear_sde_mean(rng):
 
 def test_noise_free_path_equals_explicit_euler():
     lam = 0.8
-    system = SdeSystem(
+    system = from_coefficients(
         dim=1,
         noise_dim=1,
         drift=lambda x: -lam * x,
@@ -137,7 +137,7 @@ def test_path_determinism():
 
 
 def test_divergence_flagging():
-    system = SdeSystem(
+    system = from_coefficients(
         dim=1,
         noise_dim=1,
         drift=lambda x: np.full_like(x, 1e9),
@@ -303,7 +303,7 @@ def test_merging_a_block_allocates_at_most_a_quarter_block():
         a[..., 1] = 1.0
         return a
 
-    system = SdeSystem(2, 1, drift, constant_noise_system(2, [[0.7], [0.0]]))
+    system = from_coefficients(2, 1, drift, constant_noise_system(2, [[0.7], [0.0]]))
     weights = np.arange(1.0, width + 1)
     observables = ObservableMap(
         [f"x{k}" for k in range(width)],
@@ -437,7 +437,7 @@ def dying_ou(lam=0.5, sigma=0.7):
         a[..., 1] = 1.0
         return a
 
-    return SdeSystem(
+    return from_coefficients(
         dim=5,
         noise_dim=1,
         drift=drift,
@@ -538,7 +538,7 @@ def test_dead_paths_are_parked_and_survivors_do_not_move():
             a[..., 1] = 1.0
             return a
 
-        system = SdeSystem(2, 1, drift, constant_noise_system(2, [[sigma], [0.0]]))
+        system = from_coefficients(2, 1, drift, constant_noise_system(2, [[sigma], [0.0]]))
         counter = itertools.count()
 
         def sampler(rng):
@@ -562,7 +562,7 @@ def test_divergence_steps_are_first_crossings():
     # holds at step 12 - r for 4 <= r <= 11 and at step 1 beyond (|x| = 6
     # itself, as path 4 reaches at step 7, is kept)
     counter = itertools.count()
-    system = SdeSystem(
+    system = from_coefficients(
         dim=1,
         noise_dim=1,
         drift=lambda x: np.ones_like(x),
@@ -585,7 +585,7 @@ def test_divergence_steps_are_first_crossings():
 
 
 def test_non_finite_state_diverges_at_its_step():
-    system = SdeSystem(
+    system = from_coefficients(
         dim=1,
         noise_dim=1,
         drift=lambda x: np.where(x.real >= 2.0, np.nan, 1.0) + 0j,
@@ -615,7 +615,7 @@ def test_divergence_latch_reads_the_modulus():
     threshold = 4.0
     velocities = (0.25 * threshold * (1 + 1j), 0.175 * threshold * (1 + 1j), 0.0)
     starts = (0.0, 0.0, 2.5 * threshold)
-    system = SdeSystem(
+    system = from_coefficients(
         dim=2,
         noise_dim=1,
         drift=lambda s: np.stack([s[..., 1], np.zeros_like(s[..., 1])], axis=-1),

@@ -41,6 +41,20 @@ ADDITIVE_NOISE = "additive-noise"
 POLE_FLOOR = 1e-10
 
 
+def _frozen(value):
+    out = np.array(value)
+    out.flags.writeable = False
+    return out
+
+
+# read-only 0-d operands of the per-step arithmetic: numpy converts a Python
+# scalar operand on every call, which costs more than the arithmetic on a few
+# hundred paths; these are the values it converts them to, so the results are
+# the same
+ONE, TWO, MINUS_ONE = _frozen(1.0 + 0.0j), _frozen(2.0 + 0.0j), _frozen(-1.0 + 0.0j)
+ZERO = _frozen(0.0)
+
+
 def checked_denominator(h, ht, *slopes):
     """Return 1 + h*htilde, refusing states where it or any given slope vanishes.
 
@@ -74,6 +88,21 @@ def _stack(z, w):
     return zw
 
 
+def _member(form):
+    """A cached jet member formed by ``form`` on first read: without numpy
+    warnings on a jet of :meth:`BasisFamily.jet`, under the caller's error
+    state on one of :meth:`BasisFamily._unguarded_jet`."""
+
+    def member(self):
+        if not self._guarded:
+            return form(self)
+        with np.errstate(all="ignore"):
+            return form(self)
+
+    member.__doc__ = form.__doc__
+    return cached_property(member)
+
+
 class PhaseFunctions:
     """All quantities of one family needed by the SDE coefficient assembly.
 
@@ -86,49 +115,48 @@ class PhaseFunctions:
     :meth:`BasisFamily.jet` forms hs, lins, quads, ``hht`` = h*htilde and
     ``denom`` = 1 + h*htilde, and keeps q = exp(2*s*u) and 1/q of the
     additive-noise family.  The slopes, curvatures and inverse slopes are
-    cached properties, formed for both sides from those on first read without
-    numpy warnings, so the order of reads does not change any value; their
-    per-side views are properties.
+    cached properties, formed for both sides from those on first read, so the
+    order of reads does not change any value: without numpy warnings if
+    ``guarded``, else under the caller's error state.  Their per-side views
+    are properties.
     """
 
-    def __init__(self, hs, lins, quads, q=None):
+    def __init__(self, hs, lins, quads, q=None, guarded=True):
         self.hs, self.lins, self.quads = hs, lins, quads
+        self._guarded = guarded
         self.h, self.ht = hs[..., 0], hs[..., 1]
-        self.lin, self.lin_t = lins[..., 0], lins[..., 1]
-        self.quad, self.quad_t = quads[..., 0], quads[..., 1]
         self.hht = self.h * self.ht
-        self.denom = 1.0 + self.hht
+        self.denom = ONE + self.hht
         # (q, 1/q); None for the coherent-spin family, whose slopes are 1
         self._q = q
 
+    lin, lin_t = _mirror_views("lins")
+    quad, quad_t = _mirror_views("quads")
     hp, htp = _mirror_views("slopes")
     hpp, htpp = _mirror_views("curvatures")
     inv_hp, inv_htp = _mirror_views("inv_slopes")
 
-    @cached_property
+    @_member
     def slopes(self):
         """h' = (h**2 - 1)/delta; 1 for the coherent-spin family."""
         if self._q is None:
             return np.ones_like(self.hs)
-        with np.errstate(all="ignore"):
-            return (self.hs * self.hs - 1.0) / self.quads
+        return (self.hs * self.hs - 1.0) / self.quads
 
-    @cached_property
+    @_member
     def curvatures(self):
         """h'' = 2 h h'/delta; 0 for the coherent-spin family."""
         if self._q is None:
             return np.zeros_like(self.hs)
-        with np.errstate(all="ignore"):
-            return 2.0 * self.hs * self.slopes / self.quads
+        return 2.0 * self.hs * self.slopes / self.quads
 
-    @cached_property
+    @_member
     def inv_slopes(self):
         """1/h' = -(delta/4)(q + 2 + 1/q) on either branch; 1 for the coherent-spin family."""
         if self._q is None:
             return np.ones_like(self.hs)
         q, q_inv = self._q
-        with np.errstate(all="ignore"):
-            return -(self.quads / 4.0) * (q + 2.0 + q_inv)
+        return -(self.quads / 4.0) * (q + 2.0 + q_inv)
 
 
 @dataclass(frozen=True)
@@ -169,16 +197,21 @@ class BasisFamily:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _constants(self, shape):
-        """2/delta, kappa and delta/4 as (side, mirror) pairs tiled to the jet's
-        argument ``shape`` (..., 2) and kept: numpy multiplies two arrays of one
-        shape much faster than it broadcasts a pair over a batch."""
-        if shape not in self._tiles:
+    def _constants(self, zw):
+        """2/delta, kappa and delta/4 as (side, mirror) pairs tiled to the shape
+        and memory order of the jet's argument ``zw`` (..., 2), such as the
+        ``.T`` view of a coordinate-major state, and kept: numpy multiplies
+        two arrays of one shape and order much faster than it broadcasts a
+        pair over a batch."""
+        key = (zw.shape, zw.flags.f_contiguous)
+        if key not in self._tiles:
             if len(self._tiles) >= 4:  # a few batch shapes at a time
                 self._tiles.clear()
-            pairs = self._pairs[:3].reshape((3,) + (1,) * (len(shape) - 1) + (2,))
-            self._tiles[shape] = np.broadcast_to(pairs, (3,) + shape).copy()
-        return self._tiles[shape]
+            tiles = tuple(np.empty_like(zw, dtype=complex) for _ in range(3))
+            for tile, pair in zip(tiles, self._pairs):
+                tile[...] = pair
+            self._tiles[key] = tiles
+        return self._tiles[key]
 
     def _exp_form(self, zw, twos, kappas):
         """(h, htilde) = -tanh(u) at the (..., 2) array of u = z/delta + kappa/2
@@ -190,16 +223,16 @@ class BasisFamily:
         underflows, which numpy ignores by default.
         """
         two_u = zw * twos + kappas
-        s = np.where(two_u.real > 0, -1.0 + 0.0j, 1.0 + 0.0j)
+        s = np.where(two_u.real > ZERO, MINUS_ONE, ONE)
         q = np.exp(s * two_u)
-        return s * (1.0 - q) / (1.0 + q), q, s
+        return s * (ONE - q) / (ONE + q), q, s
 
     def pair(self, z, w=None):
         """h(z) and htilde(w) without derivative bookkeeping; with ``w``
         omitted, ``z`` holds (z, w) along its last axis."""
         hs = _stack(z, w)
         if self.kind != COHERENT_SPIN:
-            hs = self._exp_form(hs, *self._constants(hs.shape)[:2])[0]
+            hs = self._exp_form(hs, *self._constants(hs)[:2])[0]
         return hs[..., 0], hs[..., 1]
 
     def jet(self, z, w=None) -> PhaseFunctions:
@@ -213,21 +246,25 @@ class BasisFamily:
         first read.
         """
         with np.errstate(all="ignore"):
-            return self._unguarded_jet(_stack(z, w))
+            return self._unguarded_jet(_stack(z, w), True)
 
-    def _unguarded_jet(self, zw) -> PhaseFunctions:
+    def _unguarded_jet(self, zw, guarded=False) -> PhaseFunctions:
         """:meth:`jet` at the (..., 2) complex array ``zw``, under the caller's
         numpy error state: near a pole it warns unless numpy errors are ignored.
         For a caller that already runs under ``np.errstate(all="ignore")``,
-        such as the stepping loop of :mod:`ppcavity.sde`."""
+        such as the stepping loop of :mod:`ppcavity.sde`; the members formed
+        on first read follow the error state of their reader unless
+        ``guarded``."""
         if self.kind == COHERENT_SPIN:
             hs = np.array(zw)  # h = z and htilde = w, not a view of the caller's state
-            return PhaseFunctions(hs, hs, hs * hs - 1.0)
-        twos, kappas, quarters = self._constants(zw.shape)
+            return PhaseFunctions(hs, hs, hs * hs - ONE, None, guarded)
+        twos, kappas, quarters = self._constants(zw)
         hs, q, s = self._exp_form(zw, twos, kappas)
-        q_inv = 1.0 / q
+        q_inv = ONE / q
         # h/h' = (d/4)(e - 1/e), with e = q**s
-        return PhaseFunctions(hs, quarters * s * (q - q_inv), self._pairs[3], (q, q_inv))
+        return PhaseFunctions(
+            hs, quarters * s * (q - q_inv), self._pairs[3], (q, q_inv), guarded
+        )
 
     # -- inversion ----------------------------------------------------------
 

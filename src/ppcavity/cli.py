@@ -42,6 +42,10 @@ from .sde import run_ensemble
 
 ENV_PREFIX = "PPCAVITY_"
 DIVERGENCE_WARNING_FRACTION = 0.01
+#: an SDE run warns when a column's stderr peaks above this multiple of its
+#: median over the grid (``EnsembleResult.stderr_spikes``): the mark of an
+#: excursion that stays under the divergence threshold
+STDERR_SPIKE_WARNING = 5.0
 #: the reference warns when the density matrix has an eigenvalue below this
 EIGENVALUE_WARNING_FLOOR = -1e-8
 #: rows that ``write_csv`` formats at once
@@ -142,18 +146,27 @@ def _run_ensemble(cfg: RunConfig, system, sampler, bundle) -> EngineResult:
         divergence_threshold=cfg.divergence_threshold,
     )
     fraction = res.runs_diverged / res.runs_requested
-    warning = (
-        f"warning: divergent fraction {fraction:.2%} exceeds "
-        f"{DIVERGENCE_WARNING_FRACTION:.0%}; statistics are suspect"
-    )
+    diagnostics = res.diagnostics
+    spike = diagnostics["stderr_spike"]
+    warnings = []
+    if fraction > DIVERGENCE_WARNING_FRACTION:
+        warnings.append(
+            f"warning: divergent fraction {fraction:.2%} exceeds "
+            f"{DIVERGENCE_WARNING_FRACTION:.0%}; statistics are suspect"
+        )
+    if spike is not None and spike > STDERR_SPIKE_WARNING:
+        warnings.append(
+            f"warning: a standard error peaks at {spike:.3g} times its median "
+            f"(above {STDERR_SPIKE_WARNING:g}); an excursion under the divergence "
+            "threshold may bias the mean"
+        )
     summary = (
         f"{cfg.engine}: {res.runs_completed}/{res.runs_requested} runs "
         f"completed ({res.runs_diverged} diverged) -> {cfg.out}"
     )
     return EngineResult(
         times=res.grid.times, names=res.names, values=res.mean, stderr=res.stderr,
-        diagnostics=res.diagnostics, summary=summary,
-        warnings=(warning,) if fraction > DIVERGENCE_WARNING_FRACTION else (),
+        diagnostics=diagnostics, summary=summary, warnings=tuple(warnings),
     )
 
 

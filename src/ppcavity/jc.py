@@ -117,15 +117,15 @@ class ModelParams:
 
     # -- derived quantities --------------------------------------------------
 
-    @property
+    @cached_property
     def mode_count(self) -> int:
         return len(self.omega)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return 2 * (self.mode_count + 1)
 
-    @property
+    @cached_property
     def noise_dim(self) -> int:
         """Noise columns of the phase-space SDE: four per mode, plus two
         dissipative ones if ``dissipative``."""
@@ -160,6 +160,11 @@ class ModelParams:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def pair_rates(self) -> tuple:
+        """omega_n and g_n s_n, each repeated for the rows (alpha_n, beta_n)."""
+        return _read_only(np.repeat(self.omega_array, 2)), _read_only(np.repeat(self.gs, 2))
+
     @property
     def mu0(self) -> float:
         return 1.0 / (self.epsilon0 * self.c**2)
@@ -193,7 +198,7 @@ class ModelParams:
             return 0.0
         return (self.r12 - self.r21) / (self.r12 + self.r21)
 
-    @property
+    @cached_property
     def dissipative(self) -> bool:
         return self.gamma1 > 0 or self.r_p > 0
 
@@ -219,16 +224,24 @@ def split_state(state, n_modes):
     return alpha, beta, z, w
 
 
+def empty_state(batch_shape, dim) -> np.ndarray:
+    """An uninitialised (batched) state (..., dim) stored coordinate-major: its
+    ``.T`` is C-contiguous, so each coordinate is one contiguous run over the
+    batch, as in the stepping loop of :mod:`ppcavity.sde`."""
+    return np.empty(tuple(batch_shape) + (dim,), dtype=complex, order="F")
+
+
 def join_state(alpha, beta, *tail) -> np.ndarray:
     """Inverse of :func:`split_state`: lay out (batched) per-mode pairs.
 
     ``alpha`` and ``beta`` (..., N) fill the pairs, then each of ``tail``
     (...) one trailing coordinate, such as z and w; the batch shape is that
-    of ``alpha``.  The physical layout is the same with three trailing
-    coordinates (:func:`ppcavity.physical.join_phys`).
+    of ``alpha``, and the result is an :func:`empty_state`.  The physical
+    layout is the same with three trailing coordinates
+    (:func:`ppcavity.physical.join_phys`).
     """
     n = np.shape(alpha)[-1]
-    out = np.empty(np.shape(alpha)[:-1] + (2 * n + len(tail),), dtype=complex)
+    out = empty_state(np.shape(alpha)[:-1], 2 * n + len(tail))
     out[..., 0 : 2 * n : 2] = alpha
     out[..., 1 : 2 * n : 2] = beta
     for k, value in enumerate(tail):
@@ -279,12 +292,11 @@ def mode_sum(x, axis=-1):
     return total
 
 
-def _prepare(params, family, state, check):
+def _prepare(family, state, check):
     state, pf = jet_state(family, state)
-    alpha, beta, _, _ = split_state(state, params.mode_count)
     if check:
         checked_denominator(pf.h, pf.ht, pf.slopes)
-    return alpha, beta, pf, state.shape[:-1]
+    return state, pf
 
 
 def _mode_diffusion(params: ModelParams, pf: PhaseFunctions):
@@ -306,19 +318,29 @@ def increment_jc(params: ModelParams, family: BasisFamily, state, dt, dw=None, c
     or is None for A dt alone.  The noise column pairs (c, c+1) meet dW only
     as i dW_c +- dW_{c+1}, so the kick reads each pair as dW_c + i dW_{c+1}
     and forms no (dim, m) matrix.  ``state`` is a phase-space vector or its
-    :class:`JetState`; with ``check`` a pole raises PoleProximityError.
+    :class:`JetState`; with ``check`` a pole raises PoleProximityError.  The
+    increment is an :func:`empty_state` whose rows are written in place.
     """
-    alpha, beta, pf, _ = _prepare(params, family, state, check)
+    state, pf = _prepare(family, state, check)
     n = params.mode_count
-    om = params.omega_array
-    gs = params.gs
+    alpha, beta, _, _ = split_state(state, n)
     idt = 1j * dt
-    coupled = gs * ((pf.h + pf.ht) / pf.denom)[..., None]
-    drive = mode_sum(gs * (alpha + beta))
-    inc_a = -idt * (om * alpha + coupled)
-    inc_b = idt * (om * beta + coupled)
-    inc_z = idt * (drive * pf.quad - params.Omega * pf.lin)
-    inc_w = idt * (params.Omega * pf.lin_t - drive * pf.quad_t)
+    batch = state.shape[:-1]
+    if dw is not None:
+        batch = np.broadcast_shapes(batch, dw.shape[:-1])
+    out = empty_state(batch, params.dim)
+    # the (alpha_n, beta_n) rows are -+i dt (omega_n x + g_n s_n (h + ht)/denom)
+    # and the (z, w) rows +-i dt (drive quad - Omega lin) and the mirror: each
+    # pair is written as one block of rows, and all rows take their factor
+    # -+i dt at once
+    rows_ab, rows_zw = out[..., : 2 * n], out[..., 2 * n :]
+    omega2, gs2 = params.pair_rates
+    np.multiply(((pf.h + pf.ht) / pf.denom)[..., None], gs2, out=rows_ab)
+    rows_ab += omega2 * state[..., : 2 * n]
+    np.multiply(mode_sum(params.gs * (alpha + beta))[..., None], pf.quads, out=rows_zw)
+    rows_zw -= params.Omega * pf.lins
+    out *= np.array((-idt, idt) * n + (idt, -idt))
+    inc_z, inc_w = rows_zw[..., 0], rows_zw[..., 1]
     if params.dissipative:
         hht = pf.hht
         factor = (
@@ -326,24 +348,24 @@ def increment_jc(params: ModelParams, family: BasisFamily, state, dt, dw=None, c
             - params.r21 * dt / 2.0 * (1.0 + 3.0 * hht)
             + params.r12 * dt / 2.0 * (3.0 + hht)
         ) / pf.denom
-        inc_z = inc_z + pf.h * pf.inv_hp * factor
-        inc_w = inc_w + pf.ht * pf.inv_htp * factor
+        inc_z += pf.h * pf.inv_hp * factor
+        inc_w += pf.ht * pf.inv_htp * factor
     if dw is not None:
         # per mode, dW_c + i dW_{c+1} and dW_{c+2} + i dW_{c+3}
         pairs = dw[..., : 4 * n].view(complex)
         a_k, c_k = pairs[..., 0::2], pairs[..., 1::2]
         roots = _KICK * principal_sqrt(_mode_diffusion(params, pf) / 2.0)
         sp, sq = roots[..., 0], roots[..., 1]
-        inc_a = inc_a + sp * a_k
-        inc_b = inc_b - sq * np.conj(c_k)
-        inc_z = inc_z - mode_sum(sp * np.conj(a_k))
-        inc_w = inc_w - mode_sum(sq * c_k)
+        rows_ab[..., 0::2] += sp * a_k
+        rows_ab[..., 1::2] -= sq * np.conj(c_k)
+        inc_z -= mode_sum(sp * np.conj(a_k))
+        inc_w -= mode_sum(sq * c_k)
         if params.dissipative:
             td = principal_sqrt(_dissipative_entry(params, pf) / 2.0)
             pair = dw[..., 4 * n : 4 * n + 2].view(complex)[..., 0]
-            inc_z = inc_z - 1j * td * pair
-            inc_w = inc_w + 1j * td * np.conj(pair)
-    return join_state(inc_a, inc_b, inc_z, inc_w)
+            inc_z -= 1j * td * pair
+            inc_w += 1j * td * np.conj(pair)
+    return out
 
 
 def drift_jc(params: ModelParams, family: BasisFamily, state, check=True):
@@ -356,7 +378,8 @@ def drift_jc(params: ModelParams, family: BasisFamily, state, check=True):
 
 def diffusion_jc(params: ModelParams, family: BasisFamily, state, check=True):
     """Symmetric diffusion matrix; the dissipative layout adds the fermionic block."""
-    _, _, pf, batch_shape = _prepare(params, family, state, check)
+    state, pf = _prepare(family, state, check)
+    batch_shape = state.shape[:-1]
     n = params.mode_count
     d = _mode_diffusion(params, pf)
     out = np.zeros(batch_shape + (params.dim, params.dim), dtype=complex)
@@ -397,11 +420,13 @@ def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
     if family.kind != ADDITIVE_NOISE or params.dissipative:
         increment = partial(increment_jc, params, family, check=False)
     else:
-        noise_t = noise(np.zeros(params.dim, dtype=complex)).T
+        constant = noise(np.zeros(params.dim, dtype=complex))
 
         def increment(state, dt, dw):
+            # dw is (m,) or (paths, m): (dim, m) @ (m, paths) is the kick in
+            # the coordinate-major order of the increment
             out = increment_jc(params, family, state, dt, None, check=False)
-            out += dw @ noise_t
+            out += (constant @ dw.T).T
             return out
 
     return SdeSystem(

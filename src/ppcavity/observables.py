@@ -23,10 +23,10 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisFamily
+from .basis import ONE, TWO, BasisFamily
 from .jc import ModelParams, StepJetState, jet_state, mode_sum
 from .physical import ArrayCoordinates, JetCoordinates, jacobian_change, to_physical
-from .sde import ObservableMap, SdeSystem, from_coefficients
+from .sde import ObservableMap, SdeSystem
 
 DEFAULT_OBSERVABLES = ("rho_11", "rho_22", "rho_21", "rho_12", "nu")
 #: raw fermionic coordinates, observable on the phase-space engine only
@@ -52,9 +52,9 @@ def _reader(params: ModelParams, name: str, probes, raw):
         k = _ATOMIC.index(name)
         return lambda c, nu, col: c.atomic(k, col)
     if name == "rho_11":
-        return lambda c, nu, col: np.divide(np.subtract(1.0, nu, out=col), 2.0, out=col)
+        return lambda c, nu, col: np.divide(np.subtract(ONE, nu, out=col), TWO, out=col)
     if name == "rho_22":
-        return lambda c, nu, col: np.divide(np.add(1.0, nu, out=col), 2.0, out=col)
+        return lambda c, nu, col: np.divide(np.add(ONE, nu, out=col), TWO, out=col)
     if name in raw:
         k = raw.index(name)
         return lambda c, nu, col: np.copyto(col, c.raw(k))
@@ -159,15 +159,18 @@ def extend_with_observable(system: SdeSystem, v: SmoothObservable) -> SdeSystem:
 
     The extra coordinate evolves with drift grad(v).A + (1/2) tr(B B^T Hess v)
     and noise grad(v).B, sharing the original Wiener increments; the original
-    coordinates are untouched and do not see Sigma.
+    coordinates are untouched and do not see Sigma.  The increment of a step
+    evaluates the base noise and the gradient once, for both coefficients.
     """
     n = system.dim
 
-    def drift(state):
+    def parts(state):
         phi = state[..., :n]
-        a = np.asarray(system.drift(phi), dtype=complex)
         b = np.asarray(system.noise(phi), dtype=complex)
-        grad = np.asarray(v.gradient(phi), dtype=complex)
+        return phi, b, np.asarray(v.gradient(phi), dtype=complex)
+
+    def drift_of(phi, b, grad):
+        a = np.asarray(system.drift(phi), dtype=complex)
         hess = np.asarray(v.hessian(phi), dtype=complex)
         corr = np.einsum("...ij,...kj->...ik", b, b)
         extra = np.einsum("...i,...i->...", a, grad) + 0.5 * np.einsum(
@@ -175,14 +178,22 @@ def extend_with_observable(system: SdeSystem, v: SmoothObservable) -> SdeSystem:
         )
         return np.concatenate([a, extra[..., None]], axis=-1)
 
-    def noise(state):
-        phi = state[..., :n]
-        b = np.asarray(system.noise(phi), dtype=complex)
-        grad = np.asarray(v.gradient(phi), dtype=complex)
+    def noise_of(b, grad):
         row = np.einsum("...i,...im->...m", grad, b)
         return np.concatenate([b, row[..., None, :]], axis=-2)
 
-    return from_coefficients(n + 1, system.noise_dim, drift, noise)
+    def noise(state):
+        _, b, grad = parts(state)
+        return noise_of(b, grad)
+
+    def increment(state, dt, dw):
+        # the increment of from_coefficients(drift, noise), with one set of parts
+        phi, b, grad = parts(state)
+        return drift_of(phi, b, grad) * dt + (noise_of(b, grad) @ dw[..., None])[..., 0]
+
+    return SdeSystem(
+        n + 1, system.noise_dim, lambda state: drift_of(*parts(state)), noise, increment
+    )
 
 
 def projection_observable(which: str, family: BasisFamily, n_modes: int) -> SmoothObservable:

@@ -16,9 +16,17 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .basis import COHERENT_SPIN, POLE_FLOOR, BasisFamily, checked_denominator
+from .basis import COHERENT_SPIN, ONE, POLE_FLOOR, BasisFamily, checked_denominator
 from .errors import InconsistentStateError, PoleProximityError
-from .jc import ModelParams, jet_state, join_state, mode_sum, principal_sqrt, split_state
+from .jc import (
+    ModelParams,
+    empty_state,
+    jet_state,
+    join_state,
+    mode_sum,
+    principal_sqrt,
+    split_state,
+)
 from .sde import SdeSystem, noise_matrix
 
 #: relative mismatch of 4*rho21*rho12 and (1+nu)(1-nu) that
@@ -78,7 +86,7 @@ class JetCoordinates:
 
     def atomic(self, k, out=None):
         pf = self.pf
-        numerator = pf.hht - 1.0 if k == 2 else (pf.h, pf.ht)[k]
+        numerator = pf.hht - ONE if k == 2 else (pf.h, pf.ht)[k]
         return np.divide(numerator, pf.denom, out=out)
 
     @cached_property
@@ -152,13 +160,18 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
     eps, eta, rho21, rho12, nu = split_phys(phys, n)
     om = params.omega_array
     gs = params.gs
+    batch = phys.shape[:-1] if dw is None else np.broadcast_shapes(phys.shape[:-1], dw.shape[:-1])
+    out = empty_state(batch, 2 * n + 3)
+    inc_eps, inc_eta, inc_21, inc_12, inc_nu = split_phys(out, n)
     idrive = 1j * dt * mode_sum(gs * eps)
     drive_nu = idrive * nu
-    inc_eps = dt * om * eta
-    inc_eta = -dt * (om * eps + 2.0 * gs * (rho21 + rho12)[..., None])
-    inc_21 = (-1j * params.Omega - params.gamma2) * dt * rho21 + drive_nu
-    inc_12 = (1j * params.Omega - params.gamma2) * dt * rho12 - drive_nu
-    inc_nu = 2.0 * idrive * (rho21 - rho12) - params.gamma1 * dt * (nu - params.nu0)
+    np.multiply(dt * om, eta, out=inc_eps)
+    np.multiply(-dt, om * eps + 2.0 * gs * (rho21 + rho12)[..., None], out=inc_eta)
+    np.add((-1j * params.Omega - params.gamma2) * dt * rho21, drive_nu, out=inc_21)
+    np.subtract((1j * params.Omega - params.gamma2) * dt * rho12, drive_nu, out=inc_12)
+    np.subtract(
+        2.0 * idrive * (rho21 - rho12), params.gamma1 * dt * (nu - params.nu0), out=inc_nu
+    )
     if dw is not None:
         with np.errstate(all="ignore"):
             one_m = 1.0 - nu
@@ -179,23 +192,27 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
             pref = params.noise_prefactor
             pa = p[..., None] * (pref * pairs[..., 0::2])
             qc = q[..., None] * (pref * np.conj(pairs[..., 1::2]))
-            inc_eps = inc_eps + 1j * (pa - qc)
-            inc_eta = inc_eta + (pa + qc)
+            inc_eps += 1j * (pa - qc)
+            inc_eta += pa + qc
             x = mode_sum(-1j * pref * np.conj(pairs[..., 0::2]))
             y = mode_sum(-1j * pref * pairs[..., 1::2])
-            inc_21 = inc_21 + quarter_m2 * p * x - rho21_2 * rad21 * y
-            inc_12 = inc_12 - rho12_2 * rad12 * x + quarter_m2 * q * y
-            inc_nu = inc_nu + one_m * (rho12 * rad12 * x + rho21 * rad21 * y)
+            inc_21 += quarter_m2 * p * x
+            inc_21 -= rho21_2 * rad21 * y
+            inc_12 -= rho12_2 * rad12 * x
+            inc_12 += quarter_m2 * q * y
+            inc_nu += one_m * (rho12 * rad12 * x + rho21 * rad21 * y)
             if params.dissipative:
                 ratio = (1.0 + nu) / one_m
                 dbar = 2.0 * params.r_p * ratio + params.r21 * ratio**2 + params.r12
                 tpref = principal_sqrt(dbar / 2.0)
                 pair = dw[..., 4 * n : 4 * n + 2].view(complex)[..., 0]
                 x_d, y_d = -1j * tpref * np.conj(pair), -1j * tpref * pair
-                inc_21 = inc_21 + rho21_2 * x_d + quarter_m2 * y_d
-                inc_12 = inc_12 - quarter_m2 * x_d - rho12_2 * y_d
-                inc_nu = inc_nu - one_m * (rho21 * x_d - rho12 * y_d)
-    return join_phys(inc_eps, inc_eta, inc_21, inc_12, inc_nu)
+                inc_21 += rho21_2 * x_d
+                inc_21 += quarter_m2 * y_d
+                inc_12 -= quarter_m2 * x_d
+                inc_12 -= rho12_2 * y_d
+                inc_nu -= one_m * (rho21 * x_d - rho12 * y_d)
+    return out
 
 
 def drift_bar(params: ModelParams, phys) -> np.ndarray:

@@ -17,10 +17,14 @@ chunks so that realizations vectorize, while every path still owns an
 independent counter-based random stream keyed by (master_seed, path_index).
 Chunks run one after another and merge into one set of per-point moments in
 ascending path order, so statistics do not depend on scheduling, and a single
-realization is ``run_ensemble(..., runs=1)``.  Nothing holds a record of paths
+realization is ``run_ensemble(..., runs=1)``.  A chunk holds its state
+coordinate-major, as a (dim, paths) C-order array, and hands every function
+its ``.T`` view, so the functions keep their coordinate-last signatures while
+each coordinate is one contiguous run over the paths; its draws and its
+observable block buffer stay path-major.  Nothing holds a record of paths
 x steps: a chunk draws its Wiener increments and buffers its observables
 ``_DRAW_BLOCK`` points at a time, merges each full block into the moments, and
-keeps one state per path and block.  From those states it replays, when the
+keeps one state per block, (dim, paths) like the chunk's.  From those states it replays, when the
 chunk ends, the blocks of the paths that diverged, to take them out of the
 moments again, and the blocks it set aside, to merge them in.  Merging a
 block works in place on its buffer, one slice of paths at a time, so it
@@ -203,15 +207,33 @@ class EnsembleResult:
         return self.runs_requested - self.runs_diverged
 
     @property
+    def stderr_spikes(self) -> dict:
+        """Per column, the maximum over t of the stderr over its median over
+        t: a near-pole excursion that stays under the divergence threshold
+        shows as a spike.  None for a column whose median stderr is 0."""
+        # the median of each column by partition: np.median would import
+        # numpy.ma on its first call, which adds 2 MB of resident memory
+        middle = [(len(self.stderr) - 1) // 2, len(self.stderr) // 2]
+        spikes = {}
+        for name, stderr in zip(self.names, self.stderr.T):
+            median = np.partition(stderr, middle)[middle].sum() / 2.0
+            spikes[name] = float(stderr.max() / median) if median > 0 else None
+        return spikes
+
+    @property
     def diagnostics(self) -> dict:
         """The sidecar entries: the run counts, the first 100 diverged paths
-        with their divergence steps, and the chunk size."""
+        with their divergence steps, the chunk size, and the stderr spikes,
+        overall (the largest, None if no column has one) and per column."""
+        spikes = self.stderr_spikes
         return {
             "runs_requested": self.runs_requested,
             "runs_diverged": self.runs_diverged,
             "diverged_paths": list(self.diverged_paths[:100]),
             "divergence_steps": list(self.divergence_steps[:100]),
             "chunk_size": self.chunk_size,
+            "stderr_spike": max((s for s in spikes.values() if s is not None), default=None),
+            "stderr_spike_by_column": spikes,
         }
 
     def column(self, name: str):
@@ -220,55 +242,61 @@ class EnsembleResult:
 
 
 def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, on_block):
-    """Vectorized Euler-Maruyama over one batch of paths.
+    """Vectorized Euler-Maruyama over one batch of paths (paths, dim).
 
-    Returns the alive mask, the number of steps each path survived and the
-    state at the first point of every block that has a step after it, shape
-    (blocks, paths, dim).  Paths are latched dead on the first non-finite or
-    over-threshold state.  At the first step of every block, ``draw(out)``
-    fills ``out`` (paths, rows, m) with standard normals for the next rows
-    steps.  The observable batch writes each point's observables into its
-    row of a (paths, ``_DRAW_BLOCK``, observables) buffer; when it is full,
-    or the grid ends, ``on_block(t, values, alive)`` receives the points from
-    t on and the alive mask at the last of them, and may overwrite
-    ``values``.  Each step prepares the new
+    The state is held coordinate-major, as a (dim, paths) C-order array, and
+    every function receives its ``.T`` view (paths, dim), so each coordinate
+    is a contiguous run over the paths.  Returns the alive mask, the number of
+    steps each path survived and the state at the first point of every block
+    that has a step after it, shape (blocks, dim, paths).  Paths are latched
+    dead on the first non-finite or over-threshold state.  At the first step
+    of every block, ``draw(out)`` fills ``out`` (paths, rows, m) with standard
+    normals for the next rows steps.  The observable batch writes each
+    point's observables into its row of a (paths, ``_DRAW_BLOCK``,
+    observables) buffer; when it is full, or the grid ends, ``on_block(t,
+    values, alive)`` receives the points from t on and the alive mask at the
+    last of them, and may overwrite ``values``.  Each step prepares the new
     state once; the observables at that point and the next increment read the
     prepared value.  A dead path is held at 0 from the next step on, so it
     costs no exact latch test.
     """
     sqrt_dt = np.sqrt(dt)
-    state = np.array(state, dtype=complex)
+    coords = np.array(np.asarray(state, dtype=complex).T, order="C")
+    state, parts = coords.T, coords.view(float)
     n_paths = state.shape[0]
     alive = np.ones(n_paths, dtype=bool)
     survived = np.full(n_paths, steps, dtype=np.int64)
     dws = np.empty((n_paths, min(_DRAW_BLOCK, steps), system.noise_dim))
     values = np.empty((n_paths, min(_DRAW_BLOCK, steps + 1), len(observable_map.names)), complex)
-    checkpoints = np.empty((-(-steps // _DRAW_BLOCK), n_paths, system.dim), dtype=complex)
+    checkpoints = np.empty((-(-steps // _DRAW_BLOCK), system.dim, n_paths), dtype=complex)
+    # each step's rows of the draw and observable buffers, as views formed once
+    dw_rows, value_rows = list(dws.swapaxes(0, 1)), list(values.swapaxes(0, 1))
+    limit = 0.5 * threshold
 
     with np.errstate(all="ignore"):
         prepared = system.prepare(state)
-        observable_map.batch(prepared, values[:, 0])
+        observable_map.batch(prepared, value_rows[0])
         dead = None
         for k in range(steps):
             j = k % _DRAW_BLOCK
             if j == 0:
-                checkpoints[k // _DRAW_BLOCK] = state
+                checkpoints[k // _DRAW_BLOCK] = coords
                 rows = min(_DRAW_BLOCK, steps - k)
                 draw(dws[:, :rows])
                 dws[:, :rows] *= sqrt_dt
-            state += system.increment(prepared, dt, dws[:, j])
+            state += system.increment(prepared, dt, dw_rows[j])
             if dead is not None:  # parked at 0 every step: a step from 0 can diverge
                 state[dead] = 0.0
             # |x| <= sqrt(2) max(|Re x|, |Im x|), so no path can cross while
             # every part is within threshold / 2; nan and inf fail the screen
-            if not np.abs(state.view(float)).max() <= 0.5 * threshold:
-                within = (np.abs(state) <= threshold).all(axis=-1)
+            if not np.abs(parts).max() <= limit:
+                within = (np.abs(coords) <= threshold).all(axis=0)
                 survived[alive & ~within] = k
                 alive &= within
                 dead = None if alive.all() else np.flatnonzero(~alive)
             prepared = system.prepare(state)
             i = (k + 1) % _DRAW_BLOCK
-            observable_map.batch(prepared, values[:, i])
+            observable_map.batch(prepared, value_rows[i])
             if i == _DRAW_BLOCK - 1:
                 on_block(k + 2 - _DRAW_BLOCK, values, alive)
         rows = (steps + 1) % _DRAW_BLOCK
@@ -286,12 +314,18 @@ def _slice_rows(values):
 
 def _within(values, threshold):
     """Per path of a block: are all its values finite and at most
-    ``threshold`` in modulus?  Screens one slice of paths at a time."""
+    ``threshold`` in modulus?  Screens one slice of paths at a time, by the
+    moduli only if a part of the slice exceeds threshold / 2, as the stepping
+    loop screens its state."""
     within = np.empty(len(values), dtype=bool)
     rows = _slice_rows(values)
     for start in range(0, len(values), rows):
-        part = np.abs(values[start : start + rows]) <= threshold
-        within[start : start + rows] = part.all(axis=(1, 2))
+        part = values[start : start + rows]
+        parts = part.view(float)
+        if parts.max() <= 0.5 * threshold and parts.min() >= -0.5 * threshold:
+            within[start : start + rows] = True
+        else:
+            within[start : start + rows] = (np.abs(part) <= threshold).all(axis=(1, 2))
     return within
 
 
@@ -400,8 +434,8 @@ def _replay(system, dt, observables, threshold, checkpoints, streams, entries):
             yield b, gen.standard_normal((_DRAW_BLOCK, system.noise_dim))
 
     draws = {p: blocks(p) for p in dict.fromkeys(p for p, _, _ in entries)}
-    for i in range(0, len(entries), checkpoints.shape[1]):
-        batch = entries[i : i + checkpoints.shape[1]]
+    for i in range(0, len(entries), checkpoints.shape[2]):
+        batch = entries[i : i + checkpoints.shape[2]]
         normals = np.stack([next(dw for c, dw in draws[p] if c == b) for p, b, _ in batch])
 
         def draw(out):
@@ -412,7 +446,7 @@ def _replay(system, dt, observables, threshold, checkpoints, streams, entries):
                 rows = [j for j, (_, c, m) in enumerate(batch) if (c, m) == (b, into)]
                 into(b * _DRAW_BLOCK, values[rows])
 
-        inits = np.stack([checkpoints[b, p] for p, b, _ in batch])
+        inits = np.stack([checkpoints[b, :, p] for p, b, _ in batch])
         _integrate_chunk(system, inits, _DRAW_BLOCK - 1, dt, draw, observables, threshold, merge)
 
 

@@ -269,3 +269,27 @@ def test_stacked_jet_matches_the_per_side_forms_bit_for_bit(rng):
     view = fam.jet(state[..., -2:])
     for name in MEMBERS:
         assert np.array_equal(getattr(view, name), getattr(pf, name), equal_nan=True), name
+
+
+MEMBERS_FORMED_ON_READ = ("slopes", "curvatures", "inv_slopes")
+
+
+def test_step_jet_members_follow_the_readers_error_state():
+    # at a pole of the exponential, 1/h' multiplies an infinite 1/q: a jet of
+    # the stepping loop forms it under the error state of its reader, which
+    # already runs under one, while the public jet forms it without warnings
+    zw = np.array([(2000.0, -2000.0), (0.1, 0.2)], dtype=complex)
+    with np.errstate(all="ignore"):
+        step = ADD._unguarded_jet(zw)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        step.inv_slopes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        public = ADD.jet(zw)
+        with np.errstate(all="raise"):
+            formed = {name: getattr(public, name) for name in MEMBERS_FORMED_ON_READ}
+    with np.errstate(all="ignore"):
+        step = ADD._unguarded_jet(zw)
+        for name, value in formed.items():
+            assert np.array_equal(value, getattr(step, name), equal_nan=True), name
+    assert not np.isfinite(formed["inv_slopes"][0]).all()

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -488,6 +489,38 @@ class TestRunCommand:
             f"sde-jc: 11/12 runs completed (1 diverged) -> {tmp_path / 'd.csv'}\n",
             "warning: divergent fraction 8.33% exceeds 1%; statistics are suspect\n",
         )
+
+    @pytest.mark.parametrize("excursion", [0.0, 100.0])
+    def test_stderr_spike_is_warned(self, tmp_path, capsys, monkeypatch, excursion):
+        # one path's alpha leaves by the excursion for one grid point and
+        # comes back; its e_1 stderr peaks there, far above its median,
+        # while no path diverges; a quiet run reads under the threshold
+        def spiked_system(params, family, _system=cli_module.jc_sde_system):
+            system = _system(params, family)
+            steps = []
+
+            def increment(prepared, dt, dw):
+                out = system.increment(prepared, dt, dw)
+                steps.append(None)
+                out[0, 0] += {90: excursion, 91: -excursion}.get(len(steps), 0.0)
+                return out
+
+            return dataclasses.replace(system, increment=increment)
+
+        monkeypatch.setattr(cli_module, "jc_sde_system", spiked_system)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(small_sde_config(tmp_path, "s.csv", observables="rho_11, e_1"))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        spikes = json.loads((tmp_path / "s.csv.meta.json").read_text())
+        err = capsys.readouterr().err
+        if excursion:
+            assert spikes["stderr_spike"] == spikes["stderr_spike_by_column"]["e_1"]
+            assert spikes["stderr_spike"] > cli_module.STDERR_SPIKE_WARNING
+            assert err.startswith("warning: a standard error peaks at ")
+            assert err.count("\n") == 1
+        else:
+            assert spikes["stderr_spike"] < cli_module.STDERR_SPIKE_WARNING
+            assert err == ""
 
     def test_missing_out_is_an_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"

@@ -261,6 +261,43 @@ class TestAugmentation:
         )
         assert np.array_equal(res.mean[:, 0], res.mean[:, 1])
 
+    def test_a_step_forms_the_base_noise_and_gradient_once(self, rng):
+        # the augmented increment is that of from_coefficients(drift, noise)
+        # bit for bit, and each step calls the base noise and the gradient
+        # once, not once for the drift and once for the noise
+        from ppcavity.observables import SmoothObservable
+
+        calls = {"noise": 0, "gradient": 0}
+        base = self.make_ou()
+
+        def noise(state):
+            calls["noise"] += 1
+            return base.noise(state)
+
+        def grad(s):
+            calls["gradient"] += 1
+            out = np.zeros_like(s)
+            out[..., 0] = 2.0 * s[..., 0]
+            return out
+
+        def hess(s):
+            out = np.zeros(s.shape[:-1] + (1, 1), dtype=complex)
+            out[..., 0, 0] = 2.0
+            return out
+
+        v = SmoothObservable(value=lambda s: s[..., 0] ** 2, gradient=grad, hessian=hess)
+        system = extend_with_observable(from_coefficients(1, 1, base.drift, noise), v)
+        states = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        dw = rng.standard_normal((5, 1))
+        rebuilt = from_coefficients(2, 1, system.drift, system.noise)
+        got, want = system.increment(states, 0.01, dw), rebuilt.increment(states, 0.01, dw)
+        assert np.array_equal(got, want)
+        calls.update(noise=0, gradient=0)
+        grid = TimeGrid(0.0, 1.0, 16)
+        init = np.array([0.8, 0.64], dtype=complex)
+        run_ensemble(system, lambda rng_: init, grid, 4, 3, {"sq": lambda s: s[..., 1]})
+        assert calls == {"noise": grid.steps, "gradient": grid.steps}
+
     def test_ou_square_has_ito_correction(self):
         from ppcavity.observables import SmoothObservable
 

@@ -427,3 +427,20 @@ def test_constraint_drift_falls_with_the_step():
     coarse, fine = _constraint_drift(1024), _constraint_drift(2048)
     assert np.median(fine) < 0.9 * np.median(coarse)
     assert max(coarse.max(), fine.max()) < 1e-2
+
+
+@pytest.mark.parametrize("noise", [False, True], ids=["drift", "kick"])
+@pytest.mark.parametrize("rated", [False, True], ids=["free", "rates"])
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_increment_bar_on_a_coordinate_major_state_is_bit_identical(rng, n_modes, rated, noise):
+    # the .T view of a (dim, paths) physical state, as the stepping loop
+    # hands it out, gives the increment of a C-order copy bit for bit
+    params = sample_model(n_modes, **(random_rates(rng) if rated else {}))
+    states = np.stack([random_phase_state(rng, CS, n_modes) for _ in range(33)])
+    phys = np.ascontiguousarray(to_physical(CS, states))
+    coords = np.ascontiguousarray(phys.T)
+    dw = rng.standard_normal((33, 4 * n_modes + 2)) * 0.1 if noise else None
+    system = physical_sde_system(params)
+    got, want = system.increment(coords.T, 0.01, dw), system.increment(phys, 0.01, dw)
+    assert got.T.flags.c_contiguous
+    assert np.array_equal(*(np.ascontiguousarray(x).view(float) for x in (got, want)))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -655,3 +656,32 @@ def test_observable_map_from_mapping():
     out = m.batch(np.array([[1.0 + 0j, 3.0]]))
     assert m.names == ("a", "b")
     assert np.allclose(out, [[1.0, 6.0]])
+
+
+def test_chunk_state_is_coordinate_major_and_so_are_its_checkpoints():
+    # every function sees the .T view of a (dim, paths) C-order state, and
+    # the state at the first point of each block is kept as (dim, paths)
+    paths, steps = 5, 2 * _DRAW_BLOCK + 7
+    noise = constant_noise_system(3, [[1.0], [0.5j], [0.0]])
+    system = from_coefficients(3, 1, lambda x: -0.5 * x, noise)
+    seen = []
+
+    def prepare(state):
+        assert state.shape == (paths, 3) and state.T.flags.c_contiguous
+        seen.append(state.copy())
+        return state
+
+    system = dataclasses.replace(system, prepare=prepare)
+    observables = ObservableMap(["x0"], lambda s, out: np.copyto(out, s[..., :1]))
+    inits = np.arange(15.0).reshape(paths, 3) + 1j
+
+    def draw(out):
+        out[...] = 0.1
+
+    alive, survived, checkpoints = sde._integrate_chunk(
+        system, inits, steps, 0.01, draw, observables, 1e6, lambda t, values, alive: None
+    )
+    assert alive.all() and (survived == steps).all()
+    assert checkpoints.shape == (3, 3, paths)
+    for b in range(3):
+        assert np.array_equal(checkpoints[b], seen[b * _DRAW_BLOCK].T)

@@ -52,7 +52,12 @@ def _frozen(value):
 # hundred paths; these are the values it converts them to, so the results are
 # the same
 ONE, TWO, MINUS_ONE = _frozen(1.0 + 0.0j), _frozen(2.0 + 0.0j), _frozen(-1.0 + 0.0j)
+FOUR, IMAG, MINUS_IMAG = _frozen(4.0 + 0.0j), _frozen(1j), _frozen(-1j)
 ZERO = _frozen(0.0)
+#: x - ONE_LIFTED is x - 1 with an imaginary -0.0 lifted to +0.0 (x.imag -
+#: (-0.0) is x.imag + 0.0): the lift of :func:`ppcavity.jc.principal_sqrt`
+#: folded into the subtraction
+ONE_LIFTED = _frozen(complex(1.0, -0.0))
 
 
 def checked_denominator(h, ht, *slopes):

@@ -7,9 +7,14 @@ closed-form single-mode expressions), and the worst error is reported against
 a fixed tolerance.  Checks on a fixed model stack their points, so the
 coefficient functions are evaluated once per check (once per family or
 observable where a check loops over them) and the spectral derivatives call
-the map once per block of points, not once per point.  The CLI exposes the
-suite as the ``check-invariants`` subcommand; the report is deterministic for
-a given seed.
+the map once per block of points, not once per point.  Where each point
+draws rates of its own (``factorization-dissipative``), its rates and state
+are drawn one point at a time and then checked in one call per family, on a
+model whose rates are arrays over the points.  ``mb-drift-bar-identity``
+calls ``mb_rhs`` per point, since it takes one vector, and ``drift_bar``
+once on the stacked points.  The CLI exposes the suite as the
+``check-invariants`` subcommand; the report is deterministic for a given
+seed.
 """
 
 from __future__ import annotations
@@ -238,10 +243,12 @@ def check_factorization_dissipative(rng, points):
     """B @ B.T = D with random scattering and dephasing rates."""
     worst = 0.0
     for fam in _FAMILIES.values():
+        rates, states = [], []
         for _ in range(points):
-            params = sample_model(**random_rates(rng))
-            state = random_phase_state(rng, fam, params.mode_count)
-            worst = max(worst, _factorization_error(params, fam, state))
+            rates.append(random_rates(rng))
+            states.append(random_phase_state(rng, fam, n_modes=2))
+        params = sample_model(**{name: np.array([r[name] for r in rates]) for name in rates[0]})
+        worst = max(worst, _factorization_error(params, fam, np.stack(states)))
     return worst, 1e-12
 
 
@@ -378,15 +385,14 @@ def check_mb_drift_identity(rng, points):
     """Maxwell-Bloch right-hand side equals drift_bar on the hermitian slice."""
     params = sample_model(**random_rates(rng))
     n = params.mode_count
-    worst = 0.0
+    phys, deriv = [], []
     for _ in range(points):
         eps = rng.standard_normal(n)
         eta = rng.standard_normal(n)
         rho21 = complex(*(0.3 * rng.standard_normal(2)))
-        phys = physical.join_phys(eps, eta, rho21, np.conj(rho21), rng.uniform(-1, 1))
-        deriv = maxwell_bloch.mb_rhs(params, phys)
-        worst = max(worst, np.abs(deriv - physical.drift_bar(params, phys)).max())
-    return worst, 1e-13
+        phys.append(physical.join_phys(eps, eta, rho21, np.conj(rho21), rng.uniform(-1, 1)))
+        deriv.append(maxwell_bloch.mb_rhs(params, phys[-1]))
+    return np.abs(np.stack(deriv) - physical.drift_bar(params, np.stack(phys))).max(), 1e-13
 
 
 def check_projection_derivatives(rng, points):

@@ -59,6 +59,15 @@ class ModelParams:
     hbar = c = epsilon0 = area = 1.  Derived quantities (wave numbers, the
     per-photon field, relaxation rates) are exposed as properties; the
     per-mode arrays among them are computed once and are read-only.
+
+    The rates ``r12``, ``r21`` and ``r_p`` are floats or arrays that
+    broadcast against a batch of states, one rate per point: validation and
+    ``dissipative`` look at every entry, and the phase-space coefficient
+    functions (:func:`increment_jc`, :func:`drift_jc`, :func:`noise_jc`,
+    :func:`diffusion_jc`) broadcast them, as the invariant suite does to
+    check a stack of points drawn with rates of their own.  The engines and
+    the configuration pass floats, and ``nu0`` takes float rates only.  An
+    instance with rate arrays is never hashed or compared.
     """
 
     Omega: float
@@ -87,7 +96,7 @@ class ModelParams:
         if any(w <= 0 for w in omega) or any(np.diff(omega) <= 0):
             raise ValueError("mode frequencies must be positive and strictly increasing")
         for name in ("r12", "r21", "r_p"):
-            if getattr(self, name) < 0:
+            if np.any(np.asarray(getattr(self, name)) < 0):
                 raise ValueError(f"rate {name} must be nonnegative")
         if not 0.0 < self.x0 < self.length:
             raise ValueError("atom position must satisfy 0 < x0 < length")
@@ -200,7 +209,7 @@ class ModelParams:
 
     @cached_property
     def dissipative(self) -> bool:
-        return self.gamma1 > 0 or self.r_p > 0
+        return bool(np.any(self.gamma1 > 0) or np.any(self.r_p > 0))
 
     def dipole_moment(self) -> float:
         """Dipole matrix element -hbar*g_n/e_p(omega_n); requires g prop e_p."""

@@ -16,7 +16,19 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .basis import COHERENT_SPIN, ONE, POLE_FLOOR, BasisFamily, checked_denominator
+from .basis import (
+    COHERENT_SPIN,
+    FOUR,
+    IMAG,
+    MINUS_IMAG,
+    ONE,
+    ONE_LIFTED,
+    POLE_FLOOR,
+    TWO,
+    ZERO,
+    BasisFamily,
+    checked_denominator,
+)
 from .errors import InconsistentStateError, PoleProximityError
 from .jc import (
     ModelParams,
@@ -37,8 +49,18 @@ CONSISTENCY_TOL = 1e-9
 def split_phys(phys, n_modes):
     """Views (eps, eta, rho21, rho12, nu) of a flat (batched) physical vector:
     the layout of :func:`ppcavity.jc.split_state` with nu appended."""
-    phys = np.asarray(phys, dtype=complex)
-    return (*split_state(phys, n_modes), phys[..., 2 * n_modes + 2])
+    return _phys_views(np.asarray(phys, dtype=complex), n_modes)
+
+
+def _phys_views(phys, n):
+    """:func:`split_phys` of a complex array, without the conversion."""
+    return (
+        phys[..., 0 : 2 * n : 2],
+        phys[..., 1 : 2 * n : 2],
+        phys[..., 2 * n],
+        phys[..., 2 * n + 1],
+        phys[..., 2 * n + 2],
+    )
 
 
 #: ``join_phys(eps, eta, rho21, rho12, nu)``, the inverse of :func:`split_phys`:
@@ -157,12 +179,14 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
     """
     phys = np.asarray(phys, dtype=complex)
     n = params.mode_count
-    eps, eta, rho21, rho12, nu = split_phys(phys, n)
+    eps, eta, rho21, rho12, nu = _phys_views(phys, n)
     om = params.omega_array
     gs = params.gs
-    batch = phys.shape[:-1] if dw is None else np.broadcast_shapes(phys.shape[:-1], dw.shape[:-1])
+    batch = phys.shape[:-1]
+    if dw is not None and dw.shape[:-1] != batch:
+        batch = np.broadcast_shapes(batch, dw.shape[:-1])
     out = empty_state(batch, 2 * n + 3)
-    inc_eps, inc_eta, inc_21, inc_12, inc_nu = split_phys(out, n)
+    inc_eps, inc_eta, inc_21, inc_12, inc_nu = _phys_views(out, n)
     idrive = 1j * dt * mode_sum(gs * eps)
     drive_nu = idrive * nu
     np.multiply(dt * om, eta, out=inc_eps)
@@ -173,40 +197,44 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
         2.0 * idrive * (rho21 - rho12), params.gamma1 * dt * (nu - params.nu0), out=inc_nu
     )
     if dw is not None:
+        # the operands are 0-d constants: numpy converts a Python scalar on
+        # every call, to the same value
         with np.errstate(all="ignore"):
-            one_m = 1.0 - nu
-            one_p2 = (1.0 + nu) ** 2
-            quarter_m2 = one_m**2 / 4.0
+            one_m = ONE - nu
+            one_p = ONE + nu
+            quarter_m2 = one_m * one_m / FOUR
             rho_2 = phys[..., 2 * n : 2 * n + 2] ** 2
             rho21_2, rho12_2 = rho_2[..., 0], rho_2[..., 1]
             # the roots (p, q) and (rad12, rad21), each pair in one call; on the
-            # constraint surface rad12 shares its radicand with p, rad21 with q
-            roots = principal_sqrt(rho_2 / quarter_m2[..., None] - 1.0)
-            rads = principal_sqrt(one_p2[..., None] / (4.0 * rho_2[..., ::-1]) - 1.0)
+            # constraint surface rad12 shares its radicand with p, rad21 with q;
+            # subtracting ONE_LIFTED takes the principal root (principal_sqrt)
+            roots = np.sqrt(rho_2 / quarter_m2[..., None] - ONE_LIFTED)
+            rads = np.sqrt((one_p * one_p)[..., None] / (FOUR * rho_2[..., ::-1]) - ONE_LIFTED)
             # off the surface, near the branch cut, the principal roots of
             # such a pair can part: each rad takes the sign nearest its partner
-            np.negative(rads, out=rads, where=(rads * np.conj(roots)).real < 0)
+            np.negative(rads, out=rads, where=(rads * np.conj(roots)).real < ZERO)
             p, q, rad12, rad21 = roots[..., 0], roots[..., 1], rads[..., 0], rads[..., 1]
             # per mode, pref (dW_c + i dW_{c+1}) and pref (dW_{c+2} - i dW_{c+3})
             pairs = dw[..., : 4 * n].view(complex)
             pref = params.noise_prefactor
             pa = p[..., None] * (pref * pairs[..., 0::2])
             qc = q[..., None] * (pref * np.conj(pairs[..., 1::2]))
-            inc_eps += 1j * (pa - qc)
+            inc_eps += IMAG * (pa - qc)
             inc_eta += pa + qc
-            x = mode_sum(-1j * pref * np.conj(pairs[..., 0::2]))
-            y = mode_sum(-1j * pref * pairs[..., 1::2])
+            kick = MINUS_IMAG * pref
+            x = mode_sum(kick * np.conj(pairs[..., 0::2]))
+            y = mode_sum(kick * pairs[..., 1::2])
             inc_21 += quarter_m2 * p * x
             inc_21 -= rho21_2 * rad21 * y
             inc_12 -= rho12_2 * rad12 * x
             inc_12 += quarter_m2 * q * y
             inc_nu += one_m * (rho12 * rad12 * x + rho21 * rad21 * y)
             if params.dissipative:
-                ratio = (1.0 + nu) / one_m
+                ratio = one_p / one_m
                 dbar = 2.0 * params.r_p * ratio + params.r21 * ratio**2 + params.r12
-                tpref = principal_sqrt(dbar / 2.0)
+                tkick = MINUS_IMAG * principal_sqrt(dbar / TWO)
                 pair = dw[..., 4 * n : 4 * n + 2].view(complex)[..., 0]
-                x_d, y_d = -1j * tpref * np.conj(pair), -1j * tpref * pair
+                x_d, y_d = tkick * np.conj(pair), tkick * pair
                 inc_21 += rho21_2 * x_d
                 inc_21 += quarter_m2 * y_d
                 inc_12 -= quarter_m2 * x_d

@@ -417,3 +417,35 @@ def test_increment_on_a_coordinate_major_state_is_bit_identical(rng, fam, n_mode
         got = system.increment(system.prepare(coords.T), 0.01, dw)
         want = system.increment(system.prepare(states), 0.01, dw)
         assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+@pytest.mark.parametrize("fam", [CS, ADD], ids=["coherent-spin", "additive-noise"])
+def test_rate_arrays_give_the_per_point_coefficients(rng, fam, n_modes):
+    # a model whose rates are (points,) arrays gives each point the
+    # coefficients of a scalar model with that point's rates, bit for bit;
+    # one point has r12 = 0, one r_p = 0.  Each scalar model sees the whole
+    # stack and its own row is kept: numpy may round a batch of one apart
+    # from a longer one
+    rates = [random_rates(rng) for _ in range(9)]
+    rates[2]["r12"] = rates[5]["r_p"] = 0.0
+    states = np.stack([random_phase_state(rng, fam, n_modes) for _ in rates])
+    dw = rng.standard_normal((len(rates), 4 * n_modes + 2))
+    stacked = sample_model(n_modes, **{name: np.array([r[name] for r in rates]) for name in rates[0]})
+    singles = [sample_model(n_modes, **r) for r in rates]
+    coefficients = {
+        "drift": lambda params, state, dw: jc.increment_jc(params, fam, state, 0.01),
+        "increment": lambda params, state, dw: jc.increment_jc(params, fam, state, 0.01, dw),
+        "noise": lambda params, state, dw: noise_jc(params, fam, state),
+        "diffusion": lambda params, state, dw: diffusion_jc(params, fam, state),
+    }
+    for name, fn in coefficients.items():
+        want = np.stack([fn(params, states, dw)[k] for k, params in enumerate(singles)])
+        assert np.array_equal(_bits(fn(stacked, states, dw)), _bits(want)), name
+
+
+@pytest.mark.parametrize("name", ["r12", "r21", "r_p"])
+def test_a_negative_entry_of_a_rate_array_is_refused(name):
+    rates = {name: np.array([0.3, -1e-3, 0.5])}
+    with pytest.raises(ValueError, match=f"rate {name} must be nonnegative"):
+        sample_model(**rates)

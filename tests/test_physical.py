@@ -444,3 +444,19 @@ def test_increment_bar_on_a_coordinate_major_state_is_bit_identical(rng, n_modes
     got, want = system.increment(coords.T, 0.01, dw), system.increment(phys, 0.01, dw)
     assert got.T.flags.c_contiguous
     assert np.array_equal(*(np.ascontiguousarray(x).view(float) for x in (got, want)))
+
+
+def test_a_negative_real_radicand_with_imaginary_minus_zero_takes_the_upper_root():
+    # a real negative rho21 squares to an imaginary part of -0.0, so the
+    # radicand rho21**2 / ((1 - nu)**2 / 4) - 1 of p is negative real with an
+    # imaginary -0.0 (and so is q's): lifted to +0.0, each root is +i|.|
+    params = sample_model(1)
+    phys = join_phys([0.3], [-0.2], -0.25 + 0.0j, -0.25 + 0.0j, 0.0)
+    _, _, rho21, _, nu = split_phys(phys, 1)
+    radicand = rho21**2 / ((1.0 - nu) ** 2 / 4.0) - 1.0
+    assert radicand.real < 0.0 and radicand.imag == 0.0 and np.signbit(radicand.imag)
+    b = noise_bar(params, phys)
+    # dW_0 alone kicks eps_1 by i p pref, dW_2 alone by -i q pref
+    kick = 1j * params.noise_prefactor[0]
+    p, q = b[0, 0] / kick, -b[0, 2] / kick
+    assert np.allclose([p, q], 1j * np.sqrt(0.75), rtol=1e-15, atol=0.0)

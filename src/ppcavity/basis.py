@@ -95,11 +95,11 @@ def _stack(z, w):
 
 def _member(form):
     """A cached jet member formed by ``form`` on first read: without numpy
-    warnings on a jet of :meth:`BasisFamily.jet`, under the caller's error
-    state on one of :meth:`BasisFamily._unguarded_jet`."""
+    warnings on a ``guarded`` jet, under the caller's error state on any
+    other."""
 
     def member(self):
-        if not self._guarded:
+        if not self.guarded:
             return form(self)
         with np.errstate(all="ignore"):
             return form(self)
@@ -121,14 +121,15 @@ class PhaseFunctions:
     ``denom`` = 1 + h*htilde, and keeps q = exp(2*s*u) and 1/q of the
     additive-noise family.  The slopes, curvatures and inverse slopes are
     cached properties, formed for both sides from those on first read, so the
-    order of reads does not change any value: without numpy warnings if
-    ``guarded``, else under the caller's error state.  Their per-side views
-    are properties.
+    order of reads does not change any value.  ``guarded`` is True on a jet
+    of :meth:`BasisFamily.jet`, whose readers set their own error state,
+    False on one of the stepping loop, read under the loop's.  Their
+    per-side views are properties.
     """
 
     def __init__(self, hs, lins, quads, q=None, guarded=True):
         self.hs, self.lins, self.quads = hs, lins, quads
-        self._guarded = guarded
+        self.guarded = guarded
         self.h, self.ht = hs[..., 0], hs[..., 1]
         self.hht = self.h * self.ht
         self.denom = ONE + self.hht

@@ -277,6 +277,16 @@ def cmd_compare(args) -> int:
             file=sys.stderr,
         )
         return 2
+    for path, header in ((args.first, header_a), (args.second, header_b)):
+        if "t" not in header:
+            print(f"error: {path}: no t column", file=sys.stderr)
+            return 2
+    t_a, t_b = data_a[:, header_a.index("t")], data_b[:, header_b.index("t")]
+    differ = np.flatnonzero(t_a != t_b)
+    if differ.size:
+        row = differ[0]
+        print(f"error: t differs at line {row + 2} ({t_a[row]} vs {t_b[row]})", file=sys.stderr)
+        return 2
     print("column,max_abs,rms")
     for name in shared:
         diff = data_a[:, header_a.index(name)] - data_b[:, header_b.index(name)]

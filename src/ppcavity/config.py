@@ -18,7 +18,7 @@ values and non-finite numbers (nan, inf) are rejected with the offending line
 number.  Validation then requires 0 <= seed < 2**64 for ``master_seed`` and
 the invariant seed, at least one invariant point, a positive
 ``divergence_threshold``, and every domain object (model, family, grid,
-initial density, observables) to construct.
+initial density, the SDE engines' initial points, observables) to construct.
 
 ``_SCHEMA`` is the one statement of the format: ``parse_config`` reads and
 ``serialize_config`` writes it, one value kind at a time, through ``_KINDS``.
@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass, fields
 
 from .basis import ADDITIVE_NOISE, COHERENT_SPIN, BasisFamily
-from .errors import ConfigError
-from .initialization import AtomicDensity
+from .errors import CavityError, ConfigError
+from .initialization import AtomicDensity, init_points
 from .invariants import DEFAULT_POINTS, DEFAULT_SEED
 from .jc import ModelParams
 from .observables import DEFAULT_OBSERVABLES, PHASE_COORDINATES, physical_columns
@@ -299,6 +299,11 @@ def validate_config(cfg: RunConfig):
             "the changed-variable engine requires the coherent-spin family; "
             "its noise matrix has no closed form for other families"
         )
+    if cfg.engine in ("sde-jc", "sde-mb-experimental"):
+        try:
+            init_points(cfg.atomic_density(), cfg.family())
+        except CavityError as exc:
+            raise ConfigError(f"[initial] for the {cfg.family_kind} family: {exc}") from None
     if cfg.engine == "reference" and cfg.n_max < 1:
         raise ConfigError("n_max must be >= 1")
     n_alpha = len(cfg.alpha)

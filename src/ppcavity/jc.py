@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import NamedTuple
 
 import numpy as np
 
-from .basis import ADDITIVE_NOISE, BasisFamily, PhaseFunctions, checked_denominator
+from .basis import ADDITIVE_NOISE, ONE, BasisFamily, PhaseFunctions, checked_denominator
 from .sde import SdeSystem, noise_matrix
 
 _ROOT_I = np.sqrt(1j)  # fixed diffusion-gauge choice exp(i pi/4)
@@ -258,20 +257,35 @@ def join_state(alpha, beta, *tail) -> np.ndarray:
     return out
 
 
-class JetState(NamedTuple):
-    """A (batched) phase-space vector together with the basis jet at its (z, w)."""
+class JetState:
+    """A (batched) phase-space vector ``state`` with the basis jet ``pf`` at its
+    (z, w), and the members of :class:`ppcavity.physical.ArrayCoordinates`
+    read off them: ``atomic(k, out)`` divides h, htilde or h*htilde - 1 by
+    1 + h*htilde, into ``out`` if one is given; ``eps`` = beta + alpha and
+    ``eta`` = i(beta - alpha) are cached; ``raw(k)`` reads z or w.  Nothing
+    here sets a numpy error state (see :attr:`PhaseFunctions.guarded`).
+    """
 
-    state: np.ndarray
-    pf: PhaseFunctions
+    def __init__(self, state, pf: PhaseFunctions):
+        self.state, self.pf = state, pf
+        self.shape = state.shape[:-1]
 
+    def atomic(self, k, out=None):
+        pf = self.pf
+        numerator = pf.hht - ONE if k == 2 else (pf.h, pf.ht)[k]
+        return np.divide(numerator, pf.denom, out=out)
 
-class StepJetState(JetState):
-    """A JetState whose jet was formed without an error state of its own, by
-    the ``prepare`` of :func:`jc_sde_system` for the stepping loop of
-    :mod:`ppcavity.sde`, which runs under ``np.errstate(all="ignore")``; what
-    reads it needs no error state of its own either."""
+    # the views alpha and beta of split_state, by their place before (z, w)
+    @cached_property
+    def eps(self):
+        return self.state[..., 1:-2:2] + self.state[..., 0:-2:2]
 
-    __slots__ = ()
+    @cached_property
+    def eta(self):
+        return 1j * (self.state[..., 1:-2:2] - self.state[..., 0:-2:2])
+
+    def raw(self, k):
+        return self.state[..., k - 2]
 
 
 def jet_state(family: BasisFamily, state) -> JetState:
@@ -286,11 +300,6 @@ def jet_state(family: BasisFamily, state) -> JetState:
     return JetState(state, family.jet(state[..., -2:]))
 
 
-def _step_jet_state(family: BasisFamily, state) -> StepJetState:
-    """:func:`jet_state` for the stepping loop, under its error state."""
-    return StepJetState(state, family._unguarded_jet(state[..., -2:]))
-
-
 def mode_sum(x, axis=-1):
     """Sum over the (negative) mode ``axis`` by one add per mode, in order: numpy
     adds two slices much faster than it reduces a short axis."""
@@ -302,10 +311,10 @@ def mode_sum(x, axis=-1):
 
 
 def _prepare(family, state, check):
-    state, pf = jet_state(family, state)
+    prepared = jet_state(family, state)
     if check:
-        checked_denominator(pf.h, pf.ht, pf.slopes)
-    return state, pf
+        checked_denominator(prepared.pf.h, prepared.pf.ht, prepared.pf.slopes)
+    return prepared.state, prepared.pf
 
 
 def _mode_diffusion(params: ModelParams, pf: PhaseFunctions):
@@ -415,8 +424,9 @@ def noise_jc(params: ModelParams, family: BasisFamily, state, check=True):
 def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
     """SDE system for the integrator; coefficients never raise on poles.
 
-    ``prepare`` forms the :class:`StepJetState` of a state: the integrator
-    evaluates the basis jet once per step, under its own error state, and the
+    ``prepare`` forms the :class:`JetState` of a state, its jet not
+    ``guarded``: the integrator evaluates the basis jet once per step, under
+    its own error state, and the
     increment (:func:`increment_jc`, without the pole check) and
     :func:`ppcavity.observables.observable_bundle` read it.  The
     dissipative layout is used exactly when any rate is positive
@@ -443,7 +453,7 @@ def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
         noise_dim=params.noise_dim,
         drift=partial(drift_jc, params, family, check=False),
         noise=noise,
-        prepare=partial(_step_jet_state, family),
+        prepare=lambda state: JetState(state, family._unguarded_jet(state[..., -2:])),
         increment=increment,
     )
 

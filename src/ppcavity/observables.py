@@ -3,8 +3,8 @@
 Every engine supplies the physical coordinates (epsilon_n, eta_n, rho21,
 rho12, nu) of :mod:`ppcavity.physical`, and :func:`physical_columns` resolves
 observable names and field probes once into a writer of columns that reads
-only what the names need.  The phase-space SDE supplies them as
-:class:`ppcavity.physical.JetCoordinates`, which form each coordinate from
+only what the names need.  The phase-space SDE supplies them as the
+:class:`ppcavity.jc.JetState` of its state, which forms each coordinate from
 the state and its basis jet when read, and adds its raw fermionic
 coordinates z, w; the changed-variable SDE supplies its own state and the
 deterministic engines their recorded series, as physical vectors.  A batch
@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .basis import ONE, TWO, BasisFamily
-from .jc import ModelParams, StepJetState, jet_state, mode_sum
-from .physical import ArrayCoordinates, JetCoordinates, jacobian_change, to_physical
+from .jc import JetState, ModelParams, jet_state, mode_sum
+from .physical import ArrayCoordinates, jacobian_change, to_physical
 from .sde import ObservableMap, SdeSystem
 
 DEFAULT_OBSERVABLES = ("rho_11", "rho_22", "rho_21", "rho_12", "nu")
@@ -86,7 +86,7 @@ def physical_columns(params: ModelParams, names, probes=(), raw=()):
     raise ValueError here, not at evaluation.  The returned function
     ``columns(coords, out=None)`` takes a physical vector ``coords`` (...,
     2N+3), followed by the ``raw`` coordinates if any name reads them, or the
-    :class:`ppcavity.physical.JetCoordinates` of a phase-space state, and
+    :class:`ppcavity.jc.JetState` of a phase-space state, and
     writes the (..., len(names)) columns into ``out`` (a new array if None),
     which it returns.  Each column reads only its own coordinates: rho_21,
     rho_12 and nu the atomic ones, rho_11 and rho_22 nu (one nu per call,
@@ -101,7 +101,7 @@ def physical_columns(params: ModelParams, names, probes=(), raw=()):
     reads_nu = "rho_11" in names or "rho_22" in names
 
     def columns(coords, out=None):
-        if not isinstance(coords, JetCoordinates):
+        if not isinstance(coords, JetState):
             coords = ArrayCoordinates(coords, n)
         if out is None:
             out = np.empty(coords.shape + (len(readers),), dtype=complex)
@@ -120,21 +120,21 @@ def observable_bundle(
 ) -> ObservableMap:
     """Batched named observables of the phase-space SDE, raw z and w included.
 
-    The batch takes a state or the :class:`ppcavity.jc.JetState` that
-    ``jc_sde_system`` prepares, and reads its columns off the state and its
-    jet (:class:`ppcavity.physical.JetCoordinates`) into the row it is given.
-    It ignores numpy errors, so it never warns; on the
-    :class:`ppcavity.jc.StepJetState` of the stepping loop, which already
-    runs under ``np.errstate(all="ignore")``, it sets no error state itself.
+    The batch takes a state or its :class:`ppcavity.jc.JetState`, such as
+    the one ``jc_sde_system`` prepares, and reads its columns off the state
+    and its jet into the row it is given.  It ignores numpy errors, so it
+    never warns, except on a jet that is not ``guarded``: the stepping
+    loop's, read under the loop's error state, so it sets none itself.
     """
     names = tuple(names)
     columns = physical_columns(params, names, probes, raw=PHASE_COORDINATES)
 
     def batch(prepared, out=None):
-        if isinstance(prepared, StepJetState):
-            return columns(JetCoordinates(prepared), out)
+        prepared = jet_state(family, prepared)
+        if not prepared.pf.guarded:
+            return columns(prepared, out)
         with np.errstate(all="ignore"):
-            return columns(JetCoordinates(jet_state(family, prepared)), out)
+            return columns(prepared, out)
 
     return ObservableMap(names, batch)
 
@@ -216,8 +216,8 @@ def projection_observable(which: str, family: BasisFamily, n_modes: int) -> Smoo
         return jacobian_change(family, state)[..., row, :]
 
     def hessian(state):
-        state, pf = jet_state(family, state)
-        batch = state.shape[:-1]
+        prepared = jet_state(family, state)
+        pf, batch = prepared.pf, prepared.shape
         den2, den3 = pf.denom**2, pf.denom**3
         out = np.zeros(batch + (dim, dim), dtype=complex)
         if which == "rho_21":

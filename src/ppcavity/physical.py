@@ -7,12 +7,15 @@ cavity-mode Maxwell-Bloch system; the transformed noise matrix (closed form
 available for the coherent-spin family only) supplies the quantum corrections.
 Both come from one formula, ``increment_bar``, the Euler increment of a step,
 which forms each root pair of the kick, (p, q) and (rad12, rad21), in one call
-and gives each rad the sign nearest its partner's, p or q.
+and gives each rad the sign nearest its partner's, p or q.  Like everything
+the stepping loop calls, it runs under the loop's numpy error state; the
+public ``noise_bar`` sets its own.  ``to_physical`` reads the coordinates off
+a :class:`ppcavity.jc.JetState`.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .jc import (
     join_state,
     mode_sum,
     principal_sqrt,
-    split_state,
 )
 from .sde import SdeSystem, noise_matrix
 
@@ -92,51 +94,17 @@ class ArrayCoordinates:
         return self.phys[..., self._raw + k]
 
 
-class JetCoordinates:
-    """The members of :class:`ArrayCoordinates` for a
-    :class:`ppcavity.jc.JetState`, each formed from the state and its basis
-    jet when read: ``atomic(k, out)`` divides h, htilde or h*htilde - 1 by the
-    jet's 1 + h*htilde, into ``out`` if one is given; ``eps`` = beta + alpha
-    and ``eta`` = i(beta - alpha) are cached; ``raw(k)`` reads z or w.
-    Nothing here sets a numpy error state: the caller does.
-    """
-
-    def __init__(self, prepared):
-        self.state, self.pf = prepared
-        self.shape = self.state.shape[:-1]
-        self._n = (self.state.shape[-1] - 2) // 2
-
-    def atomic(self, k, out=None):
-        pf = self.pf
-        numerator = pf.hht - ONE if k == 2 else (pf.h, pf.ht)[k]
-        return np.divide(numerator, pf.denom, out=out)
-
-    @cached_property
-    def eps(self):
-        alpha, beta, _, _ = split_state(self.state, self._n)
-        return beta + alpha
-
-    @cached_property
-    def eta(self):
-        alpha, beta, _, _ = split_state(self.state, self._n)
-        return 1j * (beta - alpha)
-
-    def raw(self, k):
-        return self.state[..., 2 * self._n + k]
-
-
 def to_physical(family: BasisFamily, state, check=True) -> np.ndarray:
     """Map a phase-space vector (batched ok) to physical coordinates.
 
-    ``state`` may be a :class:`ppcavity.jc.JetState`, whose jet is read as
-    it is; a raw state gets its jet from :func:`ppcavity.jc.jet_state`.  With
+    ``state`` may be a :class:`ppcavity.jc.JetState`, whose coordinates are
+    read as they are; a raw state gets one from :func:`ppcavity.jc.jet_state`.  With
     ``check`` a vanishing 1 + h*htilde raises PoleProximityError; without it
     the result carries inf/nan there, without numpy warnings.
     """
-    prepared = jet_state(family, state)
+    c = jet_state(family, state)
     if check:
-        checked_denominator(prepared.pf.h, prepared.pf.ht)
-    c = JetCoordinates(prepared)
+        checked_denominator(c.pf.h, c.pf.ht)
     with np.errstate(all="ignore"):
         return join_phys(c.eps, c.eta, c.atomic(0), c.atomic(1), c.atomic(2))
 
@@ -176,6 +144,8 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
     atomic rows only and are skipped without dissipation.  The atomic rows of
     the kick are r X + s Y, X and Y two increment combinations summed over
     the modes.  Square roots take the principal branch (a gauge choice).
+    It sets no numpy error state: the kick divides by rho21, rho12 and
+    1 - nu, so a caller outside the stepping loop sets its own.
     """
     phys = np.asarray(phys, dtype=complex)
     n = params.mode_count
@@ -199,47 +169,46 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
     if dw is not None:
         # the operands are 0-d constants: numpy converts a Python scalar on
         # every call, to the same value
-        with np.errstate(all="ignore"):
-            one_m = ONE - nu
-            one_p = ONE + nu
-            quarter_m2 = one_m * one_m / FOUR
-            rho_2 = phys[..., 2 * n : 2 * n + 2] ** 2
-            rho21_2, rho12_2 = rho_2[..., 0], rho_2[..., 1]
-            # the roots (p, q) and (rad12, rad21), each pair in one call; on the
-            # constraint surface rad12 shares its radicand with p, rad21 with q;
-            # subtracting ONE_LIFTED takes the principal root (principal_sqrt)
-            roots = np.sqrt(rho_2 / quarter_m2[..., None] - ONE_LIFTED)
-            rads = np.sqrt((one_p * one_p)[..., None] / (FOUR * rho_2[..., ::-1]) - ONE_LIFTED)
-            # off the surface, near the branch cut, the principal roots of
-            # such a pair can part: each rad takes the sign nearest its partner
-            np.negative(rads, out=rads, where=(rads * np.conj(roots)).real < ZERO)
-            p, q, rad12, rad21 = roots[..., 0], roots[..., 1], rads[..., 0], rads[..., 1]
-            # per mode, pref (dW_c + i dW_{c+1}) and pref (dW_{c+2} - i dW_{c+3})
-            pairs = dw[..., : 4 * n].view(complex)
-            pref = params.noise_prefactor
-            pa = p[..., None] * (pref * pairs[..., 0::2])
-            qc = q[..., None] * (pref * np.conj(pairs[..., 1::2]))
-            inc_eps += IMAG * (pa - qc)
-            inc_eta += pa + qc
-            kick = MINUS_IMAG * pref
-            x = mode_sum(kick * np.conj(pairs[..., 0::2]))
-            y = mode_sum(kick * pairs[..., 1::2])
-            inc_21 += quarter_m2 * p * x
-            inc_21 -= rho21_2 * rad21 * y
-            inc_12 -= rho12_2 * rad12 * x
-            inc_12 += quarter_m2 * q * y
-            inc_nu += one_m * (rho12 * rad12 * x + rho21 * rad21 * y)
-            if params.dissipative:
-                ratio = one_p / one_m
-                dbar = 2.0 * params.r_p * ratio + params.r21 * ratio**2 + params.r12
-                tkick = MINUS_IMAG * principal_sqrt(dbar / TWO)
-                pair = dw[..., 4 * n : 4 * n + 2].view(complex)[..., 0]
-                x_d, y_d = tkick * np.conj(pair), tkick * pair
-                inc_21 += rho21_2 * x_d
-                inc_21 += quarter_m2 * y_d
-                inc_12 -= quarter_m2 * x_d
-                inc_12 -= rho12_2 * y_d
-                inc_nu -= one_m * (rho21 * x_d - rho12 * y_d)
+        one_m = ONE - nu
+        one_p = ONE + nu
+        quarter_m2 = one_m * one_m / FOUR
+        rho_2 = phys[..., 2 * n : 2 * n + 2] ** 2
+        rho21_2, rho12_2 = rho_2[..., 0], rho_2[..., 1]
+        # the roots (p, q) and (rad12, rad21), each pair in one call; on the
+        # constraint surface rad12 shares its radicand with p, rad21 with q;
+        # subtracting ONE_LIFTED takes the principal root (principal_sqrt)
+        roots = np.sqrt(rho_2 / quarter_m2[..., None] - ONE_LIFTED)
+        rads = np.sqrt((one_p * one_p)[..., None] / (FOUR * rho_2[..., ::-1]) - ONE_LIFTED)
+        # off the surface, near the branch cut, the principal roots of
+        # such a pair can part: each rad takes the sign nearest its partner
+        np.negative(rads, out=rads, where=(rads * np.conj(roots)).real < ZERO)
+        p, q, rad12, rad21 = roots[..., 0], roots[..., 1], rads[..., 0], rads[..., 1]
+        # per mode, pref (dW_c + i dW_{c+1}) and pref (dW_{c+2} - i dW_{c+3})
+        pairs = dw[..., : 4 * n].view(complex)
+        pref = params.noise_prefactor
+        pa = p[..., None] * (pref * pairs[..., 0::2])
+        qc = q[..., None] * (pref * np.conj(pairs[..., 1::2]))
+        inc_eps += IMAG * (pa - qc)
+        inc_eta += pa + qc
+        kick = MINUS_IMAG * pref
+        x = mode_sum(kick * np.conj(pairs[..., 0::2]))
+        y = mode_sum(kick * pairs[..., 1::2])
+        inc_21 += quarter_m2 * p * x
+        inc_21 -= rho21_2 * rad21 * y
+        inc_12 -= rho12_2 * rad12 * x
+        inc_12 += quarter_m2 * q * y
+        inc_nu += one_m * (rho12 * rad12 * x + rho21 * rad21 * y)
+        if params.dissipative:
+            ratio = one_p / one_m
+            dbar = 2.0 * params.r_p * ratio + params.r21 * ratio**2 + params.r12
+            tkick = MINUS_IMAG * principal_sqrt(dbar / TWO)
+            pair = dw[..., 4 * n : 4 * n + 2].view(complex)[..., 0]
+            x_d, y_d = tkick * np.conj(pair), tkick * pair
+            inc_21 += rho21_2 * x_d
+            inc_21 += quarter_m2 * y_d
+            inc_12 -= quarter_m2 * x_d
+            inc_12 -= rho12_2 * y_d
+            inc_nu -= one_m * (rho21 * x_d - rho12 * y_d)
     return out
 
 
@@ -253,15 +222,18 @@ def noise_bar(params: ModelParams, phys) -> np.ndarray:
 
     Column c is the increment (:func:`increment_bar`) at dt = 0 on the unit
     increment e_c.  The two dissipative columns are zero without dissipation.
+    At a pole of the kick the entries are inf/nan, without numpy warnings.
     """
     phys = np.asarray(phys, dtype=complex)
     increment = partial(increment_bar, params, phys)
-    return noise_matrix(increment, 4 * params.mode_count + 2, phys.ndim - 1)
+    with np.errstate(all="ignore"):
+        return noise_matrix(increment, 4 * params.mode_count + 2, phys.ndim - 1)
 
 
 def jacobian_change(family: BasisFamily, state) -> np.ndarray:
     """Analytic Jacobian of the phase-space -> physical change of variables."""
-    state, pf = jet_state(family, state)
+    prepared = jet_state(family, state)
+    state, pf = prepared.state, prepared.pf
     n = (state.shape[-1] - 2) // 2
     den2 = pf.denom**2
     out = np.zeros(state.shape[:-1] + (2 * n + 3, 2 * (n + 1)), dtype=complex)

@@ -7,11 +7,11 @@ axis: the engines form it in one pass without the noise matrix, and
 n), and a noise, mapping (..., n) -> (..., n, m).  A system may also set
 ``prepare``: the integrator calls it once per step on the new state, and the
 increment and the observable batch receive its result, so work they share is
-done once per step (``jc_sde_system`` prepares the state with its basis jet,
-formed for the mirror pair (z, w) at once), under the loop's
-``np.errstate(all="ignore")``; the observable batch writes each point
-straight into its row of the block buffer.
-``run_ensemble`` is the only entry point and
+done once per step (``jc_sde_system`` prepares the ``jc.JetState``, the
+state with its basis jet, formed for the mirror pair (z, w) at once).  What
+the loop calls runs under its ``np.errstate(all="ignore")`` and sets no error
+state of its own.  The observable batch writes each point straight into its
+row of the block buffer.  ``run_ensemble`` is the only entry point and
 ``_integrate_chunk`` the only stepping loop: ensembles are executed in path
 chunks so that realizations vectorize, while every path still owns an
 independent counter-based random stream keyed by (master_seed, path_index).
@@ -111,9 +111,10 @@ class SdeSystem:
     (prepared) state for checks; :func:`from_coefficients` builds a system
     from them.  ``prepare`` maps a (batched) state to the value that the
     increment and the observable batch receive; it runs once per step, so
-    work they share (such as basis functions of the state) is done once.  The
-    loop calls it under ``np.errstate(all="ignore")``, so it needs no error
-    state of its own.  It defaults to the identity.
+    work they share (such as basis functions of the state) is done once; it
+    defaults to the identity.  What the loop calls runs under its
+    ``np.errstate(all="ignore")`` and sets none of its own; a public entry
+    point that calls it, such as ``physical.noise_bar``, sets its own.
     """
 
     dim: int
@@ -147,7 +148,7 @@ class ObservableMap:
     ``batch(prepared, out)`` writes the observables at a (batched) prepared
     state into ``out`` (..., len(names)), such as the stepping loop's row of
     its block buffer, and returns it; this package's batches allocate ``out``
-    when it is None.
+    when it is None.  The error-state rule of :class:`SdeSystem` holds.
     """
 
     def __init__(self, names: Sequence[str], batch: Callable[..., np.ndarray]):

@@ -263,6 +263,18 @@ class TestValidation:
         ok = text + "\n[family]\nkind = coherent-spin\n"
         assert parse_config(ok).family_kind == "coherent-spin"
 
+    def test_initial_density_must_be_representable_by_the_family(self):
+        # rho11 = 1/2 gives K = 1, and h = 1 is not reachable for the
+        # additive-noise family: refused at parse time, naming [initial]
+        half = FIG3_REFERENCE.replace("rho11 = 0.7310585786300049", "rho11 = 0.5")
+        text = half.replace("engine = reference", "engine = sde-jc")
+        with pytest.raises(ConfigError, match=r"^\[initial\] for the additive-noise family"):
+            parse_config(text + "\n[family]\nkind = additive-noise\n")
+        for engine in ("sde-jc", "sde-mb-experimental"):
+            text = half.replace("engine = reference", f"engine = {engine}")
+            assert parse_config(text + "\n[family]\nkind = coherent-spin\n").rho11 == 0.5
+        assert parse_config(half).rho11 == 0.5  # the reference needs no phase-space points
+
     def test_probe_observable_requires_probe(self):
         text = FIG3_REFERENCE.replace(
             "observables = rho_11, rho_22, rho_21, rho_12",
@@ -609,6 +621,22 @@ class TestCompareCommand:
         write_csv(tmp_path / "b.csv", [0.0], ("x",), [np.array([1j])])
         assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 2
 
+    def test_time_grid_mismatch_names_the_line(self, tmp_path, capsys):
+        # equal row counts over different grids, as from two runs with the
+        # same steps and another t_end
+        values = [np.array([1j, 2j, 3j])]
+        write_csv(tmp_path / "a.csv", [0.0, 0.5, 1.0], ("x",), values)
+        write_csv(tmp_path / "b.csv", [0.0, 0.25, 0.5], ("x",), values)
+        assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 2
+        assert capsys.readouterr().err == "error: t differs at line 3 (0.5 vs 0.25)\n"
+
+    def test_missing_t_column_names_the_file(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_csv(good, [0.0], ("x",), [np.array([1j])])
+        bad.write_text("real_x,imag_x\r\n1.0,2.0\r\n")
+        for pair in ([bad, good], [good, bad]):
+            assert main(["compare", *map(str, pair)]) == 2
+            assert capsys.readouterr().err == f"error: {bad}: no t column\n"
 
     @pytest.mark.parametrize(
         "text, message",

@@ -182,8 +182,9 @@ def test_writer_matches_physical_composition_bit_for_bit(rng, case):
 
 def test_direct_calls_at_a_pole_do_not_warn():
     # outside any errstate, RuntimeWarnings as errors: the public jet,
-    # to_physical and the batch never warn; only the loop's prepare forms
-    # its jet under the caller's error state, so there the pole shows
+    # to_physical and the batch never warn; only the loop's prepare forms a
+    # jet that is not guarded, read under the caller's error state, so there
+    # the pole shows
     params = ModelParams.from_frequencies(omega=1.0, g=0.1, Omega=3.0)
     names = ("rho_11", "rho_21", "nu", "e_1", "z")
     for fam, pole in POLES:

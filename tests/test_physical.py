@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +93,20 @@ def test_raw_to_physical_reads_the_jet(rng):
             )
         assert np.array_equal(got, via_jet, equal_nan=True)
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_increment_bar_runs_under_its_callers_error_state():
+    # in the ground state rho21 = rho12 = 0 the kick divides 0 by 0: the
+    # increment, which the stepping loop calls under its own error state,
+    # sets none, while the public noise_bar sets its own and does not warn
+    params = ModelParams.from_frequencies(omega=1.0, g=0.1, Omega=3.0)
+    phys = join_phys([1.0], [0.5], 0.0, 0.0, -1.0)
+    dw = np.ones(4 * params.mode_count + 2)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        physical_sde_system(params).increment(phys, 0.01, dw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(noise_bar(params, phys)).all()
 
 
 def test_from_physical_example():

@@ -52,8 +52,11 @@ def _frozen(value):
 # hundred paths; these are the values it converts them to, so the results are
 # the same
 ONE, TWO, MINUS_ONE = _frozen(1.0 + 0.0j), _frozen(2.0 + 0.0j), _frozen(-1.0 + 0.0j)
-FOUR, IMAG, MINUS_IMAG = _frozen(4.0 + 0.0j), _frozen(1j), _frozen(-1j)
+THREE, FOUR = _frozen(3.0 + 0.0j), _frozen(4.0 + 0.0j)
+IMAG, MINUS_IMAG = _frozen(1j), _frozen(-1j)
 ZERO = _frozen(0.0)
+#: x + LIFT lifts an imaginary -0.0 of x to +0.0 and leaves every other value
+LIFT = _frozen(0.0 + 0.0j)
 #: x - ONE_LIFTED is x - 1 with an imaginary -0.0 lifted to +0.0 (x.imag -
 #: (-0.0) is x.imag + 0.0): the lift of :func:`ppcavity.jc.principal_sqrt`
 #: folded into the subtraction

@@ -7,8 +7,8 @@ full-wave (counterrotating terms included) atom-field coupling, optionally
 extended by scattering and pure-dephasing dissipation acting on the fermionic
 rows; drift and noise derive from it, the diffusion is a separate check.
 The basis jet holds each mirror pair, such as (h, htilde), as one array with
-a trailing axis of length 2; the coefficients read its per-side views, and
-the two diffusion roots of a mode are formed in one call.
+a trailing axis of length 2; the increment reads its rows, and forms the two
+diffusion roots of every mode in one call.
 
 The noise matrix keeps only the structurally nonzero columns of the block
 factorization: four per mode, plus two dissipative columns.  The factorization
@@ -23,7 +23,17 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .basis import ADDITIVE_NOISE, ONE, BasisFamily, PhaseFunctions, checked_denominator
+from .basis import (
+    ADDITIVE_NOISE,
+    IMAG,
+    LIFT,
+    ONE,
+    THREE,
+    TWO,
+    BasisFamily,
+    PhaseFunctions,
+    checked_denominator,
+)
 from .sde import SdeSystem, noise_matrix
 
 _ROOT_I = np.sqrt(1j)  # fixed diffusion-gauge choice exp(i pi/4)
@@ -41,7 +51,7 @@ def principal_sqrt(x):
     equal radicands always produce the same root.  IEEE addition does the
     lifting: -0.0 + 0.0 is +0.0 and every other imaginary part is unchanged.
     """
-    return np.sqrt(np.asarray(x, dtype=complex) + 0.0j)
+    return np.sqrt(np.asarray(x, dtype=complex) + LIFT)
 
 
 def _read_only(values) -> np.ndarray:
@@ -169,9 +179,20 @@ class ModelParams:
         return out
 
     @cached_property
-    def pair_rates(self) -> tuple:
-        """omega_n and g_n s_n, each repeated for the rows (alpha_n, beta_n)."""
-        return _read_only(np.repeat(self.omega_array, 2)), _read_only(np.repeat(self.gs, 2))
+    def _held(self) -> dict:
+        return {}
+
+    def held(self, form, dt, ndim):
+        """``form(self, dt, ndim)``: the constants of a step of ``dt`` (a
+        float) on a batch of ``ndim`` axes, formed on first use and held on
+        this instance (for a few steps and ranks at a time)."""
+        key = (form, dt, ndim)
+        held = self._held
+        if key not in held:
+            if len(held) >= 8:
+                held.clear()
+            held[key] = form(self, dt, ndim)
+        return held[key]
 
     @property
     def mu0(self) -> float:
@@ -310,6 +331,17 @@ def mode_sum(x, axis=-1):
     return total
 
 
+def coordinate_rows(x, ndim):
+    """``x.T`` with the leading axes of ``x`` padded to ``ndim``: the rows of a
+    (batched) state or mirror pair, ``ndim`` counting its last axis, or a
+    per-point value, ``ndim`` its batch rank.  Each row ``x.T[k, ...]``
+    broadcasts against the rows of the other operands of that batch rank; a
+    row of the stepping loop's coordinate-major state is contiguous."""
+    if x.ndim < ndim:
+        x = x.reshape((1,) * (ndim - x.ndim) + x.shape)
+    return x.T
+
+
 def _prepare(family, state, check):
     prepared = jet_state(family, state)
     if check:
@@ -317,16 +349,32 @@ def _prepare(family, state, check):
     return prepared.state, prepared.pf
 
 
-def _mode_diffusion(params: ModelParams, pf: PhaseFunctions):
-    """Per-mode diffusion entries g_n s_n (h^2 - 1)/h' and the mirror, (..., N, 2)."""
-    return params.gs[:, None] * pf.quads[..., None, :]
-
-
 def _dissipative_entry(params: ModelParams, pf: PhaseFunctions):
     hht = pf.hht
     return (
         2.0 * params.r_p * hht + params.r21 * hht**2 + params.r12
     ) * pf.inv_hp * pf.inv_htp
+
+
+def _jc_constants(params: ModelParams, dt, ndim):
+    """The 0-d operands of :func:`increment_jc`: per mode (g_n s_n, omega_n);
+    the couplings as an (N, 1, ...) column against the rows of a jet pair;
+    the factors (-i dt, i dt) of the (alpha_n, beta_n) rows and (i dt, -i dt)
+    of the (z, w) rows as a column against two rows; Omega; and the rate
+    factors of the dissipative rows, as rows of a batch of rank ``ndim``."""
+    idt = 1j * dt
+    gs = np.array(params.gs, dtype=complex)
+    rates = (-params.r_p * dt, params.r21 * dt / 2.0, params.r12 * dt / 2.0)
+    rates += (2.0 * params.r_p, params.r21, params.r12)
+    pair = (1,) * ndim
+    return (
+        tuple((gs[k, ...], np.array(params.omega[k], dtype=complex)) for k in range(len(gs))),
+        gs.reshape((-1, 1) + pair),
+        np.array((-idt, idt)).reshape((2,) + pair),
+        np.array((idt, -idt)).reshape((2,) + pair),
+        np.array(params.Omega, dtype=complex),
+        tuple(coordinate_rows(np.asarray(r, dtype=complex), ndim) for r in rates),
+    )
 
 
 def increment_jc(params: ModelParams, family: BasisFamily, state, dt, dw=None, check=True):
@@ -337,61 +385,83 @@ def increment_jc(params: ModelParams, family: BasisFamily, state, dt, dw=None, c
     as i dW_c +- dW_{c+1}, so the kick reads each pair as dW_c + i dW_{c+1}
     and forms no (dim, m) matrix.  ``state`` is a phase-space vector or its
     :class:`JetState`; with ``check`` a pole raises PoleProximityError.  The
-    increment is an :func:`empty_state` whose rows are written in place.
+    rows follow the contract of :class:`ppcavity.sde.SdeSystem`.
     """
     state, pf = _prepare(family, state, check)
     n = params.mode_count
-    alpha, beta, _, _ = split_state(state, n)
-    idt = 1j * dt
     batch = state.shape[:-1]
-    if dw is not None:
+    if dw is not None and dw.shape[:-1] != batch:
         batch = np.broadcast_shapes(batch, dw.shape[:-1])
+    nd = len(batch)
+    modes, gs, field_factors, zw_factors, omega_a, rates = params.held(_jc_constants, dt, nd)
     out = empty_state(batch, params.dim)
-    # the (alpha_n, beta_n) rows are -+i dt (omega_n x + g_n s_n (h + ht)/denom)
-    # and the (z, w) rows +-i dt (drive quad - Omega lin) and the mirror: each
-    # pair is written as one block of rows, and all rows take their factor
-    # -+i dt at once
-    rows_ab, rows_zw = out[..., : 2 * n], out[..., 2 * n :]
-    omega2, gs2 = params.pair_rates
-    np.multiply(((pf.h + pf.ht) / pf.denom)[..., None], gs2, out=rows_ab)
-    rows_ab += omega2 * state[..., : 2 * n]
-    np.multiply(mode_sum(params.gs * (alpha + beta))[..., None], pf.quads, out=rows_zw)
-    rows_zw -= params.Omega * pf.lins
-    out *= np.array((-idt, idt) * n + (idt, -idt))
-    inc_z, inc_w = rows_zw[..., 0], rows_zw[..., 1]
-    if params.dissipative:
-        hht = pf.hht
-        factor = (
-            -params.r_p * dt * (1.0 - hht)
-            - params.r21 * dt / 2.0 * (1.0 + 3.0 * hht)
-            + params.r12 * dt / 2.0 * (3.0 + hht)
-        ) / pf.denom
-        inc_z += pf.h * pf.inv_hp * factor
-        inc_w += pf.ht * pf.inv_htp * factor
+    rows, x = out.T, coordinate_rows(state, nd + 1)
+    hs, quads = coordinate_rows(pf.hs, nd + 1), coordinate_rows(pf.quads, nd + 1)
+    h, ht = hs[0, ...], hs[1, ...]
+    denom = coordinate_rows(pf.denom, nd)
+    coupling = (h + ht) / denom
     if dw is not None:
-        # per mode, dW_c + i dW_{c+1} and dW_{c+2} + i dW_{c+3}
-        pairs = dw[..., : 4 * n].view(complex)
-        a_k, c_k = pairs[..., 0::2], pairs[..., 1::2]
-        roots = _KICK * principal_sqrt(_mode_diffusion(params, pf) / 2.0)
-        sp, sq = roots[..., 0], roots[..., 1]
-        rows_ab[..., 0::2] += sp * a_k
-        rows_ab[..., 1::2] -= sq * np.conj(c_k)
-        inc_z -= mode_sum(sp * np.conj(a_k))
-        inc_w -= mode_sum(sq * c_k)
+        # per mode, dW_c + i dW_{c+1} and dW_{c+2} + i dW_{c+3}, and the
+        # roots of the two diffusion entries, (N, 2) rows in one call
+        pairs = coordinate_rows(dw[..., : 4 * n].view(complex), nd + 1)
+        roots = gs * quads
+        roots /= TWO
+        roots += LIFT
+        np.sqrt(roots, out=roots)
+        np.multiply(_KICK, roots, out=roots)
+    # the (alpha_n, beta_n) rows are -+i dt (omega_n x + g_n s_n (h + ht)/denom)
+    # and the (z, w) rows +-i dt (drive quad - Omega lin) and the mirror, a
+    # pair of rows at a time
+    for k, (gs_k, omega_k) in enumerate(modes):
+        field = rows[2 * k : 2 * k + 2, ...]
+        np.multiply(coupling, gs_k, out=field)
+        field += omega_k * x[2 * k : 2 * k + 2, ...]
+        field *= field_factors
+        term = gs_k * (x[2 * k, ...] + x[2 * k + 1, ...])
+        drive = term if k == 0 else drive + term
+        if dw is not None:
+            a_k, c_k = pairs[2 * k, ...], pairs[2 * k + 1, ...]
+            sp, sq = roots[k, 0, ...], roots[k, 1, ...]
+            row_a, row_b = field[0, ...], field[1, ...]
+            row_a += sp * a_k
+            row_b -= sq * np.conj(c_k)
+            term_z, term_w = sp * np.conj(a_k), sq * c_k
+            kick_z = term_z if k == 0 else kick_z + term_z
+            kick_w = term_w if k == 0 else kick_w + term_w
+    zw, inc_z, inc_w = rows[2 * n :, ...], rows[2 * n, ...], rows[2 * n + 1, ...]
+    np.multiply(drive, quads, out=zw)
+    zw -= omega_a * coordinate_rows(pf.lins, nd + 1)
+    zw *= zw_factors
+    if params.dissipative:
+        rp_dt, r21_dt, r12_dt, two_rp, r21, r12 = rates
+        hht = coordinate_rows(pf.hht, nd)
+        inv_slopes = coordinate_rows(pf.inv_slopes, nd + 1)
+        inv_hp, inv_htp = inv_slopes[0, ...], inv_slopes[1, ...]
+        factor = (
+            rp_dt * (ONE - hht) - r21_dt * (ONE + THREE * hht) + r12_dt * (THREE + hht)
+        ) / denom
+        inc_z += h * inv_hp * factor
+        inc_w += ht * inv_htp * factor
+    if dw is not None:
+        inc_z -= kick_z
+        inc_w -= kick_w
         if params.dissipative:
-            td = principal_sqrt(_dissipative_entry(params, pf) / 2.0)
-            pair = dw[..., 4 * n : 4 * n + 2].view(complex)[..., 0]
-            inc_z -= 1j * td * pair
-            inc_w += 1j * td * np.conj(pair)
+            entry = (two_rp * hht + r21 * np.square(hht) + r12) * inv_hp * inv_htp
+            td = IMAG * np.sqrt(entry / TWO + LIFT)
+            pair = coordinate_rows(dw[..., 4 * n : 4 * n + 2].view(complex), nd + 1)[0, ...]
+            inc_z -= td * pair
+            inc_w += td * np.conj(pair)
     return out
 
 
 def drift_jc(params: ModelParams, family: BasisFamily, state, check=True):
     """Drift vector, with scattering and pure-dephasing terms if ``params.dissipative``.
 
-    The increment (:func:`increment_jc`) at dt = 1 without noise.
+    The increment (:func:`increment_jc`) at dt = 1 without noise; without
+    ``check``, inf/nan at a pole, without numpy warnings.
     """
-    return increment_jc(params, family, state, 1.0, None, check)
+    with np.errstate(all="ignore"):
+        return increment_jc(params, family, state, 1.0, None, check)
 
 
 def diffusion_jc(params: ModelParams, family: BasisFamily, state, check=True):
@@ -399,7 +469,8 @@ def diffusion_jc(params: ModelParams, family: BasisFamily, state, check=True):
     state, pf = _prepare(family, state, check)
     batch_shape = state.shape[:-1]
     n = params.mode_count
-    d = _mode_diffusion(params, pf)
+    # per mode, g_n s_n (h^2 - 1)/h' and the mirror, (..., N, 2)
+    d = params.gs[:, None] * pf.quads[..., None, :]
     out = np.zeros(batch_shape + (params.dim, params.dim), dtype=complex)
     for k in range(n):
         out[..., 2 * k, 2 * n] = out[..., 2 * n, 2 * k] = 1j * d[..., k, 0]
@@ -414,20 +485,22 @@ def noise_jc(params: ModelParams, family: BasisFamily, state, check=True):
     """Noise matrix with 4N (dissipative: 4N+2) columns satisfying B @ B.T = D.
 
     Column c is the increment (:func:`increment_jc`) at dt = 0 on the unit
-    increment e_c.
+    increment e_c; without ``check``, inf/nan at a pole, without numpy
+    warnings.
     """
     state = jet_state(family, state)
     increment = partial(increment_jc, params, family, state, check=check)
-    return noise_matrix(increment, params.noise_dim, state.state.ndim - 1)
+    with np.errstate(all="ignore"):
+        return noise_matrix(increment, params.noise_dim, state.state.ndim - 1)
 
 
 def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
     """SDE system for the integrator; coefficients never raise on poles.
 
     ``prepare`` forms the :class:`JetState` of a state, its jet not
-    ``guarded``: the integrator evaluates the basis jet once per step, under
-    its own error state, and the
-    increment (:func:`increment_jc`, without the pole check) and
+    ``guarded`` (the error-state rule of :class:`ppcavity.sde.SdeSystem`):
+    the integrator evaluates the basis jet once per step, and the increment
+    (:func:`increment_jc`, without the pole check) and
     :func:`ppcavity.observables.observable_bundle` read it.  The
     dissipative layout is used exactly when any rate is positive
     (``params.dissipative``).  The additive-noise family without dissipation

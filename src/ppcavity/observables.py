@@ -218,20 +218,21 @@ def projection_observable(which: str, family: BasisFamily, n_modes: int) -> Smoo
     def hessian(state):
         prepared = jet_state(family, state)
         pf, batch = prepared.pf, prepared.shape
-        den2, den3 = pf.denom**2, pf.denom**3
         out = np.zeros(batch + (dim, dim), dtype=complex)
-        if which == "rho_21":
-            zz = pf.hpp / den2 - 2.0 * pf.hp**2 * pf.ht / den3
-            zw = -2.0 * pf.h * pf.hp * pf.htp / den3
-            ww = -pf.h**2 * pf.htpp / den2 + 2.0 * pf.h**3 * pf.htp**2 / den3
-        elif which == "rho_12":
-            zz = -pf.ht**2 * pf.hpp / den2 + 2.0 * pf.ht**3 * pf.hp**2 / den3
-            zw = -2.0 * pf.ht * pf.hp * pf.htp / den3
-            ww = pf.htpp / den2 - 2.0 * pf.htp**2 * pf.h / den3
-        else:
-            zz = 2.0 * pf.hpp * pf.ht / den2 - 4.0 * pf.hp**2 * pf.ht**2 / den3
-            zw = 2.0 * pf.hp * pf.htp * (1.0 - pf.h * pf.ht) / den3
-            ww = 2.0 * pf.htpp * pf.h / den2 - 4.0 * pf.htp**2 * pf.h**2 / den3
+        with np.errstate(all="ignore"):
+            den2, den3 = pf.denom**2, pf.denom**3
+            if which == "rho_21":
+                zz = pf.hpp / den2 - 2.0 * pf.hp**2 * pf.ht / den3
+                zw = -2.0 * pf.h * pf.hp * pf.htp / den3
+                ww = -pf.h**2 * pf.htpp / den2 + 2.0 * pf.h**3 * pf.htp**2 / den3
+            elif which == "rho_12":
+                zz = -pf.ht**2 * pf.hpp / den2 + 2.0 * pf.ht**3 * pf.hp**2 / den3
+                zw = -2.0 * pf.ht * pf.hp * pf.htp / den3
+                ww = pf.htpp / den2 - 2.0 * pf.htp**2 * pf.h / den3
+            else:
+                zz = 2.0 * pf.hpp * pf.ht / den2 - 4.0 * pf.hp**2 * pf.ht**2 / den3
+                zw = 2.0 * pf.hp * pf.htp * (1.0 - pf.h * pf.ht) / den3
+                ww = 2.0 * pf.htpp * pf.h / den2 - 4.0 * pf.htp**2 * pf.h**2 / den3
         out[..., iz, iz] = zz
         out[..., iz, iw] = zw
         out[..., iw, iz] = zw

@@ -6,11 +6,10 @@ In these coordinates the drift is polynomial and its deterministic part is the
 cavity-mode Maxwell-Bloch system; the transformed noise matrix (closed form
 available for the coherent-spin family only) supplies the quantum corrections.
 Both come from one formula, ``increment_bar``, the Euler increment of a step,
-which forms each root pair of the kick, (p, q) and (rad12, rad21), in one call
-and gives each rad the sign nearest its partner's, p or q.  Like everything
-the stepping loop calls, it runs under the loop's numpy error state; the
-public ``noise_bar`` sets its own.  ``to_physical`` reads the coordinates off
-a :class:`ppcavity.jc.JetState`.
+which forms the four roots of the kick, (p, q, rad12, rad21), in one call and
+gives each rad the sign nearest its partner's, p or q; it follows the row and
+error-state contract of :class:`ppcavity.sde.SdeSystem`.  ``to_physical``
+reads the coordinates off a :class:`ppcavity.jc.JetState`.
 """
 
 from __future__ import annotations
@@ -35,10 +34,10 @@ from .basis import (
 from .errors import InconsistentStateError, PoleProximityError
 from .jc import (
     ModelParams,
+    coordinate_rows,
     empty_state,
     jet_state,
     join_state,
-    mode_sum,
     principal_sqrt,
 )
 from .sde import SdeSystem, noise_matrix
@@ -51,11 +50,7 @@ CONSISTENCY_TOL = 1e-9
 def split_phys(phys, n_modes):
     """Views (eps, eta, rho21, rho12, nu) of a flat (batched) physical vector:
     the layout of :func:`ppcavity.jc.split_state` with nu appended."""
-    return _phys_views(np.asarray(phys, dtype=complex), n_modes)
-
-
-def _phys_views(phys, n):
-    """:func:`split_phys` of a complex array, without the conversion."""
+    phys, n = np.asarray(phys, dtype=complex), n_modes
     return (
         phys[..., 0 : 2 * n : 2],
         phys[..., 1 : 2 * n : 2],
@@ -135,6 +130,31 @@ def from_physical(family: BasisFamily, phys) -> np.ndarray:
     return join_state((eps + 1j * eta) / 2.0, (eps - 1j * eta) / 2.0, z, w)
 
 
+def _bar_constants(params: ModelParams, dt, ndim):
+    """The 0-d operands of :func:`increment_bar`: per mode g_n s_n, dt omega_n,
+    omega_n, 2 g_n s_n, the noise prefactor and -i times it; i dt, -dt, the
+    rotation and decay factors of rho21 and rho12, gamma1 dt, nu0 and the
+    dissipative rates, as rows of a batch of rank ``ndim``."""
+    per_mode = (params.gs, dt * params.omega_array, params.omega_array, 2.0 * params.gs)
+    per_mode = [np.array(v, dtype=complex) for v in per_mode]
+    per_mode += [params.noise_prefactor, MINUS_IMAG * params.noise_prefactor]
+    scalars = (
+        (-1j * params.Omega - params.gamma2) * dt,
+        (1j * params.Omega - params.gamma2) * dt,
+        params.gamma1 * dt,
+        params.nu0,
+        2.0 * params.r_p,
+        params.r21,
+        params.r12,
+    )
+    return (
+        tuple(tuple(v[k, ...] for v in per_mode) for k in range(params.mode_count)),
+        np.array(1j * dt),
+        np.array(-dt, dtype=complex),
+        tuple(coordinate_rows(np.asarray(v, dtype=complex), ndim) for v in scalars),
+    )
+
+
 def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
     """Euler increment A dt + B dW in one pass: the engine's one coefficient formula.
 
@@ -143,66 +163,78 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
     columns: four per mode, then two dissipative ones, which act on the
     atomic rows only and are skipped without dissipation.  The atomic rows of
     the kick are r X + s Y, X and Y two increment combinations summed over
-    the modes.  Square roots take the principal branch (a gauge choice).
-    It sets no numpy error state: the kick divides by rho21, rho12 and
-    1 - nu, so a caller outside the stepping loop sets its own.
+    the modes.  Square roots take the principal branch (a gauge choice); the
+    four of a point, (p, q, rad12, rad21), are taken in one call.  The rows
+    follow the contract of :class:`ppcavity.sde.SdeSystem`.
     """
     phys = np.asarray(phys, dtype=complex)
     n = params.mode_count
-    eps, eta, rho21, rho12, nu = _phys_views(phys, n)
-    om = params.omega_array
-    gs = params.gs
     batch = phys.shape[:-1]
     if dw is not None and dw.shape[:-1] != batch:
         batch = np.broadcast_shapes(batch, dw.shape[:-1])
+    nd = len(batch)
+    modes, idt, minus_dt, scalars = params.held(_bar_constants, dt, nd)
+    rot21, rot12, decay, nu0, two_rp, r21, r12 = scalars
     out = empty_state(batch, 2 * n + 3)
-    inc_eps, inc_eta, inc_21, inc_12, inc_nu = _phys_views(out, n)
-    idrive = 1j * dt * mode_sum(gs * eps)
-    drive_nu = idrive * nu
-    np.multiply(dt * om, eta, out=inc_eps)
-    np.multiply(-dt, om * eps + 2.0 * gs * (rho21 + rho12)[..., None], out=inc_eta)
-    np.add((-1j * params.Omega - params.gamma2) * dt * rho21, drive_nu, out=inc_21)
-    np.subtract((1j * params.Omega - params.gamma2) * dt * rho12, drive_nu, out=inc_12)
-    np.subtract(
-        2.0 * idrive * (rho21 - rho12), params.gamma1 * dt * (nu - params.nu0), out=inc_nu
-    )
+    rows, x = out.T, coordinate_rows(phys, nd + 1)
+    rho21, rho12, nu = x[2 * n, ...], x[2 * n + 1, ...], x[2 * n + 2, ...]
+    inc_21, inc_12, inc_nu = rows[2 * n, ...], rows[2 * n + 1, ...], rows[2 * n + 2, ...]
+    rho_sum = rho21 + rho12
     if dw is not None:
-        # the operands are 0-d constants: numpy converts a Python scalar on
-        # every call, to the same value
+        pairs = coordinate_rows(dw[..., : 4 * n].view(complex), nd + 1)
         one_m = ONE - nu
         one_p = ONE + nu
         quarter_m2 = one_m * one_m / FOUR
-        rho_2 = phys[..., 2 * n : 2 * n + 2] ** 2
-        rho21_2, rho12_2 = rho_2[..., 0], rho_2[..., 1]
-        # the roots (p, q) and (rad12, rad21), each pair in one call; on the
+        rho_2 = np.square(x[2 * n : 2 * n + 2, ...])
+        rho21_2, rho12_2 = rho_2[0, ...], rho_2[1, ...]
+        # the radicands of (p, q, rad12, rad21), rooted in one call; on the
         # constraint surface rad12 shares its radicand with p, rad21 with q;
         # subtracting ONE_LIFTED takes the principal root (principal_sqrt)
-        roots = np.sqrt(rho_2 / quarter_m2[..., None] - ONE_LIFTED)
-        rads = np.sqrt((one_p * one_p)[..., None] / (FOUR * rho_2[..., ::-1]) - ONE_LIFTED)
+        roots = np.empty((4,) + rho_2.shape[1:], dtype=complex)
+        np.divide(rho_2, quarter_m2, out=roots[:2])
+        np.divide(one_p * one_p, FOUR * rho_2[::-1], out=roots[2:])
+        roots -= ONE_LIFTED
+        np.sqrt(roots, out=roots)
         # off the surface, near the branch cut, the principal roots of
         # such a pair can part: each rad takes the sign nearest its partner
-        np.negative(rads, out=rads, where=(rads * np.conj(roots)).real < ZERO)
-        p, q, rad12, rad21 = roots[..., 0], roots[..., 1], rads[..., 0], rads[..., 1]
-        # per mode, pref (dW_c + i dW_{c+1}) and pref (dW_{c+2} - i dW_{c+3})
-        pairs = dw[..., : 4 * n].view(complex)
-        pref = params.noise_prefactor
-        pa = p[..., None] * (pref * pairs[..., 0::2])
-        qc = q[..., None] * (pref * np.conj(pairs[..., 1::2]))
-        inc_eps += IMAG * (pa - qc)
-        inc_eta += pa + qc
-        kick = MINUS_IMAG * pref
-        x = mode_sum(kick * np.conj(pairs[..., 0::2]))
-        y = mode_sum(kick * pairs[..., 1::2])
-        inc_21 += quarter_m2 * p * x
-        inc_21 -= rho21_2 * rad21 * y
-        inc_12 -= rho12_2 * rad12 * x
-        inc_12 += quarter_m2 * q * y
-        inc_nu += one_m * (rho12 * rad12 * x + rho21 * rad21 * y)
+        rads = roots[2:]
+        np.negative(rads, out=rads, where=(rads * np.conj(roots[:2])).real < ZERO)
+        p, q, rad12, rad21 = (roots[k, ...] for k in range(4))
+    for k, (gs_k, dt_omega_k, omega_k, two_gs_k, pref_k, kick_k) in enumerate(modes):
+        eps, eta = x[2 * k, ...], x[2 * k + 1, ...]
+        inc_eps, inc_eta = rows[2 * k, ...], rows[2 * k + 1, ...]
+        term = gs_k * eps
+        drive = term if k == 0 else drive + term
+        np.multiply(dt_omega_k, eta, out=inc_eps)
+        field = omega_k * eps
+        field += two_gs_k * rho_sum
+        np.multiply(minus_dt, field, out=inc_eta)
+        if dw is not None:
+            # pref (dW_c + i dW_{c+1}) and pref (dW_{c+2} - i dW_{c+3})
+            a_k, c_k = pairs[2 * k, ...], pairs[2 * k + 1, ...]
+            pa = p * (pref_k * a_k)
+            qc = q * (pref_k * np.conj(c_k))
+            inc_eps += IMAG * (pa - qc)
+            inc_eta += pa + qc
+            term_x, term_y = kick_k * np.conj(a_k), kick_k * c_k
+            kick_x = term_x if k == 0 else kick_x + term_x
+            kick_y = term_y if k == 0 else kick_y + term_y
+    idrive = idt * drive
+    drive_nu = idrive * nu
+    np.add(rot21 * rho21, drive_nu, out=inc_21)
+    np.subtract(rot12 * rho12, drive_nu, out=inc_12)
+    np.subtract(TWO * idrive * (rho21 - rho12), decay * (nu - nu0), out=inc_nu)
+    if dw is not None:
+        inc_21 += quarter_m2 * p * kick_x
+        inc_21 -= rho21_2 * rad21 * kick_y
+        inc_12 -= rho12_2 * rad12 * kick_x
+        inc_12 += quarter_m2 * q * kick_y
+        inc_nu += one_m * (rho12 * rad12 * kick_x + rho21 * rad21 * kick_y)
         if params.dissipative:
             ratio = one_p / one_m
-            dbar = 2.0 * params.r_p * ratio + params.r21 * ratio**2 + params.r12
+            dbar = two_rp * ratio + r21 * np.square(ratio) + r12
             tkick = MINUS_IMAG * principal_sqrt(dbar / TWO)
-            pair = dw[..., 4 * n : 4 * n + 2].view(complex)[..., 0]
+            pair = coordinate_rows(dw[..., 4 * n : 4 * n + 2].view(complex), nd + 1)[0, ...]
             x_d, y_d = tkick * np.conj(pair), tkick * pair
             inc_21 += rho21_2 * x_d
             inc_21 += quarter_m2 * y_d
@@ -231,11 +263,11 @@ def noise_bar(params: ModelParams, phys) -> np.ndarray:
 
 
 def jacobian_change(family: BasisFamily, state) -> np.ndarray:
-    """Analytic Jacobian of the phase-space -> physical change of variables."""
+    """Analytic Jacobian of the phase-space -> physical change of variables;
+    inf/nan at a pole, without numpy warnings."""
     prepared = jet_state(family, state)
     state, pf = prepared.state, prepared.pf
     n = (state.shape[-1] - 2) // 2
-    den2 = pf.denom**2
     out = np.zeros(state.shape[:-1] + (2 * n + 3, 2 * (n + 1)), dtype=complex)
     for k in range(n):
         out[..., 2 * k, 2 * k] = 1.0
@@ -243,12 +275,14 @@ def jacobian_change(family: BasisFamily, state) -> np.ndarray:
         out[..., 2 * k + 1, 2 * k] = -1j
         out[..., 2 * k + 1, 2 * k + 1] = 1j
     iz, iw = 2 * n, 2 * n + 1
-    out[..., 2 * n, iz] = pf.hp / den2
-    out[..., 2 * n, iw] = -pf.h**2 * pf.htp / den2
-    out[..., 2 * n + 1, iz] = -pf.ht**2 * pf.hp / den2
-    out[..., 2 * n + 1, iw] = pf.htp / den2
-    out[..., 2 * n + 2, iz] = 2.0 * pf.hp * pf.ht / den2
-    out[..., 2 * n + 2, iw] = 2.0 * pf.h * pf.htp / den2
+    with np.errstate(all="ignore"):
+        den2 = pf.denom**2
+        out[..., 2 * n, iz] = pf.hp / den2
+        out[..., 2 * n, iw] = -pf.h**2 * pf.htp / den2
+        out[..., 2 * n + 1, iz] = -pf.ht**2 * pf.hp / den2
+        out[..., 2 * n + 1, iw] = pf.htp / den2
+        out[..., 2 * n + 2, iz] = 2.0 * pf.hp * pf.ht / den2
+        out[..., 2 * n + 2, iw] = 2.0 * pf.h * pf.htp / den2
     return out
 
 

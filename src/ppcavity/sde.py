@@ -115,6 +115,17 @@ class SdeSystem:
     defaults to the identity.  What the loop calls runs under its
     ``np.errstate(all="ignore")`` and sets none of its own; a public entry
     point that calls it, such as ``physical.noise_bar``, sets its own.
+
+    The engines' increments (``jc.increment_jc``, ``physical.increment_bar``)
+    work on 1-D coordinate rows: they read the ``.T`` of the state, of the
+    jet pairs and of ``dw``'s complex pairs, and write the rows of a
+    coordinate-major ``jc.empty_state``, so on the loop's state each row is
+    contiguous.  Every coefficient is a 0-d array; the per-mode and per-``dt``
+    ones are formed once and held on the ``ModelParams`` (``held``).  The
+    modes are handled in one loop, which adds the mode sums in order, as
+    ``jc.mode_sum`` does.  A ``dw`` with another batch shape than the
+    state's, such as the unit increments of :func:`noise_matrix`, broadcasts
+    against it.
     """
 
     dim: int

@@ -449,8 +449,9 @@ class TestRunCommand:
         assert isinstance(meta["max_bloch_violation"], float)
 
     def test_pure_state_mb_run_reports_its_bloch_bound_violation(self, tmp_path, capsys):
-        # a pure atomic state starts on the Bloch sphere, and RK4 roundoff
-        # takes it just outside: a warning line, not a RuntimeWarning
+        # a pure atomic state starts on the Bloch sphere, and the RK4
+        # truncation error of 4096 steps takes it just outside: a warning
+        # line, not a RuntimeWarning
         text = FIG3_REFERENCE.replace("engine = reference", "engine = mb")
         text = text.replace("t_end = 2.8559933214452665e-3", "t_end = 0.05")
         text = text.replace("steps = 64", "steps = 4096")
@@ -466,6 +467,24 @@ class TestRunCommand:
         meta = json.loads((tmp_path / "mb.csv.meta.json").read_text())
         assert meta["max_bloch_violation"] > BLOCH_BOUND_SLACK
         assert "warning: Bloch-sphere bound violated" in capsys.readouterr().err
+
+    def test_pure_state_bloch_violation_is_rk4_truncation(self, tmp_path, capsys):
+        # the violation falls like dt^4 (7.5x and 11.3x per doubling here),
+        # not like roundoff, so a finer grid stays on the sphere and warns not
+        text = FIG3_REFERENCE.replace("engine = reference", "engine = mb")
+        text = text.replace("t_end = 2.8559933214452665e-3", "t_end = 0.05")
+        text = text.replace("rho11 = 0.7310585786300049", "rho11 = 0.5\nrho12 = 0.5 0")
+        cfg_path, out_path = tmp_path / "run.cfg", tmp_path / "mb.csv"
+        violations = []
+        for steps in (2048, 4096, 8192):
+            cfg_path.write_text(text.replace("steps = 64", f"steps = {steps}"))
+            capsys.readouterr()
+            assert main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+            meta = json.loads((tmp_path / "mb.csv.meta.json").read_text())
+            violations.append(meta["max_bloch_violation"])
+        assert violations[0] >= 5.0 * violations[1] and violations[1] >= 5.0 * violations[2]
+        assert violations[2] <= BLOCH_BOUND_SLACK
+        assert "Bloch" not in capsys.readouterr().err
 
     def test_experimental_engine_runs(self, tmp_path):
         text = small_sde_config(tmp_path, "x.csv").replace(

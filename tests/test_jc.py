@@ -395,27 +395,32 @@ def test_join_state_is_coordinate_major():
     assert single.shape == (6,) and single.flags.c_contiguous
 
 
-@pytest.mark.parametrize("noise", [False, True], ids=["drift", "kick"])
+@pytest.mark.parametrize("noise", [False, True, "units"], ids=["drift", "kick", "units"])
 @pytest.mark.parametrize("rated", [False, True], ids=["free", "rates"])
-@pytest.mark.parametrize("n_modes", [1, 2])
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
 @pytest.mark.parametrize("fam", [CS, ADD, BasisFamily.additive_noise(3.0 + 1.0j, 0.2 - 0.1j)])
 def test_increment_on_a_coordinate_major_state_is_bit_identical(rng, fam, n_modes, rated, noise):
     # the .T view of a (dim, paths) state, as the stepping loop hands it
     # out, gives the increment of a C-order copy bit for bit, raw or with
-    # its jet, through increment_jc and the system's increment alike
+    # its jet, through increment_jc and the system's increment alike; three
+    # modes pin the order of the mode sums, and "units" is the call of
+    # noise_matrix, a (points,) state against (m, 1, m) unit increments
     params = sample_model(n_modes, **(random_rates(rng) if rated else {}))
     states = np.stack([random_phase_state(rng, fam, n_modes) for _ in range(33)])
     states[3, -2:] = 0.0  # signed zeros in the jet
     coords = np.ascontiguousarray(states.T)
-    dw = rng.standard_normal((33, params.noise_dim)) * 0.1 if noise else None
-    got = jc.increment_jc(params, fam, coords.T, 0.01, dw, check=False)
-    want = jc.increment_jc(params, fam, states, 0.01, dw, check=False)
+    m, dt = params.noise_dim, 0.01
+    dw = rng.standard_normal((33, m)) * 0.1 if noise else None
+    if noise == "units":
+        dw, dt = np.eye(m).reshape(m, 1, m), 0.0
+    got = jc.increment_jc(params, fam, coords.T, dt, dw, check=False)
+    want = jc.increment_jc(params, fam, states, dt, dw, check=False)
     assert got.T.flags.c_contiguous
     assert np.array_equal(_bits(got), _bits(want))
-    if noise:
+    if noise is True:
         system = jc_sde_system(params, fam)
-        got = system.increment(system.prepare(coords.T), 0.01, dw)
-        want = system.increment(system.prepare(states), 0.01, dw)
+        got = system.increment(system.prepare(coords.T), dt, dw)
+        want = system.increment(system.prepare(states), dt, dw)
         assert np.array_equal(_bits(got), _bits(want))
 
 

@@ -23,9 +23,14 @@ from ppcavity.jc import (
     drift_jc,
     jc_sde_system,
     jet_state,
+    noise_jc,
     phase_init_sampler,
 )
-from ppcavity.observables import observable_bundle, physical_observable_bundle
+from ppcavity.observables import (
+    observable_bundle,
+    physical_observable_bundle,
+    projection_observable,
+)
 from ppcavity.physical import (
     coupling_rate,
     drift_bar,
@@ -107,6 +112,42 @@ def test_increment_bar_runs_under_its_callers_error_state():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not np.isfinite(noise_bar(params, phys)).all()
+
+
+_POLES = {"coherent-spin": (CS, (1.0, -1.0)), "additive-noise": (ADD, (2000.0, -2000.0))}
+_AT_A_POLE = {
+    "to_physical": lambda params, fam, state: to_physical(fam, state, check=False),
+    "jacobian_change": lambda params, fam, state: jacobian_change(fam, state),
+    "drift_jc": lambda params, fam, state: drift_jc(params, fam, state, check=False),
+    "noise_jc": lambda params, fam, state: noise_jc(params, fam, state, check=False),
+    "diffusion_jc": lambda params, fam, state: diffusion_jc(params, fam, state, check=False),
+    "observable_batch": lambda params, fam, state: observable_bundle(
+        params, fam, ("rho_11", "rho_21", "nu", "e_1", "z")
+    ).batch(state),
+}
+for _which in ("rho_21", "rho_12", "nu"):
+    for _part in ("value", "gradient", "hessian"):
+        _AT_A_POLE[f"{_part}[{_which}]"] = (
+            lambda params, fam, state, which=_which, part=_part: getattr(
+                projection_observable(which, fam, 1), part
+            )(state)
+        )
+
+
+@pytest.mark.parametrize("name", sorted(_AT_A_POLE))
+@pytest.mark.parametrize("family", sorted(_POLES))
+def test_public_entry_points_do_not_warn_at_a_pole(family, name):
+    # every public callable that takes a phase-space state sets its own
+    # numpy error state: at an exact pole 1 + h*htilde = 0 it returns
+    # inf/nan without a RuntimeWarning, on its own and in a batch
+    fam, (z, w) = _POLES[family]
+    params = sample_model(1, r12=0.3, r21=0.2, r_p=0.1)
+    point = np.array([0.5 + 0.1j, 0.5 - 0.1j, z, w])
+    assert fam.pair(z, w)[0] * fam.pair(z, w)[1] == -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state in (point, np.stack([point, point * 0.1])):
+            _AT_A_POLE[name](params, fam, state)
 
 
 def test_from_physical_example():
@@ -444,19 +485,24 @@ def test_constraint_drift_falls_with_the_step():
     assert max(coarse.max(), fine.max()) < 1e-2
 
 
-@pytest.mark.parametrize("noise", [False, True], ids=["drift", "kick"])
+@pytest.mark.parametrize("noise", [False, True, "units"], ids=["drift", "kick", "units"])
 @pytest.mark.parametrize("rated", [False, True], ids=["free", "rates"])
-@pytest.mark.parametrize("n_modes", [1, 2])
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
 def test_increment_bar_on_a_coordinate_major_state_is_bit_identical(rng, n_modes, rated, noise):
     # the .T view of a (dim, paths) physical state, as the stepping loop
-    # hands it out, gives the increment of a C-order copy bit for bit
+    # hands it out, gives the increment of a C-order copy bit for bit; three
+    # modes pin the order of the mode sums, and "units" is the call of
+    # noise_matrix, a (points,) state against (m, 1, m) unit increments
     params = sample_model(n_modes, **(random_rates(rng) if rated else {}))
     states = np.stack([random_phase_state(rng, CS, n_modes) for _ in range(33)])
     phys = np.ascontiguousarray(to_physical(CS, states))
     coords = np.ascontiguousarray(phys.T)
-    dw = rng.standard_normal((33, 4 * n_modes + 2)) * 0.1 if noise else None
+    m, dt = 4 * n_modes + 2, 0.01
+    dw = rng.standard_normal((33, m)) * 0.1 if noise else None
+    if noise == "units":
+        dw, dt = np.eye(m).reshape(m, 1, m), 0.0
     system = physical_sde_system(params)
-    got, want = system.increment(coords.T, 0.01, dw), system.increment(phys, 0.01, dw)
+    got, want = system.increment(coords.T, dt, dw), system.increment(phys, dt, dw)
     assert got.T.flags.c_contiguous
     assert np.array_equal(*(np.ascontiguousarray(x).view(float) for x in (got, want)))
 

@@ -515,10 +515,15 @@ def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
         constant = noise(np.zeros(params.dim, dtype=complex))
 
         def increment(state, dt, dw):
-            # dw is (m,) or (paths, m): (dim, m) @ (m, paths) is the kick in
-            # the coordinate-major order of the increment
+            # dw (..., m) as (n, m) rows: (dim, m) @ (m, n) is the kick in the
+            # coordinate-major order of the increment; a dw batch wider than
+            # the state's, such as noise_matrix's unit increments, broadcasts
             out = increment_jc(params, family, state, dt, None, check=False)
-            out += (constant @ dw.T).T
+            rows = dw.reshape(-1, dw.shape[-1])
+            kick = (constant @ rows.T).T.reshape(dw.shape[:-1] + (params.dim,))
+            if kick.shape != out.shape:
+                return out + kick
+            out += kick
             return out
 
     return SdeSystem(

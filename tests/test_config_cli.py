@@ -332,6 +332,7 @@ class TestRunCommand:
             assert isinstance(meta[key], float)
         assert meta["max_trace_error"] <= 1e-6
         assert meta["integrator"] == "spectral"  # no dissipation: exact propagation
+        assert "max_parity_leak" not in meta  # a diagnostic of the split step only
         # g = 0: the populations, and with them the energy, stay where they are
         assert 0.0 <= meta["max_energy_drift"] <= 1e-12
 
@@ -374,6 +375,8 @@ class TestRunCommand:
             err = capsys.readouterr().err
             meta = json.loads((tmp_path / "ref.csv.meta.json").read_text())
             assert meta["integrator"] == "strang"
+            # U enters the step as its two parity blocks; what it drops is roundoff
+            assert 0.0 <= meta["max_parity_leak"] <= 1e-14
             assert meta["min_eigenvalue"] >= -1e-14
             assert "warning" not in err
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ppcavity.jc import (
 from ppcavity.initialization import AtomicDensity, init_points
 from ppcavity.observables import observable_bundle
 from ppcavity.reference import TruncatedSpace, initial_density
-from ppcavity.sde import TimeGrid, run_ensemble
+from ppcavity.sde import TimeGrid, noise_matrix, run_ensemble
 
 from helpers import single_mode_drift, single_mode_noise
 
@@ -422,6 +423,22 @@ def test_increment_on_a_coordinate_major_state_is_bit_identical(rng, fam, n_mode
         got = system.increment(system.prepare(coords.T), dt, dw)
         want = system.increment(system.prepare(states), dt, dw)
         assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("rated", [False, True], ids=["free", "rates"])
+@pytest.mark.parametrize("n_modes", [1, 2])
+@pytest.mark.parametrize("fam", [CS, ADD], ids=["coherent-spin", "additive-noise"])
+def test_system_increment_reads_unit_increments_as_noise_columns(rng, fam, n_modes, rated):
+    # the SdeSystem contract takes dw (..., m): noise_matrix's (m, 1, m) unit
+    # increments through the system's increment give its noise matrix at a
+    # batch, the constant kick of the additive-noise system without rates too
+    params = sample_model(n_modes, **(random_rates(rng) if rated else {}))
+    system = jc_sde_system(params, fam)
+    states = np.stack([random_phase_state(rng, fam, n_modes) for _ in range(5)])
+    increment = partial(system.increment, system.prepare(states))
+    got = noise_matrix(increment, params.noise_dim, 1)
+    assert got.shape == (5, params.dim, params.noise_dim)
+    assert np.array_equal(got, system.noise(states))
 
 
 @pytest.mark.parametrize("n_modes", [1, 2])

@@ -3,6 +3,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from ppcavity import reference
 from ppcavity.errors import DimensionCapError, TraceDriftError
 from ppcavity.initialization import AtomicDensity
 from ppcavity.jc import ModelParams
@@ -14,6 +15,10 @@ from ppcavity.reference import (
     TruncatedSpace,
     _embed_atom,
     _eig_check_points,
+    _parity_order,
+    _recorded_operators,
+    _Relaxation,
+    _sectors,
     _trace_errors,
     build_hamiltonian,
     coherent_state,
@@ -352,6 +357,111 @@ def test_strang_diagnostics_are_sampled_at_the_check_points(lossy_two_mode):
     # the dissipator lowers the purity from its initial value, which is not sampled
     assert abs(traj.max_purity - purity.max()) <= 1e-14
     assert abs(traj.min_eigenvalue - low.min()) <= 1e-14
+
+
+def random_hermitian(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize("n_max", [(3,), (4,), (3, 2), (2, 4)], ids=str)
+def test_parity_order_is_two_sectors_of_field_dim_states(n_max):
+    space = TruncatedSpace(n_max)
+    order = _parity_order(space)
+    f = space.field_dim
+    assert order.shape == (space.dim,)
+    assert np.array_equal(np.sort(order), np.arange(space.dim))
+    # both sectors list every field state once, in field order, so the atom
+    # flip is the swap of the two halves; sector e has N + S+S- even
+    assert np.array_equal(order[:f] // 2, np.arange(f))
+    assert np.array_equal(order[f:] // 2, np.arange(f))
+    photons = np.indices(tuple(v + 1 for v in n_max)).sum(axis=0).ravel()
+    excitations = photons[order // 2] + order % 2
+    assert np.all(excitations[:f] % 2 == 0) and np.all(excitations[f:] % 2 == 1)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.7], ids=["g0", "g"])
+@pytest.mark.parametrize("n_max", [(3,), (4,), (3, 2), (2, 4)], ids=str)
+def test_hamiltonian_has_no_entry_between_the_parity_sectors(n_max, g):
+    params = ModelParams.from_frequencies(
+        omega=(2.0, 3.1)[: len(n_max)], g=(g, 0.5 * g)[: len(n_max)], Omega=1.5
+    )
+    space = TruncatedSpace(n_max)
+    order = _parity_order(space)
+    ham = _sectors(build_hamiltonian(params, space)[np.ix_(order, order)])
+    assert np.all(ham[0, :, 1] == 0.0) and np.all(ham[1, :, 0] == 0.0)
+    # the coupling stays inside the sectors
+    assert (np.count_nonzero(ham[0, :, 0] - np.diag(np.diag(ham[0, :, 0]))) > 0) == (g != 0.0)
+
+
+@pytest.mark.parametrize(
+    "rates", [dict(r12=0.1, r21=0.4, r_p=0.2), dict(r_p=0.3)], ids=["all", "gamma0"]
+)
+@pytest.mark.parametrize("dt", [0.005, 1.0])
+def test_one_relaxation_of_dt_is_two_of_half_dt(rng, rates, dt):
+    # the split step fuses adjacent half-step flows; r_p alone runs the
+    # Gamma = 0 branch of the population exchange
+    params = coupled_params(**rates)
+    space = TruncatedSpace((3, 2))
+    sigma = random_hermitian(rng, space.dim)
+    work = np.empty_like(sigma)
+    half = _Relaxation(params, 0.5 * dt, space)
+    two = half(half(sigma.copy(), work), work)
+    one = _Relaxation(params, dt, space)(sigma.copy(), work)
+    assert np.abs(one - two).max() <= 1e-15 * np.abs(sigma).max()
+    assert np.abs(one - one.conj().T).max() <= 1e-15 * np.abs(sigma).max()
+
+
+def test_relaxation_matches_the_atomic_lindblad_flow(rng):
+    params = coupled_params(r12=0.1, r21=0.4, r_p=0.2)
+    space = TruncatedSpace((3, 2))
+    f, tau = space.field_dim, 0.3
+    rho = random_hermitian(rng, space.dim)
+    flow = lindblad_atomic_flow(params, tau)
+    want = np.einsum("stuv,fugv->fsgt", flow, rho.reshape(f, 2, f, 2)).reshape(rho.shape)
+    order = np.ix_(_parity_order(space), _parity_order(space))
+    got = _Relaxation(params, tau, space)(rho[order], np.empty_like(rho))
+    assert np.abs(got - want[order]).max() <= 1e-14 * np.abs(rho).max()
+
+
+def test_recording_through_the_adjoint_relaxation(rng, lossy_two_mode):
+    # tr(D(dt/2)^dagger(A) sigma) = tr(A D(dt/2) sigma), for each recorded A
+    # and for the table of their transposes that the split step reads
+    params, space, grid, _, _ = lossy_two_mode
+    order = np.ix_(_parity_order(space), _parity_order(space))
+    ham = build_hamiltonian(params, space)
+    ops = np.stack([op[order] for op in _recorded_operators(space, ham)])
+    half = _Relaxation(params, 0.5 * grid.dt, space)
+    for _ in range(3):
+        sigma = random_hermitian(rng, space.dim)
+        relaxed = half(sigma.copy(), np.empty_like(sigma))
+        want = np.einsum("kij,ji->k", ops, relaxed)
+        scale = 1e-15 * np.abs(ops * sigma.T).sum(axis=(1, 2))
+        assert np.all(np.abs(np.einsum("kij,ji->k", half.adjoint(ops), sigma) - want) <= scale)
+        table = half.adjoint(ops.transpose(0, 2, 1)).reshape(len(ops), -1)
+        assert np.all(np.abs(table @ sigma.ravel() - want) <= scale)
+
+
+def test_strang_drops_only_roundoff_of_u(lossy_two_mode):
+    *_, traj, _ = lossy_two_mode
+    assert 0.0 <= traj.diagnostics["max_parity_leak"] <= 1e-14
+
+
+def test_strang_refuses_a_hamiltonian_that_couples_the_sectors(monkeypatch):
+    params = coupled_params(r21=0.2)
+    space = TruncatedSpace((3,))
+    rho0 = initial_density(params, space, 0.5, AtomicDensity.from_upper(0.7, 0.0))
+    build = reference.build_hamiltonian
+
+    def leaky(params, space):
+        ham = build(params, space)
+        ham[0, 1] += 1e-300  # |0, lower> (sector e) to |0, upper> (sector o)
+        ham[1, 0] += 1e-300
+        return ham
+
+    monkeypatch.setattr(reference, "build_hamiltonian", leaky)
+    with pytest.raises(ValueError, match="couples the two parity sectors"):
+        evolve(params, rho0, TimeGrid(0.0, 0.5, 50), space)
 
 
 def test_strang_keeps_positivity_and_converges_at_second_order():

@@ -1,27 +1,17 @@
 """Nonorthogonal fermionic basis-state families.
 
-A family is defined by an analytic function ``h`` (ratio of upper- to
-lower-level amplitude of the unnormalized two-level state) together with its
-mirror ``htilde(w) = conj(h(conj(w)))``.  Two families are supported:
+A family is an analytic function ``h`` (ratio of upper- to lower-level
+amplitude of the unnormalized two-level state) with its mirror
+``htilde(w) = conj(h(conj(w)))``:
 
-* ``coherent-spin``: h(z) = z, the familiar spin coherent states with the
-  unnormalized convention f(z) = 1, g(z) = z.
+* ``coherent-spin``: h(z) = z, the spin coherent states with f(z) = 1, g(z) = z.
 * ``additive-noise``: h(z) = (1 - exp(2z/delta + kappa)) / (1 + exp(2z/delta + kappa)),
-  the solution family of delta * h'(z) = h(z)**2 - 1.  The constant ratio
-  (h**2 - 1)/h' = delta is what makes the cavity SDE noise state-independent.
+  which solves delta * h'(z) = h(z)**2 - 1; the constant ratio
+  (h**2 - 1)/h' = delta makes the cavity SDE noise state-independent.
 
-All evaluation methods broadcast over numpy arrays of ``z`` and ``w`` and
-never raise or warn: near a pole they return inf/nan entries.  A caller that
-must refuse such a point passes the jet to :func:`checked_denominator`, the
-one pole check for a phase-space point.
-
-:meth:`BasisFamily.jet` and :meth:`BasisFamily.pair` evaluate a side and its
-mirror in one pass: they stack (z, w) along a trailing axis of length 2, such
-as a state's last two coordinates, and take one exponential with the
-constants as (side, mirror) pairs (2/delta, 2/conj delta) and (kappa, conj
-kappa).  Every member of the jet is such a pair; the slopes h', h'', 1/h' are
-``functools.cached_property`` members formed on first read, so a step pays
-only for what its drift, noise and projection read, and they all read one jet.
+Evaluation broadcasts and never raises or warns: near a pole it returns
+inf/nan, and :func:`checked_denominator` is the one pole check of a
+phase-space point.  :class:`PhaseFunctions` states the jet layout.
 """
 
 from __future__ import annotations
@@ -48,9 +38,7 @@ def _frozen(value):
 
 
 # read-only 0-d operands of the per-step arithmetic: numpy converts a Python
-# scalar operand on every call, which costs more than the arithmetic on a few
-# hundred paths; these are the values it converts them to, so the results are
-# the same
+# scalar operand on every call; these are its conversions, so results are the same
 ONE, TWO, MINUS_ONE = _frozen(1.0 + 0.0j), _frozen(2.0 + 0.0j), _frozen(-1.0 + 0.0j)
 THREE, FOUR = _frozen(3.0 + 0.0j), _frozen(4.0 + 0.0j)
 IMAG, MINUS_IMAG = _frozen(1j), _frozen(-1j)
@@ -97,9 +85,8 @@ def _stack(z, w):
 
 
 def _member(form):
-    """A cached jet member formed by ``form`` on first read: without numpy
-    warnings on a ``guarded`` jet, under the caller's error state on any
-    other."""
+    """A cached jet member formed by ``form`` on first read, under the error
+    state that :attr:`PhaseFunctions.guarded` names."""
 
     def member(self):
         if not self.guarded:
@@ -112,22 +99,26 @@ def _member(form):
 
 
 class PhaseFunctions:
-    """All quantities of one family needed by the SDE coefficient assembly.
+    """The basis jet of one family at (z, w), read by the SDE coefficients,
+    the observables and the change of variables.
 
     Each member is a mirror pair, its last axis holding the side at z and the
-    mirror at w: ``hs`` (h, htilde), ``lins`` (h/h', ...), ``quads`` (the
-    diffusion ratios (h**2 - 1)/h', the exact constant pair (delta, conj
-    delta) for the additive-noise family), ``slopes`` (h', ...),
-    ``curvatures`` (h'', ...) and ``inv_slopes`` (1/h', ...); h/ht, lin/lin_t,
-    quad/quad_t, hp/htp, hpp/htpp and inv_hp/inv_htp are views of them.
-    :meth:`BasisFamily.jet` forms hs, lins, quads, ``hht`` = h*htilde and
-    ``denom`` = 1 + h*htilde, and keeps q = exp(2*s*u) and 1/q of the
-    additive-noise family.  The slopes, curvatures and inverse slopes are
-    cached properties, formed for both sides from those on first read, so the
-    order of reads does not change any value.  ``guarded`` is True on a jet
-    of :meth:`BasisFamily.jet`, whose readers set their own error state,
-    False on one of the stepping loop, read under the loop's.  Their
-    per-side views are properties.
+    mirror at w: ``hs`` (h, htilde), ``lins`` (h/h', ...), ``quads``
+    ((h**2 - 1)/h', the constant pair (delta, conj delta) for the
+    additive-noise family), ``slopes`` (h', ...), ``curvatures`` (h'', ...)
+    and ``inv_slopes`` (1/h', ...); h/ht, lin/lin_t, quad/quad_t, hp/htp,
+    hpp/htpp and inv_hp/inv_htp are views of them, and ``hht`` = h*htilde
+    and ``denom`` = 1 + h*htilde are formed with hs.  :meth:`BasisFamily.jet`
+    takes one exponential of both sides, with the constants as (side,
+    mirror) pairs such as (2/delta, 2/conj delta), and keeps q = exp(2*s*u)
+    and 1/q of the additive-noise family.  The slopes, curvatures and inverse
+    slopes are cached properties formed for both sides on first read, so a
+    step pays only for what it reads and the order of reads changes no value.
+
+    ``guarded`` is True on a jet of :meth:`BasisFamily.jet`, whose members
+    form without numpy warnings, and False on the stepping loop's, whose
+    members follow the reader's error state (the rule of
+    :class:`ppcavity.sde.SdeSystem`).
     """
 
     def __init__(self, hs, lins, quads, q=None, guarded=True):
@@ -204,14 +195,10 @@ class BasisFamily:
     def additive_noise(cls, delta=4.0, kappa=0.0) -> "BasisFamily":
         return cls(ADDITIVE_NOISE, delta, kappa)
 
-    # -- evaluation ---------------------------------------------------------
-
     def _constants(self, zw):
         """2/delta, kappa and delta/4 as (side, mirror) pairs tiled to the shape
-        and memory order of the jet's argument ``zw`` (..., 2), such as the
-        ``.T`` view of a coordinate-major state, and kept: numpy multiplies
-        two arrays of one shape and order much faster than it broadcasts a
-        pair over a batch."""
+        and memory order of ``zw`` (..., 2), and kept: numpy multiplies two
+        arrays of one shape and order much faster than it broadcasts a pair."""
         key = (zw.shape, zw.flags.f_contiguous)
         if key not in self._tiles:
             if len(self._tiles) >= 4:  # a few batch shapes at a time
@@ -224,13 +211,9 @@ class BasisFamily:
 
     def _exp_form(self, zw, twos, kappas):
         """(h, htilde) = -tanh(u) at the (..., 2) array of u = z/delta + kappa/2
-        and its mirror, from one exponential.
-
-        Returns (hs, q, s) with s = -1 where Re u > 0, else +1, and
-        q = exp(2*s*u).  So |q| <= 1, e = exp(2u) is q**s, and
-        h = s*(1 - q)/(1 + q) stays finite wherever tanh is; exp only
-        underflows, which numpy ignores by default.
-        """
+        and its mirror, from one exponential: (hs, q, s) with s = -1 where
+        Re u > 0, else +1, and q = exp(2*s*u): |q| <= 1, so exp only
+        underflows and h = s*(1 - q)/(1 + q) stays finite wherever tanh is."""
         two_u = zw * twos + kappas
         s = np.where(two_u.real > ZERO, MINUS_ONE, ONE)
         q = np.exp(s * two_u)
@@ -245,25 +228,14 @@ class BasisFamily:
         return hs[..., 0], hs[..., 1]
 
     def jet(self, z, w=None) -> PhaseFunctions:
-        """All SDE coefficient ingredients, without pole checks.
-
-        With ``w`` omitted, ``z`` holds (z, w) along its last axis, such as
-        the last two coordinates of a state.  Near-pole inputs yield inf/nan
-        entries; callers integrating paths rely on divergence detection
-        instead of exceptions.  The additive-noise family takes one complex
-        exponential of both sides and keeps it for the members formed on
-        first read.
-        """
+        """The guarded :class:`PhaseFunctions` at (z, w), without pole checks;
+        with ``w`` omitted, ``z`` holds (z, w) along its last axis."""
         with np.errstate(all="ignore"):
             return self._unguarded_jet(_stack(z, w), True)
 
     def _unguarded_jet(self, zw, guarded=False) -> PhaseFunctions:
-        """:meth:`jet` at the (..., 2) complex array ``zw``, under the caller's
-        numpy error state: near a pole it warns unless numpy errors are ignored.
-        For a caller that already runs under ``np.errstate(all="ignore")``,
-        such as the stepping loop of :mod:`ppcavity.sde`; the members formed
-        on first read follow the error state of their reader unless
-        ``guarded``."""
+        """:meth:`jet` at the (..., 2) array ``zw`` under the caller's error
+        state, for the stepping loop's ``prepare``."""
         if self.kind == COHERENT_SPIN:
             hs = np.array(zw)  # h = z and htilde = w, not a view of the caller's state
             return PhaseFunctions(hs, hs, hs * hs - ONE, None, guarded)
@@ -275,18 +247,12 @@ class BasisFamily:
             hs, quarters * s * (q - q_inv), self._pairs[3], (q, q_inv), guarded
         )
 
-    # -- inversion ----------------------------------------------------------
-
     def invert_h(self, target) -> complex:
         """Solve h(z) = target on the principal logarithm branch."""
         target = complex(target)
         if self.kind == COHERENT_SPIN:
             return target
-        if target == 1.0 or target == -1.0:
-            raise UnreachableTargetError(
-                f"h = {target} is not reachable for the additive-noise family"
-            )
-        ratio = (1.0 - target) / (1.0 + target)
+        ratio = (1.0 - target) / (1.0 + target) if target != -1.0 else np.inf
         if ratio == 0 or not np.isfinite(ratio):
             raise UnreachableTargetError(
                 f"h = {target} is not reachable for the additive-noise family"

@@ -294,12 +294,11 @@ def validate_config(cfg: RunConfig):
             raise ConfigError("stochastic engines need 0 < rho11 < 1")
         if cfg.runs < 1:
             raise ConfigError("runs must be >= 1")
-    if cfg.engine == "sde-mb-experimental" and cfg.family_kind != COHERENT_SPIN:
-        raise ConfigError(
-            "the changed-variable engine requires the coherent-spin family; "
-            "its noise matrix has no closed form for other families"
-        )
-    if cfg.engine in ("sde-jc", "sde-mb-experimental"):
+        if cfg.engine == "sde-mb-experimental" and cfg.family_kind != COHERENT_SPIN:
+            raise ConfigError(
+                "the changed-variable engine requires the coherent-spin family; "
+                "its noise matrix has no closed form for other families"
+            )
         try:
             init_points(cfg.atomic_density(), cfg.family())
         except CavityError as exc:

@@ -1,23 +1,16 @@
 """Executable property suites over all primary modules.
 
-Each check draws seeded random points in a fixed order and then evaluates
-them: an identity is compared with an independent numerical route (direct
-matrix products, spectral derivatives of the holomorphic change map,
-closed-form single-mode expressions), and the worst error is reported against
-a fixed tolerance.  Checks on a fixed model stack their points, so the
-coefficient functions are evaluated once per check (once per family or
-observable where a check loops over them) and the spectral derivatives call
-the map once per block of points, not once per point.  Where each point
-draws rates of its own (``factorization-dissipative``), its rates and state
-are drawn one point at a time and then checked in one call per family, on a
-model whose rates are arrays over the points.  ``mb-drift-bar-identity``
-calls ``mb_rhs`` per point, since it takes one vector, and ``drift_bar``
-once on the stacked points.  The CLI exposes the suite as the
-``check-invariants`` subcommand; the report is deterministic for a given
-seed.
+Each check draws seeded random points in a fixed order, compares an identity
+with an independent numerical route (direct matrix products, spectral
+derivatives of the holomorphic change map, closed-form single-mode
+expressions) on the stacked points, and reports the worst error against a
+fixed tolerance.  The CLI exposes the suite as the ``check-invariants``
+subcommand; the report is deterministic for a given seed.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -78,21 +71,22 @@ def _worst_relative(got, want, axes):
     return (np.abs(got - want).max(axis=axes) / (1.0 + np.abs(want).max(axis=axes))).max()
 
 
-# -- random draws -------------------------------------------------------------
-
-
 def _random_complex(rng, shape=None, scale=0.5):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def _away_from_poles(pf):
+    """Accept a random phase point: |1 + h htilde| > 0.3, |h'| > 0.05 and |htilde'| > 0.05."""
+    return (np.abs(pf.denom) > 0.3) & (np.abs(pf.hp) > 0.05) & (np.abs(pf.htp) > 0.05)
+
+
 def random_phase_state(rng, family, n_modes, scale=0.5):
-    """Random phase point rejected until safely away from singularities."""
+    """Random phase point rejected until :func:`_away_from_poles` accepts it."""
     while True:
         state = np.empty(2 * (n_modes + 1), dtype=complex)
         state[: 2 * n_modes] = _random_complex(rng, 2 * n_modes, scale)
         state[2 * n_modes :] = _random_complex(rng, 2, scale)
-        pf = family.jet(state[2 * n_modes], state[2 * n_modes + 1])
-        if abs(pf.denom) > 0.3 and abs(pf.hp) > 0.05 and abs(pf.htp) > 0.05:
+        if _away_from_poles(family.jet(state[2 * n_modes], state[2 * n_modes + 1])):
             return state
 
 
@@ -111,9 +105,6 @@ _FAMILIES = {
     "additive-noise": BasisFamily.additive_noise(4.0, 0.0),
     "additive-noise-complex": BasisFamily.additive_noise(3.0 + 1.0j, 0.2 - 0.1j),
 }
-
-
-# -- individual checks ---------------------------------------------------------
 
 
 def check_basis_ode_identity(rng, points):
@@ -213,8 +204,7 @@ def _random_states(rng, family, n_modes, count, scale=0.5):
     while len(accepted) < count:
         batch = 2 * (count - len(accepted))
         states = _candidate_states(rng.standard_normal((batch, 4 * n_modes + 4)), n_modes, scale)
-        pf = family.jet(states[:, -2], states[:, -1])
-        ok = (np.abs(pf.denom) > 0.3) & (np.abs(pf.hp) > 0.05) & (np.abs(pf.htp) > 0.05)
+        ok = _away_from_poles(family.jet(states[:, -2], states[:, -1]))
         accepted.extend(drawn + np.flatnonzero(ok))
         drawn += batch
     accepted = accepted[:count]
@@ -240,7 +230,7 @@ def check_factorization(rng, points):
 
 
 def check_factorization_dissipative(rng, points):
-    """B @ B.T = D with random scattering and dephasing rates."""
+    """B @ B.T = D with scattering and dephasing rates drawn per point."""
     worst = 0.0
     for fam in _FAMILIES.values():
         rates, states = [], []
@@ -320,10 +310,7 @@ def check_ito_transform(rng, points):
     for fam_name in ("coherent-spin", "additive-noise"):
         fam = _FAMILIES[fam_name]
         params = sample_model(**random_rates(rng))
-
-        def change(x):
-            return physical.to_physical(fam, x, check=False)
-
+        change = partial(physical.to_physical, fam, check=False)
         states = _random_states(rng, fam, params.mode_count, points, scale=0.4)
         a = jc.drift_jc(params, fam, states)
         b = jc.noise_jc(params, fam, states)
@@ -371,12 +358,8 @@ def check_jacobian_fd(rng, points):
     """Analytic Jacobian of the change map against spectral derivatives."""
     worst = 0.0
     for fam in (_FAMILIES["coherent-spin"], _FAMILIES["additive-noise"]):
-
-        def change(x):
-            return physical.to_physical(fam, x, check=False)
-
         states = _random_states(rng, fam, 2, max(4, points // 10), scale=0.4)
-        grad, _ = holomorphic_derivatives(change, states)
+        grad, _ = holomorphic_derivatives(partial(physical.to_physical, fam, check=False), states)
         worst = max(worst, np.abs(grad - physical.jacobian_change(fam, states)).max())
     return worst, 1e-9
 
@@ -447,11 +430,6 @@ def run_all(seed: int = DEFAULT_SEED, points: int = DEFAULT_POINTS) -> dict:
         passed = bool(max_error <= tolerance)
         all_passed &= passed
         checks.append(
-            {
-                "name": name,
-                "passed": passed,
-                "max_error": float(max_error),
-                "tolerance": float(tolerance),
-            }
+            dict(name=name, passed=passed, max_error=float(max_error), tolerance=float(tolerance))
         )
     return {"seed": seed, "points": points, "passed": all_passed, "checks": checks}

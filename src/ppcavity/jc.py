@@ -1,18 +1,12 @@
 """Cavity QED model parameters and positive-P SDE coefficient assembly.
 
-The phase-space state is the flat complex vector
-(alpha_1, beta_1, ..., alpha_N, beta_N, z, w) for N cavity modes plus the
-two-level atom.  ``increment_jc`` forms the Euler increment A dt + B dW of the
-full-wave (counterrotating terms included) atom-field coupling, optionally
-extended by scattering and pure-dephasing dissipation acting on the fermionic
-rows; drift and noise derive from it, the diffusion is a separate check.
-The basis jet holds each mirror pair, such as (h, htilde), as one array with
-a trailing axis of length 2; the increment reads its rows, and forms the two
-diffusion roots of every mode in one call.
-
-The noise matrix keeps only the structurally nonzero columns of the block
-factorization: four per mode, plus two dissipative columns.  The factorization
-identity B @ B.T = D holds exactly for both layouts.
+The phase-space state is the flat complex vector (alpha_1, beta_1, ...,
+alpha_N, beta_N, z, w) for N cavity modes plus the two-level atom.
+:func:`increment_jc` is the one coefficient formula: the Euler increment of
+the full-wave (counterrotating terms included) coupling, with optional
+scattering and pure-dephasing dissipation on the fermionic rows.  The noise
+matrix keeps only the structurally nonzero columns, four per mode plus two
+dissipative ones; B @ B.T = D (:func:`diffusion_jc`) holds for both layouts.
 """
 
 from __future__ import annotations
@@ -44,13 +38,9 @@ DIPOLE_SPREAD_TOL = 1e-9
 
 
 def principal_sqrt(x):
-    """Complex sqrt with imaginary parts -0.0 lifted to +0.0.
-
-    Radicands that are negative real can carry either signed zero depending on
-    how they were computed; lifting to +0.0 pins one branch so algebraically
-    equal radicands always produce the same root.  IEEE addition does the
-    lifting: -0.0 + 0.0 is +0.0 and every other imaginary part is unchanged.
-    """
+    """Complex sqrt with imaginary parts -0.0 lifted to +0.0 (IEEE -0.0 + 0.0
+    is +0.0), so algebraically equal radicands on the negative real axis,
+    whatever signed zero they carry, have the same root."""
     return np.sqrt(np.asarray(x, dtype=complex) + LIFT)
 
 
@@ -64,19 +54,14 @@ def _read_only(values) -> np.ndarray:
 class ModelParams:
     """Cavity geometry, mode spectrum, couplings, atom, and dissipation rates.
 
-    Frequencies are angular.  Dimensionless desk-scale runs keep the defaults
-    hbar = c = epsilon0 = area = 1.  Derived quantities (wave numbers, the
-    per-photon field, relaxation rates) are exposed as properties; the
-    per-mode arrays among them are computed once and are read-only.
-
+    Frequencies are angular; desk-scale runs keep hbar = c = epsilon0 = area
+    = 1.  The per-mode derived arrays are computed once and are read-only.
     The rates ``r12``, ``r21`` and ``r_p`` are floats or arrays that
     broadcast against a batch of states, one rate per point: validation and
-    ``dissipative`` look at every entry, and the phase-space coefficient
-    functions (:func:`increment_jc`, :func:`drift_jc`, :func:`noise_jc`,
-    :func:`diffusion_jc`) broadcast them, as the invariant suite does to
-    check a stack of points drawn with rates of their own.  The engines and
-    the configuration pass floats, and ``nu0`` takes float rates only.  An
-    instance with rate arrays is never hashed or compared.
+    ``dissipative`` look at every entry, and the coefficient functions
+    broadcast them, as the invariant suite does for a stack of points with
+    rates of their own.  The engines pass floats, and ``nu0`` takes float
+    rates only.  An instance with rate arrays is never hashed or compared.
     """
 
     Omega: float
@@ -118,9 +103,7 @@ class ModelParams:
         """Modes at the cavity resonances omega_n = pi*c*n/length."""
         c = kwargs.get("c", 1.0)
         omega = tuple(math.pi * c * n / length for n in range(1, mode_count + 1))
-        if x0 is None:
-            x0 = length / 2.0
-        return cls(Omega=Omega, omega=omega, g=coupling, x0=x0, length=length, **kwargs)
+        return cls.from_frequencies(omega, coupling, Omega, x0, length, **kwargs)
 
     @classmethod
     def from_frequencies(cls, omega, g, Omega, x0=None, length=None, **kwargs):
@@ -132,8 +115,6 @@ class ModelParams:
         if x0 is None:
             x0 = length / 2.0
         return cls(Omega=Omega, omega=omega, g=g, x0=x0, length=length, **kwargs)
-
-    # -- derived quantities --------------------------------------------------
 
     @cached_property
     def mode_count(self) -> int:
@@ -255,20 +236,14 @@ def split_state(state, n_modes):
 
 def empty_state(batch_shape, dim) -> np.ndarray:
     """An uninitialised (batched) state (..., dim) stored coordinate-major: its
-    ``.T`` is C-contiguous, so each coordinate is one contiguous run over the
-    batch, as in the stepping loop of :mod:`ppcavity.sde`."""
+    ``.T`` is C-contiguous (the row contract of :class:`ppcavity.sde.SdeSystem`)."""
     return np.empty(tuple(batch_shape) + (dim,), dtype=complex, order="F")
 
 
 def join_state(alpha, beta, *tail) -> np.ndarray:
-    """Inverse of :func:`split_state`: lay out (batched) per-mode pairs.
-
-    ``alpha`` and ``beta`` (..., N) fill the pairs, then each of ``tail``
-    (...) one trailing coordinate, such as z and w; the batch shape is that
-    of ``alpha``, and the result is an :func:`empty_state`.  The physical
-    layout is the same with three trailing coordinates
-    (:func:`ppcavity.physical.join_phys`).
-    """
+    """Inverse of :func:`split_state`: ``alpha`` and ``beta`` (..., N) fill the
+    pairs, then each of ``tail`` one trailing coordinate, such as z and w, of
+    an :func:`empty_state`; ``physical.join_phys`` is the same writer."""
     n = np.shape(alpha)[-1]
     out = empty_state(np.shape(alpha)[:-1], 2 * n + len(tail))
     out[..., 0 : 2 * n : 2] = alpha
@@ -282,9 +257,9 @@ class JetState:
     """A (batched) phase-space vector ``state`` with the basis jet ``pf`` at its
     (z, w), and the members of :class:`ppcavity.physical.ArrayCoordinates`
     read off them: ``atomic(k, out)`` divides h, htilde or h*htilde - 1 by
-    1 + h*htilde, into ``out`` if one is given; ``eps`` = beta + alpha and
-    ``eta`` = i(beta - alpha) are cached; ``raw(k)`` reads z or w.  Nothing
-    here sets a numpy error state (see :attr:`PhaseFunctions.guarded`).
+    1 + h*htilde; ``eps`` = beta + alpha and ``eta`` = i(beta - alpha) are
+    cached; ``raw(k)`` reads z or w.  Nothing here sets an error state
+    (:attr:`PhaseFunctions.guarded`).
     """
 
     def __init__(self, state, pf: PhaseFunctions):
@@ -310,11 +285,8 @@ class JetState:
 
 
 def jet_state(family: BasisFamily, state) -> JetState:
-    """Evaluate ``family.jet`` once on the last two coordinates (z, w) of ``state``.
-
-    A JetState is returned as it is, so the coefficient functions, the
-    observable batch and ``to_physical`` accept either form and share one jet.
-    """
+    """The :class:`JetState` of ``state`` (a JetState is returned as it is),
+    so every reader of a point shares one jet."""
     if isinstance(state, JetState):
         return state
     state = np.asarray(state, dtype=complex)
@@ -349,13 +321,6 @@ def _prepare(family, state, check):
     return prepared.state, prepared.pf
 
 
-def _dissipative_entry(params: ModelParams, pf: PhaseFunctions):
-    hht = pf.hht
-    return (
-        2.0 * params.r_p * hht + params.r21 * hht**2 + params.r12
-    ) * pf.inv_hp * pf.inv_htp
-
-
 def _jc_constants(params: ModelParams, dt, ndim):
     """The 0-d operands of :func:`increment_jc`: per mode (g_n s_n, omega_n);
     the couplings as an (N, 1, ...) column against the rows of a jet pair;
@@ -378,14 +343,14 @@ def _jc_constants(params: ModelParams, dt, ndim):
 
 
 def increment_jc(params: ModelParams, family: BasisFamily, state, dt, dw=None, check=True):
-    """Euler increment A dt + B dW in one pass: the engine's one coefficient formula.
+    """Euler increment A dt + B dW of the phase-space engine in one pass.
 
     ``dw`` (..., m) holds real Wiener increments with a contiguous last axis,
     or is None for A dt alone.  The noise column pairs (c, c+1) meet dW only
     as i dW_c +- dW_{c+1}, so the kick reads each pair as dW_c + i dW_{c+1}
-    and forms no (dim, m) matrix.  ``state`` is a phase-space vector or its
-    :class:`JetState`; with ``check`` a pole raises PoleProximityError.  The
-    rows follow the contract of :class:`ppcavity.sde.SdeSystem`.
+    and forms no (dim, m) matrix.  ``state`` may be a :class:`JetState`; with
+    ``check`` a pole raises PoleProximityError.  Rows and error state follow
+    :class:`ppcavity.sde.SdeSystem`.
     """
     state, pf = _prepare(family, state, check)
     n = params.mode_count
@@ -455,11 +420,8 @@ def increment_jc(params: ModelParams, family: BasisFamily, state, dt, dw=None, c
 
 
 def drift_jc(params: ModelParams, family: BasisFamily, state, check=True):
-    """Drift vector, with scattering and pure-dephasing terms if ``params.dissipative``.
-
-    The increment (:func:`increment_jc`) at dt = 1 without noise; without
-    ``check``, inf/nan at a pole, without numpy warnings.
-    """
+    """Drift vector: :func:`increment_jc` at dt = 1 without noise; without
+    ``check``, inf/nan at a pole, without numpy warnings."""
     with np.errstate(all="ignore"):
         return increment_jc(params, family, state, 1.0, None, check)
 
@@ -467,27 +429,24 @@ def drift_jc(params: ModelParams, family: BasisFamily, state, check=True):
 def diffusion_jc(params: ModelParams, family: BasisFamily, state, check=True):
     """Symmetric diffusion matrix; the dissipative layout adds the fermionic block."""
     state, pf = _prepare(family, state, check)
-    batch_shape = state.shape[:-1]
     n = params.mode_count
     # per mode, g_n s_n (h^2 - 1)/h' and the mirror, (..., N, 2)
     d = params.gs[:, None] * pf.quads[..., None, :]
-    out = np.zeros(batch_shape + (params.dim, params.dim), dtype=complex)
+    out = np.zeros(state.shape[:-1] + (params.dim, params.dim), dtype=complex)
     for k in range(n):
         out[..., 2 * k, 2 * n] = out[..., 2 * n, 2 * k] = 1j * d[..., k, 0]
         out[..., 2 * k + 1, 2 * n + 1] = out[..., 2 * n + 1, 2 * k + 1] = -1j * d[..., k, 1]
     if params.dissipative:
-        dd = _dissipative_entry(params, pf)
+        hht = pf.hht
+        dd = (2.0 * params.r_p * hht + params.r21 * hht**2 + params.r12) * pf.inv_hp * pf.inv_htp
         out[..., 2 * n, 2 * n + 1] = out[..., 2 * n + 1, 2 * n] = dd
     return out
 
 
 def noise_jc(params: ModelParams, family: BasisFamily, state, check=True):
-    """Noise matrix with 4N (dissipative: 4N+2) columns satisfying B @ B.T = D.
-
-    Column c is the increment (:func:`increment_jc`) at dt = 0 on the unit
-    increment e_c; without ``check``, inf/nan at a pole, without numpy
-    warnings.
-    """
+    """Noise matrix with ``params.noise_dim`` columns, B @ B.T = D: column c is
+    :func:`increment_jc` at dt = 0 on the unit increment e_c; without
+    ``check``, inf/nan at a pole, without numpy warnings."""
     state = jet_state(family, state)
     increment = partial(increment_jc, params, family, state, check=check)
     with np.errstate(all="ignore"):
@@ -495,18 +454,14 @@ def noise_jc(params: ModelParams, family: BasisFamily, state, check=True):
 
 
 def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
-    """SDE system for the integrator; coefficients never raise on poles.
+    """SDE system of the phase-space engine; its coefficients never raise.
 
-    ``prepare`` forms the :class:`JetState` of a state, its jet not
-    ``guarded`` (the error-state rule of :class:`ppcavity.sde.SdeSystem`):
-    the integrator evaluates the basis jet once per step, and the increment
-    (:func:`increment_jc`, without the pole check) and
-    :func:`ppcavity.observables.observable_bundle` read it.  The
-    dissipative layout is used exactly when any rate is positive
-    (``params.dissipative``).  The additive-noise family without dissipation
-    has a state-independent noise matrix (the ``additive-noise-constancy``
-    invariant): it is formed once, at the zero state, and applied as one
-    product.
+    ``prepare`` forms the :class:`JetState` with an unguarded jet, which the
+    increment (:func:`increment_jc` without the pole check) and
+    :func:`ppcavity.observables.observable_bundle` read.  The additive-noise
+    family without dissipation has a state-independent noise matrix (the
+    ``additive-noise-constancy`` invariant): it is formed once, at the zero
+    state, and applied as one product.
     """
     noise = partial(noise_jc, params, family, check=False)
     if family.kind != ADDITIVE_NOISE or params.dissipative:
@@ -537,10 +492,8 @@ def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
 
 
 def per_mode_amplitudes(coherent, n_modes: int) -> np.ndarray:
-    """Coherent amplitudes, one per mode; a single amplitude serves every mode.
-
-    Raises ValueError for any other count.
-    """
+    """Coherent amplitudes, one per mode; one amplitude serves every mode, and
+    any other count raises ValueError."""
     coherent = np.atleast_1d(np.asarray(coherent, dtype=complex))
     if coherent.size == 1:
         coherent = np.repeat(coherent, n_modes)
@@ -552,12 +505,9 @@ def per_mode_amplitudes(coherent, n_modes: int) -> np.ndarray:
 
 
 def phase_init_sampler(params: ModelParams, family: BasisFamily, coherent, dist):
-    """Initial-state sampler: fixed coherent bosonic point, sampled atom.
-
-    ``coherent`` holds the per-mode coherent amplitudes (alpha_n = amplitude,
-    beta_n = conj(amplitude)); ``dist`` is the three-point fermionic
-    distribution from :func:`ppcavity.initialization.init_points`.
-    """
+    """Initial-state sampler: the coherent point alpha_n = ``coherent``[n],
+    beta_n = conj(alpha_n), and the atom drawn from the three-point
+    distribution ``dist`` of :func:`ppcavity.initialization.init_points`."""
     alpha = per_mode_amplitudes(coherent, params.mode_count)
     beta = np.conj(alpha)
 

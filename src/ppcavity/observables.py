@@ -1,19 +1,12 @@
 """The one observable layer: named columns of the physical coordinates.
 
-Every engine supplies the physical coordinates (epsilon_n, eta_n, rho21,
-rho12, nu) of :mod:`ppcavity.physical`, and :func:`physical_columns` resolves
-observable names and field probes once into a writer of columns that reads
-only what the names need.  The phase-space SDE supplies them as the
-:class:`ppcavity.jc.JetState` of its state, which forms each coordinate from
-the state and its basis jet when read, and adds its raw fermionic
-coordinates z, w; the changed-variable SDE supplies its own state and the
-deterministic engines their recorded series, as physical vectors.  A batch
-writes each step's columns straight into the row of the stepping loop's
-block buffer that it is given (the :class:`ppcavity.sde.ObservableMap`
-contract).  Per-realization values are algebraic functions of the
-phase-space point whose ensemble means converge to the quantum expectation
-values.  For higher accuracy an observable can instead be carried along as an
-extra SDE coordinate via the stochastic chain rule.
+Every engine supplies the physical coordinates of :mod:`ppcavity.physical`:
+the phase-space SDE as the :class:`ppcavity.jc.JetState` of its state, plus
+its raw z and w, the changed-variable SDE as its state and the deterministic
+engines as their recorded series.  Per-realization values are algebraic
+functions of the phase-space point whose ensemble means converge to the
+quantum expectation values; :func:`extend_with_observable` instead carries an
+observable along as an extra SDE coordinate via the stochastic chain rule.
 """
 
 from __future__ import annotations
@@ -83,15 +76,12 @@ def physical_columns(params: ModelParams, names, probes=(), raw=()):
     quadratures e_<n>/h_<n>, the fields E_at_<j>/H_at_<j> at ``probes[j-1]``
     (see :func:`ppcavity.physical.reconstruct_fields`), and the engine's own
     coordinates listed in ``raw``.  Unknown names and out-of-range indices
-    raise ValueError here, not at evaluation.  The returned function
-    ``columns(coords, out=None)`` takes a physical vector ``coords`` (...,
-    2N+3), followed by the ``raw`` coordinates if any name reads them, or the
-    :class:`ppcavity.jc.JetState` of a phase-space state, and
-    writes the (..., len(names)) columns into ``out`` (a new array if None),
-    which it returns.  Each column reads only its own coordinates: rho_21,
-    rho_12 and nu the atomic ones, rho_11 and rho_22 nu (one nu per call,
-    the nu column's if there is one), e_<n> and h_<n> one mode, the fields
-    the mode sum, and the raw names the state.
+    raise ValueError here, not at evaluation.  ``columns(coords, out=None)``
+    takes a physical vector (..., 2N+3), followed by the ``raw`` coordinates
+    if any name reads them, or a :class:`ppcavity.jc.JetState`, and writes
+    the (..., len(names)) columns into ``out`` (a new array if None), which
+    it returns.  Each column reads only its own coordinates; rho_11 and
+    rho_22 read one nu per call, the nu column's if there is one.
     """
     names, probes = tuple(names), tuple(float(x) for x in probes)
     n = params.mode_count
@@ -118,13 +108,9 @@ def physical_columns(params: ModelParams, names, probes=(), raw=()):
 def observable_bundle(
     params: ModelParams, family: BasisFamily, names, probes=()
 ) -> ObservableMap:
-    """Batched named observables of the phase-space SDE, raw z and w included.
-
-    The batch takes a state or its :class:`ppcavity.jc.JetState`, such as
-    the one ``jc_sde_system`` prepares, and reads its columns off the state
-    and its jet into the row it is given.  It ignores numpy errors, so it
-    never warns, except on a jet that is not ``guarded``: the stepping
-    loop's, read under the loop's error state, so it sets none itself.
+    """Batched named observables of the phase-space SDE, raw z and w included,
+    at a state or its :class:`ppcavity.jc.JetState`.  A direct call never
+    warns; on the stepping loop's unguarded jet it sets no error state.
     """
     names = tuple(names)
     columns = physical_columns(params, names, probes, raw=PHASE_COORDINATES)

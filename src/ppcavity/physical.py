@@ -2,14 +2,10 @@
 
 The physical state (epsilon_1, eta_1, ..., epsilon_N, eta_N, rho21, rho12, nu)
 collects field quadratures per mode and the atomic coherences and inversion.
-In these coordinates the drift is polynomial and its deterministic part is the
-cavity-mode Maxwell-Bloch system; the transformed noise matrix (closed form
-available for the coherent-spin family only) supplies the quantum corrections.
-Both come from one formula, ``increment_bar``, the Euler increment of a step,
-which forms the four roots of the kick, (p, q, rad12, rad21), in one call and
-gives each rad the sign nearest its partner's, p or q; it follows the row and
-error-state contract of :class:`ppcavity.sde.SdeSystem`.  ``to_physical``
-reads the coordinates off a :class:`ppcavity.jc.JetState`.
+There the drift is polynomial, with the cavity-mode Maxwell-Bloch system as
+its deterministic part, and the transformed noise (closed form for the
+coherent-spin family only) supplies the quantum corrections; both come from
+:func:`increment_bar`.
 """
 
 from __future__ import annotations
@@ -39,6 +35,7 @@ from .jc import (
     jet_state,
     join_state,
     principal_sqrt,
+    split_state,
 )
 from .sde import SdeSystem, noise_matrix
 
@@ -48,29 +45,20 @@ CONSISTENCY_TOL = 1e-9
 
 
 def split_phys(phys, n_modes):
-    """Views (eps, eta, rho21, rho12, nu) of a flat (batched) physical vector:
-    the layout of :func:`ppcavity.jc.split_state` with nu appended."""
-    phys, n = np.asarray(phys, dtype=complex), n_modes
-    return (
-        phys[..., 0 : 2 * n : 2],
-        phys[..., 1 : 2 * n : 2],
-        phys[..., 2 * n],
-        phys[..., 2 * n + 1],
-        phys[..., 2 * n + 2],
-    )
+    """Views (eps, eta, rho21, rho12, nu): those of :func:`ppcavity.jc.split_state` plus nu."""
+    phys = np.asarray(phys, dtype=complex)
+    return (*split_state(phys, n_modes), phys[..., 2 * n_modes + 2])
 
 
-#: ``join_phys(eps, eta, rho21, rho12, nu)``, the inverse of :func:`split_phys`:
-#: the phase-space layout writer with the three atomic coordinates trailing
+#: ``join_phys(eps, eta, rho21, rho12, nu)``, the inverse of :func:`split_phys`
 join_phys = join_state
 
 
 class ArrayCoordinates:
-    """The physical coordinates of a (batched) physical vector (..., 2N+3)
-    followed by further coordinates of the engine, read by
-    :func:`ppcavity.observables.physical_columns`: ``eps`` and ``eta`` (...,
-    N), ``atomic(k, out)`` for rho21, rho12 and nu (k = 0, 1, 2), copied into
-    ``out`` if one is given, and ``raw(k)`` for the further coordinates.
+    """The coordinates of a (batched) physical vector (..., 2N+3) followed by
+    further coordinates of the engine, as the observable layer reads them:
+    ``eps`` and ``eta`` (..., N), ``atomic(k, out)`` for rho21, rho12 and nu
+    (k = 0, 1, 2), copied into ``out`` if one is given, and ``raw(k)``.
     """
 
     def __init__(self, phys, n_modes):
@@ -90,12 +78,9 @@ class ArrayCoordinates:
 
 
 def to_physical(family: BasisFamily, state, check=True) -> np.ndarray:
-    """Map a phase-space vector (batched ok) to physical coordinates.
-
-    ``state`` may be a :class:`ppcavity.jc.JetState`, whose coordinates are
-    read as they are; a raw state gets one from :func:`ppcavity.jc.jet_state`.  With
-    ``check`` a vanishing 1 + h*htilde raises PoleProximityError; without it
-    the result carries inf/nan there, without numpy warnings.
+    """Map a phase-space vector or its :class:`ppcavity.jc.JetState` (batched
+    ok) to physical coordinates.  With ``check`` a vanishing 1 + h*htilde
+    raises PoleProximityError; without it, inf/nan there, without numpy warnings.
     """
     c = jet_state(family, state)
     if check:
@@ -105,11 +90,8 @@ def to_physical(family: BasisFamily, state, check=True) -> np.ndarray:
 
 
 def from_physical(family: BasisFamily, phys) -> np.ndarray:
-    """Invert the change of variables for a single physical point.
-
-    Requires the compatibility relation 4*rho21*rho12 = (1+nu)(1-nu); the
-    inversion then uses h = 2*rho21/(1-nu) and htilde = 2*rho12/(1-nu).
-    """
+    """Invert the change of variables at one physical point, which must satisfy
+    4*rho21*rho12 = (1+nu)(1-nu): h = 2*rho21/(1-nu), htilde = 2*rho12/(1-nu)."""
     phys = np.asarray(phys, dtype=complex)
     if phys.ndim != 1:
         raise ValueError("from_physical expects a single flat physical vector")
@@ -156,16 +138,15 @@ def _bar_constants(params: ModelParams, dt, ndim):
 
 
 def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
-    """Euler increment A dt + B dW in one pass: the engine's one coefficient formula.
+    """Euler increment A dt + B dW of the changed-variable engine in one pass.
 
     A is the cavity-mode Maxwell plus Bloch drift, B the coherent-spin closed
-    form.  ``dw`` is as for :func:`ppcavity.jc.increment_jc`, with 4N+2
-    columns: four per mode, then two dissipative ones, which act on the
-    atomic rows only and are skipped without dissipation.  The atomic rows of
-    the kick are r X + s Y, X and Y two increment combinations summed over
-    the modes.  Square roots take the principal branch (a gauge choice); the
-    four of a point, (p, q, rad12, rad21), are taken in one call.  The rows
-    follow the contract of :class:`ppcavity.sde.SdeSystem`.
+    form.  ``dw`` has 4N+2 columns: four per mode, then two dissipative ones,
+    which act on the atomic rows only and are skipped without dissipation.
+    The atomic rows of the kick are r X + s Y, X and Y two increment
+    combinations summed over the modes.  Square roots take the principal
+    branch (a gauge choice).  Rows and error state follow
+    :class:`ppcavity.sde.SdeSystem`.
     """
     phys = np.asarray(phys, dtype=complex)
     n = params.mode_count
@@ -250,12 +231,9 @@ def drift_bar(params: ModelParams, phys) -> np.ndarray:
 
 
 def noise_bar(params: ModelParams, phys) -> np.ndarray:
-    """Transformed noise matrix, closed form for the coherent-spin family.
-
-    Column c is the increment (:func:`increment_bar`) at dt = 0 on the unit
-    increment e_c.  The two dissipative columns are zero without dissipation.
-    At a pole of the kick the entries are inf/nan, without numpy warnings.
-    """
+    """Transformed noise matrix (coherent-spin closed form): column c is
+    :func:`increment_bar` at dt = 0 on the unit increment e_c, the two
+    dissipative ones zero without dissipation; inf/nan at a pole, without warnings."""
     phys = np.asarray(phys, dtype=complex)
     increment = partial(increment_bar, params, phys)
     with np.errstate(all="ignore"):
@@ -269,11 +247,8 @@ def jacobian_change(family: BasisFamily, state) -> np.ndarray:
     state, pf = prepared.state, prepared.pf
     n = (state.shape[-1] - 2) // 2
     out = np.zeros(state.shape[:-1] + (2 * n + 3, 2 * (n + 1)), dtype=complex)
-    for k in range(n):
-        out[..., 2 * k, 2 * k] = 1.0
-        out[..., 2 * k, 2 * k + 1] = 1.0
-        out[..., 2 * k + 1, 2 * k] = -1j
-        out[..., 2 * k + 1, 2 * k + 1] = 1j
+    for k in range(n):  # eps = beta + alpha, eta = i(beta - alpha)
+        out[..., 2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = ((1.0, 1.0), (-1j, 1j))
     iz, iw = 2 * n, 2 * n + 1
     with np.errstate(all="ignore"):
         den2 = pf.denom**2
@@ -288,9 +263,7 @@ def jacobian_change(family: BasisFamily, state) -> np.ndarray:
 
 def reconstruct_fields(params: ModelParams, phys, x):
     """Electric and magnetic field values at position x from mode quadratures."""
-    phys = np.asarray(phys, dtype=complex)
-    n = params.mode_count
-    eps, eta, _, _, _ = split_phys(phys, n)
+    eps, eta, *_ = split_phys(phys, params.mode_count)
     k = params.wave_numbers
     e_p = params.e_photon
     e_val = (e_p * np.sin(k * x) * eps).sum(axis=-1)
@@ -299,23 +272,17 @@ def reconstruct_fields(params: ModelParams, phys, x):
 
 
 def coupling_rate(params: ModelParams, phys):
-    """Atom-field coupling rate -(i/hbar) m21 E(x0).
-
-    Equals sum_n i g_n epsilon_n sin(k_n x0) whenever the couplings are
-    proportional to the per-photon field, which ``dipole_moment`` enforces.
-    """
+    """Atom-field coupling rate -(i/hbar) m21 E(x0): sum_n i g_n epsilon_n
+    sin(k_n x0) when the couplings are proportional to the per-photon field,
+    which ``dipole_moment`` enforces."""
     m21 = params.dipole_moment()
     e_val, _ = reconstruct_fields(params, phys, params.x0)
     return -1j / params.hbar * m21 * e_val
 
 
 def physical_sde_system(params: ModelParams) -> SdeSystem:
-    """Changed-variable SDE (coherent-spin closed-form noise).
-
-    Numerically delicate: every noise entry involves square roots that react
-    badly to sampling noise, so treat this engine as experimental.  A step
-    adds :func:`increment_bar`.
-    """
+    """Changed-variable SDE stepped by :func:`increment_bar`; experimental, since
+    the square roots of every noise entry react badly to sampling noise."""
     n = params.mode_count
     return SdeSystem(
         dim=2 * n + 3,

@@ -1,34 +1,13 @@
 """Truncated-Fock master-equation integrator used as the ground-truth oracle.
 
 The Hilbert space is the tensor product of per-mode number bases (cutoff
-n_max) with the two-level atom as the last, fastest-varying factor.  The
-evolution is the Lindblad master equation for the full-wave coupling.
-Without dissipation it is unitary with a time-independent H, and
-:func:`evolve` propagates it exactly in the eigenbasis of H
-(:func:`evolve_spectral`).  With dissipation it is split (Strang):
-rho <- D(dt/2) U D(dt/2) rho per step (:func:`evolve_strang`), with the exact
-propagator U = exp(-i H dt / hbar) and the exact flow D(tau) of the atomic
-dissipator.  Both factors are completely positive and trace-preserving, so
-positivity and the trace hold to roundoff and the step error is second order.
-The atomic jump operators act on the 2x2 atomic factor only, so on the
-(field, 2, field, 2) reshape the dissipator is four block scalings
-(:func:`_dissipator`): d rho_00 = r21 rho_11 - r12 rho_00 = -d rho_11, and the
-coherence blocks rho_01, rho_10 decay at gamma2 = r_p + (r21 + r12)/2.
-
-The full-wave coupling does not conserve the excitation number N + S+S-,
-but it conserves the parity (-1)^(N + S+S-), the Z2 symmetry of the Rabi
-model.  The split-step route therefore holds rho in parity order
-(:func:`_parity_order`): sector e, then sector o, field_dim states each.  H
-and U have no entry between the sectors, so a step multiplies the two
-diagonal blocks of U only, and the atom flip becomes the swap of the two
-halves, so the closed-form flow D(tau) is two elementwise scalings, one of
-rho and one of its flip (:class:`_Relaxation`).  Adjacent half-step flows
-fuse into one D(dt) per step, and the recording reads rho through the
-adjoint flow.
-
-Both routes record tr(A rho) over one operator list (:func:`_recorded_operators`),
-check the state at the same sampled grid points and build their trajectory
-with :func:`_trajectory`.
+n_max) with the two-level atom as the last, fastest-varying factor, and the
+evolution is the Lindblad master equation of the full-wave coupling.
+:func:`evolve` picks the route: a dissipation-free model, unitary with a
+time-independent H, is propagated exactly (:func:`evolve_spectral`), a
+dissipative one by the parity split step (:func:`evolve_strang`).  Both
+record tr(A rho) over :func:`_recorded_operators`, check the state at the
+same sampled grid points and build their trajectory with :func:`_trajectory`.
 """
 
 from __future__ import annotations
@@ -274,13 +253,10 @@ class ReferenceTrajectory:
 
     @property
     def max_energy_drift(self) -> float:
-        """max |E(t) - E(0)| / |E(0)| over the grid; the absolute drift if E(0) = 0.
-
-        E(t) = tr(H rho(t)).  On the spectral route this is the roundoff of the
-        H quadratic form; on a dissipative (Strang) run it is the physical
-        energy change caused by the dissipator.  It is not an estimate of the
-        integration error on either route.
-        """
+        """max |E(t) - E(0)| / |E(0)| over the grid (the absolute drift if E(0) =
+        0), E(t) = tr(H rho(t)): roundoff on the spectral route, the
+        dissipator's physical energy change on a Strang run; on neither route
+        an estimate of the integration error."""
         drift = float(np.abs(self.energy - self.energy[0]).max())
         return drift / abs(self.energy[0]) if self.energy[0] != 0 else drift
 
@@ -380,48 +356,39 @@ def _trajectory(
 
 
 def evolve(
-    params: ModelParams,
-    rho0,
-    grid: TimeGrid,
-    space: TruncatedSpace,
+    params: ModelParams, rho0, grid: TimeGrid, space: TruncatedSpace
 ) -> ReferenceTrajectory:
-    """Evolve ``rho0`` over the grid under the master equation of ``params``.
-
-    A dissipation-free model is propagated exactly (:func:`evolve_spectral`),
-    a dissipative one by Strang splitting (:func:`evolve_strang`); the
-    trajectory's ``integrator`` names the route.  Raises TraceDriftError when
-    |tr rho - 1| exceeds 1e-6 at a grid point.
-    """
+    """Evolve ``rho0`` over the grid under the master equation of ``params`` by
+    the route of the module docstring, which the trajectory's ``integrator``
+    names; TraceDriftError when |tr rho - 1| exceeds 1e-6 at a grid point."""
     route = evolve_strang if params.dissipative else evolve_spectral
     return route(params, rho0, grid, space)
 
 
 def evolve_strang(
-    params: ModelParams,
-    rho0,
-    grid: TimeGrid,
-    space: TruncatedSpace,
+    params: ModelParams, rho0, grid: TimeGrid, space: TruncatedSpace
 ) -> ReferenceTrajectory:
     """Strang-split integration rho <- D(dt/2) U D(dt/2) rho of the master equation.
 
-    The state is held in parity order (:func:`_parity_order`) for the whole
-    run.  H conserves the parity, so in that order it has no entry between
-    the two sectors (ValueError otherwise).  U = V diag(exp(-i E dt / hbar))
-    V^dagger is formed once from the one dense H = V diag(E) V^dagger and
-    kept as its two diagonal field_dim x field_dim blocks, so the unitary
-    part of a step is four half-size products; the largest entry of U it
-    drops is the trajectory's ``max_parity_leak`` (roundoff).  Adjacent
-    half-step relaxations fuse, D(dt/2) D(dt/2) = D(dt): the run steps
-    sigma <- U D(dt) sigma (D(dt/2) on the first step), with the closed-form
-    flows of :class:`_Relaxation`, and rho = D(dt/2) sigma at every grid
-    point.  The error is second order in dt, and positivity and the trace
-    hold to roundoff at any step.  The rows of the recording table are the
-    transposes of D(dt/2)^dagger(A) over the recorded operators A, so every
-    grid point is recorded as tr(A rho) by one product with vec(sigma).  The
-    trace is checked after every step (TraceDriftError above 1e-6);
+    U = exp(-i H dt / hbar) and the flow D(tau) of the atomic dissipator are
+    exact, completely positive and trace-preserving, so positivity and the
+    trace hold to roundoff and the step error is second order.  The
+    full-wave coupling conserves the parity (-1)^(N + S+S-), the Z2 symmetry
+    of the Rabi model, so the state is held in parity order
+    (:func:`_parity_order`), where H has no entry between the two sectors
+    (ValueError otherwise).  U = V diag(exp(-i E dt / hbar)) V^dagger is
+    formed once from the one dense H = V diag(E) V^dagger and kept as its two
+    diagonal field_dim x field_dim blocks, so the unitary part of a step is
+    four half-size products; the largest entry of U it drops is the
+    trajectory's ``max_parity_leak`` (roundoff).  Adjacent half-step flows
+    fuse, D(dt/2) D(dt/2) = D(dt): the run steps sigma <- U D(dt) sigma
+    (D(dt/2) on the first step), with the closed-form flows of
+    :class:`_Relaxation`, and rho = D(dt/2) sigma at every grid point.  The
+    rows of the recording table are the transposes of D(dt/2)^dagger(A), so
+    each grid point is recorded as tr(A rho) by one product with vec(sigma).
+    The trace is checked after every step (TraceDriftError above 1e-6);
     hermiticity, purity and the minimum eigenvalue are sampled on
-    D(dt/2) sigma, formed on a copy at ``EIG_CHECKS`` roughly equidistant
-    grid points.
+    D(dt/2) sigma, formed on a copy at the ``EIG_CHECKS`` points.
     """
     rho, ham = _initial(params, rho0, space)
     parity = _parity_order(space)
@@ -459,7 +426,9 @@ def evolve_strang(
         np.matmul(blocks, rows, out=work_rows)
         np.matmul(work_cols, adjoints, out=cols)
         values[idx] = table @ sigma.ravel()
-        _trace_errors(values[idx : idx + 1], times[idx : idx + 1])
+        trace = values[idx, 0] + values[idx, 1]
+        if not abs(trace.real - 1.0) + abs(trace.imag) <= TRACE_TOLERANCE:
+            _trace_errors(values[idx : idx + 1], times[idx : idx + 1])
         if idx in eig_points:
             checks.append(_state_checks(half(sigma.copy(), work)))
         relax(sigma, work)
@@ -467,23 +436,16 @@ def evolve_strang(
 
 
 def evolve_spectral(
-    params: ModelParams,
-    rho0,
-    grid: TimeGrid,
-    space: TruncatedSpace,
+    params: ModelParams, rho0, grid: TimeGrid, space: TruncatedSpace
 ) -> ReferenceTrajectory:
     """Exact propagation rho(t) = U(t) rho0 U(t)^dagger of a dissipation-free model.
 
-    H = V diag(E) V^dagger is diagonalized once and rho0 is rotated into its
-    eigenbasis, rho~ = V^dagger rho0 V.  Each recorded quantity tr(A rho(t))
-    is then the quadratic form phi^T (A~^T o rho~) phi^* in the phases
+    With H = V diag(E) V^dagger and rho~ = V^dagger rho0 V, each recorded
+    tr(A rho(t)) is the quadratic form phi^T (A~^T o rho~) phi^* in the phases
     phi_k(t) = exp(-i E_k t / hbar), with A~ = V^dagger A V and o the
-    elementwise product.  The forms of all recorded operators, H included,
-    are stacked into one matrix, so a block of ``TIME_BLOCK`` grid points
-    costs one GEMM.  The trace is rho_11 + rho_22 at every grid point
-    (TraceDriftError above 1e-6).  rho(t) itself is formed only at the
-    ``EIG_CHECKS`` points where hermiticity, purity and the minimum
-    eigenvalue are sampled.
+    elementwise product.  The forms of all recorded operators are stacked
+    into one matrix, so a block of ``TIME_BLOCK`` grid points costs one GEMM.
+    rho(t) itself is formed only at the ``EIG_CHECKS`` points.
     """
     if params.dissipative:
         raise ValueError("spectral propagation needs a dissipation-free model")

@@ -1,36 +1,8 @@
-"""Euler-Maruyama integration of complex Ito SDEs with real Wiener increments.
+"""Euler-Maruyama ensembles of complex Ito SDEs with real Wiener increments.
 
-The integrator works on flat complex state vectors.  A step adds one
-increment, ``increment(prepared, dt, dw)``, broadcast over a leading batch
-axis: the engines form it in one pass without the noise matrix, and
-:func:`from_coefficients` forms it from a drift, mapping (..., n) -> (...,
-n), and a noise, mapping (..., n) -> (..., n, m).  A system may also set
-``prepare``: the integrator calls it once per step on the new state, and the
-increment and the observable batch receive its result, so work they share is
-done once per step (``jc_sde_system`` prepares the ``jc.JetState``, the
-state with its basis jet, formed for the mirror pair (z, w) at once).  What
-the loop calls runs under its ``np.errstate(all="ignore")`` and sets no error
-state of its own.  The observable batch writes each point straight into its
-row of the block buffer.  ``run_ensemble`` is the only entry point and
-``_integrate_chunk`` the only stepping loop: ensembles are executed in path
-chunks so that realizations vectorize, while every path still owns an
-independent counter-based random stream keyed by (master_seed, path_index).
-Chunks run one after another and merge into one set of per-point moments in
-ascending path order, so statistics do not depend on scheduling, and a single
-realization is ``run_ensemble(..., runs=1)``.  A chunk holds its state
-coordinate-major, as a (dim, paths) C-order array, and hands every function
-its ``.T`` view, so the functions keep their coordinate-last signatures while
-each coordinate is one contiguous run over the paths; its draws and its
-observable block buffer stay path-major.  Nothing holds a record of paths
-x steps: a chunk draws its Wiener increments and buffers its observables
-``_DRAW_BLOCK`` points at a time, merges each full block into the moments, and
-keeps one state per block, (dim, paths) like the chunk's.  From those states it replays, when the
-chunk ends, the blocks of the paths that diverged, to take them out of the
-moments again, and the blocks it set aside, to merge them in.  Merging a
-block works in place on its buffer, one slice of paths at a time, so it
-allocates at most one slice: the values of ``_MERGE_SLICE`` of its points.
-``TimeGrid`` also serves the deterministic engines, and the classical RK4
-generator ``rk4_states`` serves ``maxwell_bloch``.
+:class:`SdeSystem` states the step contract and :func:`run_ensemble` the
+ensemble algorithm; ``TimeGrid`` and the RK4 generator ``rk4_states`` also
+serve the deterministic engines.
 """
 
 from __future__ import annotations
@@ -45,14 +17,10 @@ from .errors import AllPathsDivergedError
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e6
 _DEFAULT_CHUNK = 1024
-# points per block: a chunk draws its Wiener increments, buffers its
-# observables, checkpoints its state and merges its moments this many points
-# at a time; Philox streams are sequential and the moments are per point, so
-# the numbers do not depend on it
+#: points per block of :func:`run_ensemble`; Philox streams are sequential and the
+#: moments per point, so the numbers do not depend on it
 _DRAW_BLOCK = 64
-# merging a block screens, moves and squares it a slice of paths at a time,
-# each slice holding the values of this many of its points, so a merge
-# allocates a fraction of the block; the moments do not depend on it
+#: points whose values a slice of a merged block holds; the moments do not depend on it
 _MERGE_SLICE = 16
 
 
@@ -81,11 +49,8 @@ class TimeGrid:
 
 
 def rk4_states(rhs: Callable[[Any], Any], y0, grid: TimeGrid) -> Iterator:
-    """Classical fixed-step RK4 of dy/dt = rhs(y) from ``y0`` over ``grid``.
-
-    Yields the state after each of the ``grid.steps`` steps, so the caller
-    records or checks it before the next step is taken.
-    """
+    """Classical fixed-step RK4 of dy/dt = rhs(y) from ``y0``, yielding the
+    state after each of the ``grid.steps`` steps."""
     dt = grid.dt
     y = y0
     for _ in range(grid.steps):
@@ -105,27 +70,26 @@ def _identity(state):
 class SdeSystem:
     """Ito SDE dX = drift(X) dt + noise(X) dW with m real Wiener components.
 
-    ``increment(prepared, dt, dw)``, the one coefficient call of a step, is
-    drift dt + noise @ dw for real ``dw`` (..., m); the stepping loop calls
-    nothing else of the coefficients.  ``drift`` and ``noise`` give them at a
-    (prepared) state for checks; :func:`from_coefficients` builds a system
-    from them.  ``prepare`` maps a (batched) state to the value that the
-    increment and the observable batch receive; it runs once per step, so
-    work they share (such as basis functions of the state) is done once; it
-    defaults to the identity.  What the loop calls runs under its
+    ``increment(prepared, dt, dw)``, drift dt + noise @ dw for real ``dw``
+    (..., m), is the one coefficient call of a step; ``drift`` and ``noise``
+    serve checks, and :func:`from_coefficients` builds a system from them.
+    ``prepare`` (the identity by default) maps each new state, once, to the
+    value that the increment and the observable batch receive, so work they
+    share, such as a basis jet, is done once per step.
+
+    Error-state rule: what the stepping loop calls runs under its
     ``np.errstate(all="ignore")`` and sets none of its own; a public entry
     point that calls it, such as ``physical.noise_bar``, sets its own.
 
-    The engines' increments (``jc.increment_jc``, ``physical.increment_bar``)
-    work on 1-D coordinate rows: they read the ``.T`` of the state, of the
-    jet pairs and of ``dw``'s complex pairs, and write the rows of a
-    coordinate-major ``jc.empty_state``, so on the loop's state each row is
+    Row contract of the engines' increments (``jc.increment_jc``,
+    ``physical.increment_bar``): they read the ``.T`` of the state, of the jet
+    pairs and of ``dw``'s complex pairs, and write the 1-D coordinate rows of
+    a coordinate-major ``jc.empty_state``, so on the loop's state each row is
     contiguous.  Every coefficient is a 0-d array; the per-mode and per-``dt``
-    ones are formed once and held on the ``ModelParams`` (``held``).  The
-    modes are handled in one loop, which adds the mode sums in order, as
-    ``jc.mode_sum`` does.  A ``dw`` with another batch shape than the
-    state's, such as the unit increments of :func:`noise_matrix`, broadcasts
-    against it.
+    ones are held on the ``ModelParams`` (``held``).  One loop over the modes
+    adds the mode sums in order, as ``jc.mode_sum`` does.  A ``dw`` with
+    another batch shape than the state's, such as the unit increments of
+    :func:`noise_matrix`, broadcasts against it.
     """
 
     dim: int
@@ -154,12 +118,11 @@ def noise_matrix(increment, noise_dim, batch_ndim):
 
 
 class ObservableMap:
-    """Named observables written in one batched call per time step.
-
-    ``batch(prepared, out)`` writes the observables at a (batched) prepared
-    state into ``out`` (..., len(names)), such as the stepping loop's row of
-    its block buffer, and returns it; this package's batches allocate ``out``
-    when it is None.  The error-state rule of :class:`SdeSystem` holds.
+    """Named observables written in one batched call per time step:
+    ``batch(prepared, out)`` writes them at a (batched) prepared state into
+    ``out`` (..., len(names)), such as a row of the loop's block buffer, and
+    returns it (this package's allocate it when None).  The error-state rule of
+    :class:`SdeSystem` holds.
     """
 
     def __init__(self, names: Sequence[str], batch: Callable[..., np.ndarray]):
@@ -195,13 +158,11 @@ def path_generator(master_seed: int, index: int) -> np.random.Generator:
 class EnsembleResult:
     """Per-observable ensemble means and standard errors on a time grid.
 
-    ``stderr`` is the standard error of the complex sample mean, computed
-    from the total (real plus imaginary) variance of the completed runs.
-    Diverged paths are excluded from the statistics and listed by index;
-    ``divergence_steps`` gives, in the same order, the grid step at which each
-    one first left the finite, under-threshold region.  ``chunk_size`` is the
-    widest chunk that ran: results are reproducible bit for bit at a fixed
-    seed and chunk size.
+    ``stderr`` is that of the complex sample mean, from the total (real plus
+    imaginary) variance of the completed runs.  Diverged paths are excluded
+    and listed by index, with the grid step at which each first left the
+    finite, under-threshold region.  ``chunk_size`` is the widest chunk that
+    ran: results are reproducible bit for bit at a fixed seed and chunk size.
     """
 
     grid: TimeGrid
@@ -254,23 +215,17 @@ class EnsembleResult:
 
 
 def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, on_block):
-    """Vectorized Euler-Maruyama over one batch of paths (paths, dim).
+    """Euler-Maruyama over one chunk of paths ``state`` (paths, dim), as
+    :func:`run_ensemble` describes.
 
-    The state is held coordinate-major, as a (dim, paths) C-order array, and
-    every function receives its ``.T`` view (paths, dim), so each coordinate
-    is a contiguous run over the paths.  Returns the alive mask, the number of
-    steps each path survived and the state at the first point of every block
-    that has a step after it, shape (blocks, dim, paths).  Paths are latched
-    dead on the first non-finite or over-threshold state.  At the first step
-    of every block, ``draw(out)`` fills ``out`` (paths, rows, m) with standard
-    normals for the next rows steps.  The observable batch writes each
-    point's observables into its row of a (paths, ``_DRAW_BLOCK``,
-    observables) buffer; when it is full, or the grid ends, ``on_block(t,
-    values, alive)`` receives the points from t on and the alive mask at the
-    last of them, and may overwrite ``values``.  Each step prepares the new
-    state once; the observables at that point and the next increment read the
-    prepared value.  A dead path is held at 0 from the next step on, so it
-    costs no exact latch test.
+    The state is held coordinate-major, a (dim, paths) C-order array whose
+    ``.T`` every function receives.  ``draw(out)`` fills ``out`` (paths, rows,
+    m) with standard normals at the first step of a block; ``on_block(t,
+    values, alive)`` receives each block buffer (paths, points, observables)
+    from point t on, with the alive mask at its last point, and may overwrite
+    ``values``.  A path is latched dead at its first non-finite or
+    over-threshold state.  Returns the alive mask, the steps each path
+    survived and the state at the first point of each block, (blocks, dim, paths).
     """
     sqrt_dt = np.sqrt(dt)
     coords = np.array(np.asarray(state, dtype=complex).T, order="C")
@@ -281,7 +236,6 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
     dws = np.empty((n_paths, min(_DRAW_BLOCK, steps), system.noise_dim))
     values = np.empty((n_paths, min(_DRAW_BLOCK, steps + 1), len(observable_map.names)), complex)
     checkpoints = np.empty((-(-steps // _DRAW_BLOCK), system.dim, n_paths), dtype=complex)
-    # each step's rows of the draw and observable buffers, as views formed once
     dw_rows, value_rows = list(dws.swapaxes(0, 1)), list(values.swapaxes(0, 1))
     limit = 0.5 * threshold
 
@@ -342,13 +296,9 @@ def _within(values, threshold):
 
 
 def _to_front(values, rows):
-    """The rows of ``values`` that the mask ``rows`` selects, moved in place to
-    its front in their order: ``values[rows]`` without a copy of the block.
-
-    Rows move from the first one not selected on, half a slice at a time
-    (complex values take twice the bytes of the moduli ``_within`` forms);
-    row i comes from row index[i] >= i, which no earlier move has overwritten.
-    """
+    """``values[rows]`` for the mask ``rows``, moved in place to the front, half
+    a slice at a time from the first row not selected on: row i comes from
+    row index[i] >= i, which no earlier move has overwritten."""
     index = np.flatnonzero(rows)
     if len(index) < len(values):
         step = max(1, _slice_rows(values) // 2)
@@ -361,12 +311,10 @@ def _to_front(values, rows):
 def _block_moments(values):
     """Path count, mean and summed squared deviation over the first axis.
 
-    Centres ``values`` in place and squares the deviations one slice of paths
-    at a time.  Each slice's first row takes on the sum so far, so every
-    point's sum runs over the paths in order, as numpy sums a whole
-    (paths, points, observables) block along its first axis: the result is
-    that of one sum, bit for bit (a block of one point and one observable is
-    one slice, whose sum numpy forms pairwise).
+    Centres ``values`` in place and squares the deviations a slice of paths
+    at a time, each slice's first row taking on the sum so far, so the sums
+    run over the paths in order, bit for bit as numpy sums a whole block
+    along its first axis (a one-point, one-observable block is one slice).
     """
     mean = values.mean(axis=0)
     values -= mean
@@ -383,11 +331,9 @@ def _block_moments(values):
 
 
 class _Moments:
-    """Per-point path count, mean and summed squared deviation of the observables.
-
-    Blocks of points enter through ``add`` and leave through ``remove``, the
-    pairwise variance-combination rule and its inverse; all points of a
-    block share one count.  Both centre their argument in place.
+    """Per-point path count, mean and summed squared deviation of the
+    observables.  Blocks enter through ``add`` and leave through ``remove``
+    (the pairwise variance-combination rule and its inverse), centred in place.
     """
 
     def __init__(self, points, width):
@@ -429,14 +375,10 @@ class _Moments:
 
 
 def _replay(system, dt, observables, threshold, checkpoints, streams, entries):
-    """Integrate blocks of a chunk again and merge each into the moments.
-
-    ``entries`` lists (path, block, merge), each path's blocks in order, where
-    ``merge(t, values)`` is ``_Moments.add`` or ``_Moments.remove``.  The
-    blocks run from their ``checkpoints`` for one block less a step, as many
-    at once as the chunk has paths, on the increments the chunk drew for
-    them: each path's stream is restored to its ``streams`` snapshot and read
-    block by block, dropping the draws of the blocks it skips.
+    """Integrate blocks of a chunk again from their ``checkpoints``, as many at
+    once as the chunk has paths, on the draws restored from each path's
+    ``streams`` snapshot.  ``entries`` lists (path, block, merge), each
+    path's blocks in order, with ``merge`` ``_Moments.add`` or ``.remove``.
     """
 
     def blocks(p):
@@ -473,26 +415,29 @@ def run_ensemble(
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     chunk_size: int = _DEFAULT_CHUNK,
 ) -> EnsembleResult:
-    """Monte-Carlo ensemble of independent realizations.
+    """Monte-Carlo ensemble of independent realizations; ``runs=1`` is a
+    single realization.
 
     Path r draws its initial state and then its Wiener increments from the
-    stream keyed by (master_seed, r), so results are reproducible.  Chunks of
-    ``chunk_size`` paths run in turn.  Each ``_DRAW_BLOCK``-point block of a
-    chunk is merged into the per-point moments, with the pairwise
-    variance-combination rule, over the paths alive at its last point whose
-    observables in it are finite and within ``divergence_threshold`` in
-    modulus; a live path's other blocks are set aside, and only their path
-    and block are kept.  The grid's last block merges every path alive at its
-    end: those are the survivors.  After the chunk, the blocks that the
-    diverged paths entered are replayed from the chunk's state checkpoints
-    and taken out, and the set-aside blocks of the survivors are replayed and
-    merged in, so the moments are those of the surviving paths.  Memory is
-    one block of increments and observables per path plus one state per path
-    and block: nothing holds paths x steps observables.  A block is screened,
-    its kept rows moved to the front of its buffer in path order and its
-    moments reduced in place, one slice of paths at a time, so merging it
-    allocates at most one slice, the values of ``_MERGE_SLICE`` of its 64
-    points; the moments are those of one reduction over the block, bit for bit.
+    counter-based stream keyed by (master_seed, r).  Chunks of ``chunk_size``
+    paths run in turn through ``_integrate_chunk``, and every
+    ``_DRAW_BLOCK``-point block of a chunk is merged into one set of per-point
+    moments, in ascending path order, so the statistics do not depend on
+    scheduling.  A block merges, with the pairwise variance-combination rule,
+    the paths alive at its last point whose observables in it are finite and
+    within ``divergence_threshold`` in modulus; a live path's other blocks
+    are set aside, and only their path and block are kept.  The grid's last
+    block merges every path alive at its end: those are the survivors.  After
+    the chunk, the blocks that the diverged paths entered are replayed from
+    the chunk's state checkpoints and taken out, and the set-aside blocks of
+    the survivors are replayed and merged in, so the moments are those of the
+    surviving paths.  Memory is one block of increments and observables per
+    path plus one state per path and block: nothing holds paths x steps
+    observables.  A block is screened, its kept rows moved to the front of
+    its buffer in path order and its moments reduced in place, one slice of
+    paths at a time, so merging it allocates at most one slice, the values of
+    ``_MERGE_SLICE`` of its points; the moments are those of one reduction
+    over the block, bit for bit.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -521,7 +466,6 @@ def run_ensemble(
                 gen.standard_normal(out=dw)
 
         def merge_block(t, values, alive):
-            # the paths alive at the end of the grid's last block are the survivors
             last = t + values.shape[1] > grid.steps
             kept = alive if last else alive & _within(values, divergence_threshold)
             aside.update((int(p), t // _DRAW_BLOCK) for p in np.flatnonzero(alive & ~kept))

@@ -25,6 +25,7 @@ from ppcavity.reference import (
     destroy,
     evolve,
     evolve_spectral,
+    evolve_strang,
     initial_density,
     master_rhs,
 )
@@ -227,6 +228,20 @@ def test_trace_errors_raise_at_the_first_drift_and_name_its_time():
     values[2, 0] = np.nan  # a non-finite trace is drift too
     with pytest.raises(TraceDriftError, match=r"at t = 1;"):
         _trace_errors(values, times)
+
+
+def test_strang_raises_trace_drift_after_the_first_step():
+    # rho0 is off by as much, but the in-run check names the first step, t = dt,
+    # before the trajectory's check over every row would name t = 0
+    params = coupled_params(r21=0.2)
+    space = TruncatedSpace((3,))
+    rho0 = initial_density(params, space, 0.5, AtomicDensity.from_upper(0.7, 0.0))
+    grid = TimeGrid(0.0, 0.5, 50)
+    with pytest.raises(TraceDriftError, match=r"trace drift 2\.000e-06 at t = 0\.01;"):
+        evolve_strang(params, rho0 * (1.0 + 2e-6), grid, space)
+    rho0[0, 0] = np.nan  # a non-finite trace is drift too
+    with pytest.raises(TraceDriftError, match=r"trace drift nan at t = 0\.01;"):
+        evolve_strang(params, rho0, grid, space)
 
 
 def test_split_step_is_stable_on_a_coarse_dissipative_step():

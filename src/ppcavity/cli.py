@@ -12,8 +12,9 @@ are parsed and validated like the file before any engine starts.  Every
 engine returns one ``EngineResult``, which ``cmd_run`` writes the same way for
 all: a CSV (column order: t, then real_/imag_/stderr_ triples per observable,
 stderr only for stochastic engines), a sidecar ``<out>.meta.json`` with the
-resolved configuration, seed and engine diagnostics (enough to reproduce the
-run bit for bit), a summary line on stdout and the engine's warnings on stderr.
+resolved configuration, seed, engine diagnostics and the Python, numpy and
+BLAS versions (enough to reproduce the run bit for bit), a summary line on
+stdout and the engine's warnings on stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import sys
 from dataclasses import dataclass, replace
 
@@ -50,6 +52,8 @@ STDERR_SPIKE_WARNING = 5.0
 EIGENVALUE_WARNING_FLOOR = -1e-8
 #: rows that ``write_csv`` formats at once
 _CSV_ROWS = 512
+#: the BLAS thread settings that the sidecar's ``environment`` records
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _override(flag, name, kind):
@@ -104,6 +108,21 @@ def read_csv(path):
     return header, data
 
 
+def _environment():
+    """The Python, numpy and BLAS versions and the BLAS thread settings of this process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):
+        blas = {"name": "unknown"}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "blas_thread_env": {name: os.environ.get(name) for name in _THREAD_VARS},
+    }
+
+
 def _write_sidecar(out_path, cfg: RunConfig, extra):
     text = serialize_config(cfg)
     meta = {
@@ -112,6 +131,7 @@ def _write_sidecar(out_path, cfg: RunConfig, extra):
         "master_seed": cfg.master_seed,
         "config": text,
         "config_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "environment": _environment(),
     }
     meta.update(extra)
     with open(str(out_path) + ".meta.json", "w") as handle:
@@ -181,7 +201,9 @@ def _run_deterministic(cfg: RunConfig, params, traj) -> EngineResult:
             f"warning: minimum density-matrix eigenvalue {low:.3e} "
             f"is below {EIGENVALUE_WARNING_FLOOR:.0e}; the reference lost positivity"
         )
-    if bloch > BLOCH_BOUND_SLACK:
+    if not np.isfinite(bloch):
+        warnings.append("warning: the trajectory overflowed during the run")
+    elif bloch > BLOCH_BOUND_SLACK:
         warnings.append(f"warning: Bloch-sphere bound violated by {bloch:.3e} during the run")
     return EngineResult(
         times=traj.times, names=cfg.observables, stderr=None, diagnostics=diagnostics,

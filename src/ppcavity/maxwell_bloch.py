@@ -11,13 +11,13 @@ roundoff cannot push it off the physical manifold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from operator import mul
 
 import numpy as np
 
 from .jc import ModelParams
 from .physical import join_phys, split_phys
-from .sde import TimeGrid, rk4_states
+from .sde import TimeGrid
 
 #: a ``max_bloch_violation`` above this is reported as a warning by the CLI
 BLOCH_BOUND_SLACK = 1e-9
@@ -43,24 +43,38 @@ def _real_vector(params: ModelParams, phys) -> np.ndarray:
     return np.concatenate([eps.real, eta.real, [rho21.real, rho21.imag, nu.real]])
 
 
-def _rhs_real(params: ModelParams, vec: np.ndarray) -> np.ndarray:
+def _real_rhs(params: ModelParams):
+    """The derivative of a real-form state, a list of 2N+3 floats, as a list.
+
+    The constants are formed once, here.  The mode sum is numpy's reduction
+    of the products: a left-to-right sum from 0.0 below 8 modes, where that
+    is numpy's order, and ``ndarray.sum`` itself from 8 on.
+    """
     n = params.mode_count
-    om = params.omega_array
-    gs = params.gs
-    eps = vec[0:n]
-    eta = vec[n : 2 * n]
-    re21 = vec[2 * n]
-    im21 = vec[2 * n + 1]
-    nu = vec[2 * n + 2]
-    drive = float((gs * eps).sum())
-    out = np.empty_like(vec)
-    out[0:n] = om * eta
-    out[n : 2 * n] = -om * eps - 4.0 * gs * re21
-    # d rho21/dt = -i Omega rho21 + i drive nu - gamma2 rho21, split in parts
-    out[2 * n] = params.Omega * im21 - params.gamma2 * re21
-    out[2 * n + 1] = -params.Omega * re21 + drive * nu - params.gamma2 * im21
-    out[2 * n + 2] = -4.0 * drive * im21 - params.gamma1 * (nu - params.nu0)
-    return out
+    om, gs_array = params.omega_array.tolist(), params.gs
+    gs, gs4 = gs_array.tolist(), (4.0 * gs_array).tolist()
+    big_omega, gamma1 = float(params.Omega), float(params.gamma1)
+    gamma2, nu0 = float(params.gamma2), float(params.nu0)
+
+    def rhs(y):
+        eps = y[:n]
+        re21, im21, nu = y[2 * n :]
+        if n < 8:
+            drive = 0.0
+            for term in map(mul, gs, eps):
+                drive += term
+        else:
+            drive = float((gs_array * eps).sum())
+        # d rho21/dt = -i Omega rho21 + i drive nu - gamma2 rho21, split in parts
+        return [
+            *map(mul, om, y[n : 2 * n]),
+            *[-a * e - b * re21 for a, e, b in zip(om, eps, gs4)],
+            big_omega * im21 - gamma2 * re21,
+            -big_omega * re21 + drive * nu - gamma2 * im21,
+            -4.0 * drive * im21 - gamma1 * (nu - nu0),
+        ]
+
+    return rhs
 
 
 def mb_rhs(params: ModelParams, phys) -> np.ndarray:
@@ -73,7 +87,7 @@ def mb_rhs(params: ModelParams, phys) -> np.ndarray:
     field.
     """
     n = params.mode_count
-    out = _rhs_real(params, _real_vector(params, phys))
+    out = _real_rhs(params)(_real_vector(params, phys).tolist())
     rho21 = complex(out[2 * n], out[2 * n + 1])
     return join_phys(out[0:n], out[n : 2 * n], rho21, np.conj(rho21), out[2 * n + 2])
 
@@ -105,14 +119,32 @@ def evolve_mb(params: ModelParams, phys0, grid: TimeGrid) -> MbTrajectory:
     rho21, rho12, nu) of :func:`ppcavity.physical.join_phys`.  It must have
     length 2N+3 and lie exactly on the hermitian slice, rho12 = conj(rho21)
     with real epsilon, eta and nu; otherwise ValueError is raised.
+
+    Each step is classical RK4 on Python floats, in this operand order:
+    k2 and k3 at y + (0.5*dt)*k, k4 at y + dt*k3, and the new state
+    y + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4).  Each state is written into one
+    preallocated (steps + 1, 2N + 3) array.
     """
     n = params.mode_count
+    rhs = _real_rhs(params)
     vecs = np.empty((grid.steps + 1, 2 * n + 3))
-    vecs[0] = vec0 = _real_vector(params, phys0)
-    for idx, vec in enumerate(rk4_states(partial(_rhs_real, params), vec0, grid), start=1):
-        vecs[idx] = vec
+    vecs[0] = _real_vector(params, phys0)
+    y = vecs[0].tolist()
+    dt = grid.dt
+    half, sixth = 0.5 * dt, dt / 6.0
+    for idx in range(1, grid.steps + 1):
+        k1 = rhs(y)
+        k2 = rhs([a + half * b for a, b in zip(y, k1)])
+        k3 = rhs([a + half * b for a, b in zip(y, k2)])
+        k4 = rhs([a + dt * b for a, b in zip(y, k3)])
+        y = [
+            a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
+            for a, b, c, d, e in zip(y, k1, k2, k3, k4)
+        ]
+        vecs[idx] = y
     rho21 = np.empty(grid.steps + 1, complex)
     rho21.real, rho21.imag = vecs[:, 2 * n], vecs[:, 2 * n + 1]
     nu = vecs[:, 2 * n + 2]
-    worst = float(((rho21.real**2 + rho21.imag**2) - (1.0 - nu**2) / 4.0).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed run reads inf or nan
+        worst = float(((rho21.real**2 + rho21.imag**2) - (1.0 - nu**2) / 4.0).max())
     return MbTrajectory(grid.times, vecs[:, 0:n], vecs[:, n : 2 * n], rho21, nu, worst)

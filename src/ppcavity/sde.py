@@ -1,15 +1,14 @@
 """Euler-Maruyama ensembles of complex Ito SDEs with real Wiener increments.
 
 :class:`SdeSystem` states the step contract and :func:`run_ensemble` the
-ensemble algorithm; ``TimeGrid`` and the RK4 generator ``rk4_states`` also
-serve the deterministic engines.
+ensemble algorithm; ``TimeGrid`` also serves the deterministic engines.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,20 +45,6 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.steps + 1)
-
-
-def rk4_states(rhs: Callable[[Any], Any], y0, grid: TimeGrid) -> Iterator:
-    """Classical fixed-step RK4 of dy/dt = rhs(y) from ``y0``, yielding the
-    state after each of the ``grid.steps`` steps."""
-    dt = grid.dt
-    y = y0
-    for _ in range(grid.steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        yield y
 
 
 def _identity(state):

@@ -4,7 +4,8 @@ import numpy as np
 
 
 def rk4(f, x0, grid):
-    """Classical fixed-step RK4 returning the full trajectory."""
+    """Classical fixed-step RK4 returning the full trajectory, on numpy
+    arrays in the operand order of ``maxwell_bloch.evolve_mb``."""
     x = np.array(x0)
     dt = grid.dt
     out = np.empty((grid.steps + 1,) + x.shape, dtype=x.dtype)
@@ -16,6 +17,28 @@ def rk4(f, x0, grid):
         k4 = f(x + dt * k3)
         x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = x
+    return out
+
+
+def numpy_mb_rhs(params, vec):
+    """The Maxwell-Bloch rhs of a real-form state (eps, eta, Re rho21, Im
+    rho21, nu) as whole-array numpy operations, a frozen copy of the form
+    that ``maxwell_bloch`` stepped before it moved to Python floats."""
+    n = params.mode_count
+    om = params.omega_array
+    gs = params.gs
+    eps = vec[0:n]
+    eta = vec[n : 2 * n]
+    re21 = vec[2 * n]
+    im21 = vec[2 * n + 1]
+    nu = vec[2 * n + 2]
+    drive = float((gs * eps).sum())
+    out = np.empty_like(vec)
+    out[0:n] = om * eta
+    out[n : 2 * n] = -om * eps - 4.0 * gs * re21
+    out[2 * n] = params.Omega * im21 - params.gamma2 * re21
+    out[2 * n + 1] = -params.Omega * re21 + drive * nu - params.gamma2 * im21
+    out[2 * n + 2] = -4.0 * drive * im21 - params.gamma1 * (nu - params.nu0)
     return out
 
 

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import os
+import platform
 import tracemalloc
 import warnings
 
@@ -500,19 +502,43 @@ class TestRunCommand:
         header, _ = read_csv(tmp_path / "x.csv")
         assert "real_nu" in header
 
+    @staticmethod
+    def engine_config(tmp_path, engine):
+        """A small config file for ``engine``."""
+        if engine.startswith("sde"):
+            text = small_sde_config(tmp_path, engine=engine) + "\n[family]\nkind = coherent-spin\n"
+        else:
+            text = FIG3_REFERENCE.replace("engine = reference", f"engine = {engine}")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        return cfg_path
+
     @pytest.mark.parametrize("engine", ENGINES)
     def test_every_engine_prints_its_summary_line(self, tmp_path, capsys, engine):
         out = tmp_path / "run.csv"
         if engine.startswith("sde"):
-            text = small_sde_config(tmp_path, engine=engine) + "\n[family]\nkind = coherent-spin\n"
             summary = f"{engine}: 12/12 runs completed (0 diverged) -> {out}\n"
         else:
-            text = FIG3_REFERENCE.replace("engine = reference", f"engine = {engine}")
             summary = f"{engine}: wrote {out}\n"
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(text)
+        cfg_path = self.engine_config(tmp_path, engine)
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert capsys.readouterr() == (summary, "")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_engine_records_its_environment(self, tmp_path, monkeypatch, engine):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        cfg_path = self.engine_config(tmp_path, engine)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run.csv")]) == 0
+        env = json.loads((tmp_path / "run.csv.meta.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["blas"]["name"], str)
+        assert env["blas_thread_env"] == {
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": "3",
+            "MKL_NUM_THREADS": None,
+        }
 
     def test_divergent_fraction_is_warned(self, tmp_path, capsys):
         # at this threshold 1 of the 12 paths diverges

@@ -1,4 +1,6 @@
+import json
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,12 +14,44 @@ from ppcavity.observables import physical_columns
 from ppcavity.physical import drift_bar, join_phys
 from ppcavity.sde import TimeGrid
 
-from helpers import rk4
+from helpers import numpy_mb_rhs, rk4
 
 
 def mb_state(epsilon, eta, rho21, nu):
     """Physical vector on the hermitian slice, rho12 = conj(rho21)."""
     return join_phys(epsilon, eta, rho21, np.conj(rho21), nu)
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize(
+    "rates", [{}, {"r12": 0.4, "r21": 0.25, "r_p": 0.15}], ids=["closed", "lossy"]
+)
+def test_float_stepping_is_bit_identical_to_numpy_form(modes, rates):
+    # from 8 modes on numpy sums the products pairwise, not left to right
+    rng = np.random.default_rng(modes)
+    params = ModelParams.from_frequencies(
+        omega=tuple(np.sort(rng.uniform(1.0, 3.0, modes))),
+        g=tuple(rng.uniform(0.1, 0.5, modes)),
+        Omega=1.3,
+        **rates,
+    )
+    rho21 = complex(*(0.3 * rng.standard_normal(2)))
+    state0 = mb_state(rng.standard_normal(modes), rng.standard_normal(modes), rho21, -0.4)
+    grid = TimeGrid(0.0, 2.0, 300)
+    traj = evolve_mb(params, state0, grid)
+    n = modes
+    vec0 = np.concatenate([state0[0 : 2 * n : 2].real, state0[1 : 2 * n : 2].real])
+    vec0 = np.append(vec0, [rho21.real, rho21.imag, -0.4])
+    frozen = rk4(partial(numpy_mb_rhs, params), vec0, grid)
+    eps, eta, re21, im21, nu = frozen[:, 0:n], frozen[:, n : 2 * n], *frozen[:, 2 * n :].T
+    assert np.array_equal(traj.epsilon, eps) and np.array_equal(traj.eta, eta)
+    assert np.array_equal(traj.rho21.real, re21) and np.array_equal(traj.rho21.imag, im21)
+    assert np.array_equal(traj.nu, nu)
+    violation = ((re21**2 + im21**2) - (1.0 - nu**2) / 4.0).max()
+    assert np.array_equal(traj.max_bloch_violation, violation)
+    deriv = numpy_mb_rhs(params, vec0)
+    expected = mb_state(deriv[0:n], deriv[n : 2 * n], complex(*deriv[2 * n : -1]), deriv[-1])
+    assert np.array_equal(mb_rhs(params, state0), expected)
 
 
 def test_rhs_equals_changed_variable_drift(rng):
@@ -107,6 +141,26 @@ def test_bloch_bound_violation_is_recorded_and_reported(
     violation = traj.max_bloch_violation
     warning = f"warning: Bloch-sphere bound violated by {violation:.3e} during the run"
     assert capsys.readouterr().err == (warning + "\n" if violated else "")
+
+
+@pytest.mark.parametrize("steps, rho12", [(200, 0.0), (120, 0.3)])
+def test_overflowed_run_is_recorded_and_reported(tmp_path, capsys, steps, rho12):
+    # omega dt = 6.05 and 10.1, past RK4's stability bound on the imaginary axis (2.83);
+    # evolve_mb records it without a Python warning, and ppcavity run reports it
+    # (the copied columns rho_21 and nu need no arithmetic on the non-finite values)
+    cfg_path = tmp_path / "mb.cfg"
+    cfg_path.write_text(
+        "[run]\nengine = mb\nobservables = rho_21, nu\n"
+        "[model]\nOmega = 1000\nomega = 1100\ng = 200\n"
+        f"[grid]\nt_end = 1.1\nsteps = {steps}\n"
+        f"[initial]\nalpha = 5 0\nrho11 = 0.5\nrho12 = {rho12} 0\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "mb.csv")]) == 0
+    assert capsys.readouterr().err == "warning: the trajectory overflowed during the run\n"
+    meta = json.loads((tmp_path / "mb.csv.meta.json").read_text())
+    assert not np.isfinite(meta["max_bloch_violation"])
 
 
 def test_state_off_the_hermitian_slice_is_refused():

@@ -182,9 +182,7 @@ class BasisFamily:
         if self.kind == ADDITIVE_NOISE:
             # the jet's constants 2/delta, kappa, delta/4 and delta as (side, mirror) pairs
             values = (2.0 / self.delta, self.kappa, self.delta / 4.0, self.delta)
-            pairs = np.array([(c, c.conjugate()) for c in values])
-            pairs.flags.writeable = False
-            object.__setattr__(self, "_pairs", pairs)
+            object.__setattr__(self, "_pairs", _frozen([(c, c.conjugate()) for c in values]))
             object.__setattr__(self, "_tiles", {})
 
     @classmethod

@@ -1,20 +1,8 @@
-"""Command-line interface: run engines, compare CSV outputs, check invariants.
+"""Command-line interface: ``ppcavity run``, ``compare`` and ``check-invariants``.
 
-Subcommands::
-
-    ppcavity run --config run.cfg [--seed N] [--runs N] [--out PATH]
-    ppcavity compare A.csv B.csv
-    ppcavity check-invariants [--config run.cfg] [--seed N] [--points N] [--out PATH]
-
-Flags override environment variables (prefix ``PPCAVITY_``, e.g.
-``PPCAVITY_SEED``), which in turn override the configuration file; overrides
-are parsed and validated like the file before any engine starts.  Every
-engine returns one ``EngineResult``, which ``cmd_run`` writes the same way for
-all: a CSV (column order: t, then real_/imag_/stderr_ triples per observable,
-stderr only for stochastic engines), a sidecar ``<out>.meta.json`` with the
-resolved configuration, seed, engine diagnostics and the Python, numpy and
-BLAS versions (enough to reproduce the run bit for bit), a summary line on
-stdout and the engine's warnings on stderr.
+README's "Command line" section states the subcommands, their flags, the
+overrides, the CSV and the sidecar.  Every engine returns one
+:class:`EngineResult`, which :func:`cmd_run` writes the same way for all.
 """
 
 from __future__ import annotations
@@ -205,10 +193,11 @@ def _run_deterministic(cfg: RunConfig, params, traj) -> EngineResult:
         warnings.append("warning: the trajectory overflowed during the run")
     elif bloch > BLOCH_BOUND_SLACK:
         warnings.append(f"warning: Bloch-sphere bound violated by {bloch:.3e} during the run")
+    with np.errstate(all="ignore"):  # an overflowed trajectory holds inf and nan
+        values = physical_columns(params, cfg.observables, cfg.probes)(traj.phys)
     return EngineResult(
-        times=traj.times, names=cfg.observables, stderr=None, diagnostics=diagnostics,
-        values=physical_columns(params, cfg.observables, cfg.probes)(traj.phys),
-        summary=f"{cfg.engine}: wrote {cfg.out}",
+        times=traj.times, names=cfg.observables, values=values, stderr=None,
+        diagnostics=diagnostics, summary=f"{cfg.engine}: wrote {cfg.out}",
         warnings=tuple(warnings),
     )
 

@@ -1,27 +1,10 @@
-"""Plain-text run configuration: sectioned key = value files.
+"""Plain-text run configuration: sectioned ``key = value`` files.
 
-Sections and keys::
-
-    [run]      engine (sde-jc | sde-mb-experimental | reference | mb),
-               runs, master_seed, observables, probes, out,
-               divergence_threshold, n_max
-    [model]    Omega, omega | (length, mode_count), g, x0, length, area,
-               hbar, c, epsilon0, r12, r21, r_p
-    [grid]     t_start, t_end, steps
-    [family]   kind (coherent-spin | additive-noise), delta, kappa
-    [initial]  alpha (per mode), rho11, rho12
-    [invariants]  seed, points   (used by the check-invariants subcommand)
-
-Complex values are written as "re im" pairs (a single number means a real
-value).  Lists are comma separated.  Unknown sections or keys, malformed
-values and non-finite numbers (nan, inf) are rejected with the offending line
-number.  Validation then requires 0 <= seed < 2**64 for ``master_seed`` and
-the invariant seed, at least one invariant point, a positive
-``divergence_threshold``, and every domain object (model, family, grid,
-initial density, the SDE engines' initial points, observables) to construct.
-
-``_SCHEMA`` is the one statement of the format: ``parse_config`` reads and
-``serialize_config`` writes it, one value kind at a time, through ``_KINDS``.
+``_SCHEMA`` is the one statement of the format, its sections, keys and value
+kinds: :func:`parse_config` reads and :func:`serialize_config` writes it, one
+kind at a time, through ``_KINDS``.  A complex value is an "re im" pair (one
+number is a real value) and a list is comma separated.
+:func:`validate_config` states what a parsed configuration must satisfy.
 """
 
 from __future__ import annotations
@@ -29,12 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .basis import ADDITIVE_NOISE, COHERENT_SPIN, BasisFamily
+from .basis import ADDITIVE_NOISE, BasisFamily
 from .errors import CavityError, ConfigError
 from .initialization import AtomicDensity, init_points
 from .invariants import DEFAULT_POINTS, DEFAULT_SEED
-from .jc import ModelParams
+from .jc import ModelParams, per_mode_amplitudes, phase_init_sampler
 from .observables import DEFAULT_OBSERVABLES, PHASE_COORDINATES, physical_columns
+from .physical import physical_init_sampler
+from .reference import TruncatedSpace
 from .sde import DEFAULT_DIVERGENCE_THRESHOLD, TimeGrid
 
 ENGINES = ("sde-jc", "sde-mb-experimental", "reference", "mb")
@@ -45,10 +30,10 @@ _OBSERVABLE_ALIASES = {f"rho{ij}": f"rho_{ij}" for ij in ("11", "22", "21", "12"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated description of one run."""
+    """The settings of one run, a field per key of ``_SCHEMA``;
+    :func:`parse_config` returns it validated."""
 
     engine: str
-    # model
     Omega: float
     omega: tuple = ()
     mode_count: int = 1
@@ -62,19 +47,15 @@ class RunConfig:
     r12: float = 0.0
     r21: float = 0.0
     r_p: float = 0.0
-    # grid
     t_start: float = 0.0
     t_end: float = 1.0
     steps: int = 1
-    # family
     family_kind: str = ADDITIVE_NOISE
     delta: complex = 4.0 + 0.0j
     kappa: complex = 0.0 + 0.0j
-    # initial state
     alpha: tuple = (0j,)
     rho11: float = 0.5
     rho12: complex = 0j
-    # run control
     runs: int = 1000
     master_seed: int = 0
     observables: tuple = DEFAULT_OBSERVABLES
@@ -82,7 +63,6 @@ class RunConfig:
     out: str | None = None
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
     n_max: int = 60
-    # invariant-suite control
     invariants_seed: int = DEFAULT_SEED
     invariants_points: int = DEFAULT_POINTS
 
@@ -99,9 +79,7 @@ class RunConfig:
         )
 
     def family(self) -> BasisFamily:
-        if self.family_kind == COHERENT_SPIN:
-            return BasisFamily.coherent_spin()
-        return BasisFamily.additive_noise(self.delta, self.kappa)
+        return BasisFamily(self.family_kind, self.delta, self.kappa)
 
     def grid(self) -> TimeGrid:
         return TimeGrid(self.t_start, self.t_end, self.steps)
@@ -229,7 +207,9 @@ def parse_value(text: str, kind: str, source: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a configuration; raises ConfigError."""
+    """Parse and fully validate a configuration; raises ConfigError, which
+    names the line of an unknown section or key, a duplicate key, a malformed
+    value or a non-finite number."""
     values: dict = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -264,7 +244,15 @@ def parse_config(text: str) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig):
-    """Range and cross-field validation, constructing every domain object."""
+    """Check ``cfg`` beyond its value kinds; raises ConfigError.
+
+    Checked here: the engine, the seeds (0 <= seed < 2**64), at least one
+    invariant point, a positive ``divergence_threshold``, at least one run of
+    an SDE engine and no observable listed twice.  Every other rule belongs to
+    an object the engine builds, and is checked by building it: the model,
+    family, grid, amplitudes, initial density and observable columns, the
+    truncated space of ``reference`` and the sampler chain of an SDE engine.
+    """
     if cfg.engine not in ENGINES:
         raise ConfigError(
             f"engine must be one of {', '.join(ENGINES)}; got {cfg.engine!r}"
@@ -277,46 +265,35 @@ def validate_config(cfg: RunConfig):
         raise ConfigError("[invariants] points must be >= 1")
     if not cfg.divergence_threshold > 0:
         raise ConfigError("divergence_threshold must be > 0")
-    if cfg.family_kind not in (COHERENT_SPIN, ADDITIVE_NOISE):
-        raise ConfigError(f"unknown family kind {cfg.family_kind!r}")
-    try:
-        params = cfg.model_params()
-        cfg.family()
-        cfg.grid()
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(str(exc)) from None
-    try:
-        cfg.atomic_density()
-    except ValueError as exc:
-        raise ConfigError(f"initial atomic density: {exc}") from None
-    if cfg.engine in ("sde-jc", "sde-mb-experimental"):
-        if not 0.0 < cfg.rho11 < 1.0:
-            raise ConfigError("stochastic engines need 0 < rho11 < 1")
-        if cfg.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        if cfg.engine == "sde-mb-experimental" and cfg.family_kind != COHERENT_SPIN:
-            raise ConfigError(
-                "the changed-variable engine requires the coherent-spin family; "
-                "its noise matrix has no closed form for other families"
-            )
-        try:
-            init_points(cfg.atomic_density(), cfg.family())
-        except CavityError as exc:
-            raise ConfigError(f"[initial] for the {cfg.family_kind} family: {exc}") from None
-    if cfg.engine == "reference" and cfg.n_max < 1:
-        raise ConfigError("n_max must be >= 1")
-    n_alpha = len(cfg.alpha)
-    if n_alpha not in (1, params.mode_count):
-        raise ConfigError("alpha must list one amplitude or one per mode")
     folded = [_OBSERVABLE_ALIASES.get(name, name) for name in cfg.observables]
     for i, name in enumerate(folded):
         if name in folded[:i]:
             raise ConfigError(f"observable {name!r} is listed more than once")
     raw = PHASE_COORDINATES if cfg.engine == "sde-jc" else ()
     try:
+        params, family = cfg.model_params(), cfg.family()
+        cfg.grid()
+        per_mode_amplitudes(cfg.alpha, params.mode_count)
         physical_columns(params, cfg.observables, cfg.probes, raw)
-    except ValueError as exc:
+        if cfg.engine == "reference":
+            TruncatedSpace((cfg.n_max,) * params.mode_count)
+    except (ValueError, CavityError) as exc:
         raise ConfigError(str(exc)) from None
+    try:
+        atom = cfg.atomic_density()
+    except ValueError as exc:
+        raise ConfigError(f"initial atomic density: {exc}") from None
+    if cfg.engine in ("sde-jc", "sde-mb-experimental"):
+        if cfg.runs < 1:
+            raise ConfigError("runs must be >= 1")
+        try:
+            sampler = phase_init_sampler(params, family, cfg.alpha, init_points(atom, family))
+            if cfg.engine == "sde-mb-experimental":
+                physical_init_sampler(family, sampler)
+        except CavityError as exc:
+            raise ConfigError(f"[initial] for the {cfg.family_kind} family: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -1,16 +1,5 @@
-"""Conversion of an atomic density matrix into fermionic phase-space points.
-
-A valid 2x2 density matrix is represented exactly by a three-point discrete
-distribution over (z, w) pairs.  Writing rho11 = p and rho12 = r*exp(i*phi),
-the construction uses K = sqrt(1/p - 1) and the weight q = r*(1 + K**2)/K:
-
-    point 1 (weight q):        h(z1) = K e^{-i phi},  htilde(w1) = K e^{i phi}
-    point 2 (weight (1-q)/2):  h(z2) = htilde(w2) = K
-    point 3 (weight (1-q)/2):  h(z3) = htilde(w3) = -K
-
-Averaging the fermionic projector over these points reproduces the input
-density matrix entrywise.
-"""
+"""The atomic density matrix and its exact three-point representation over
+fermionic phase-space points, :func:`init_points`."""
 
 from __future__ import annotations
 
@@ -38,8 +27,7 @@ class AtomicDensity:
     @classmethod
     def from_upper(cls, rho11, rho12=0j) -> "AtomicDensity":
         """Build a hermitian, trace-one density from rho11 and rho12."""
-        rho11 = complex(rho11)
-        rho12 = complex(rho12)
+        rho11, rho12 = complex(rho11), complex(rho12)
         out = cls(rho11, rho12, np.conj(rho12), 1.0 - rho11)
         out.validate()
         return out
@@ -85,7 +73,7 @@ class InitDistribution:
     ws: np.ndarray
 
     def reconstruct(self, family: BasisFamily) -> np.ndarray:
-        """Weighted projector average; equals the source density matrix."""
+        """Weighted projector average."""
         out = np.zeros((2, 2), dtype=complex)
         for weight, z, w in zip(self.weights, self.zs, self.ws):
             out += weight * fermionic_projector(family, z, w)
@@ -98,12 +86,15 @@ class InitDistribution:
 
 
 def init_points(rho: AtomicDensity, family: BasisFamily) -> InitDistribution:
-    """Convert a density matrix into the three-point initial distribution.
+    """The three-point distribution whose weighted projector average is ``rho``.
 
-    Raises BoundaryPopulationError for rho11 in {0, 1}, PositivityError when
-    the computed weight exceeds one (non-positive input), and propagates
-    UnreachableTargetError from the family inversion (e.g. K = 1 targets
-    under the additive-noise family).
+    With rho11 = p, rho12 = r exp(i phi), K = sqrt(1/p - 1) and the weight
+    q = r (1 + K**2)/K, point 1 (weight q) has h(z1) = K exp(-i phi) and
+    htilde(w1) = K exp(i phi), and points 2 and 3 (weight (1 - q)/2 each)
+    h = htilde = K and -K.  Raises BoundaryPopulationError unless
+    0 < rho11 < 1, PositivityError when q > 1 (a non-positive ``rho``),
+    UnreachableTargetError when the family cannot reach a target (K = 1 under
+    the additive-noise family) and CavityError if the points miss ``rho``.
     """
     rho._check_hermitian_trace()
     p = rho.rho11.real

@@ -26,6 +26,7 @@ from .basis import (
     TWO,
     BasisFamily,
     PhaseFunctions,
+    _frozen,
     checked_denominator,
 )
 from .sde import SdeSystem, noise_matrix
@@ -42,12 +43,6 @@ def principal_sqrt(x):
     is +0.0), so algebraically equal radicands on the negative real axis,
     whatever signed zero they carry, have the same root."""
     return np.sqrt(np.asarray(x, dtype=complex) + LIFT)
-
-
-def _read_only(values) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -132,32 +127,30 @@ class ModelParams:
 
     @cached_property
     def omega_array(self) -> np.ndarray:
-        return _read_only(self.omega)
+        return _frozen(self.omega)
 
     @cached_property
     def g_array(self) -> np.ndarray:
-        return _read_only(self.g)
+        return _frozen(self.g)
 
     @cached_property
     def wave_numbers(self) -> np.ndarray:
-        return _read_only(self.omega_array / self.c)
+        return _frozen(self.omega_array / self.c)
 
     @cached_property
     def mode_amplitudes(self) -> np.ndarray:
         """sin(k_n x0) position factors at the atom."""
-        return _read_only(np.sin(self.wave_numbers * self.x0))
+        return _frozen(np.sin(self.wave_numbers * self.x0))
 
     @cached_property
     def gs(self) -> np.ndarray:
         """Per-mode effective couplings g_n sin(k_n x0)."""
-        return _read_only(self.g_array * self.mode_amplitudes)
+        return _frozen(self.g_array * self.mode_amplitudes)
 
     @cached_property
     def noise_prefactor(self) -> np.ndarray:
         """Per-mode changed-variable noise factors exp(i pi/4) sqrt(g_n s_n / 2)."""
-        out = _ROOT_I * principal_sqrt(self.gs / 2.0)
-        out.flags.writeable = False
-        return out
+        return _frozen(_ROOT_I * principal_sqrt(self.gs / 2.0))
 
     @cached_property
     def _held(self) -> dict:
@@ -190,7 +183,7 @@ class ModelParams:
     @cached_property
     def e_photon(self) -> np.ndarray:
         """Electric field per photon, sqrt(hbar*omega_n / (epsilon0 V))."""
-        return _read_only(
+        return _frozen(
             np.sqrt(self.hbar * self.omega_array / (self.epsilon0 * self.volume))
         )
 
@@ -314,6 +307,20 @@ def coordinate_rows(x, ndim):
     return x.T
 
 
+def increment_rows(state, dw, dim):
+    """What both engines' increments start from, at ``state`` (..., d) and the
+    real increments ``dw`` (..., m) or None, their batches broadcast: the
+    batch rank, the (..., ``dim``) :func:`empty_state` to fill, the rows of
+    ``state`` and the rows of ``dw`` read as complex pairs dW_c + i dW_{c+1}
+    (two per mode, then the dissipative pair), None without ``dw``."""
+    batch = state.shape[:-1]
+    if dw is not None and dw.shape[:-1] != batch:
+        batch = np.broadcast_shapes(batch, dw.shape[:-1])
+    nd = len(batch)
+    pairs = None if dw is None else coordinate_rows(dw.view(complex), nd + 1)
+    return nd, empty_state(batch, dim), coordinate_rows(state, nd + 1), pairs
+
+
 def _prepare(family, state, check):
     prepared = jet_state(family, state)
     if check:
@@ -354,21 +361,15 @@ def increment_jc(params: ModelParams, family: BasisFamily, state, dt, dw=None, c
     """
     state, pf = _prepare(family, state, check)
     n = params.mode_count
-    batch = state.shape[:-1]
-    if dw is not None and dw.shape[:-1] != batch:
-        batch = np.broadcast_shapes(batch, dw.shape[:-1])
-    nd = len(batch)
+    nd, out, x, pairs = increment_rows(state, dw, params.dim)
     modes, gs, field_factors, zw_factors, omega_a, rates = params.held(_jc_constants, dt, nd)
-    out = empty_state(batch, params.dim)
-    rows, x = out.T, coordinate_rows(state, nd + 1)
+    rows = out.T
     hs, quads = coordinate_rows(pf.hs, nd + 1), coordinate_rows(pf.quads, nd + 1)
     h, ht = hs[0, ...], hs[1, ...]
     denom = coordinate_rows(pf.denom, nd)
     coupling = (h + ht) / denom
     if dw is not None:
-        # per mode, dW_c + i dW_{c+1} and dW_{c+2} + i dW_{c+3}, and the
-        # roots of the two diffusion entries, (N, 2) rows in one call
-        pairs = coordinate_rows(dw[..., : 4 * n].view(complex), nd + 1)
+        # per mode, the roots of the two diffusion entries, (N, 2) rows in one call
         roots = gs * quads
         roots /= TWO
         roots += LIFT
@@ -413,7 +414,7 @@ def increment_jc(params: ModelParams, family: BasisFamily, state, dt, dw=None, c
         if params.dissipative:
             entry = (two_rp * hht + r21 * np.square(hht) + r12) * inv_hp * inv_htp
             td = IMAG * np.sqrt(entry / TWO + LIFT)
-            pair = coordinate_rows(dw[..., 4 * n : 4 * n + 2].view(complex), nd + 1)[0, ...]
+            pair = pairs[2 * n, ...]
             inc_z -= td * pair
             inc_w += td * np.conj(pair)
     return out

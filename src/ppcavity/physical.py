@@ -31,7 +31,7 @@ from .errors import InconsistentStateError, PoleProximityError
 from .jc import (
     ModelParams,
     coordinate_rows,
-    empty_state,
+    increment_rows,
     jet_state,
     join_state,
     principal_sqrt,
@@ -112,6 +112,12 @@ def from_physical(family: BasisFamily, phys) -> np.ndarray:
     return join_state((eps + 1j * eta) / 2.0, (eps - 1j * eta) / 2.0, z, w)
 
 
+def _noise_dim(params: ModelParams) -> int:
+    """Noise columns of the changed-variable engine: four per mode, then two
+    dissipative ones, which act on the atomic rows only."""
+    return 4 * params.mode_count + 2
+
+
 def _bar_constants(params: ModelParams, dt, ndim):
     """The 0-d operands of :func:`increment_bar`: per mode g_n s_n, dt omega_n,
     omega_n, 2 g_n s_n, the noise prefactor and -i times it; i dt, -dt, the
@@ -141,28 +147,22 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
     """Euler increment A dt + B dW of the changed-variable engine in one pass.
 
     A is the cavity-mode Maxwell plus Bloch drift, B the coherent-spin closed
-    form.  ``dw`` has 4N+2 columns: four per mode, then two dissipative ones,
-    which act on the atomic rows only and are skipped without dissipation.
-    The atomic rows of the kick are r X + s Y, X and Y two increment
-    combinations summed over the modes.  Square roots take the principal
-    branch (a gauge choice).  Rows and error state follow
+    form.  ``dw`` has :func:`_noise_dim` columns; the dissipative pair is
+    skipped without dissipation.  The atomic rows of the kick are r X + s Y,
+    X and Y two increment combinations summed over the modes.  Square roots
+    take the principal branch (a gauge choice).  Rows and error state follow
     :class:`ppcavity.sde.SdeSystem`.
     """
     phys = np.asarray(phys, dtype=complex)
     n = params.mode_count
-    batch = phys.shape[:-1]
-    if dw is not None and dw.shape[:-1] != batch:
-        batch = np.broadcast_shapes(batch, dw.shape[:-1])
-    nd = len(batch)
+    nd, out, x, pairs = increment_rows(phys, dw, 2 * n + 3)
     modes, idt, minus_dt, scalars = params.held(_bar_constants, dt, nd)
     rot21, rot12, decay, nu0, two_rp, r21, r12 = scalars
-    out = empty_state(batch, 2 * n + 3)
-    rows, x = out.T, coordinate_rows(phys, nd + 1)
+    rows = out.T
     rho21, rho12, nu = x[2 * n, ...], x[2 * n + 1, ...], x[2 * n + 2, ...]
     inc_21, inc_12, inc_nu = rows[2 * n, ...], rows[2 * n + 1, ...], rows[2 * n + 2, ...]
     rho_sum = rho21 + rho12
     if dw is not None:
-        pairs = coordinate_rows(dw[..., : 4 * n].view(complex), nd + 1)
         one_m = ONE - nu
         one_p = ONE + nu
         quarter_m2 = one_m * one_m / FOUR
@@ -215,7 +215,7 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
             ratio = one_p / one_m
             dbar = two_rp * ratio + r21 * np.square(ratio) + r12
             tkick = MINUS_IMAG * principal_sqrt(dbar / TWO)
-            pair = coordinate_rows(dw[..., 4 * n : 4 * n + 2].view(complex), nd + 1)[0, ...]
+            pair = pairs[2 * n, ...]
             x_d, y_d = tkick * np.conj(pair), tkick * pair
             inc_21 += rho21_2 * x_d
             inc_21 += quarter_m2 * y_d
@@ -237,7 +237,7 @@ def noise_bar(params: ModelParams, phys) -> np.ndarray:
     phys = np.asarray(phys, dtype=complex)
     increment = partial(increment_bar, params, phys)
     with np.errstate(all="ignore"):
-        return noise_matrix(increment, 4 * params.mode_count + 2, phys.ndim - 1)
+        return noise_matrix(increment, _noise_dim(params), phys.ndim - 1)
 
 
 def jacobian_change(family: BasisFamily, state) -> np.ndarray:
@@ -283,10 +283,9 @@ def coupling_rate(params: ModelParams, phys):
 def physical_sde_system(params: ModelParams) -> SdeSystem:
     """Changed-variable SDE stepped by :func:`increment_bar`; experimental, since
     the square roots of every noise entry react badly to sampling noise."""
-    n = params.mode_count
     return SdeSystem(
-        dim=2 * n + 3,
-        noise_dim=4 * n + 2,
+        dim=2 * params.mode_count + 3,
+        noise_dim=_noise_dim(params),
         drift=partial(drift_bar, params),
         noise=partial(noise_bar, params),
         increment=partial(increment_bar, params),
@@ -294,11 +293,12 @@ def physical_sde_system(params: ModelParams) -> SdeSystem:
 
 
 def physical_init_sampler(family: BasisFamily, phase_sampler):
-    """Wrap a phase-space initial sampler for the changed-variable engine."""
+    """Wrap a phase-space initial sampler for the changed-variable engine; the
+    one check that the engine's family is coherent-spin."""
     if family.kind != COHERENT_SPIN:
         raise ValueError(
-            "the changed-variable noise matrix is only available for the "
-            "coherent-spin family"
+            "the changed-variable engine requires the coherent-spin family; "
+            "its noise matrix has no closed form for other families"
         )
 
     def sampler(rng):

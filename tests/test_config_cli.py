@@ -16,6 +16,7 @@ from ppcavity.config import ENGINES, RunConfig, parse_config, serialize_config, 
 from ppcavity.errors import ConfigError
 from ppcavity.invariants import DEFAULT_POINTS, DEFAULT_SEED, run_all
 from ppcavity.maxwell_bloch import BLOCH_BOUND_SLACK
+from ppcavity.reference import DIMENSION_CAP
 
 FIG3_REFERENCE = """
 [run]
@@ -122,7 +123,10 @@ def random_config(rng) -> RunConfig:
     fields["runs"] = int(rng.integers(1, 5000))
     fields["master_seed"] = int(rng.integers(0, 2**64, dtype=np.uint64))
     fields["divergence_threshold"] = real(1.0, 1e9)
-    fields["n_max"] = int(rng.integers(1, 80))
+    n_max = int(rng.integers(1, 80))
+    while engine == "reference" and 2 * (n_max + 1) ** modes > DIMENSION_CAP:
+        n_max -= 1  # a reference config's truncated space stays within the cap
+    fields["n_max"] = n_max
     fields["invariants_seed"] = int(rng.integers(0, 2**64, dtype=np.uint64))
     fields["invariants_points"] = int(rng.integers(1, 500))
     return RunConfig(**fields)
@@ -276,6 +280,22 @@ class TestValidation:
             text = half.replace("engine = reference", f"engine = {engine}")
             assert parse_config(text + "\n[family]\nkind = coherent-spin\n").rho11 == 0.5
         assert parse_config(half).rho11 == 0.5  # the reference needs no phase-space points
+
+    def test_unknown_family_kind_is_refused_by_the_family(self):
+        cfg = RunConfig(engine="sde-jc", Omega=1000.0, omega=(1100.0,), g=(200.0,),
+                        family_kind="coherent_spin")
+        with pytest.raises(ValueError, match="unknown basis family kind 'coherent_spin'"):
+            cfg.family()
+        with pytest.raises(ConfigError, match="'coherent_spin'"):
+            validate_config(cfg)
+
+    def test_reference_dimension_cap_is_a_parse_error(self):
+        text = FIG3_REFERENCE.replace("n_max = 8", "n_max = 3000")
+        with pytest.raises(ConfigError, match="truncated dimension 6002 exceeds the cap 4096"):
+            parse_config(text)
+        # the SDE engines build no truncated space, so n_max does not bind them
+        sde = text.replace("engine = reference", "engine = sde-jc")
+        assert parse_config(sde).n_max == 3000
 
     def test_probe_observable_requires_probe(self):
         text = FIG3_REFERENCE.replace(

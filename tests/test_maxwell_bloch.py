@@ -143,14 +143,22 @@ def test_bloch_bound_violation_is_recorded_and_reported(
     assert capsys.readouterr().err == (warning + "\n" if violated else "")
 
 
-@pytest.mark.parametrize("steps, rho12", [(200, 0.0), (120, 0.3)])
-def test_overflowed_run_is_recorded_and_reported(tmp_path, capsys, steps, rho12):
+@pytest.mark.parametrize(
+    "steps, rho12, observables",
+    [
+        pytest.param(200, 0.0, "observables = rho_21, nu\n", id="200-0.0"),
+        pytest.param(120, 0.3, "observables = rho_21, nu\n", id="120-0.3"),
+        pytest.param(120, 0.3, "", id="120-0.3-default-observables"),
+    ],
+)
+def test_overflowed_run_is_recorded_and_reported(tmp_path, capsys, steps, rho12, observables):
     # omega dt = 6.05 and 10.1, past RK4's stability bound on the imaginary axis (2.83);
-    # evolve_mb records it without a Python warning, and ppcavity run reports it
-    # (the copied columns rho_21 and nu need no arithmetic on the non-finite values)
+    # evolve_mb records it without a Python warning, and ppcavity run reports it;
+    # the default observables do arithmetic on the non-finite values (rho_11
+    # divides), the copied columns rho_21 and nu do not
     cfg_path = tmp_path / "mb.cfg"
     cfg_path.write_text(
-        "[run]\nengine = mb\nobservables = rho_21, nu\n"
+        f"[run]\nengine = mb\n{observables}"
         "[model]\nOmega = 1000\nomega = 1100\ng = 200\n"
         f"[grid]\nt_end = 1.1\nsteps = {steps}\n"
         f"[initial]\nalpha = 5 0\nrho11 = 0.5\nrho12 = {rho12} 0\n"

@@ -229,21 +229,30 @@ class BasisFamily:
         """The guarded :class:`PhaseFunctions` at (z, w), without pole checks;
         with ``w`` omitted, ``z`` holds (z, w) along its last axis."""
         with np.errstate(all="ignore"):
-            return self._unguarded_jet(_stack(z, w), True)
+            return self.bind_jet(_stack(z, w), True)()
 
-    def _unguarded_jet(self, zw, guarded=False) -> PhaseFunctions:
-        """:meth:`jet` at the (..., 2) array ``zw`` under the caller's error
-        state, for the stepping loop's ``prepare``."""
+    def bind_jet(self, zw, guarded=False):
+        """:meth:`jet` bound to the (..., 2) array ``zw``: a call without
+        arguments that forms the jet at the current values of ``zw`` under the
+        caller's error state, with the constants tiled to ``zw`` once, as the
+        stepping loop's ``prepare`` binds it (:class:`ppcavity.sde.SdeSystem`)."""
         if self.kind == COHERENT_SPIN:
-            hs = np.array(zw)  # h = z and htilde = w, not a view of the caller's state
-            return PhaseFunctions(hs, hs, hs * hs - ONE, None, guarded)
+
+            def jet():
+                hs = np.array(zw)  # h = z and htilde = w, not a view of the caller's state
+                return PhaseFunctions(hs, hs, hs * hs - ONE, None, guarded)
+
+            return jet
         twos, kappas, quarters = self._constants(zw)
-        hs, q, s = self._exp_form(zw, twos, kappas)
-        q_inv = ONE / q
-        # h/h' = (d/4)(e - 1/e), with e = q**s
-        return PhaseFunctions(
-            hs, quarters * s * (q - q_inv), self._pairs[3], (q, q_inv), guarded
-        )
+        quads = self._pairs[3]
+
+        def jet():
+            hs, q, s = self._exp_form(zw, twos, kappas)
+            q_inv = ONE / q
+            # h/h' = (d/4)(e - 1/e), with e = q**s
+            return PhaseFunctions(hs, quarters * s * (q - q_inv), quads, (q, q_inv), guarded)
+
+        return jet
 
     def invert_h(self, target) -> complex:
         """Solve h(z) = target on the principal logarithm branch."""

@@ -281,7 +281,7 @@ def validate_config(cfg: RunConfig):
         raise ConfigError(str(exc)) from None
     try:
         atom = cfg.atomic_density()
-    except ValueError as exc:
+    except (ValueError, CavityError) as exc:
         raise ConfigError(f"initial atomic density: {exc}") from None
     if cfg.engine in ("sde-jc", "sde-mb-experimental"):
         if cfg.runs < 1:

@@ -18,7 +18,7 @@ class BoundaryPopulationError(CavityError):
 
 
 class PositivityError(CavityError):
-    """Initialization weights left [0, 1]; the input density is not positive."""
+    """A density matrix is not positive semidefinite."""
 
 
 class InconsistentStateError(CavityError):

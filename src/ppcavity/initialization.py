@@ -11,7 +11,8 @@ from .basis import BasisFamily
 from .errors import BoundaryPopulationError, CavityError, PositivityError
 
 _RECONSTRUCTION_GUARD = 1e-9
-#: absolute slack of the hermiticity, trace and positivity checks of a density
+#: slack of the checks of a density: absolute for its hermiticity, trace and
+#: diagonal, relative for its coherence (:meth:`AtomicDensity.validate`)
 DENSITY_TOL = 1e-9
 
 
@@ -38,12 +39,19 @@ class AtomicDensity:
         )
 
     def validate(self):
-        """Check hermiticity, unit trace, and positive semidefiniteness."""
+        """Check hermiticity and unit trace (ValueError) and positive
+        semidefiniteness (PositivityError), the one positivity rule of every
+        engine: rho11, rho22 >= -DENSITY_TOL and |rho12| <= (1 + DENSITY_TOL)
+        sqrt(rho11 rho22), so the coherence weight q of :func:`init_points` is
+        at most 1 + DENSITY_TOL."""
         self._check_hermitian_trace()
-        p = self.rho11.real
-        det = p * self.rho22.real - abs(self.rho12) ** 2
-        if det < -DENSITY_TOL:
-            raise ValueError(f"density matrix is not positive semidefinite (det {det:.3e})")
+        p, p2 = self.rho11.real, self.rho22.real
+        r, bound = abs(self.rho12), np.sqrt(max(p * p2, 0.0))
+        if not (min(p, p2) >= -DENSITY_TOL and r <= (1.0 + DENSITY_TOL) * bound):
+            raise PositivityError(
+                f"density matrix is not positive semidefinite: |rho12| = {r:.6g} "
+                f"exceeds sqrt(rho11 rho22) = {bound:.6g}"
+            )
 
     def _check_hermitian_trace(self):
         if abs(self.rho12 - np.conj(self.rho21)) > DENSITY_TOL:
@@ -92,23 +100,20 @@ def init_points(rho: AtomicDensity, family: BasisFamily) -> InitDistribution:
     q = r (1 + K**2)/K, point 1 (weight q) has h(z1) = K exp(-i phi) and
     htilde(w1) = K exp(i phi), and points 2 and 3 (weight (1 - q)/2 each)
     h = htilde = K and -K.  Raises BoundaryPopulationError unless
-    0 < rho11 < 1, PositivityError when q > 1 (a non-positive ``rho``),
+    0 < rho11 < 1, PositivityError for a ``rho`` that
+    :meth:`AtomicDensity.validate` refuses (q > 1 + DENSITY_TOL; within that
+    slack q is clipped to 1),
     UnreachableTargetError when the family cannot reach a target (K = 1 under
     the additive-noise family) and CavityError if the points miss ``rho``.
     """
-    rho._check_hermitian_trace()
+    rho.validate()
     p = rho.rho11.real
     if not 0.0 < p < 1.0:
         raise BoundaryPopulationError(f"need 0 < rho11 < 1, got {p}")
     r = abs(rho.rho12)
     phi = np.angle(rho.rho12) if r > 0 else 0.0
     big_k = np.sqrt(1.0 / p - 1.0)
-    q = r * (1.0 + big_k**2) / big_k
-    if q > 1.0 + 1e-9:
-        raise PositivityError(
-            f"coherence weight q = {q:.6g} > 1; input density is not positive"
-        )
-    q = min(q, 1.0)
+    q = min(r * (1.0 + big_k**2) / big_k, 1.0)
 
     h_targets = (big_k * np.exp(-1j * phi), big_k, -big_k)
     ht_targets = (big_k * np.exp(1j * phi), big_k, -big_k)

@@ -29,10 +29,14 @@ from .basis import (
     _frozen,
     checked_denominator,
 )
-from .sde import SdeSystem, noise_matrix
+from .sde import SdeSystem, bindable, noise_matrix
 
 _ROOT_I = np.sqrt(1j)  # fixed diffusion-gauge choice exp(i pi/4)
 _KICK = 1j * _ROOT_I  # the gauge factor times the i of the (c, c+1) column pairs
+#: steps of draws that the constant kick of :func:`jc_sde_system` casts to
+#: complex at once, so matmul casts none; a whole block would take 1 MB at
+#: 256 paths
+_CAST_ROWS = 8
 #: relative spread of -hbar*g_n/e_p(omega_n) over the modes that
 #: ``ModelParams.dipole_moment`` still accepts as one dipole moment
 DIPOLE_SPREAD_TOL = 1e-9
@@ -307,18 +311,24 @@ def coordinate_rows(x, ndim):
     return x.T
 
 
-def increment_rows(state, dw, dim):
+def increment_rows(state, dw):
     """What both engines' increments start from, at ``state`` (..., d) and the
     real increments ``dw`` (..., m) or None, their batches broadcast: the
-    batch rank, the (..., ``dim``) :func:`empty_state` to fill, the rows of
-    ``state`` and the rows of ``dw`` read as complex pairs dW_c + i dW_{c+1}
-    (two per mode, then the dissipative pair), None without ``dw``."""
+    batch shape and the list of the rows of ``dw`` read as complex pairs dW_c
+    + i dW_{c+1} (two per mode, then the dissipative pair), None without ``dw``."""
     batch = state.shape[:-1]
-    if dw is not None and dw.shape[:-1] != batch:
+    if dw is None:
+        return batch, None
+    if dw.shape[:-1] != batch:
         batch = np.broadcast_shapes(batch, dw.shape[:-1])
-    nd = len(batch)
-    pairs = None if dw is None else coordinate_rows(dw.view(complex), nd + 1)
-    return nd, empty_state(batch, dim), coordinate_rows(state, nd + 1), pairs
+    pairs = coordinate_rows(dw.view(complex), len(batch) + 1)
+    return batch, [pairs[c, ...] for c in range(len(pairs))]
+
+
+def block_pair_rows(dws):
+    """Per step of a block of draws ``dws`` (paths, rows, m), the rows of its
+    complex pairs, as :func:`increment_rows` reads them at a (paths, d) state."""
+    return [list(pairs) for pairs in dws.view(complex).transpose(1, 2, 0)]
 
 
 def _prepare(family, state, check):
@@ -349,6 +359,12 @@ def _jc_constants(params: ModelParams, dt, ndim):
     )
 
 
+def _dissipative_entry(hht, inv_hp, inv_htp, two_rp, r21, r12):
+    """The fermionic diffusion entry (2 r_p hht + r21 hht^2 + r12)/(h' htilde'),
+    of :func:`diffusion_jc` and, under its root, of :func:`increment_jc`."""
+    return (two_rp * hht + r21 * np.square(hht) + r12) * inv_hp * inv_htp
+
+
 def increment_jc(params: ModelParams, family: BasisFamily, state, dt, dw=None, check=True):
     """Euler increment A dt + B dW of the phase-space engine in one pass.
 
@@ -360,64 +376,85 @@ def increment_jc(params: ModelParams, family: BasisFamily, state, dt, dw=None, c
     :class:`ppcavity.sde.SdeSystem`.
     """
     state, pf = _prepare(family, state, check)
-    n = params.mode_count
-    nd, out, x, pairs = increment_rows(state, dw, params.dim)
+    batch, pairs = increment_rows(state, dw)
+    return _bind_jc(params, state, dt, batch)(pf, pairs)
+
+
+def _mode_rows(rows, k):
+    """The (alpha_k, beta_k) pair of ``rows``, then each of the two rows."""
+    return rows[2 * k : 2 * k + 2, ...], rows[2 * k, ...], rows[2 * k + 1, ...]
+
+
+def _bind_jc(params: ModelParams, state, dt, batch):
+    """:func:`increment_jc` bound to ``state``, ``dt`` and the broadcast
+    ``batch``: ``step(pf, pairs)`` takes the jet of the current ``state`` and
+    the rows of dw's complex pairs (None without dw) and writes the increment
+    into one :func:`empty_state`, which it returns at every call."""
+    n, nd = params.mode_count, len(batch)
+    x = coordinate_rows(state, nd + 1)
     modes, gs, field_factors, zw_factors, omega_a, rates = params.held(_jc_constants, dt, nd)
+    rp_dt, r21_dt, r12_dt, two_rp, r21, r12 = rates
+    dissipative = params.dissipative
+    out = empty_state(batch, params.dim)
     rows = out.T
-    hs, quads = coordinate_rows(pf.hs, nd + 1), coordinate_rows(pf.quads, nd + 1)
-    h, ht = hs[0, ...], hs[1, ...]
-    denom = coordinate_rows(pf.denom, nd)
-    coupling = (h + ht) / denom
-    if dw is not None:
-        # per mode, the roots of the two diffusion entries, (N, 2) rows in one call
-        roots = gs * quads
-        roots /= TWO
-        roots += LIFT
-        np.sqrt(roots, out=roots)
-        np.multiply(_KICK, roots, out=roots)
-    # the (alpha_n, beta_n) rows are -+i dt (omega_n x + g_n s_n (h + ht)/denom)
-    # and the (z, w) rows +-i dt (drive quad - Omega lin) and the mirror, a
-    # pair of rows at a time
-    for k, (gs_k, omega_k) in enumerate(modes):
-        field = rows[2 * k : 2 * k + 2, ...]
-        np.multiply(coupling, gs_k, out=field)
-        field += omega_k * x[2 * k : 2 * k + 2, ...]
-        field *= field_factors
-        term = gs_k * (x[2 * k, ...] + x[2 * k + 1, ...])
-        drive = term if k == 0 else drive + term
-        if dw is not None:
-            a_k, c_k = pairs[2 * k, ...], pairs[2 * k + 1, ...]
-            sp, sq = roots[k, 0, ...], roots[k, 1, ...]
-            row_a, row_b = field[0, ...], field[1, ...]
-            row_a += sp * a_k
-            row_b -= sq * np.conj(c_k)
-            term_z, term_w = sp * np.conj(a_k), sq * c_k
-            kick_z = term_z if k == 0 else kick_z + term_z
-            kick_w = term_w if k == 0 else kick_w + term_w
-    zw, inc_z, inc_w = rows[2 * n :, ...], rows[2 * n, ...], rows[2 * n + 1, ...]
-    np.multiply(drive, quads, out=zw)
-    zw -= omega_a * coordinate_rows(pf.lins, nd + 1)
-    zw *= zw_factors
-    if params.dissipative:
-        rp_dt, r21_dt, r12_dt, two_rp, r21, r12 = rates
-        hht = coordinate_rows(pf.hht, nd)
-        inv_slopes = coordinate_rows(pf.inv_slopes, nd + 1)
-        inv_hp, inv_htp = inv_slopes[0, ...], inv_slopes[1, ...]
-        factor = (
-            rp_dt * (ONE - hht) - r21_dt * (ONE + THREE * hht) + r12_dt * (THREE + hht)
-        ) / denom
-        inc_z += h * inv_hp * factor
-        inc_w += ht * inv_htp * factor
-    if dw is not None:
-        inc_z -= kick_z
-        inc_w -= kick_w
-        if params.dissipative:
-            entry = (two_rp * hht + r21 * np.square(hht) + r12) * inv_hp * inv_htp
-            td = IMAG * np.sqrt(entry / TWO + LIFT)
-            pair = pairs[2 * n, ...]
-            inc_z -= td * pair
-            inc_w += td * np.conj(pair)
-    return out
+    # per mode, its constants, its rows of the increment and its rows of the state
+    modes = [(*modes[k], *_mode_rows(rows, k), *_mode_rows(x, k)) for k in range(n)]
+    atom_rows = rows[2 * n :, ...], rows[2 * n, ...], rows[2 * n + 1, ...]
+
+    def step(pf, pairs):
+        zw, inc_z, inc_w = atom_rows
+        hs, quads = coordinate_rows(pf.hs, nd + 1), coordinate_rows(pf.quads, nd + 1)
+        h, ht = hs[0, ...], hs[1, ...]
+        denom = coordinate_rows(pf.denom, nd)
+        coupling = (h + ht) / denom
+        if pairs is not None:
+            # per mode, the roots of the two diffusion entries, (N, 2) rows in one call
+            roots = gs * quads
+            roots /= TWO
+            roots += LIFT
+            np.sqrt(roots, out=roots)
+            np.multiply(_KICK, roots, out=roots)
+        # the (alpha_n, beta_n) rows are -+i dt (omega_n x + g_n s_n (h + ht)/denom)
+        # and the (z, w) rows +-i dt (drive quad - Omega lin) and the mirror, a
+        # pair of rows at a time
+        for k, (gs_k, omega_k, field, row_a, row_b, x_k, alpha, beta) in enumerate(modes):
+            np.multiply(coupling, gs_k, out=field)
+            field += omega_k * x_k
+            field *= field_factors
+            term = gs_k * (alpha + beta)
+            drive = term if k == 0 else drive + term
+            if pairs is not None:
+                a_k, c_k = pairs[2 * k], pairs[2 * k + 1]
+                sp, sq = roots[k, 0, ...], roots[k, 1, ...]
+                row_a += sp * a_k
+                row_b -= sq * np.conj(c_k)
+                term_z, term_w = sp * np.conj(a_k), sq * c_k
+                kick_z = term_z if k == 0 else kick_z + term_z
+                kick_w = term_w if k == 0 else kick_w + term_w
+        np.multiply(drive, quads, out=zw)
+        zw -= omega_a * coordinate_rows(pf.lins, nd + 1)
+        zw *= zw_factors
+        if dissipative:
+            hht = coordinate_rows(pf.hht, nd)
+            inv_slopes = coordinate_rows(pf.inv_slopes, nd + 1)
+            inv_hp, inv_htp = inv_slopes[0, ...], inv_slopes[1, ...]
+            factor = (
+                rp_dt * (ONE - hht) - r21_dt * (ONE + THREE * hht) + r12_dt * (THREE + hht)
+            ) / denom
+            inc_z += h * inv_hp * factor
+            inc_w += ht * inv_htp * factor
+        if pairs is not None:
+            inc_z -= kick_z
+            inc_w -= kick_w
+            if dissipative:
+                entry = _dissipative_entry(hht, inv_hp, inv_htp, two_rp, r21, r12)
+                td = IMAG * np.sqrt(entry / TWO + LIFT)
+                pair = pairs[2 * n]
+                inc_z -= td * pair
+                inc_w += td * np.conj(pair)
+        return out
+
+    return step
 
 
 def drift_jc(params: ModelParams, family: BasisFamily, state, check=True):
@@ -438,8 +475,11 @@ def diffusion_jc(params: ModelParams, family: BasisFamily, state, check=True):
         out[..., 2 * k, 2 * n] = out[..., 2 * n, 2 * k] = 1j * d[..., k, 0]
         out[..., 2 * k + 1, 2 * n + 1] = out[..., 2 * n + 1, 2 * k + 1] = -1j * d[..., k, 1]
     if params.dissipative:
-        hht = pf.hht
-        dd = (2.0 * params.r_p * hht + params.r21 * hht**2 + params.r12) * pf.inv_hp * pf.inv_htp
+        # on rows, with the rates (2 r_p, r21, r12) that increment_jc holds
+        nd = state.ndim - 1
+        rates = params.held(_jc_constants, 1.0, nd)[-1][3:]
+        inv_slopes = coordinate_rows(pf.inv_slopes, nd + 1)
+        dd = _dissipative_entry(coordinate_rows(pf.hht, nd), *inv_slopes, *rates).T
         out[..., 2 * n, 2 * n + 1] = out[..., 2 * n + 1, 2 * n] = dd
     return out
 
@@ -459,13 +499,24 @@ def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
 
     ``prepare`` forms the :class:`JetState` with an unguarded jet, which the
     increment (:func:`increment_jc` without the pole check) and
-    :func:`ppcavity.observables.observable_bundle` read.  The additive-noise
-    family without dissipation has a state-independent noise matrix (the
+    :func:`ppcavity.observables.observable_bundle` read; both are bound once
+    per chunk (:class:`ppcavity.sde.SdeSystem`).  The additive-noise family
+    without dissipation has a state-independent noise matrix (the
     ``additive-noise-constancy`` invariant): it is formed once, at the zero
-    state, and applied as one product.
+    state, and applied as one product, to draws cast to complex once.
     """
     noise = partial(noise_jc, params, family, check=False)
+
+    def bind_prepare(state):
+        jet = family.bind_jet(state[..., -2:])
+        return lambda: JetState(state, jet())
+
     if family.kind != ADDITIVE_NOISE or params.dissipative:
+
+        def bind(state, dt, dws):
+            step, pairs = _bind_jc(params, state, dt, state.shape[:-1]), block_pair_rows(dws)
+            return lambda prepared, j: step(prepared.pf, pairs[j])
+
         increment = partial(increment_jc, params, family, check=False)
     else:
         constant = noise(np.zeros(params.dim, dtype=complex))
@@ -482,13 +533,29 @@ def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
             out += kick
             return out
 
+        def bind(state, dt, dws):
+            step = _bind_jc(params, state, dt, state.shape[:-1])
+            cast = np.empty((len(state), _CAST_ROWS, params.noise_dim), dtype=complex)
+            rows = list(cast.transpose(1, 2, 0))  # per step, its (m, paths) draws
+
+            def bound(prepared, j):
+                i = j % _CAST_ROWS
+                if i == 0:
+                    part = dws[:, j : j + _CAST_ROWS]
+                    cast[:, : part.shape[1]] = part
+                out = step(prepared.pf, None)
+                out += (constant @ rows[i]).T
+                return out
+
+            return bound
+
     return SdeSystem(
         dim=params.dim,
         noise_dim=params.noise_dim,
         drift=partial(drift_jc, params, family, check=False),
         noise=noise,
-        prepare=lambda state: JetState(state, family._unguarded_jet(state[..., -2:])),
-        increment=increment,
+        prepare=bindable(lambda state: bind_prepare(state)(), bind_prepare),
+        increment=bindable(increment, bind),
     )
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .basis import ONE, TWO, BasisFamily
 from .jc import JetState, ModelParams, jet_state, mode_sum
 from .physical import ArrayCoordinates, jacobian_change, to_physical
-from .sde import ObservableMap, SdeSystem
+from .sde import ObservableMap, SdeSystem, bindable
 
 DEFAULT_OBSERVABLES = ("rho_11", "rho_22", "rho_21", "rho_12", "nu")
 #: raw fermionic coordinates, observable on the phase-space engine only
@@ -80,8 +80,10 @@ def physical_columns(params: ModelParams, names, probes=(), raw=()):
     takes a physical vector (..., 2N+3), followed by the ``raw`` coordinates
     if any name reads them, or a :class:`ppcavity.jc.JetState`, and writes
     the (..., len(names)) columns into ``out`` (a new array if None), which
-    it returns.  Each column reads only its own coordinates; rho_11 and
-    rho_22 read one nu per call, the nu column's if there is one.
+    it returns; ``columns.writer(out)`` is ``write(coords)``, the same for
+    one ``out`` with its column views formed once.  Each column reads only its
+    own coordinates; rho_11 and rho_22 read one nu per call, the nu column's
+    if there is one.
     """
     names, probes = tuple(names), tuple(float(x) for x in probes)
     n = params.mode_count
@@ -90,19 +92,36 @@ def physical_columns(params: ModelParams, names, probes=(), raw=()):
     nu_column = names.index("nu") if "nu" in names else None
     reads_nu = "rho_11" in names or "rho_22" in names
 
+    def writer(out):
+        writers = [(read, out[..., j]) for j, read in readers]
+        nu_out = None if nu_column is None else out[..., nu_column]
+
+        def write(coords):
+            nu = None
+            if reads_nu:
+                nu = coords.atomic(2) if nu_out is None else nu_out
+            for read, col in writers:
+                read(coords, nu, col)
+            return out
+
+        return write
+
     def columns(coords, out=None):
         if not isinstance(coords, JetState):
             coords = ArrayCoordinates(coords, n)
         if out is None:
             out = np.empty(coords.shape + (len(readers),), dtype=complex)
-        nu = None
-        if reads_nu:
-            nu = coords.atomic(2) if nu_column is None else out[..., nu_column]
-        for j, read in readers:
-            read(coords, nu, out[..., j])
-        return out
+        return writer(out)(coords)
 
+    columns.writer = writer
     return columns
+
+
+def _row_writers(columns, values):
+    """The writers (``columns.writer``) of the rows of ``values`` (paths, points,
+    observables), the block buffer of the binding contract of
+    :class:`ppcavity.sde.SdeSystem`."""
+    return [columns.writer(values[:, i]) for i in range(values.shape[1])]
 
 
 def observable_bundle(
@@ -122,13 +141,23 @@ def observable_bundle(
         with np.errstate(all="ignore"):
             return columns(prepared, out)
 
-    return ObservableMap(names, batch)
+    def bind(state, values):
+        rows = _row_writers(columns, values)
+        return lambda prepared, i: rows[i](jet_state(family, prepared))
+
+    return ObservableMap(names, bindable(batch, bind))
 
 
 def physical_observable_bundle(params: ModelParams, names, probes=()) -> ObservableMap:
     """Batched named observables of the changed-variable SDE, read off its state."""
     names = tuple(names)
-    return ObservableMap(names, physical_columns(params, names, probes))
+    columns = physical_columns(params, names, probes)
+
+    def bind(state, values):
+        rows, coords = _row_writers(columns, values), ArrayCoordinates(state, params.mode_count)
+        return lambda prepared, i: rows[i](coords)
+
+    return ObservableMap(names, bindable(columns, bind))
 
 
 @dataclass(frozen=True)

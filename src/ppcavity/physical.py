@@ -30,14 +30,16 @@ from .basis import (
 from .errors import InconsistentStateError, PoleProximityError
 from .jc import (
     ModelParams,
+    block_pair_rows,
     coordinate_rows,
+    empty_state,
     increment_rows,
     jet_state,
     join_state,
     principal_sqrt,
     split_state,
 )
-from .sde import SdeSystem, noise_matrix
+from .sde import SdeSystem, bindable, noise_matrix
 
 #: relative mismatch of 4*rho21*rho12 and (1+nu)(1-nu) that
 #: :func:`from_physical` still accepts as consistent
@@ -154,75 +156,96 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
     :class:`ppcavity.sde.SdeSystem`.
     """
     phys = np.asarray(phys, dtype=complex)
-    n = params.mode_count
-    nd, out, x, pairs = increment_rows(phys, dw, 2 * n + 3)
+    batch, pairs = increment_rows(phys, dw)
+    return _bind_bar(params, phys, dt, batch)(pairs)
+
+
+def _bind_bar(params: ModelParams, phys, dt, batch):
+    """:func:`increment_bar` bound to ``phys``, ``dt`` and the broadcast
+    ``batch``: ``step(pairs)`` takes the rows of dw's complex pairs (None
+    without dw) and writes the increment at the current ``phys`` into one
+    ``jc.empty_state``, which it returns at every call."""
+    n, nd = params.mode_count, len(batch)
+    x = coordinate_rows(phys, nd + 1)
     modes, idt, minus_dt, scalars = params.held(_bar_constants, dt, nd)
     rot21, rot12, decay, nu0, two_rp, r21, r12 = scalars
-    rows = out.T
     rho21, rho12, nu = x[2 * n, ...], x[2 * n + 1, ...], x[2 * n + 2, ...]
-    inc_21, inc_12, inc_nu = rows[2 * n, ...], rows[2 * n + 1, ...], rows[2 * n + 2, ...]
-    rho_sum = rho21 + rho12
-    if dw is not None:
-        one_m = ONE - nu
-        one_p = ONE + nu
-        quarter_m2 = one_m * one_m / FOUR
-        rho_2 = np.square(x[2 * n : 2 * n + 2, ...])
-        rho21_2, rho12_2 = rho_2[0, ...], rho_2[1, ...]
-        # the radicands of (p, q, rad12, rad21), rooted in one call; on the
-        # constraint surface rad12 shares its radicand with p, rad21 with q;
-        # subtracting ONE_LIFTED takes the principal root (principal_sqrt)
-        roots = np.empty((4,) + rho_2.shape[1:], dtype=complex)
-        np.divide(rho_2, quarter_m2, out=roots[:2])
-        np.divide(one_p * one_p, FOUR * rho_2[::-1], out=roots[2:])
-        roots -= ONE_LIFTED
-        np.sqrt(roots, out=roots)
-        # off the surface, near the branch cut, the principal roots of
-        # such a pair can part: each rad takes the sign nearest its partner
-        rads = roots[2:]
-        np.negative(rads, out=rads, where=(rads * np.conj(roots[:2])).real < ZERO)
-        p, q, rad12, rad21 = (roots[k, ...] for k in range(4))
-    for k, (gs_k, dt_omega_k, omega_k, two_gs_k, pref_k, kick_k) in enumerate(modes):
-        eps, eta = x[2 * k, ...], x[2 * k + 1, ...]
-        inc_eps, inc_eta = rows[2 * k, ...], rows[2 * k + 1, ...]
-        term = gs_k * eps
-        drive = term if k == 0 else drive + term
-        np.multiply(dt_omega_k, eta, out=inc_eps)
-        field = omega_k * eps
-        field += two_gs_k * rho_sum
-        np.multiply(minus_dt, field, out=inc_eta)
-        if dw is not None:
-            # pref (dW_c + i dW_{c+1}) and pref (dW_{c+2} - i dW_{c+3})
-            a_k, c_k = pairs[2 * k, ...], pairs[2 * k + 1, ...]
-            pa = p * (pref_k * a_k)
-            qc = q * (pref_k * np.conj(c_k))
-            inc_eps += IMAG * (pa - qc)
-            inc_eta += pa + qc
-            term_x, term_y = kick_k * np.conj(a_k), kick_k * c_k
-            kick_x = term_x if k == 0 else kick_x + term_x
-            kick_y = term_y if k == 0 else kick_y + term_y
-    idrive = idt * drive
-    drive_nu = idrive * nu
-    np.add(rot21 * rho21, drive_nu, out=inc_21)
-    np.subtract(rot12 * rho12, drive_nu, out=inc_12)
-    np.subtract(TWO * idrive * (rho21 - rho12), decay * (nu - nu0), out=inc_nu)
-    if dw is not None:
-        inc_21 += quarter_m2 * p * kick_x
-        inc_21 -= rho21_2 * rad21 * kick_y
-        inc_12 -= rho12_2 * rad12 * kick_x
-        inc_12 += quarter_m2 * q * kick_y
-        inc_nu += one_m * (rho12 * rad12 * kick_x + rho21 * rad21 * kick_y)
-        if params.dissipative:
-            ratio = one_p / one_m
-            dbar = two_rp * ratio + r21 * np.square(ratio) + r12
-            tkick = MINUS_IMAG * principal_sqrt(dbar / TWO)
-            pair = pairs[2 * n, ...]
-            x_d, y_d = tkick * np.conj(pair), tkick * pair
-            inc_21 += rho21_2 * x_d
-            inc_21 += quarter_m2 * y_d
-            inc_12 -= quarter_m2 * x_d
-            inc_12 -= rho12_2 * y_d
-            inc_nu -= one_m * (rho21 * x_d - rho12 * y_d)
-    return out
+    rhos = x[2 * n : 2 * n + 2, ...]
+    dissipative = params.dissipative
+    out = empty_state(batch, 2 * n + 3)
+    rows = out.T
+    atom_rows = rows[2 * n, ...], rows[2 * n + 1, ...], rows[2 * n + 2, ...]
+    # per mode, its constants and its rows of the state and of the increment
+    modes = [
+        (*modes[k], x[2 * k, ...], x[2 * k + 1, ...], rows[2 * k, ...], rows[2 * k + 1, ...])
+        for k in range(n)
+    ]
+
+    def step(pairs):
+        inc_21, inc_12, inc_nu = atom_rows
+        rho_sum = rho21 + rho12
+        if pairs is not None:
+            one_m = ONE - nu
+            one_p = ONE + nu
+            quarter_m2 = one_m * one_m / FOUR
+            rho_2 = np.square(rhos)
+            rho21_2, rho12_2 = rho_2[0, ...], rho_2[1, ...]
+            # the radicands of (p, q, rad12, rad21), rooted in one call; on the
+            # constraint surface rad12 shares its radicand with p, rad21 with q;
+            # subtracting ONE_LIFTED takes the principal root (principal_sqrt)
+            roots = np.empty((4,) + rho_2.shape[1:], dtype=complex)
+            np.divide(rho_2, quarter_m2, out=roots[:2])
+            np.divide(one_p * one_p, FOUR * rho_2[::-1], out=roots[2:])
+            roots -= ONE_LIFTED
+            np.sqrt(roots, out=roots)
+            # off the surface, near the branch cut, the principal roots of
+            # such a pair can part: each rad takes the sign nearest its partner
+            rads = roots[2:]
+            np.negative(rads, out=rads, where=(rads * np.conj(roots[:2])).real < ZERO)
+            p, q, rad12, rad21 = (roots[k, ...] for k in range(4))
+        for k, mode in enumerate(modes):
+            gs_k, dt_omega_k, omega_k, two_gs_k, pref_k, kick_k, eps, eta, inc_eps, inc_eta = mode
+            term = gs_k * eps
+            drive = term if k == 0 else drive + term
+            np.multiply(dt_omega_k, eta, out=inc_eps)
+            field = omega_k * eps
+            field += two_gs_k * rho_sum
+            np.multiply(minus_dt, field, out=inc_eta)
+            if pairs is not None:
+                # pref (dW_c + i dW_{c+1}) and pref (dW_{c+2} - i dW_{c+3})
+                a_k, c_k = pairs[2 * k], pairs[2 * k + 1]
+                pa = p * (pref_k * a_k)
+                qc = q * (pref_k * np.conj(c_k))
+                inc_eps += IMAG * (pa - qc)
+                inc_eta += pa + qc
+                term_x, term_y = kick_k * np.conj(a_k), kick_k * c_k
+                kick_x = term_x if k == 0 else kick_x + term_x
+                kick_y = term_y if k == 0 else kick_y + term_y
+        idrive = idt * drive
+        drive_nu = idrive * nu
+        np.add(rot21 * rho21, drive_nu, out=inc_21)
+        np.subtract(rot12 * rho12, drive_nu, out=inc_12)
+        np.subtract(TWO * idrive * (rho21 - rho12), decay * (nu - nu0), out=inc_nu)
+        if pairs is not None:
+            inc_21 += quarter_m2 * p * kick_x
+            inc_21 -= rho21_2 * rad21 * kick_y
+            inc_12 -= rho12_2 * rad12 * kick_x
+            inc_12 += quarter_m2 * q * kick_y
+            inc_nu += one_m * (rho12 * rad12 * kick_x + rho21 * rad21 * kick_y)
+            if dissipative:
+                ratio = one_p / one_m
+                dbar = two_rp * ratio + r21 * np.square(ratio) + r12
+                tkick = MINUS_IMAG * principal_sqrt(dbar / TWO)
+                pair = pairs[2 * n]
+                x_d, y_d = tkick * np.conj(pair), tkick * pair
+                inc_21 += rho21_2 * x_d
+                inc_21 += quarter_m2 * y_d
+                inc_12 -= quarter_m2 * x_d
+                inc_12 -= rho12_2 * y_d
+                inc_nu -= one_m * (rho21 * x_d - rho12 * y_d)
+        return out
+
+    return step
 
 
 def drift_bar(params: ModelParams, phys) -> np.ndarray:
@@ -283,12 +306,17 @@ def coupling_rate(params: ModelParams, phys):
 def physical_sde_system(params: ModelParams) -> SdeSystem:
     """Changed-variable SDE stepped by :func:`increment_bar`; experimental, since
     the square roots of every noise entry react badly to sampling noise."""
+
+    def bind(state, dt, dws):
+        step, pairs = _bind_bar(params, state, dt, state.shape[:-1]), block_pair_rows(dws)
+        return lambda prepared, j: step(pairs[j])
+
     return SdeSystem(
         dim=2 * params.mode_count + 3,
         noise_dim=_noise_dim(params),
         drift=partial(drift_bar, params),
         noise=partial(noise_bar, params),
-        increment=partial(increment_bar, params),
+        increment=bindable(partial(increment_bar, params), bind),
     )
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -66,6 +67,22 @@ class SdeSystem:
     ``np.errstate(all="ignore")`` and sets none of its own; a public entry
     point that calls it, such as ``physical.noise_bar``, sets its own.
 
+    Binding contract: per chunk, the stepping loop binds ``prepare``,
+    ``increment`` and the observable map's ``batch`` to what stays fixed in
+    it (the state's memory, ``dt`` and the block buffers), and each step calls
+    only the bound forms.  A callable that carries a ``bind`` attribute
+    (:func:`bindable`) binds itself: ``prepare.bind(state)`` gives
+    ``prepare()``, the prepared value of the current (paths, dim) ``state``,
+    which the loop updates in place; ``increment.bind(state, dt, dws)`` gives
+    ``increment(prepared, j)``, the increment on row j of the block of draws
+    ``dws`` (paths, rows, m), which the loop fills before the step at j = 0,
+    possibly in the same array at every step; ``batch.bind(state, values)``
+    gives ``observe(prepared, i)``, which writes row i of the block buffer
+    ``values`` (paths, points, observables).  Any other callable is called as
+    it is, so a replaced ``increment`` still runs.  A bound form does its
+    callable's arithmetic on the same operands in the same order, so no result
+    depends on the binding, and what it binds is dropped with its chunk.
+
     Row contract of the engines' increments (``jc.increment_jc``,
     ``physical.increment_bar``): they read the ``.T`` of the state, of the jet
     pairs and of ``dw``'s complex pairs, and write the 1-D coordinate rows of
@@ -83,6 +100,13 @@ class SdeSystem:
     noise: Callable[[Any], np.ndarray]
     increment: Callable[[Any, float, np.ndarray], np.ndarray]
     prepare: Callable[[np.ndarray], Any] = _identity
+
+
+def bindable(call, bind):
+    """``call`` carrying ``bind``, its per-chunk form of the binding contract
+    of :class:`SdeSystem`."""
+    call.bind = bind
+    return call
 
 
 def from_coefficients(dim, noise_dim, drift, noise) -> SdeSystem:
@@ -106,8 +130,8 @@ class ObservableMap:
     """Named observables written in one batched call per time step:
     ``batch(prepared, out)`` writes them at a (batched) prepared state into
     ``out`` (..., len(names)), such as a row of the loop's block buffer, and
-    returns it (this package's allocate it when None).  The error-state rule of
-    :class:`SdeSystem` holds.
+    returns it (this package's allocate it when None).  The error-state rule
+    and the binding contract of :class:`SdeSystem` hold.
     """
 
     def __init__(self, names: Sequence[str], batch: Callable[..., np.ndarray]):
@@ -199,6 +223,25 @@ class EnsembleResult:
         return self.mean[:, j], self.stderr[:, j]
 
 
+def _bind(system, observable_map, state, dt, dws, values):
+    """The chunk's ``prepare()``, ``increment(prepared, j)`` and ``observe(prepared,
+    i)``, bound by the binding contract of :class:`SdeSystem`."""
+    prepare, increment, batch = system.prepare, system.increment, observable_map.batch
+    dw_rows, value_rows = list(dws.swapaxes(0, 1)), list(values.swapaxes(0, 1))
+
+    def called_increment(prepared, j):
+        return increment(prepared, dt, dw_rows[j])
+
+    def called_observe(prepared, i):
+        batch(prepared, value_rows[i])
+
+    return (
+        prepare.bind(state) if hasattr(prepare, "bind") else partial(prepare, state),
+        increment.bind(state, dt, dws) if hasattr(increment, "bind") else called_increment,
+        batch.bind(state, values) if hasattr(batch, "bind") else called_observe,
+    )
+
+
 def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, on_block):
     """Euler-Maruyama over one chunk of paths ``state`` (paths, dim), as
     :func:`run_ensemble` describes.
@@ -221,12 +264,12 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
     dws = np.empty((n_paths, min(_DRAW_BLOCK, steps), system.noise_dim))
     values = np.empty((n_paths, min(_DRAW_BLOCK, steps + 1), len(observable_map.names)), complex)
     checkpoints = np.empty((-(-steps // _DRAW_BLOCK), system.dim, n_paths), dtype=complex)
-    dw_rows, value_rows = list(dws.swapaxes(0, 1)), list(values.swapaxes(0, 1))
+    prepare, increment, observe = _bind(system, observable_map, state, dt, dws, values)
     limit = 0.5 * threshold
 
     with np.errstate(all="ignore"):
-        prepared = system.prepare(state)
-        observable_map.batch(prepared, value_rows[0])
+        prepared = prepare()
+        observe(prepared, 0)
         dead = None
         for k in range(steps):
             j = k % _DRAW_BLOCK
@@ -235,7 +278,7 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
                 rows = min(_DRAW_BLOCK, steps - k)
                 draw(dws[:, :rows])
                 dws[:, :rows] *= sqrt_dt
-            state += system.increment(prepared, dt, dw_rows[j])
+            state += increment(prepared, j)
             if dead is not None:  # parked at 0 every step: a step from 0 can diverge
                 state[dead] = 0.0
             # |x| <= sqrt(2) max(|Re x|, |Im x|), so no path can cross while
@@ -245,9 +288,9 @@ def _integrate_chunk(system, state, steps, dt, draw, observable_map, threshold, 
                 survived[alive & ~within] = k
                 alive &= within
                 dead = None if alive.all() else np.flatnonzero(~alive)
-            prepared = system.prepare(state)
+            prepared = prepare()
             i = (k + 1) % _DRAW_BLOCK
-            observable_map.batch(prepared, value_rows[i])
+            observe(prepared, i)
             if i == _DRAW_BLOCK - 1:
                 on_block(k + 2 - _DRAW_BLOCK, values, alive)
         rows = (steps + 1) % _DRAW_BLOCK

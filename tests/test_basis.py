@@ -280,7 +280,7 @@ def test_step_jet_members_follow_the_readers_error_state():
     # already runs under one, while the public jet forms it without warnings
     zw = np.array([(2000.0, -2000.0), (0.1, 0.2)], dtype=complex)
     with np.errstate(all="ignore"):
-        step = ADD._unguarded_jet(zw)
+        step = ADD.bind_jet(zw)()
     with np.errstate(all="raise"), pytest.raises(FloatingPointError):
         step.inv_slopes
     with warnings.catch_warnings():
@@ -289,7 +289,7 @@ def test_step_jet_members_follow_the_readers_error_state():
         with np.errstate(all="raise"):
             formed = {name: getattr(public, name) for name in MEMBERS_FORMED_ON_READ}
     with np.errstate(all="ignore"):
-        step = ADD._unguarded_jet(zw)
+        step = ADD.bind_jet(zw)()
         for name, value in formed.items():
             assert np.array_equal(value, getattr(step, name), equal_nan=True), name
     assert not np.isfinite(formed["inv_slopes"][0]).all()

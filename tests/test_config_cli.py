@@ -281,6 +281,23 @@ class TestValidation:
             assert parse_config(text + "\n[family]\nkind = coherent-spin\n").rho11 == 0.5
         assert parse_config(half).rho11 == 0.5  # the reference needs no phase-space points
 
+    @pytest.mark.parametrize("excess", [5e-10, 0.0], ids=["beyond", "pure"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_engine_gives_a_density_one_positivity_verdict(self, engine, excess):
+        # rho11 = 1e-6 and |rho12|^2 = p(1 - p) + 5e-10 has det -5e-10, within
+        # an absolute 1e-9, but a coherence weight q = 1.00025: one rule refuses
+        # it for every engine, and accepts the pure state on the boundary
+        p = 1e-6
+        r = (p * (1.0 - p) + excess) ** 0.5
+        text = FIG3_REFERENCE.replace("engine = reference", f"engine = {engine}").replace(
+            "rho11 = 0.7310585786300049", f"rho11 = {p!r}\nrho12 = {r!r} 0"
+        ) + "\n[family]\nkind = coherent-spin\n"
+        if excess:
+            with pytest.raises(ConfigError, match="^initial atomic density: .* not positive"):
+                parse_config(text)
+        else:
+            assert parse_config(text).rho12 == r
+
     def test_unknown_family_kind_is_refused_by_the_family(self):
         cfg = RunConfig(engine="sde-jc", Omega=1000.0, omega=(1100.0,), g=(200.0,),
                         family_kind="coherent_spin")

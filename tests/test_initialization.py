@@ -80,6 +80,26 @@ def test_positivity_error_for_overlarge_coherence():
         init_points(rho, CS)
 
 
+@pytest.mark.parametrize("family", [CS, ADD], ids=["coherent-spin", "additive-noise"])
+def test_one_positivity_rule_for_validate_and_init_points(family):
+    # the density of every engine and the three-point distribution of the
+    # phase-space engines refuse the same densities, by q <= 1 + DENSITY_TOL
+    p = 1e-6
+    for excess, positive in ((5e-10, False), (1e-16 * p, True), (0.0, True)):
+        r = (p * (1.0 - p) + excess) ** 0.5
+        rho = AtomicDensity(p + 0j, r + 0j, r + 0j, (1.0 - p) + 0j)
+        if positive:
+            rho.validate()
+            assert abs(init_points(rho, family).weights[0] - 1.0) <= 1e-12
+        else:
+            with pytest.raises(PositivityError):
+                rho.validate()
+            with pytest.raises(PositivityError):
+                init_points(rho, family)
+            with pytest.raises(PositivityError):
+                AtomicDensity.from_upper(p, r)
+
+
 def test_additive_noise_rejects_k_equal_one():
     # rho11 = 1/2 gives K = 1, unreachable for the additive-noise family
     rho = AtomicDensity.from_upper(0.5, 0.1)

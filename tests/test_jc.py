@@ -1,11 +1,10 @@
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
 from ppcavity import jc
-from ppcavity.basis import BasisFamily
+from ppcavity.basis import BasisFamily, PhaseFunctions
 from ppcavity.cli import run_mb
 from ppcavity.config import RunConfig
 from ppcavity.errors import PoleProximityError
@@ -230,6 +229,18 @@ class TestDiffusionAndNoise:
         assert noise_jc(sample_model(), CS, state).shape == (2 * (n + 1), 4 * n)
 
 
+def _formed_jets(monkeypatch):
+    """Every PhaseFunctions formed from now on, in order."""
+    jets = []
+
+    def init(self, *args, _init=PhaseFunctions.__init__):
+        _init(self, *args)
+        jets.append(self)
+
+    monkeypatch.setattr(PhaseFunctions, "__init__", init)
+    return jets
+
+
 class TestEnsembleIntegration:
     def test_decoupled_mode_rotates(self):
         params = ModelParams.from_frequencies(omega=50.0, g=0.0, Omega=40.0)
@@ -260,10 +271,10 @@ class TestEnsembleIntegration:
 
     @pytest.mark.parametrize("rates", [{}, {"r21": 100.0, "r_p": 50.0}])
     def test_one_jet_per_step_and_no_pair(self, monkeypatch, rates):
-        # the stepping loop prepares each state once: the increment and the
-        # observable batch share its jet, and nothing evaluates h again; the
-        # constant additive noise is formed when the system is built, so no
-        # step forms a noise matrix
+        # the stepping loop binds the jet once per chunk and prepares each
+        # state once: the increment and the observable batch share its jet,
+        # and nothing evaluates h again; the constant additive noise is formed
+        # when the system is built, so no step forms a noise matrix
         params = fig_params(**rates)
         sampler = phase_init_sampler(
             params, ADD, 1.0, init_points(AtomicDensity.from_upper(0.7), ADD)
@@ -277,8 +288,7 @@ class TestEnsembleIntegration:
         monkeypatch.setattr(jc, "noise_jc", counted_noise)
         system = jc_sde_system(params, ADD)
         noise_calls.clear()
-        # every jet, the loop's own and BasisFamily.jet, is formed by _unguarded_jet
-        calls = {"_unguarded_jet": 0, "pair": 0}
+        calls = {"bind_jet": 0, "pair": 0}
         for name in calls:
 
             def counted(self, *args, _name=name, _method=getattr(BasisFamily, name)):
@@ -286,17 +296,19 @@ class TestEnsembleIntegration:
                 return _method(self, *args)
 
             monkeypatch.setattr(BasisFamily, name, counted)
+        jets = _formed_jets(monkeypatch)
         grid = TimeGrid(0.0, 1e-4, 16)
         bundle = observable_bundle(params, ADD, ("rho_21", "nu", "e_1", "z"))
         # two chunks, of 6 and 4 paths
         run_ensemble(system, sampler, grid, 10, 5, bundle, chunk_size=6)
-        assert calls == {"_unguarded_jet": 2 * (grid.steps + 1), "pair": 0}
+        assert calls == {"bind_jet": 2, "pair": 0}
+        assert [len(pf.hs) for pf in jets] == [6] * (grid.steps + 1) + [4] * (grid.steps + 1)
         assert noise_calls == []
 
     @pytest.mark.parametrize(
         "rates, formed", [({}, set()), ({"r21": 100.0, "r_p": 50.0}, {"inv_slopes"})]
     )
-    def test_a_step_forms_only_the_stacked_slopes_it_reads(self, rates, formed):
+    def test_a_step_forms_only_the_stacked_slopes_it_reads(self, monkeypatch, rates, formed):
         # the additive-noise drift, its constant noise and the projection
         # read no slope of either side; the dissipative terms read the
         # stacked inverse slopes (1/h', 1/htilde') only
@@ -305,19 +317,14 @@ class TestEnsembleIntegration:
             params, ADD, 1.0, init_points(AtomicDensity.from_upper(0.7), ADD)
         )
         system = jc_sde_system(params, ADD)
-        jets = []
-
-        def prepare(state):
-            prepared = system.prepare(state)
-            jets.append(prepared.pf)
-            return prepared
-
+        jets = _formed_jets(monkeypatch)
         bundle = observable_bundle(params, ADD, ("rho_21", "nu", "e_1", "z"))
         grid = TimeGrid(0.0, 1e-4, 1)
-        run_ensemble(replace(system, prepare=prepare), sampler, grid, 6, 5, bundle)
+        run_ensemble(system, sampler, grid, 6, 5, bundle)
         stacked = {"slopes", "curvatures", "inv_slopes"}
-        # the first jet is read by the observables and the increment; the
-        # last one by the observables alone
+        # the bound step forms two jets: the first is read by the observables
+        # and the increment, the last one by the observables alone
+        assert len(jets) == 2
         assert stacked & set(vars(jets[0])) == formed
         assert stacked & set(vars(jets[-1])) == set()
         for name in formed:  # one array for both sides of the 6 paths

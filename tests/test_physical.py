@@ -44,7 +44,8 @@ from ppcavity.physical import (
     split_phys,
     to_physical,
 )
-from ppcavity.sde import TimeGrid, path_generator, run_ensemble
+from ppcavity import sde
+from ppcavity.sde import ObservableMap, TimeGrid, path_generator, run_ensemble
 
 from helpers import random_disc, rk4
 
@@ -450,6 +451,69 @@ def test_replaced_drift_and_noise_keep_a_working_system(engine):
     assert np.array_equal(rebuilt.drift(state), system.drift(state))
     assert np.array_equal(rebuilt.noise(state), system.noise(state))
     assert calls == [system.drift, system.noise]
+
+
+def _called(system, observables):
+    """``system`` and ``observables`` with plain callables, which the stepping
+    loop calls as they are: the public entry points composed step by step."""
+    called = replace(
+        system,
+        prepare=lambda state: system.prepare(state),
+        increment=lambda prepared, dt, dw: system.increment(prepared, dt, dw),
+    )
+    return called, ObservableMap(observables.names, lambda p, out: observables.batch(p, out))
+
+
+@pytest.mark.parametrize("rated", [False, True], ids=["free", "rates"])
+@pytest.mark.parametrize("n_modes", [1, 2])
+@pytest.mark.parametrize(
+    "engine, family",
+    [
+        ("sde-jc", "coherent-spin"),
+        ("sde-jc", "additive-noise"),
+        ("sde-mb-experimental", "coherent-spin"),
+    ],
+)
+def test_bound_step_equals_the_public_entry_points(monkeypatch, engine, family, n_modes, rated):
+    # the stepping loop binds prepare, increment and the observable batch once
+    # per chunk; the bound forms give the bits of the public calls composed
+    # step by step, over chunks, blocks and the replay of a diverged path
+    fam = _FAMILIES[family]
+    rates = {"r21": 100.0, "r_p": 50.0} if rated else {}
+    params = ModelParams.from_frequencies(
+        omega=(1100.0, 1900.0)[:n_modes], g=(200.0, 150.0)[:n_modes], Omega=1000.0, **rates
+    )
+    sampler = phase_init_sampler(params, fam, 1.0, init_points(AtomicDensity.from_upper(0.7), fam))
+    names = ("rho_11", "rho_22", "rho_21", "rho_12", "nu", "e_1", "h_1", "E_at_1", "H_at_1")
+    if engine == "sde-jc":
+        system = jc_sde_system(params, fam)
+        observables = observable_bundle(params, fam, names + ("z", "w"), (3e-4,))
+    else:
+        system = physical_sde_system(params)
+        sampler = physical_init_sampler(fam, sampler)
+        observables = physical_observable_bundle(params, names, (3e-4,))
+    replays = []
+
+    def counted(system, state, steps, *args, _integrate=sde._integrate_chunk):
+        replays.append(steps == sde._DRAW_BLOCK - 1)
+        return _integrate(system, state, steps, *args)
+
+    monkeypatch.setattr(sde, "_integrate_chunk", counted)
+    # thresholds under which some paths diverge after their first block
+    threshold = 8.0 if family == "additive-noise" else 3.0
+    grid, options = TimeGrid(0.0, 3e-3, 200), {"divergence_threshold": threshold, "chunk_size": 10}
+    bound = run_ensemble(system, sampler, grid, 24, 11, observables, **options)
+    system, observables = _called(system, observables)
+    called = run_ensemble(system, sampler, grid, 24, 11, observables, **options)
+    assert bound.diverged_paths and any(replays)
+    for field in ("mean", "stderr"):
+        assert np.array_equal(_bits(getattr(bound, field)), _bits(getattr(called, field)))
+    assert bound.diverged_paths == called.diverged_paths
+    assert bound.divergence_steps == called.divergence_steps
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
 
 
 def _constraint_drift(steps, paths=64):

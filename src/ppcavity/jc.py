@@ -321,8 +321,7 @@ def increment_rows(state, dw):
         return batch, None
     if dw.shape[:-1] != batch:
         batch = np.broadcast_shapes(batch, dw.shape[:-1])
-    pairs = coordinate_rows(dw.view(complex), len(batch) + 1)
-    return batch, [pairs[c, ...] for c in range(len(pairs))]
+    return batch, list(coordinate_rows(dw.view(complex), len(batch) + 1))
 
 
 def block_pair_rows(dws):

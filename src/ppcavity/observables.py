@@ -149,7 +149,9 @@ def observable_bundle(
 
 
 def physical_observable_bundle(params: ModelParams, names, probes=()) -> ObservableMap:
-    """Batched named observables of the changed-variable SDE, read off its state."""
+    """Batched named observables of the changed-variable SDE, read off its state.
+    Bound, it reads the loop's state itself: the ``prepare`` of
+    :func:`ppcavity.physical.physical_sde_system` is the identity."""
     names = tuple(names)
     columns = physical_columns(params, names, probes)
 

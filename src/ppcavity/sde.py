@@ -227,13 +227,12 @@ def _bind(system, observable_map, state, dt, dws, values):
     """The chunk's ``prepare()``, ``increment(prepared, j)`` and ``observe(prepared,
     i)``, bound by the binding contract of :class:`SdeSystem`."""
     prepare, increment, batch = system.prepare, system.increment, observable_map.batch
-    dw_rows, value_rows = list(dws.swapaxes(0, 1)), list(values.swapaxes(0, 1))
 
     def called_increment(prepared, j):
-        return increment(prepared, dt, dw_rows[j])
+        return increment(prepared, dt, dws[:, j])
 
     def called_observe(prepared, i):
-        batch(prepared, value_rows[i])
+        batch(prepared, values[:, i])
 
     return (
         prepare.bind(state) if hasattr(prepare, "bind") else partial(prepare, state),

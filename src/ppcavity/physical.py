@@ -294,15 +294,6 @@ def reconstruct_fields(params: ModelParams, phys, x):
     return e_val, h_val
 
 
-def coupling_rate(params: ModelParams, phys):
-    """Atom-field coupling rate -(i/hbar) m21 E(x0): sum_n i g_n epsilon_n
-    sin(k_n x0) when the couplings are proportional to the per-photon field,
-    which ``dipole_moment`` enforces."""
-    m21 = params.dipole_moment()
-    e_val, _ = reconstruct_fields(params, phys, params.x0)
-    return -1j / params.hbar * m21 * e_val
-
-
 def physical_sde_system(params: ModelParams) -> SdeSystem:
     """Changed-variable SDE stepped by :func:`increment_bar`; experimental, since
     the square roots of every noise entry react badly to sampling noise."""

@@ -6,8 +6,11 @@ evolution is the Lindblad master equation of the full-wave coupling.
 :func:`evolve` picks the route: a dissipation-free model, unitary with a
 time-independent H, is propagated exactly (:func:`evolve_spectral`), a
 dissipative one by the parity split step (:func:`evolve_strang`).  Both
-record tr(A rho) over :func:`_recorded_operators`, check the state at the
-same sampled grid points and build their trajectory with :func:`_trajectory`.
+hold the state in parity order (:func:`_sector_view`), record tr(A rho) over
+:func:`_recorded_operators` and build their trajectory with
+:func:`_trajectory`.  The split step checks the state it steps at sampled
+grid points; the exact route checks once the state it holds, of which
+every rho(t) is a unitary similarity.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .sde import TimeGrid
 
 DIMENSION_CAP = 4096
 TRACE_TOLERANCE = 1e-6
-#: grid points, roughly equidistant, at which both routes sample hermiticity,
-#: purity and the minimum eigenvalue
+#: grid points, roughly equidistant, at which the split-step route samples
+#: hermiticity, purity and the minimum eigenvalue
 EIG_CHECKS = 17
 #: grid points per phase block of the spectral route, which bounds its memory
 TIME_BLOCK = 64
@@ -133,6 +136,23 @@ def _sectors(m: np.ndarray) -> np.ndarray:
     """The (..., 2, field, 2, field) sector view of a stack of parity-ordered matrices."""
     half = m.shape[-1] // 2
     return m.reshape(m.shape[:-2] + (2, half, 2, half))
+
+
+def _sector_view(ham: np.ndarray, space: TruncatedSpace):
+    """The parity-order index of the space and the sector view of H in it.
+
+    ValueError if H has an entry between the two sectors, which both routes
+    need it not to have.
+    """
+    parity = _parity_order(space)
+    order = np.ix_(parity, parity)
+    ham_sectors = _sectors(ham[order])
+    if np.any(ham_sectors[0, :, 1]) or np.any(ham_sectors[1, :, 0]):
+        raise ValueError(
+            "the Hamiltonian couples the two parity sectors: it does not conserve "
+            "(-1)^(N + S+S-), which the reference needs"
+        )
+    return order, ham_sectors
 
 
 def _flip(m: np.ndarray) -> np.ndarray:
@@ -332,7 +352,9 @@ def _eig_check_points(steps: int) -> list:
 def _trajectory(
     grid: TimeGrid, values: np.ndarray, checks: list, integrator: str, max_parity_leak=None
 ):
-    """Trajectory from the recorded columns and the sampled :func:`_state_checks`."""
+    """Trajectory from the recorded columns and the :func:`_state_checks` of
+    the route's checked states: the largest hermiticity error and purity and
+    the lowest eigenvalue over them."""
     times = grid.times
     trace_err = _trace_errors(values, times)
     herm_err, purity, low = zip(*checks)
@@ -374,32 +396,25 @@ def evolve_strang(
     exact, completely positive and trace-preserving, so positivity and the
     trace hold to roundoff and the step error is second order.  The
     full-wave coupling conserves the parity (-1)^(N + S+S-), the Z2 symmetry
-    of the Rabi model, so the state is held in parity order
-    (:func:`_parity_order`), where H has no entry between the two sectors
-    (ValueError otherwise).  U = V diag(exp(-i E dt / hbar)) V^dagger is
-    formed once from the one dense H = V diag(E) V^dagger and kept as its two
-    diagonal field_dim x field_dim blocks, so the unitary part of a step is
-    four half-size products; the largest entry of U it drops is the
-    trajectory's ``max_parity_leak`` (roundoff).  Adjacent half-step flows
-    fuse, D(dt/2) D(dt/2) = D(dt): the run steps sigma <- U D(dt) sigma
-    (D(dt/2) on the first step), with the closed-form flows of
-    :class:`_Relaxation`, and rho = D(dt/2) sigma at every grid point.  The
-    rows of the recording table are the transposes of D(dt/2)^dagger(A), so
-    each grid point is recorded as tr(A rho) by one product with vec(sigma).
+    of the Rabi model, so the state is held in parity order, where H has no
+    entry between the two sectors (:func:`_sector_view`).  U = V diag(exp(-i
+    E dt / hbar)) V^dagger is formed once from the one dense H = V diag(E)
+    V^dagger and kept as its two diagonal field_dim x field_dim blocks, so
+    the unitary part of a step is four half-size products; the largest
+    entry of U it drops is the trajectory's ``max_parity_leak`` (roundoff).
+    Adjacent half-step flows fuse, D(dt/2) D(dt/2) = D(dt): the run steps
+    sigma <- U D(dt) sigma (D(dt/2) on the first step), with the closed-form
+    flows of :class:`_Relaxation`, and rho = D(dt/2) sigma at every grid
+    point.  The rows of the recording table are the transposes of
+    D(dt/2)^dagger(A), so each grid point is recorded as tr(A rho) by one
+    product with vec(sigma).
     The trace is checked after every step (TraceDriftError above 1e-6);
     hermiticity, purity and the minimum eigenvalue are sampled on
     D(dt/2) sigma, formed on a copy at the ``EIG_CHECKS`` points.
     """
     rho, ham = _initial(params, rho0, space)
-    parity = _parity_order(space)
-    order = np.ix_(parity, parity)
+    order, _ = _sector_view(ham, space)
     f = space.field_dim
-    ham_sectors = _sectors(ham[order])
-    if np.any(ham_sectors[0, :, 1]) or np.any(ham_sectors[1, :, 0]):
-        raise ValueError(
-            "the Hamiltonian couples the two parity sectors: it does not conserve "
-            "(-1)^(N + S+S-), which the split-step reference needs"
-        )
     # blocks of the one dense U: an eigh per sector moves the columns of the
     # two-mode lossy test model by 3.8e-13 against it, the dense blocks by 3.9e-14
     energies, vecs = np.linalg.eigh(ham)
@@ -440,34 +455,51 @@ def evolve_spectral(
 ) -> ReferenceTrajectory:
     """Exact propagation rho(t) = U(t) rho0 U(t)^dagger of a dissipation-free model.
 
-    With H = V diag(E) V^dagger and rho~ = V^dagger rho0 V, each recorded
-    tr(A rho(t)) is the quadratic form phi^T (A~^T o rho~) phi^* in the phases
-    phi_k(t) = exp(-i E_k t / hbar), with A~ = V^dagger A V and o the
-    elementwise product.  The forms of all recorded operators are stacked
-    into one matrix, so a block of ``TIME_BLOCK`` grid points costs one GEMM.
-    rho(t) itself is formed only at the ``EIG_CHECKS`` points.
+    H has no entry between the parity sectors (:func:`_sector_view`), so it
+    is diagonalized per sector, H_s = V_s diag(E_s) V_s^dagger, and with V =
+    diag(V_e, V_o) and rho~ = V^dagger rho0 V, each recorded tr(A rho(t)) is
+    the quadratic form phi^T (A~^T o rho~) phi^* in the phases phi_k(t) =
+    exp(-i E_k t / hbar), with A~ = V^dagger A V and o the elementwise
+    product.  Each recorded operator is even (the populations and H) or odd
+    (the atomic coherences and the quadratures) under the parity, read from
+    its sector blocks (ValueError if it is neither), so its form is nonzero
+    only on the sector pairs (s, s) or (s, 1 - s).  The forms of all
+    recorded operators are stacked per row sector, so a block of
+    ``TIME_BLOCK`` grid points costs two field_dim-row GEMMs.  rho(t) is a
+    unitary similarity of rho~, so hermiticity, purity and the minimum
+    eigenvalue are checked once, on rho~.
     """
     if params.dissipative:
         raise ValueError("spectral propagation needs a dissipation-free model")
     rho0, ham = _initial(params, rho0, space)
-    energies, vecs = np.linalg.eigh(ham)
-    rho_t = vecs.conj().T @ rho0 @ vecs
-    dim, n_forms = space.dim, 5 + 2 * space.mode_count
-    forms = np.empty((dim, n_forms, dim), complex)
+    order, ham_sectors = _sector_view(ham, space)
+    energies, vecs = np.linalg.eigh(np.stack([ham_sectors[0, :, 0], ham_sectors[1, :, 1]]))
+    # rho~ as (row sector, column sector) blocks V_s^dagger rho0_st V_t
+    blocks = _sectors(rho0[order]).transpose(0, 2, 1, 3)
+    rho_t = vecs.conj().transpose(0, 2, 1)[:, None] @ blocks @ vecs[None]
+    f, n_forms = space.field_dim, 5 + 2 * space.mode_count
+    # forms[s] holds each operator's form on the row sector s and the column sector s ^ odd
+    forms = np.empty((2, f, n_forms, f), complex)
+    odd = np.empty(n_forms, int)
     for j, op in enumerate(_recorded_operators(space, ham)):
-        forms[:, j, :] = (vecs.conj().T @ op @ vecs).T * rho_t
-    forms = forms.reshape(dim, n_forms * dim)
+        op = _sectors(op[order])
+        odd[j] = np.any(op[0, :, 1]) or np.any(op[1, :, 0])
+        if odd[j] and (np.any(op[0, :, 0]) or np.any(op[1, :, 1])):
+            raise ValueError(f"recorded operator {j} is neither even nor odd under the parity")
+        for s in (0, 1):
+            t = s ^ odd[j]
+            forms[s, :, j, :] = (vecs[t].conj().T @ op[t, :, s] @ vecs[s]).T * rho_t[s, t]
+    forms = forms.reshape(2, f, n_forms * f)
     rates = -1j * energies / params.hbar
     offsets = grid.dt * np.arange(grid.steps + 1)
 
-    values = np.empty((grid.steps + 1, n_forms), complex)
+    values = np.zeros((grid.steps + 1, n_forms), complex)
     for start in range(0, grid.steps + 1, TIME_BLOCK):
-        phi = np.exp(np.multiply.outer(offsets[start : start + TIME_BLOCK], rates))
-        quad = (phi @ forms).reshape(len(phi), n_forms, dim)
-        values[start : start + len(phi)] = np.einsum("bjl,bl->bj", quad, phi.conj())
-
-    checks = []
-    for idx in _eig_check_points(grid.steps):
-        phi = np.exp(offsets[idx] * rates)
-        checks.append(_state_checks(vecs @ (rho_t * np.outer(phi, phi.conj())) @ vecs.conj().T))
-    return _trajectory(grid, values, checks, "spectral")
+        block = offsets[start : start + TIME_BLOCK]
+        phi = np.exp(rates[:, None, :] * block[:, None])
+        out = values[start : start + len(block)]
+        for s in (0, 1):
+            quad = (phi[s] @ forms[s]).reshape(len(block), n_forms, f)
+            out += np.einsum("bjl,jbl->bj", quad, phi[s ^ odd].conj())
+    state = rho_t.transpose(0, 2, 1, 3).reshape(space.dim, space.dim)
+    return _trajectory(grid, values, [_state_checks(state)], "spectral")

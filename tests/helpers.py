@@ -105,3 +105,26 @@ def projector_2x2(family, z, w):
     fw, gw = state_amplitudes(family, np.conj(complex(w)))
     bra = np.array([fw, gw]).conj()
     return np.outer(ket, bra) / (bra @ ket)
+
+
+def dense_spectral_values(ham, ops, rho0, elapsed, hbar):
+    """tr(A rho(t)) for each A of ``ops`` at each elapsed time, by one dense
+    eigh of H: the quadratic forms phi^T (A~^T o rho~) phi^* in the phases
+    phi_k(t) = exp(-i E_k t / hbar), with A~ = V^dagger A V and rho~ =
+    V^dagger rho0 V, stacked into one matrix for one GEMM."""
+    energies, vecs = np.linalg.eigh(ham)
+    rho_t = vecs.conj().T @ rho0 @ vecs
+    dim = len(ham)
+    forms = np.stack([(vecs.conj().T @ op @ vecs).T * rho_t for op in ops], axis=1)
+    phi = np.exp(np.multiply.outer(elapsed, -1j * energies / hbar))
+    quad = (phi @ forms.reshape(dim, -1)).reshape(len(phi), len(ops), dim)
+    return np.einsum("bjl,bl->bj", quad, phi.conj())
+
+
+def dense_spectral_states(ham, rho0, elapsed, hbar):
+    """rho(t) = V (rho~ o phi phi^dagger) V^dagger at each elapsed time, by
+    one dense eigh of H = V diag(E) V^dagger, with rho~ = V^dagger rho0 V."""
+    energies, vecs = np.linalg.eigh(ham)
+    rho_t = vecs.conj().T @ rho0 @ vecs
+    phi = np.exp(np.multiply.outer(elapsed, -1j * energies / hbar))
+    return np.array([vecs @ (rho_t * np.outer(p, p.conj())) @ vecs.conj().T for p in phi])

@@ -32,7 +32,6 @@ from ppcavity.observables import (
     projection_observable,
 )
 from ppcavity.physical import (
-    coupling_rate,
     drift_bar,
     from_physical,
     jacobian_change,
@@ -311,15 +310,19 @@ def test_reconstruct_fields():
 
 
 def test_dipole_coupling_identity(rng):
+    # the coupling rate -(i/hbar) m21 E(x0) is sum_n i g_n epsilon_n when the
+    # couplings are proportional to the per-photon field, which dipole_moment enforces
     base = ModelParams.from_frequencies(omega=(1.0, 2.0), g=(0.1, 0.1), Omega=3.0)
     params = ModelParams.from_frequencies(
         omega=(1.0, 2.0), g=tuple(0.3 * base.e_photon), Omega=3.0
     )
+    m21 = params.dipole_moment()
     for _ in range(20):
         phys = np.zeros(7, dtype=complex)
         phys[0:4:2] = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         direct = 1j * (params.gs * phys[0:4:2]).sum()
-        assert abs(direct - coupling_rate(params, phys)) <= 1e-12 * (1 + abs(direct))
+        e_val, _ = reconstruct_fields(params, phys, params.x0)
+        assert abs(direct - (-1j / params.hbar * m21 * e_val)) <= 1e-12 * (1 + abs(direct))
 
 
 def fig3_free_params():

@@ -32,7 +32,7 @@ from ppcavity.reference import (
 from ppcavity.physical import join_phys
 from ppcavity.sde import TimeGrid
 
-from helpers import rk4
+from helpers import dense_spectral_states, dense_spectral_values, rk4
 
 
 def free_params(**kw):
@@ -77,8 +77,12 @@ def explicit_phys(traces):
 
 
 def sampled_diagnostics(grid, rhos):
-    """Hermiticity error, purities and lowest eigenvalues of ``rhos`` at the check points."""
-    sampled = rhos[_eig_check_points(grid.steps)]
+    """:func:`state_diagnostics` of ``rhos`` at the check points."""
+    return state_diagnostics(rhos[_eig_check_points(grid.steps)])
+
+
+def state_diagnostics(sampled):
+    """Hermiticity error, purities and lowest eigenvalues of a stack of states."""
     herm = np.abs(sampled - sampled.conj().transpose(0, 2, 1)).max()
     purity = np.einsum("kij,kij->k", sampled, sampled.conj()).real
     low = np.linalg.eigvalsh(0.5 * (sampled + sampled.conj().transpose(0, 2, 1)))[:, 0]
@@ -268,14 +272,13 @@ def test_spectral_route_is_exact_on_a_step_that_breaks_rk4():
     assert traj.max_trace_error <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "params, n_max",
-    [
-        (coupled_params(), (8,)),
-        (ModelParams.from_frequencies(omega=(2.0, 3.1), g=(0.7, 0.4), Omega=1.5), (4, 3)),
-    ],
-    ids=["one-mode", "two-modes"],
-)
+SPECTRAL_MODELS = [
+    (coupled_params(), (8,)),
+    (ModelParams.from_frequencies(omega=(2.0, 3.1), g=(0.7, 0.4), Omega=1.5), (4, 3)),
+]
+
+
+@pytest.mark.parametrize("params, n_max", SPECTRAL_MODELS, ids=["one-mode", "two-modes"])
 def test_spectral_route_matches_rk4(params, n_max):
     space = TruncatedSpace(n_max)
     rho0 = initial_density(params, space, 1.2, AtomicDensity.from_upper(0.7, 0.1 + 0.2j))
@@ -299,6 +302,50 @@ def test_spectral_route_matches_rk4(params, n_max):
     assert exact.max_herm_error <= 1e-12
     assert abs(exact.max_purity - purity.max()) <= 1e-12
     assert exact.min_eigenvalue >= -1e-12
+
+
+# g = 0 and Omega = 2 omega: |n, upper> (sector o for even n) and |n + 2, lower>
+# (sector e) share the energy omega (n + 1), so levels of the two sectors meet
+DEGENERATE = (ModelParams.from_frequencies(omega=2.0, g=0.0, Omega=4.0), (6,))
+
+
+@pytest.fixture(
+    scope="module", params=SPECTRAL_MODELS + [DEGENERATE], ids=["one-mode", "two-modes", "degenerate"]
+)
+def spectral_run(request):
+    """A spectral reference, its Hamiltonian and its initial state, which has
+    coherences between the parity sectors."""
+    params, n_max = request.param
+    space = TruncatedSpace(n_max)
+    rho0 = initial_density(params, space, 1.2, AtomicDensity.from_upper(0.7, 0.1 + 0.2j))
+    grid = TimeGrid(0.0, 1.0, 1000)
+    traj = evolve_spectral(params, rho0, grid, space)
+    return params, space, grid, rho0, build_hamiltonian(params, space), traj
+
+
+def test_spectral_columns_match_the_dense_quadratic_forms(spectral_run):
+    params, space, grid, rho0, ham, traj = spectral_run
+    elapsed = grid.dt * np.arange(grid.steps + 1)
+    want = dense_spectral_values(ham, list(_recorded_operators(space, ham)), rho0, elapsed, params.hbar)
+    want[:, -1] = want[:, -1].real
+    quadratures = [col for m in range(space.mode_count) for col in (traj.e[:, m], traj.h[:, m])]
+    got = np.column_stack([traj.rho11, traj.rho22, traj.rho21, traj.rho12, *quadratures, traj.energy])
+    # per-sector forms sum in another order than the one dense form: roundoff
+    # only (measured at most 2.1e-15 of the scale, on the two-mode model)
+    scale = np.maximum(1.0, np.abs(want).max(axis=0))
+    assert np.all(np.abs(got - want).max(axis=0) <= 1e-13 * scale)
+
+
+def test_spectral_diagnostics_match_the_states_at_the_check_points(spectral_run):
+    # rho(t) is a unitary similarity of the one state the route checks
+    # (measured differences at most 4.1e-15, on the purity)
+    params, space, grid, rho0, ham, traj = spectral_run
+    elapsed = grid.dt * np.array(_eig_check_points(grid.steps))
+    herm, purity, low = state_diagnostics(dense_spectral_states(ham, rho0, elapsed, params.hbar))
+    assert traj.integrator == "spectral"
+    assert abs(traj.max_herm_error - herm) <= 1e-14
+    assert abs(traj.max_purity - purity.max()) <= 1e-14
+    assert abs(traj.min_eigenvalue - low.min()) <= 1e-14
 
 
 def lindblad_atomic_flow(params, tau):
@@ -462,8 +509,9 @@ def test_strang_drops_only_roundoff_of_u(lossy_two_mode):
     assert 0.0 <= traj.diagnostics["max_parity_leak"] <= 1e-14
 
 
-def test_strang_refuses_a_hamiltonian_that_couples_the_sectors(monkeypatch):
-    params = coupled_params(r21=0.2)
+@pytest.mark.parametrize("r21", [0.2, 0.0], ids=["strang", "spectral"])
+def test_both_routes_refuse_a_hamiltonian_that_couples_the_sectors(monkeypatch, r21):
+    params = coupled_params(r21=r21)
     space = TruncatedSpace((3,))
     rho0 = initial_density(params, space, 0.5, AtomicDensity.from_upper(0.7, 0.0))
     build = reference.build_hamiltonian
@@ -476,6 +524,22 @@ def test_strang_refuses_a_hamiltonian_that_couples_the_sectors(monkeypatch):
 
     monkeypatch.setattr(reference, "build_hamiltonian", leaky)
     with pytest.raises(ValueError, match="couples the two parity sectors"):
+        evolve(params, rho0, TimeGrid(0.0, 0.5, 50), space)
+
+
+def test_spectral_refuses_a_recorded_operator_of_no_parity(monkeypatch):
+    params = coupled_params()
+    space = TruncatedSpace((3,))
+    rho0 = initial_density(params, space, 0.5, AtomicDensity.from_upper(0.7, 0.0))
+    recorded = reference._recorded_operators
+
+    def mixed(space, ham):
+        ops = list(recorded(space, ham))
+        ops[2] = ops[2] + ops[0]  # rho_21 (odd) plus rho_11 (even)
+        return ops
+
+    monkeypatch.setattr(reference, "_recorded_operators", mixed)
+    with pytest.raises(ValueError, match="recorded operator 2 is neither even nor odd"):
         evolve(params, rho0, TimeGrid(0.0, 0.5, 50), space)
 
 

@@ -183,7 +183,6 @@ class BasisFamily:
             # the jet's constants 2/delta, kappa, delta/4 and delta as (side, mirror) pairs
             values = (2.0 / self.delta, self.kappa, self.delta / 4.0, self.delta)
             object.__setattr__(self, "_pairs", _frozen([(c, c.conjugate()) for c in values]))
-            object.__setattr__(self, "_tiles", {})
 
     @classmethod
     def coherent_spin(cls) -> "BasisFamily":
@@ -193,19 +192,20 @@ class BasisFamily:
     def additive_noise(cls, delta=4.0, kappa=0.0) -> "BasisFamily":
         return cls(ADDITIVE_NOISE, delta, kappa)
 
+    @property
+    def constant_quads(self):
+        """The (delta, conj delta) pair that is the additive-noise jet's
+        ``quads`` at every point; None for the coherent-spin family."""
+        return self._pairs[3] if self.kind == ADDITIVE_NOISE else None
+
     def _constants(self, zw):
-        """2/delta, kappa and delta/4 as (side, mirror) pairs tiled to the shape
-        and memory order of ``zw`` (..., 2), and kept: numpy multiplies two
+        """2/delta, kappa and delta/4 as (side, mirror) pairs tiled to the shape and
+        memory order of ``zw`` (..., 2) where a jet is bound: numpy multiplies two
         arrays of one shape and order much faster than it broadcasts a pair."""
-        key = (zw.shape, zw.flags.f_contiguous)
-        if key not in self._tiles:
-            if len(self._tiles) >= 4:  # a few batch shapes at a time
-                self._tiles.clear()
-            tiles = tuple(np.empty_like(zw, dtype=complex) for _ in range(3))
-            for tile, pair in zip(tiles, self._pairs):
-                tile[...] = pair
-            self._tiles[key] = tiles
-        return self._tiles[key]
+        tiles = tuple(np.empty_like(zw, dtype=complex) for _ in range(3))
+        for tile, pair in zip(tiles, self._pairs):
+            tile[...] = pair
+        return tiles
 
     def _exp_form(self, zw, twos, kappas):
         """(h, htilde) = -tanh(u) at the (..., 2) array of u = z/delta + kappa/2
@@ -244,7 +244,7 @@ class BasisFamily:
 
             return jet
         twos, kappas, quarters = self._constants(zw)
-        quads = self._pairs[3]
+        quads = self.constant_quads
 
         def jet():
             hs, q, s = self._exp_form(zw, twos, kappas)

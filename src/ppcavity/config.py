@@ -20,7 +20,7 @@ from .jc import ModelParams, per_mode_amplitudes, phase_init_sampler
 from .observables import DEFAULT_OBSERVABLES, PHASE_COORDINATES, physical_columns
 from .physical import physical_init_sampler
 from .reference import TruncatedSpace
-from .sde import DEFAULT_DIVERGENCE_THRESHOLD, TimeGrid
+from .sde import DEFAULT_DIVERGENCE_THRESHOLD, TimeGrid, check_count, check_seed
 
 ENGINES = ("sde-jc", "sde-mb-experimental", "reference", "mb")
 
@@ -257,20 +257,17 @@ def validate_config(cfg: RunConfig):
         raise ConfigError(
             f"engine must be one of {', '.join(ENGINES)}; got {cfg.engine!r}"
         )
-    seeds = (("master_seed", cfg.master_seed), ("[invariants] seed", cfg.invariants_seed))
-    for key, seed in seeds:
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"{key} must satisfy 0 <= seed < 2**64; got {seed}")
-    if cfg.invariants_points < 1:
-        raise ConfigError("[invariants] points must be >= 1")
-    if not cfg.divergence_threshold > 0:
-        raise ConfigError("divergence_threshold must be > 0")
-    folded = [_OBSERVABLE_ALIASES.get(name, name) for name in cfg.observables]
-    for i, name in enumerate(folded):
-        if name in folded[:i]:
-            raise ConfigError(f"observable {name!r} is listed more than once")
     raw = PHASE_COORDINATES if cfg.engine == "sde-jc" else ()
     try:
+        check_seed("master_seed", cfg.master_seed)
+        check_seed("[invariants] seed", cfg.invariants_seed)
+        check_count("[invariants] points", cfg.invariants_points)
+        if not cfg.divergence_threshold > 0:
+            raise ConfigError("divergence_threshold must be > 0")
+        folded = [_OBSERVABLE_ALIASES.get(name, name) for name in cfg.observables]
+        for i, name in enumerate(folded):
+            if name in folded[:i]:
+                raise ConfigError(f"observable {name!r} is listed more than once")
         params, family = cfg.model_params(), cfg.family()
         cfg.grid()
         per_mode_amplitudes(cfg.alpha, params.mode_count)
@@ -284,9 +281,8 @@ def validate_config(cfg: RunConfig):
     except (ValueError, CavityError) as exc:
         raise ConfigError(f"initial atomic density: {exc}") from None
     if cfg.engine in ("sde-jc", "sde-mb-experimental"):
-        if cfg.runs < 1:
-            raise ConfigError("runs must be >= 1")
         try:
+            check_count("runs", cfg.runs)
             sampler = phase_init_sampler(params, family, cfg.alpha, init_points(atom, family))
             if cfg.engine == "sde-mb-experimental":
                 physical_init_sampler(family, sampler)

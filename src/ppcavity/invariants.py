@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from . import jc, maxwell_bloch, observables, physical
+from . import jc, maxwell_bloch, observables, physical, sde
 from .basis import BasisFamily
 
 #: defaults of the check-invariants subcommand and the [invariants] section
@@ -418,10 +418,8 @@ CHECKS = (
 
 def run_all(seed: int = DEFAULT_SEED, points: int = DEFAULT_POINTS) -> dict:
     """Execute every suite with per-check seeded generators; returns a report."""
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if points < 1:
-        raise ValueError("points must be >= 1")
+    sde.check_seed("seed", seed)
+    sde.check_count("points", points)
     checks = []
     all_passed = True
     for index, (name, fn) in enumerate(CHECKS):

@@ -18,7 +18,6 @@ from functools import cached_property, partial
 import numpy as np
 
 from .basis import (
-    ADDITIVE_NOISE,
     IMAG,
     LIFT,
     ONE,
@@ -33,10 +32,6 @@ from .sde import SdeSystem, bindable, noise_matrix
 
 _ROOT_I = np.sqrt(1j)  # fixed diffusion-gauge choice exp(i pi/4)
 _KICK = 1j * _ROOT_I  # the gauge factor times the i of the (c, c+1) column pairs
-#: steps of draws that the constant kick of :func:`jc_sde_system` casts to
-#: complex at once, so matmul casts none; a whole block would take 1 MB at
-#: 256 paths
-_CAST_ROWS = 8
 #: relative spread of -hbar*g_n/e_p(omega_n) over the modes that
 #: ``ModelParams.dipole_moment`` still accepts as one dipole moment
 DIPOLE_SPREAD_TOL = 1e-9
@@ -155,22 +150,6 @@ class ModelParams:
     def noise_prefactor(self) -> np.ndarray:
         """Per-mode changed-variable noise factors exp(i pi/4) sqrt(g_n s_n / 2)."""
         return _frozen(_ROOT_I * principal_sqrt(self.gs / 2.0))
-
-    @cached_property
-    def _held(self) -> dict:
-        return {}
-
-    def held(self, form, dt, ndim):
-        """``form(self, dt, ndim)``: the constants of a step of ``dt`` (a
-        float) on a batch of ``ndim`` axes, formed on first use and held on
-        this instance (for a few steps and ranks at a time)."""
-        key = (form, dt, ndim)
-        held = self._held
-        if key not in held:
-            if len(held) >= 8:
-                held.clear()
-            held[key] = form(self, dt, ndim)
-        return held[key]
 
     @property
     def mu0(self) -> float:
@@ -338,11 +317,12 @@ def _prepare(family, state, check):
 
 
 def _jc_constants(params: ModelParams, dt, ndim):
-    """The 0-d operands of :func:`increment_jc`: per mode (g_n s_n, omega_n);
-    the couplings as an (N, 1, ...) column against the rows of a jet pair;
-    the factors (-i dt, i dt) of the (alpha_n, beta_n) rows and (i dt, -i dt)
-    of the (z, w) rows as a column against two rows; Omega; and the rate
-    factors of the dissipative rows, as rows of a batch of rank ``ndim``."""
+    """The 0-d operands of :func:`increment_jc`, formed where its step is
+    bound: per mode (g_n s_n, omega_n); the couplings as an (N, 1, ...)
+    column against the rows of a jet pair; the factors (-i dt, i dt) of the
+    (alpha_n, beta_n) rows and (i dt, -i dt) of the (z, w) rows as a column
+    against two rows; Omega; and the rate factors of the dissipative rows, as
+    rows of a batch of rank ``ndim``."""
     idt = 1j * dt
     gs = np.array(params.gs, dtype=complex)
     rates = (-params.r_p * dt, params.r21 * dt / 2.0, params.r12 * dt / 2.0)
@@ -376,7 +356,7 @@ def increment_jc(params: ModelParams, family: BasisFamily, state, dt, dw=None, c
     """
     state, pf = _prepare(family, state, check)
     batch, pairs = increment_rows(state, dw)
-    return _bind_jc(params, state, dt, batch)(pf, pairs)
+    return _bind_jc(params, family, state, dt, batch)(pf, pairs)
 
 
 def _mode_rows(rows, k):
@@ -384,14 +364,14 @@ def _mode_rows(rows, k):
     return rows[2 * k : 2 * k + 2, ...], rows[2 * k, ...], rows[2 * k + 1, ...]
 
 
-def _bind_jc(params: ModelParams, state, dt, batch):
+def _bind_jc(params: ModelParams, family: BasisFamily, state, dt, batch):
     """:func:`increment_jc` bound to ``state``, ``dt`` and the broadcast
     ``batch``: ``step(pf, pairs)`` takes the jet of the current ``state`` and
     the rows of dw's complex pairs (None without dw) and writes the increment
     into one :func:`empty_state`, which it returns at every call."""
     n, nd = params.mode_count, len(batch)
     x = coordinate_rows(state, nd + 1)
-    modes, gs, field_factors, zw_factors, omega_a, rates = params.held(_jc_constants, dt, nd)
+    modes, gs, field_factors, zw_factors, omega_a, rates = _jc_constants(params, dt, nd)
     rp_dt, r21_dt, r12_dt, two_rp, r21, r12 = rates
     dissipative = params.dissipative
     out = empty_state(batch, params.dim)
@@ -400,6 +380,18 @@ def _bind_jc(params: ModelParams, state, dt, batch):
     modes = [(*modes[k], *_mode_rows(rows, k), *_mode_rows(x, k)) for k in range(n)]
     atom_rows = rows[2 * n :, ...], rows[2 * n, ...], rows[2 * n + 1, ...]
 
+    def kick_roots(quads):
+        # per mode, the roots of the two diffusion entries, (N, 2) rows in one call
+        roots = gs * quads
+        roots /= TWO
+        roots += LIFT
+        np.sqrt(roots, out=roots)
+        np.multiply(_KICK, roots, out=roots)
+        return roots
+
+    constant_quads = family.constant_quads  # additive-noise: constant quads, constant roots
+    fixed = None if constant_quads is None else kick_roots(coordinate_rows(constant_quads, nd + 1))
+
     def step(pf, pairs):
         zw, inc_z, inc_w = atom_rows
         hs, quads = coordinate_rows(pf.hs, nd + 1), coordinate_rows(pf.quads, nd + 1)
@@ -407,12 +399,7 @@ def _bind_jc(params: ModelParams, state, dt, batch):
         denom = coordinate_rows(pf.denom, nd)
         coupling = (h + ht) / denom
         if pairs is not None:
-            # per mode, the roots of the two diffusion entries, (N, 2) rows in one call
-            roots = gs * quads
-            roots /= TWO
-            roots += LIFT
-            np.sqrt(roots, out=roots)
-            np.multiply(_KICK, roots, out=roots)
+            roots = kick_roots(quads) if fixed is None else fixed
         # the (alpha_n, beta_n) rows are -+i dt (omega_n x + g_n s_n (h + ht)/denom)
         # and the (z, w) rows +-i dt (drive quad - Omega lin) and the mirror, a
         # pair of rows at a time
@@ -474,9 +461,9 @@ def diffusion_jc(params: ModelParams, family: BasisFamily, state, check=True):
         out[..., 2 * k, 2 * n] = out[..., 2 * n, 2 * k] = 1j * d[..., k, 0]
         out[..., 2 * k + 1, 2 * n + 1] = out[..., 2 * n + 1, 2 * k + 1] = -1j * d[..., k, 1]
     if params.dissipative:
-        # on rows, with the rates (2 r_p, r21, r12) that increment_jc holds
+        # on rows, with the rates (2 r_p, r21, r12) of increment_jc
         nd = state.ndim - 1
-        rates = params.held(_jc_constants, 1.0, nd)[-1][3:]
+        rates = _jc_constants(params, 1.0, nd)[-1][3:]
         inv_slopes = coordinate_rows(pf.inv_slopes, nd + 1)
         dd = _dissipative_entry(coordinate_rows(pf.hht, nd), *inv_slopes, *rates).T
         out[..., 2 * n, 2 * n + 1] = out[..., 2 * n + 1, 2 * n] = dd
@@ -499,62 +486,25 @@ def jc_sde_system(params: ModelParams, family: BasisFamily) -> SdeSystem:
     ``prepare`` forms the :class:`JetState` with an unguarded jet, which the
     increment (:func:`increment_jc` without the pole check) and
     :func:`ppcavity.observables.observable_bundle` read; both are bound once
-    per chunk (:class:`ppcavity.sde.SdeSystem`).  The additive-noise family
-    without dissipation has a state-independent noise matrix (the
-    ``additive-noise-constancy`` invariant): it is formed once, at the zero
-    state, and applied as one product, to draws cast to complex once.
+    per chunk (:class:`ppcavity.sde.SdeSystem`), where the step constants and
+    the additive-noise kick roots are formed.
     """
-    noise = partial(noise_jc, params, family, check=False)
 
     def bind_prepare(state):
         jet = family.bind_jet(state[..., -2:])
         return lambda: JetState(state, jet())
 
-    if family.kind != ADDITIVE_NOISE or params.dissipative:
-
-        def bind(state, dt, dws):
-            step, pairs = _bind_jc(params, state, dt, state.shape[:-1]), block_pair_rows(dws)
-            return lambda prepared, j: step(prepared.pf, pairs[j])
-
-        increment = partial(increment_jc, params, family, check=False)
-    else:
-        constant = noise(np.zeros(params.dim, dtype=complex))
-
-        def increment(state, dt, dw):
-            # dw (..., m) as (n, m) rows: (dim, m) @ (m, n) is the kick in the
-            # coordinate-major order of the increment; a dw batch wider than
-            # the state's, such as noise_matrix's unit increments, broadcasts
-            out = increment_jc(params, family, state, dt, None, check=False)
-            rows = dw.reshape(-1, dw.shape[-1])
-            kick = (constant @ rows.T).T.reshape(dw.shape[:-1] + (params.dim,))
-            if kick.shape != out.shape:
-                return out + kick
-            out += kick
-            return out
-
-        def bind(state, dt, dws):
-            step = _bind_jc(params, state, dt, state.shape[:-1])
-            cast = np.empty((len(state), _CAST_ROWS, params.noise_dim), dtype=complex)
-            rows = list(cast.transpose(1, 2, 0))  # per step, its (m, paths) draws
-
-            def bound(prepared, j):
-                i = j % _CAST_ROWS
-                if i == 0:
-                    part = dws[:, j : j + _CAST_ROWS]
-                    cast[:, : part.shape[1]] = part
-                out = step(prepared.pf, None)
-                out += (constant @ rows[i]).T
-                return out
-
-            return bound
+    def bind(state, dt, dws):
+        step, pairs = _bind_jc(params, family, state, dt, state.shape[:-1]), block_pair_rows(dws)
+        return lambda prepared, j: step(prepared.pf, pairs[j])
 
     return SdeSystem(
         dim=params.dim,
         noise_dim=params.noise_dim,
         drift=partial(drift_jc, params, family, check=False),
-        noise=noise,
+        noise=partial(noise_jc, params, family, check=False),
         prepare=bindable(lambda state: bind_prepare(state)(), bind_prepare),
-        increment=bindable(increment, bind),
+        increment=bindable(partial(increment_jc, params, family, check=False), bind),
     )
 
 

@@ -121,10 +121,11 @@ def _noise_dim(params: ModelParams) -> int:
 
 
 def _bar_constants(params: ModelParams, dt, ndim):
-    """The 0-d operands of :func:`increment_bar`: per mode g_n s_n, dt omega_n,
-    omega_n, 2 g_n s_n, the noise prefactor and -i times it; i dt, -dt, the
-    rotation and decay factors of rho21 and rho12, gamma1 dt, nu0 and the
-    dissipative rates, as rows of a batch of rank ``ndim``."""
+    """The 0-d operands of :func:`increment_bar`, formed where its step is
+    bound: per mode g_n s_n, dt omega_n, omega_n, 2 g_n s_n, the noise
+    prefactor and -i times it; i dt, -dt, the rotation and decay factors of
+    rho21 and rho12, gamma1 dt, nu0 and the dissipative rates, as rows of a
+    batch of rank ``ndim``."""
     per_mode = (params.gs, dt * params.omega_array, params.omega_array, 2.0 * params.gs)
     per_mode = [np.array(v, dtype=complex) for v in per_mode]
     per_mode += [params.noise_prefactor, MINUS_IMAG * params.noise_prefactor]
@@ -167,7 +168,7 @@ def _bind_bar(params: ModelParams, phys, dt, batch):
     ``jc.empty_state``, which it returns at every call."""
     n, nd = params.mode_count, len(batch)
     x = coordinate_rows(phys, nd + 1)
-    modes, idt, minus_dt, scalars = params.held(_bar_constants, dt, nd)
+    modes, idt, minus_dt, scalars = _bar_constants(params, dt, nd)
     rot21, rot12, decay, nu0, two_rp, r21, r12 = scalars
     rho21, rho12, nu = x[2 * n, ...], x[2 * n + 1, ...], x[2 * n + 2, ...]
     rhos = x[2 * n : 2 * n + 2, ...]

@@ -88,7 +88,7 @@ class SdeSystem:
     pairs and of ``dw``'s complex pairs, and write the 1-D coordinate rows of
     a coordinate-major ``jc.empty_state``, so on the loop's state each row is
     contiguous.  Every coefficient is a 0-d array; the per-mode and per-``dt``
-    ones are held on the ``ModelParams`` (``held``).  One loop over the modes
+    ones are formed where the step is bound.  One loop over the modes
     adds the mode sums in order, as ``jc.mode_sum`` does.  A ``dw`` with
     another batch shape than the state's, such as the unit increments of
     :func:`noise_matrix`, broadcasts against it.
@@ -154,11 +154,22 @@ class ObservableMap:
         return cls(names, batch)
 
 
+def check_seed(name, seed):
+    """The seed rule of every entry point: ValueError unless 0 <= seed < 2**64."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must satisfy 0 <= seed < 2**64; got {seed}")
+
+
+def check_count(name, count):
+    """The count rule of every entry point: ValueError unless count >= 1."""
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def path_generator(master_seed: int, index: int) -> np.random.Generator:
     """Counter-based stream for path ``index``; independent of scheduling."""
     master_seed = int(master_seed)
-    if not 0 <= master_seed < 2**64:
-        raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+    check_seed("master_seed", master_seed)
     key = np.array([master_seed, int(index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -466,10 +477,8 @@ def run_ensemble(
     ``_MERGE_SLICE`` of its points; the moments are those of one reduction
     over the block, bit for bit.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
+    check_count("runs", runs)
+    check_count("chunk_size", chunk_size)
     if not isinstance(observables, ObservableMap):
         observables = ObservableMap.from_mapping(observables)
     names = observables.names

@@ -771,7 +771,7 @@ class TestInvariantsCommand:
 
     def test_run_all_checks_seed_and_points(self):
         for seed in (-1, 2**64):
-            with pytest.raises(ValueError, match="seed must fit"):
+            with pytest.raises(ValueError, match="seed must satisfy 0 <= seed < 2\\*\\*64"):
                 run_all(seed=seed, points=1)
         with pytest.raises(ValueError, match="points must be >= 1"):
             run_all(seed=0, points=0)
@@ -779,8 +779,8 @@ class TestInvariantsCommand:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--seed", "-1"], "error: seed must fit in an unsigned 64-bit integer"),
-            (["--seed", str(2**64)], "error: seed must fit in an unsigned 64-bit integer"),
+            (["--seed", "-1"], "error: seed must satisfy 0 <= seed < 2**64; got -1"),
+            (["--seed", str(2**64)], f"error: seed must satisfy 0 <= seed < 2**64; got {2**64}"),
             (["--points", "0"], "error: points must be >= 1"),
         ],
         ids=["neg-seed", "big-seed", "0-points"],

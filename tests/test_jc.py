@@ -273,8 +273,8 @@ class TestEnsembleIntegration:
     def test_one_jet_per_step_and_no_pair(self, monkeypatch, rates):
         # the stepping loop binds the jet once per chunk and prepares each
         # state once: the increment and the observable batch share its jet,
-        # and nothing evaluates h again; the constant additive noise is formed
-        # when the system is built, so no step forms a noise matrix
+        # and nothing evaluates h again; the additive-noise kick roots are
+        # formed where the step is bound, so no step forms a noise matrix
         params = fig_params(**rates)
         sampler = phase_init_sampler(
             params, ADD, 1.0, init_points(AtomicDensity.from_upper(0.7), ADD)
@@ -287,7 +287,6 @@ class TestEnsembleIntegration:
 
         monkeypatch.setattr(jc, "noise_jc", counted_noise)
         system = jc_sde_system(params, ADD)
-        noise_calls.clear()
         calls = {"bind_jet": 0, "pair": 0}
         for name in calls:
 
@@ -309,9 +308,10 @@ class TestEnsembleIntegration:
         "rates, formed", [({}, set()), ({"r21": 100.0, "r_p": 50.0}, {"inv_slopes"})]
     )
     def test_a_step_forms_only_the_stacked_slopes_it_reads(self, monkeypatch, rates, formed):
-        # the additive-noise drift, its constant noise and the projection
-        # read no slope of either side; the dissipative terms read the
-        # stacked inverse slopes (1/h', 1/htilde') only
+        # the additive-noise drift, its kick (whose roots are formed where
+        # the step is bound) and the projection read no slope of either side;
+        # the dissipative terms read the stacked inverse slopes (1/h',
+        # 1/htilde') only
         params = fig_params(**rates)
         sampler = phase_init_sampler(
             params, ADD, 1.0, init_points(AtomicDensity.from_upper(0.7), ADD)
@@ -412,7 +412,9 @@ def test_increment_on_a_coordinate_major_state_is_bit_identical(rng, fam, n_mode
     # out, gives the increment of a C-order copy bit for bit, raw or with
     # its jet, through increment_jc and the system's increment alike; three
     # modes pin the order of the mode sums, and "units" is the call of
-    # noise_matrix, a (points,) state against (m, 1, m) unit increments
+    # noise_matrix, a (points,) state against (m, 1, m) unit increments.
+    # The system's increment is increment_jc's bit for bit, unbound and bound
+    # to a block of draws, for every family, with or without rates
     params = sample_model(n_modes, **(random_rates(rng) if rated else {}))
     states = np.stack([random_phase_state(rng, fam, n_modes) for _ in range(33)])
     states[3, -2:] = 0.0  # signed zeros in the jet
@@ -428,7 +430,11 @@ def test_increment_on_a_coordinate_major_state_is_bit_identical(rng, fam, n_mode
     if noise is True:
         system = jc_sde_system(params, fam)
         got = system.increment(system.prepare(coords.T), dt, dw)
-        want = system.increment(system.prepare(states), dt, dw)
+        assert np.array_equal(_bits(got), _bits(want))
+        got = system.increment(system.prepare(states), dt, dw)
+        assert np.array_equal(_bits(got), _bits(want))
+        step = system.increment.bind(coords.T, dt, dw[:, None])  # a block of one row
+        got = step(system.prepare.bind(coords.T)(), 0)
         assert np.array_equal(_bits(got), _bits(want))
 
 
@@ -438,7 +444,7 @@ def test_increment_on_a_coordinate_major_state_is_bit_identical(rng, fam, n_mode
 def test_system_increment_reads_unit_increments_as_noise_columns(rng, fam, n_modes, rated):
     # the SdeSystem contract takes dw (..., m): noise_matrix's (m, 1, m) unit
     # increments through the system's increment give its noise matrix at a
-    # batch, the constant kick of the additive-noise system without rates too
+    # batch, for every family, with or without rates
     params = sample_model(n_modes, **(random_rates(rng) if rated else {}))
     system = jc_sde_system(params, fam)
     states = np.stack([random_phase_state(rng, fam, n_modes) for _ in range(5)])

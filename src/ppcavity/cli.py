@@ -111,6 +111,12 @@ def _environment():
     }
 
 
+def _json(value, **kwargs):
+    """``value`` as strict JSON text: a non-finite float is written as null."""
+    finite = json.loads(json.dumps(value), parse_constant=lambda constant: None)
+    return json.dumps(finite, allow_nan=False, **kwargs)
+
+
 def _write_sidecar(out_path, cfg: RunConfig, extra):
     text = serialize_config(cfg)
     meta = {
@@ -123,8 +129,7 @@ def _write_sidecar(out_path, cfg: RunConfig, extra):
     }
     meta.update(extra)
     with open(str(out_path) + ".meta.json", "w") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(_json(meta, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -316,7 +321,7 @@ def cmd_check_invariants(args) -> int:
     seed = seed if args.seed is None else args.seed
     points = points if args.points is None else args.points
     report = run_all(seed=seed, points=points)
-    text = json.dumps(report, indent=2)
+    text = _json(report, indent=2)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")

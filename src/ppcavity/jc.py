@@ -5,8 +5,9 @@ alpha_N, beta_N, z, w) for N cavity modes plus the two-level atom.
 :func:`increment_jc` is the one coefficient formula: the Euler increment of
 the full-wave (counterrotating terms included) coupling, with optional
 scattering and pure-dephasing dissipation on the fermionic rows.  The noise
-matrix keeps only the structurally nonzero columns, four per mode plus two
-dissipative ones; B @ B.T = D (:func:`diffusion_jc`) holds for both layouts.
+matrix keeps only the structurally nonzero columns, in the layout of
+``ModelParams.noise_dim``, which both engines draw; B @ B.T = D
+(:func:`diffusion_jc`) holds with and without dissipation.
 """
 
 from __future__ import annotations
@@ -120,8 +121,9 @@ class ModelParams:
 
     @cached_property
     def noise_dim(self) -> int:
-        """Noise columns of the phase-space SDE: four per mode, plus two
-        dissipative ones if ``dissipative``."""
+        """The one noise layout of both SDE engines: four real columns per
+        mode, read as two complex pairs dW_c + i dW_{c+1}, then, if
+        ``dissipative``, one pair that drives the atomic rows only."""
         return 4 * self.mode_count + (2 if self.dissipative else 0)
 
     @cached_property
@@ -294,7 +296,7 @@ def increment_rows(state, dw):
     """What both engines' increments start from, at ``state`` (..., d) and the
     real increments ``dw`` (..., m) or None, their batches broadcast: the
     batch shape and the list of the rows of ``dw`` read as complex pairs dW_c
-    + i dW_{c+1} (two per mode, then the dissipative pair), None without ``dw``."""
+    + i dW_{c+1} (in the layout of ``ModelParams.noise_dim``), None without ``dw``."""
     batch = state.shape[:-1]
     if dw is None:
         return batch, None

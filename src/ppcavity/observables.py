@@ -29,13 +29,12 @@ _ATOMIC = ("rho_21", "rho_12", "nu")
 
 
 def _index(name: str, prefix: str, count: int, what: str) -> int:
-    try:
-        idx = int(name[len(prefix):])
-    except ValueError:
-        idx = 0
-    if not 1 <= idx <= count:
-        raise ValueError(f"observable {name!r} needs a {what} index in 1..{count}")
-    return idx - 1
+    """The 0-based index of ``name``, which must read prefix + str(idx) with
+    1 <= idx <= count: one spelling per column."""
+    for idx in range(1, count + 1):
+        if name == f"{prefix}{idx}":
+            return idx - 1
+    raise ValueError(f"observable {name!r} needs a {what} index in 1..{count}")
 
 
 def _reader(params: ModelParams, name: str, probes, raw):

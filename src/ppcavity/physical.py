@@ -114,12 +114,6 @@ def from_physical(family: BasisFamily, phys) -> np.ndarray:
     return join_state((eps + 1j * eta) / 2.0, (eps - 1j * eta) / 2.0, z, w)
 
 
-def _noise_dim(params: ModelParams) -> int:
-    """Noise columns of the changed-variable engine: four per mode, then two
-    dissipative ones, which act on the atomic rows only."""
-    return 4 * params.mode_count + 2
-
-
 def _bar_constants(params: ModelParams, dt, ndim):
     """The 0-d operands of :func:`increment_bar`, formed where its step is
     bound: per mode g_n s_n, dt omega_n, omega_n, 2 g_n s_n, the noise
@@ -150,11 +144,10 @@ def increment_bar(params: ModelParams, phys, dt, dw=None) -> np.ndarray:
     """Euler increment A dt + B dW of the changed-variable engine in one pass.
 
     A is the cavity-mode Maxwell plus Bloch drift, B the coherent-spin closed
-    form.  ``dw`` has :func:`_noise_dim` columns; the dissipative pair is
-    skipped without dissipation.  The atomic rows of the kick are r X + s Y,
-    X and Y two increment combinations summed over the modes.  Square roots
-    take the principal branch (a gauge choice).  Rows and error state follow
-    :class:`ppcavity.sde.SdeSystem`.
+    form.  ``dw`` has the columns of ``ModelParams.noise_dim``.  The atomic
+    rows of the kick are r X + s Y, X and Y two increment combinations summed
+    over the modes.  Square roots take the principal branch (a gauge choice).
+    Rows and error state follow :class:`ppcavity.sde.SdeSystem`.
     """
     phys = np.asarray(phys, dtype=complex)
     batch, pairs = increment_rows(phys, dw)
@@ -255,13 +248,13 @@ def drift_bar(params: ModelParams, phys) -> np.ndarray:
 
 
 def noise_bar(params: ModelParams, phys) -> np.ndarray:
-    """Transformed noise matrix (coherent-spin closed form): column c is
-    :func:`increment_bar` at dt = 0 on the unit increment e_c, the two
-    dissipative ones zero without dissipation; inf/nan at a pole, without warnings."""
+    """Transformed noise matrix (coherent-spin closed form) with the columns of
+    ``ModelParams.noise_dim``: column c is :func:`increment_bar` at dt = 0 on
+    the unit increment e_c; inf/nan at a pole, without warnings."""
     phys = np.asarray(phys, dtype=complex)
     increment = partial(increment_bar, params, phys)
     with np.errstate(all="ignore"):
-        return noise_matrix(increment, _noise_dim(params), phys.ndim - 1)
+        return noise_matrix(increment, params.noise_dim, phys.ndim - 1)
 
 
 def jacobian_change(family: BasisFamily, state) -> np.ndarray:
@@ -305,7 +298,7 @@ def physical_sde_system(params: ModelParams) -> SdeSystem:
 
     return SdeSystem(
         dim=2 * params.mode_count + 3,
-        noise_dim=_noise_dim(params),
+        noise_dim=params.noise_dim,
         drift=partial(drift_bar, params),
         noise=partial(noise_bar, params),
         increment=bindable(partial(increment_bar, params), bind),

@@ -1,6 +1,18 @@
 """Shared oracles for the test suite, independent of the library internals."""
 
+import json
+
 import numpy as np
+
+
+def strict_json(path):
+    """The JSON file at ``path``, parsed as strict JSON: NaN and Infinity are refused."""
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    with open(path) as handle:
+        return json.load(handle, parse_constant=refuse)
 
 
 def rk4(f, x0, grid):

@@ -18,6 +18,8 @@ from ppcavity.invariants import DEFAULT_POINTS, DEFAULT_SEED, run_all
 from ppcavity.maxwell_bloch import BLOCH_BOUND_SLACK
 from ppcavity.reference import DIMENSION_CAP
 
+from helpers import strict_json
+
 FIG3_REFERENCE = """
 [run]
 engine = reference
@@ -788,6 +790,21 @@ class TestInvariantsCommand:
     def test_bad_seed_or_points_is_a_clean_error(self, flags, message, capsys):
         assert main(["check-invariants", *flags]) == 1
         assert message in capsys.readouterr().err
+
+    def test_failing_check_is_written_as_strict_json(self, monkeypatch, tmp_path, capsys):
+        # an infinite max_error is null in the report and inf on its stderr line
+        def failing(seed, points, _run_all=run_all):
+            report = _run_all(seed=seed, points=points)
+            report["checks"][0].update(passed=False, max_error=float("inf"))
+            report["passed"] = False
+            return report
+
+        monkeypatch.setattr(cli_module, "run_all", failing)
+        out = tmp_path / "report.json"
+        assert main(["check-invariants", "--points", "2", "--out", str(out)]) == 1
+        check = strict_json(out)["checks"][0]
+        assert check["max_error"] is None
+        assert f"FAIL {check['name']}: max_error=inf " in capsys.readouterr().err
 
     def test_report_file_output(self, tmp_path):
         out = tmp_path / "report.json"

@@ -1,4 +1,3 @@
-import json
 import warnings
 from functools import partial
 
@@ -14,7 +13,7 @@ from ppcavity.observables import physical_columns
 from ppcavity.physical import drift_bar, join_phys
 from ppcavity.sde import TimeGrid
 
-from helpers import numpy_mb_rhs, rk4
+from helpers import numpy_mb_rhs, rk4, strict_json
 
 
 def mb_state(epsilon, eta, rho21, nu):
@@ -167,8 +166,8 @@ def test_overflowed_run_is_recorded_and_reported(tmp_path, capsys, steps, rho12,
         warnings.simplefilter("error")
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "mb.csv")]) == 0
     assert capsys.readouterr().err == "warning: the trajectory overflowed during the run\n"
-    meta = json.loads((tmp_path / "mb.csv.meta.json").read_text())
-    assert not np.isfinite(meta["max_bloch_violation"])
+    # the sidecar is strict JSON: the non-finite violation is written as null
+    assert strict_json(tmp_path / "mb.csv.meta.json")["max_bloch_violation"] is None
 
 
 def test_state_off_the_hermitian_slice_is_refused():

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -100,10 +101,15 @@ def test_observable_bundle_names(rng):
         (params, "E_at_0"),
         (params, "H_at_2"),
         (one_mode, "h_5"),
+        # one spelling per index: no leading zero, sign, space or non-ASCII digit
+        (params, "e_01"),
+        (params, "e_+1"),
+        (params, "e_ 1"),
+        (params, "h_\u0661"),
     ):
-        with pytest.raises(ValueError, match=bad):
+        with pytest.raises(ValueError, match=re.escape(bad)):
             observable_bundle(model, CS, (bad,), probes=(params.x0,))
-        with pytest.raises(ValueError, match=bad):
+        with pytest.raises(ValueError, match=re.escape(bad)):
             physical_observable_bundle(model, (bad,), probes=(params.x0,))
 
 
